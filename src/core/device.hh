@@ -71,8 +71,10 @@ class Device
      * target must be constructed from the same platform config and
      * Sentry options as the snapshotted device (fatal on mismatch).
      * Re-forking the same target any number of times is supported —
-     * that is the boot-once / fan-out pattern. Invalidates raw() spans
-     * of this device's memories.
+     * that is the boot-once / fan-out pattern — and a re-fork of the
+     * snapshot it last forked from restores only the L2 sets and
+     * memory pages changed since. Invalidates raw() spans of this
+     * device's memories.
      */
     void
     forkFrom(const DeviceSnapshot &snap)

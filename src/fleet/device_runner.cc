@@ -160,8 +160,8 @@ class Runner
         if (device_)
             snapshot(result);
         // Park the device for the next index this worker runs: the
-        // next boot() forkFrom() rewrites all simulated state, so
-        // recycling cannot leak state between devices.
+        // next boot() forkFrom() undoes everything this device changed,
+        // so recycling cannot leak state between devices.
         if (pool_ && device_ && options_.spawnMode == SpawnMode::Snapshot)
             pool_->device = std::move(device_);
         return result;
@@ -179,8 +179,8 @@ class Runner
                     "snapshot spawn mode without a template snapshot "
                     "(see makeFleetTemplate)");
             // Reuse the worker's parked device when one is available
-            // (forkFrom rewrites all simulated state, so the
-            // construction-time config of the recycled stack is
+            // (forkFrom undoes everything the previous device changed,
+            // so the construction-time config of the recycled stack is
             // irrelevant); construct one only on the first run.
             if (pool_ != nullptr && pool_->device)
                 device_ = std::move(pool_->device);

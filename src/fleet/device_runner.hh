@@ -207,11 +207,14 @@ std::uint64_t samplePriority(std::uint64_t device_seed, std::uint64_t salt,
 /**
  * One worker's recycled device. In Snapshot spawn mode runDevice
  * rebinds the resident Device to the template via forkFrom() instead
- * of constructing and destructing a full stack per device — the fork
- * rewrites all simulated state, so a recycled device is bit-identical
- * to a freshly constructed one (the determinism tests cover this).
- * Cold-boot mode ignores the pool: construction *is* the boot being
- * measured there.
+ * of constructing and destructing a full stack per device. Re-forking
+ * the same template restores only what the previous device changed
+ * (touched L2 sets, privatized DRAM/iRAM pages); the first fork of a
+ * fresh Device, a different template, or a bulk L2 operation in the
+ * previous device takes the full restore. Either way the recycled
+ * device is bit-identical to a freshly constructed one (the
+ * RecycledFork and replay-digest tests cover this). Cold-boot mode
+ * ignores the pool: construction *is* the boot being measured there.
  */
 struct DevicePool
 {

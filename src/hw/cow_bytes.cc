@@ -55,7 +55,7 @@ CowBytes::writeSlow(std::size_t offset, const std::uint8_t *in,
 std::span<std::uint8_t>
 CowBytes::contiguous() const
 {
-    if (privateCount_ != nPages_) {
+    if (privatized_.size() != nPages_) {
         for (std::size_t page = 0; page < nPages_; ++page) {
             if (private_[page])
                 continue;
@@ -63,8 +63,8 @@ CowBytes::contiguous() const
             std::memcpy(data, readPtr_[page], PAGE_SIZE);
             readPtr_[page] = data;
             private_[page] = 1;
+            privatized_.push_back(page);
         }
-        privateCount_ = nPages_;
     }
     return {local_.get(), size_};
 }
@@ -79,11 +79,8 @@ CowBytes::freeze() const
     // Private pages are copied out so this instance stays free to keep
     // mutating them; Shared pages are aliased (parent_ keeps the older
     // image alive); Zero pages stay nullptr.
-    std::size_t copied = 0;
-    for (std::size_t page = 0; page < nPages_; ++page)
-        copied += private_[page] ? 1 : 0;
-    if (copied > 0)
-        image->owned_.reset(new std::uint8_t[copied * PAGE_SIZE]);
+    if (!privatized_.empty())
+        image->owned_.reset(new std::uint8_t[privatized_.size() * PAGE_SIZE]);
 
     std::size_t slot = 0;
     bool sharesBase = false;
@@ -104,20 +101,29 @@ CowBytes::freeze() const
 }
 
 void
-CowBytes::adopt(std::shared_ptr<const CowImage> image)
+CowBytes::adopt(const std::shared_ptr<const CowImage> &image)
 {
     if (image == nullptr)
         panic("CowBytes::adopt: null image");
     if (image->size() != size_)
         panic("CowBytes::adopt: size mismatch (%zu vs %zu)",
               image->size(), size_);
-    base_ = std::move(image);
-    for (std::size_t page = 0; page < nPages_; ++page) {
+    const auto rebind = [this](std::size_t page) {
         const std::uint8_t *src = base_->page(page);
         readPtr_[page] = src != nullptr ? src : zeroPage();
         private_[page] = 0;
+    };
+    if (image == base_) {
+        // Every page not privatized since the last adopt still reads
+        // from this image.
+        for (std::size_t page : privatized_)
+            rebind(page);
+    } else {
+        base_ = image;
+        for (std::size_t page = 0; page < nPages_; ++page)
+            rebind(page);
     }
-    privateCount_ = 0;
+    privatized_.clear();
 }
 
 void

@@ -17,6 +17,12 @@
  * set of Private pages is the fork's dirty bitmap; `privatePages()`
  * reports its population count.
  *
+ * Re-adopting the image this instance already holds (the recycled
+ * device re-forking its template) resets only the pages privatized
+ * since the last `adopt()`, so its cost follows what the fork wrote,
+ * not the array size. A different image, or any image after
+ * `zeroAll()` (which drops the held one), rebinds every page.
+ *
  * Span-stability rule (the `raw()` contract for Dram/Iram): the
  * contiguous span returned by `contiguous()` materializes every page
  * into private storage and stays valid — and visible to reads through
@@ -128,7 +134,7 @@ class CowBytes
 
     /** Become a COW view of @p image (same size required): drop all
      * private pages, share the image's. Invalidates prior spans. */
-    void adopt(std::shared_ptr<const CowImage> image);
+    void adopt(const std::shared_ptr<const CowImage> &image);
 
     /**
      * Reset contents to all-zero. Pages already Private are memset in
@@ -140,7 +146,7 @@ class CowBytes
 
     /** @return number of Private pages (the fork's dirty bitmap
      * population). */
-    std::size_t privatePages() const { return privateCount_; }
+    std::size_t privatePages() const { return privatized_.size(); }
 
     /** @return true if page @p index has been privatized (dirty since
      * the last adopt()). */
@@ -171,7 +177,7 @@ class CowBytes
             std::memcpy(data, readPtr_[page], PAGE_SIZE);
             readPtr_[page] = data;
             private_[page] = 1;
-            ++privateCount_;
+            privatized_.push_back(page);
         }
         return data;
     }
@@ -186,7 +192,8 @@ class CowBytes
      * observe identical bytes before and after materialization. */
     mutable std::vector<const std::uint8_t *> readPtr_;
     mutable std::vector<std::uint8_t> private_;
-    mutable std::size_t privateCount_ = 0;
+    /** Indices of the Private pages, in privatization order. */
+    mutable std::vector<std::size_t> privatized_;
     std::shared_ptr<const CowImage> base_;
 };
 

@@ -131,9 +131,9 @@ class Dram : public BusTarget
      * raw() spans. Also clears the activation counters: a fork adopts
      * memory *contents*, not in-flight analog cell stress, so a forked
      * device observes the same disturbance behavior as a cold boot. */
-    void adoptImage(std::shared_ptr<const CowImage> image)
+    void adoptImage(const std::shared_ptr<const CowImage> &image)
     {
-        data_.adopt(std::move(image));
+        data_.adopt(image);
         activations_.clear();
     }
 

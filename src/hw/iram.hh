@@ -66,9 +66,9 @@ class Iram
 
     /** Rebind the cell array to @p image copy-on-write. Invalidates
      * raw() spans. */
-    void adoptImage(std::shared_ptr<const CowImage> image)
+    void adoptImage(const std::shared_ptr<const CowImage> &image)
     {
-        data_.adopt(std::move(image));
+        data_.adopt(image);
     }
 
     /** @return pages privatized since the last adoptImage(). */

@@ -1,6 +1,7 @@
 #include "hw/l2_cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -28,6 +29,7 @@ L2Cache::L2Cache(SimClock &clock, Bus &bus, TrustZone &tz,
     data_.assign(sets_ * ways_ * CACHE_LINE_SIZE, 0);
     rr_.assign(sets_, 0);
     mru_.assign(sets_, 0);
+    touched_.assign((sets_ + 63) / 64, 0);
 }
 
 bool
@@ -83,6 +85,7 @@ L2Cache::writebackLine(std::size_t set, unsigned way)
     Line &line = lines_[lineIndex(set, way)];
     if (!line.valid || !line.dirty)
         return;
+    touchSet(set);
     // Fire before the bus write so a scheduled DMA burst races the
     // flush (reads DRAM while the line is still only in the cache).
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::CacheEvent)) {
@@ -116,6 +119,8 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
     const std::size_t offsetInLine = addr - lineBase;
 
     int way = findWay(set, tag);
+    if (way < 0 || wbuf != nullptr)
+        touchSet(set); // a fill or a write changes the set
     if (way >= 0) {
         ++stats_.hits;
         clock_.advance(timing_.hitCycles);
@@ -178,6 +183,7 @@ L2Cache::writeLockdownReg(std::uint32_t mask)
 void
 L2Cache::flushAllMasked()
 {
+    touchAllSets();
     for (std::size_t set = 0; set < sets_; ++set) {
         for (unsigned way = 0; way < ways_; ++way) {
             if (flushWayMask_ & (1u << way))
@@ -194,6 +200,7 @@ L2Cache::flushAllMasked()
 void
 L2Cache::cleanAllMasked()
 {
+    touchAllSets();
     for (std::size_t set = 0; set < sets_; ++set) {
         for (unsigned way = 0; way < ways_; ++way) {
             if (flushWayMask_ & (1u << way))
@@ -209,6 +216,7 @@ L2Cache::rawFlushAll()
     // The stock full flush ignores locks: every dirty line (locked or
     // not) is written back to DRAM and everything is invalidated. The
     // lockdown register is cleared — locked ways are gone.
+    touchAllSets();
     for (std::size_t set = 0; set < sets_; ++set) {
         for (unsigned way = 0; way < ways_; ++way) {
             Line &line = lines_[lineIndex(set, way)];
@@ -243,6 +251,7 @@ L2Cache::invalidateRange(PhysAddr addr, std::size_t len)
         const int way = findWay(set, tagOf(a));
         if (way < 0 || (flushWayMask_ & (1u << way)))
             continue;
+        touchSet(set);
         lines_[lineIndex(set, static_cast<unsigned>(way))].valid = false;
         lines_[lineIndex(set, static_cast<unsigned>(way))].dirty = false;
     }
@@ -251,6 +260,7 @@ L2Cache::invalidateRange(PhysAddr addr, std::size_t len)
 void
 L2Cache::resetAndZero()
 {
+    touchAllSets();
     for (auto &line : lines_)
         line = Line{};
     std::memset(data_.data(), 0, data_.size());
@@ -304,19 +314,45 @@ L2Cache::wayHasDirtyLines(unsigned way) const
 L2Cache::ForkState
 L2Cache::forkState() const
 {
-    return ForkState{lines_, data_,          rr_,    mru_,
-                     lockdownMask_, flushWayMask_, stats_};
+    ForkState fs;
+    fs.image =
+        std::make_shared<const ForkImage>(ForkImage{lines_, data_, rr_});
+    fs.mru = mru_;
+    fs.lockdownMask = lockdownMask_;
+    fs.flushWayMask = flushWayMask_;
+    fs.stats = stats_;
+    return fs;
 }
 
 void
 L2Cache::restoreForkState(const ForkState &fs)
 {
-    if (fs.lines.size() != lines_.size() || fs.data.size() != data_.size() ||
-        fs.rr.size() != rr_.size() || fs.mru.size() != mru_.size())
+    const ForkImage &image = *fs.image;
+    if (image.lines.size() != lines_.size() ||
+        image.data.size() != data_.size() || image.rr.size() != rr_.size() ||
+        fs.mru.size() != mru_.size())
         fatal("L2Cache::restoreForkState: geometry mismatch");
-    std::copy(fs.lines.begin(), fs.lines.end(), lines_.begin());
-    std::copy(fs.data.begin(), fs.data.end(), data_.begin());
-    std::copy(fs.rr.begin(), fs.rr.end(), rr_.begin());
+    if (fs.image == restored_) {
+        // Same image: only the sets touched since can differ from it.
+        const std::size_t setBytes = ways_ * CACHE_LINE_SIZE;
+        for (std::size_t word = 0; word < touched_.size(); ++word) {
+            for (std::uint64_t bits = touched_[word]; bits != 0;
+                 bits &= bits - 1) {
+                const std::size_t set = word * 64 + std::countr_zero(bits);
+                std::copy_n(image.lines.begin() + lineIndex(set, 0), ways_,
+                            lines_.begin() + lineIndex(set, 0));
+                std::memcpy(lineData(set, 0),
+                            image.data.data() + set * setBytes, setBytes);
+                rr_[set] = image.rr[set];
+            }
+        }
+    } else {
+        std::copy(image.lines.begin(), image.lines.end(), lines_.begin());
+        std::copy(image.data.begin(), image.data.end(), data_.begin());
+        std::copy(image.rr.begin(), image.rr.end(), rr_.begin());
+        restored_ = fs.image;
+    }
+    std::fill(touched_.begin(), touched_.end(), 0);
     std::copy(fs.mru.begin(), fs.mru.end(), mru_.begin());
     lockdownMask_ = fs.lockdownMask;
     flushWayMask_ = fs.flushWayMask;

@@ -24,6 +24,7 @@
 #define SENTRY_HW_L2_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/sim_clock.hh"
@@ -43,6 +44,8 @@ struct L2Stats
     std::uint64_t fills = 0;
     std::uint64_t writebacks = 0;
     std::uint64_t uncachedAccesses = 0;
+
+    bool operator==(const L2Stats &) const = default;
 };
 
 /** Timing parameters charged to the SimClock per operation. */
@@ -59,6 +62,8 @@ struct L2Line
     std::uint64_t tag = 0;
     bool valid = false;
     bool dirty = false;
+
+    bool operator==(const L2Line &) const = default;
 };
 
 /**
@@ -233,6 +238,7 @@ class L2Cache
     std::uint8_t *
     linePayloadForWrite(const L2LineId &id)
     {
+        touchSet(id.index / ways_);
         lines_[id.index].dirty = true;
         return data_.data() + std::size_t{id.index} * CACHE_LINE_SIZE;
     }
@@ -257,12 +263,20 @@ class L2Cache
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Complete mutable controller state for snapshot/fork. */
-    struct ForkState
+    /** The per-set arrays of a capture: tag store, payloads and
+     * round-robin pointers (~1.5 MiB for the 1 MiB Tegra 3 L2). */
+    struct ForkImage
     {
         std::vector<L2Line> lines;
         std::vector<std::uint8_t> data;
         std::vector<std::uint32_t> rr;
+    };
+
+    /** Complete mutable controller state for snapshot/fork. */
+    struct ForkState
+    {
+        /** Immutable once captured, so any number of forks share it. */
+        std::shared_ptr<const ForkImage> image;
         std::vector<std::uint8_t> mru;
         std::uint32_t lockdownMask = 0;
         std::uint32_t flushWayMask = 0;
@@ -276,6 +290,14 @@ class L2Cache
      * Overwrite this controller's state in place (geometry must match;
      * fatal otherwise). Storage is reused, so L2LineId handles never
      * dangle — stale ids simply fail lineResident() revalidation.
+     *
+     * The controller keeps a reference to the image it restores. A
+     * later restore of that same image copies back only the sets
+     * touched since (a fill, write, writeback or invalidate marks its
+     * set before changing it); a different image, or one restored
+     * after a bulk operation (full flush, clean, reset), is copied
+     * back whole. The replacement hints and the scalars are always
+     * copied whole.
      */
     void restoreForkState(const ForkState &fs);
 
@@ -320,6 +342,16 @@ class L2Cache
 
     void writebackLine(std::size_t set, unsigned way);
 
+    /** Mark @p set as differing from the restored image. */
+    void touchSet(std::size_t set)
+    {
+        touched_[set / 64] |= std::uint64_t{1} << (set % 64);
+    }
+
+    /** A bulk operation may have changed every set: forget the
+     * restored image, so the next restore copies everything. */
+    void touchAllSets() { restored_.reset(); }
+
     /** Common read/write path. */
     void access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
                 std::size_t len);
@@ -346,6 +378,12 @@ class L2Cache
     probe::TraceEngine *trace_ = nullptr;
 
     L2Stats stats_;
+
+    /** The image last restored; held, so identity is a pointer
+     * compare that cannot be fooled by a freed and reused address. */
+    std::shared_ptr<const ForkImage> restored_;
+    /** Bit s set: set s may differ from restored_. */
+    std::vector<std::uint64_t> touched_;
 };
 
 } // namespace sentry::hw

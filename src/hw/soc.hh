@@ -81,8 +81,9 @@ class MemorySystem
  * Immutable checkpoint of a whole Soc, produced by Soc::snapshot().
  *
  * The big cell arrays (DRAM, iRAM) are ref-counted COW images — forks
- * share their pages read-only and privatize on first write — while the
- * small per-device state (cache, CPU, TrustZone, clock, RNG streams,
+ * share their pages read-only and privatize on first write — and the
+ * L2 array is one immutable image copied into each fork's controller.
+ * The small per-device state (CPU, TrustZone, clock, RNG streams,
  * accelerator registers, traffic counters) is deep-copied by value.
  * Wiring (trace engines, bus mappings, memory ports) is never part of
  * a snapshot: it belongs to each device's own construction.

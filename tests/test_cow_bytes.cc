@@ -34,6 +34,41 @@ pattern(std::size_t len, std::uint8_t salt)
     return out;
 }
 
+constexpr std::size_t RE_ADOPT_PAGES = 6;
+
+/** An image with Zero pages 0 and 3..5 and written pages 1..2. */
+std::shared_ptr<const CowImage>
+mixedImage(std::uint8_t salt)
+{
+    CowBytes source(RE_ADOPT_PAGES * PAGE_SIZE);
+    const auto data = pattern(2 * PAGE_SIZE, salt);
+    source.write(PAGE_SIZE, data.data(), data.size());
+    return source.freeze();
+}
+
+/** Privatize pages 0 and 1 (one write across their seam) and page 4. */
+void
+scribble(CowBytes &bytes)
+{
+    const auto edit = pattern(PAGE_SIZE, 0xe1);
+    bytes.write(PAGE_SIZE / 2, edit.data(), edit.size());
+    bytes.write(4 * PAGE_SIZE + 7, edit.data(), 100);
+}
+
+/** Expect @p bytes to equal a freshly constructed array that adopted
+ * @p image: the same bytes and no Private page. */
+void
+expectFreshAdopt(const CowBytes &bytes,
+                 const std::shared_ptr<const CowImage> &image)
+{
+    CowBytes fresh(bytes.size());
+    fresh.adopt(image);
+    EXPECT_EQ(readAll(bytes), readAll(fresh));
+    EXPECT_EQ(bytes.privatePages(), 0u);
+    for (std::size_t page = 0; page < bytes.pageCount(); ++page)
+        EXPECT_FALSE(bytes.pageIsPrivate(page)) << "page " << page;
+}
+
 } // namespace
 
 TEST(CowBytes, StartsZeroWithNoPrivatePages)
@@ -218,6 +253,60 @@ TEST(CowBytes, ContiguousMaterializesAndStaysCoherent)
     std::uint8_t back = 0;
     fork.read(456, &back, 1);
     EXPECT_EQ(back, 0xcd);
+}
+
+TEST(CowBytes, ReAdoptSameImageAfterWritesMatchesFreshAdopt)
+{
+    const auto image = mixedImage(0x21);
+    CowBytes bytes(RE_ADOPT_PAGES * PAGE_SIZE);
+    bytes.adopt(image);
+    for (int round = 0; round < 2; ++round) {
+        scribble(bytes);
+        ASSERT_EQ(bytes.privatePages(), 3u) << "round " << round;
+        bytes.adopt(image);
+        expectFreshAdopt(bytes, image);
+    }
+}
+
+TEST(CowBytes, ReAdoptSameImageAfterContiguousMatchesFreshAdopt)
+{
+    const auto image = mixedImage(0x22);
+    CowBytes bytes(RE_ADOPT_PAGES * PAGE_SIZE);
+    bytes.adopt(image);
+    scribble(bytes);
+    std::span<std::uint8_t> span = bytes.contiguous();
+    span[2 * PAGE_SIZE] ^= 0xff; // a Shared page, written via the span
+    span[5 * PAGE_SIZE] = 0x5a;  // a Zero page, written via the span
+    bytes.adopt(image);
+    expectFreshAdopt(bytes, image);
+}
+
+TEST(CowBytes, ReAdoptSameImageAfterZeroAllMatchesFreshAdopt)
+{
+    const auto image = mixedImage(0x23);
+    CowBytes bytes(RE_ADOPT_PAGES * PAGE_SIZE);
+    bytes.adopt(image);
+    scribble(bytes);
+    bytes.zeroAll(); // also zeroes page 2, which was never privatized
+    bytes.adopt(image);
+    expectFreshAdopt(bytes, image);
+}
+
+TEST(CowBytes, AdoptingADifferentImageMatchesFreshAdopt)
+{
+    const auto first = mixedImage(0x24);
+    CowBytes other(RE_ADOPT_PAGES * PAGE_SIZE);
+    const auto data = pattern(PAGE_SIZE, 0x25);
+    other.write(3 * PAGE_SIZE, data.data(), data.size());
+    const auto second = other.freeze();
+
+    CowBytes bytes(RE_ADOPT_PAGES * PAGE_SIZE);
+    bytes.adopt(first);
+    scribble(bytes);
+    bytes.adopt(second);
+    expectFreshAdopt(bytes, second);
+    bytes.adopt(first);
+    expectFreshAdopt(bytes, first);
 }
 
 TEST(CowBytesDeath, AdoptRejectsSizeMismatch)

@@ -356,27 +356,35 @@ TEST_F(FleetShard, StreamingRunMatchesRetainedRun)
 
 TEST_F(FleetShard, ReplayDeviceMatchesInFleetDigest)
 {
-    const Scenario scenario = builtinScenario("interactive-day");
-    FleetOptions options;
-    options.devices = 6;
-    options.threads = 3;
-    options.dramBytes = 8 * MiB;
-    options.spawnMode = SpawnMode::Snapshot;
+    // Four times more devices than threads: all but each worker's first
+    // index run on a recycled device, re-forked from the template in
+    // proportion to what its previous device changed, while every
+    // replay forks a freshly constructed device.
+    for (const char *preset :
+         {"interactive-day", "fleet-scale", "attack-campaign"}) {
+        SCOPED_TRACE(preset);
+        const Scenario scenario = builtinScenario(preset);
+        FleetOptions options;
+        options.devices = 8;
+        options.threads = 2;
+        options.dramBytes = 8 * MiB;
+        options.spawnMode = SpawnMode::Snapshot;
 
-    const FleetReport fleet = runFleet(scenario, options);
-    ASSERT_TRUE(fleet.allOk) << fleet.summary();
-    ASSERT_EQ(fleet.results.size(), 6u);
+        const FleetReport fleet = runFleet(scenario, options);
+        ASSERT_TRUE(fleet.allOk) << fleet.summary();
+        ASSERT_EQ(fleet.results.size(), 8u);
 
-    for (unsigned index : {0u, 3u, 5u}) {
-        const DeviceResult replayed =
-            replayFleetDevice(scenario, options, index);
-        EXPECT_EQ(deviceDigest(replayed),
-                  deviceDigest(fleet.results[index]))
-            << "device " << index;
-        EXPECT_EQ(replayed.seed, fleet.results[index].seed);
+        for (unsigned index = 0; index < 8; ++index) {
+            const DeviceResult replayed =
+                replayFleetDevice(scenario, options, index);
+            EXPECT_EQ(deviceDigest(replayed),
+                      deviceDigest(fleet.results[index]))
+                << "device " << index;
+            EXPECT_EQ(replayed.seed, fleet.results[index].seed);
+        }
+        EXPECT_THROW(replayFleetDevice(scenario, options, 8),
+                     std::invalid_argument);
     }
-    EXPECT_THROW(replayFleetDevice(scenario, options, 6),
-                 std::invalid_argument);
 }
 
 TEST_F(FleetShard, DeviceSampleRetentionIsBoundedWithTrueCounts)

@@ -4,7 +4,10 @@
  * devices across many threads at once (the fleet spawn pattern). Runs
  * under `ctest -L fleet`, so the TSAN leg of bench/run_benches.sh
  * checks that concurrent forks really do share the COW image without
- * data races, and that every fork computes an identical result.
+ * data races, and that every fork computes an identical result. The
+ * recycling test re-forks each thread's target many times, so the
+ * restores that copy back only what the previous round changed run
+ * concurrently against the one shared template.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "common/logging.hh"
 #include "core/device.hh"
 #include "crypto/sha256.hh"
+#include "fork_capture.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -43,6 +47,26 @@ deviceDigest(Device &device)
     hasher.update({reinterpret_cast<const std::uint8_t *>(&now),
                    sizeof now});
     return hasher.finish();
+}
+
+/** Round @p round's writes: a heap written through the cache, whose
+ * size and fill vary by round so each round dirties different L2 sets,
+ * plus a DMA-style write straight into one DRAM page. */
+void
+scribble(Device &device, unsigned round)
+{
+    os::Kernel &kernel = device.kernel();
+    os::Process &process = kernel.createProcess("app");
+    const std::size_t bytes = (1 + round % 4) * PAGE_SIZE;
+    const os::Vma &heap =
+        kernel.addVma(process, "heap", os::VmaType::Heap, bytes);
+    const std::vector<std::uint8_t> fill(bytes,
+                                         static_cast<std::uint8_t>(round));
+    kernel.writeVirt(process, heap.base, fill.data(), fill.size());
+    kernel.touchRange(process, heap.base, bytes);
+    hw::Dram &dram = device.soc().dram();
+    const std::size_t page = (round * 37) % (dram.size() / PAGE_SIZE);
+    dram.busWrite(page * PAGE_SIZE + round, fill.data(), 64);
 }
 
 } // namespace
@@ -89,6 +113,48 @@ TEST(ForkStress, ManyThreadsForkOneSnapshotIdentically)
 
     for (std::size_t i = 1; i < digests.size(); ++i)
         ASSERT_EQ(digests[i], digests[0]) << "fork " << i;
+}
+
+TEST(ForkStress, RecycledTargetsMatchAFreshForkEveryRound)
+{
+    setQuiet(true);
+    const auto platform = hw::PlatformConfig::tegra3(4 * MiB);
+
+    // Template: a 1 MiB heap written through the cache, so the L2 the
+    // re-forks restore holds valid dirty lines in every set.
+    Device origin(platform);
+    origin.sentry().registerCryptoProviders();
+    os::Process &warm = origin.kernel().createProcess("warm");
+    const os::Vma &heap =
+        origin.kernel().addVma(warm, "heap", os::VmaType::Heap, 1 * MiB);
+    const std::vector<std::uint8_t> fill(heap.size, 0x3c);
+    origin.kernel().writeVirt(warm, heap.base, fill.data(), fill.size());
+    const auto snap = origin.snapshot();
+    Device fresh(platform);
+    fresh.forkFrom(*snap);
+    const test::ForkCapture want = test::captureFork(fresh);
+
+    constexpr unsigned THREADS = 4;
+    constexpr unsigned ROUNDS = 50;
+    std::vector<unsigned> mismatches(THREADS, 0);
+    std::vector<std::thread> workers;
+    workers.reserve(THREADS);
+    for (unsigned t = 0; t < THREADS; ++t) {
+        workers.emplace_back([&, t] {
+            Device target(platform);
+            for (unsigned round = 0; round < ROUNDS; ++round) {
+                target.forkFrom(*snap);
+                if (test::captureFork(target) != want)
+                    ++mismatches[t];
+                scribble(target, t * ROUNDS + round);
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+
+    for (unsigned t = 0; t < THREADS; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(ForkStress, SnapshotOutlivesItsSourceDevice)

@@ -8,7 +8,9 @@
  * tests pin that down with whole-memory SHA-256 digests and
  * CounterSink totals, and cover the COW semantics at device level:
  * sibling isolation, snapshot immutability, re-forking one target, and
- * dirty-page accounting.
+ * dirty-page accounting. The RecycledFork twins compare a re-forked
+ * target (which restores only what it changed) with a freshly
+ * constructed one (which restores everything).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/device.hh"
 #include "core/dram_scanner.hh"
 #include "crypto/sha256.hh"
+#include "fork_capture.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -93,6 +96,98 @@ unlockAndResume(Device &device, apps::SyntheticApp &app,
         device.sentry().stats().bytesDecryptedOnDemand;
     record.digest = deviceDigest(device);
     return record;
+}
+
+/** A fleet-scale device's work on an unlocked device: spawn a
+ * sensitive app, plant a secret in each page of its @p heap_bytes heap
+ * and read every page back twice, so writes, fills and read misses
+ * land in the L2. */
+void
+spawnAndTouch(Device &device, std::size_t heap_bytes)
+{
+    os::Kernel &kernel = device.kernel();
+    os::Process &process = kernel.createProcess("app");
+    const os::Vma &heap =
+        kernel.addVma(process, "heap", os::VmaType::Heap, heap_bytes);
+    for (std::size_t off = 0; off < heap.size; off += PAGE_SIZE)
+        kernel.writeVirt(process, heap.base + off + 64, SECRET.data(),
+                         SECRET.size());
+    device.sentry().markSensitive(process);
+    kernel.touchRange(process, heap.base, heap.size);
+    device.soc().clock().advanceSeconds(0.005);
+    kernel.touchRange(process, heap.base, heap.size / 2);
+}
+
+/**
+ * The delta-restore twin. @p target has run since its last fork, so
+ * its L2 and memories hold changes the next fork must undo. Re-fork it
+ * from @p snap next to a freshly constructed device forked from the
+ * same snapshot (the full restore path): the two must match right
+ * after the fork, and again after both run a fleet-scale device's work.
+ */
+void
+expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap)
+{
+    target.forkFrom(snap);
+    Device fresh(config());
+    fresh.forkFrom(snap);
+    EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
+        << "right after the fork";
+    spawnAndTouch(target, 16 * KiB);
+    spawnAndTouch(fresh, 16 * KiB);
+    EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
+        << "after the next device's work";
+}
+
+/** Warm @p device for the twins: crypto providers registered and a
+ * 2 MiB heap written through the cache, so the L2 is full of valid
+ * dirty lines that a re-fork must restore. */
+void
+warm(Device &device)
+{
+    device.sentry().registerCryptoProviders();
+    os::Kernel &kernel = device.kernel();
+    os::Process &process = kernel.createProcess("warm");
+    const os::Vma &heap =
+        kernel.addVma(process, "heap", os::VmaType::Heap, 2 * MiB);
+    const std::vector<std::uint8_t> fill(heap.size, 0x3c);
+    kernel.writeVirt(process, heap.base, fill.data(), fill.size());
+}
+
+std::shared_ptr<const DeviceSnapshot>
+warmTemplate()
+{
+    Device origin(config());
+    warm(origin);
+    return origin.snapshot();
+}
+
+/** Five lines in five consecutive L2 sets, one per single-line
+ * operation the twins below apply. */
+constexpr PhysAddr FAST_WRITE_LINE = DRAM_BASE + 8 * MiB;
+constexpr PhysAddr WRITE_HIT_LINE = FAST_WRITE_LINE + CACHE_LINE_SIZE;
+constexpr PhysAddr READ_MISS_LINE = FAST_WRITE_LINE + 2 * CACHE_LINE_SIZE;
+constexpr PhysAddr CLEAN_LINE = FAST_WRITE_LINE + 3 * CACHE_LINE_SIZE;
+constexpr PhysAddr INVALIDATE_LINE = FAST_WRITE_LINE + 4 * CACHE_LINE_SIZE;
+
+/** A warm template whose L2 is clean except CLEAN_LINE, with
+ * READ_MISS_LINE absent and the other lines resident. An operation on
+ * a fork then changes each set itself, not by writing back a dirty
+ * line on the way. */
+std::shared_ptr<const DeviceSnapshot>
+lineTemplate()
+{
+    Device origin(config());
+    warm(origin);
+    hw::L2Cache &l2 = origin.soc().l2();
+    l2.cleanAllMasked();
+    std::uint8_t byte = 0x42;
+    l2.read(FAST_WRITE_LINE, &byte, 1);
+    l2.read(WRITE_HIT_LINE, &byte, 1);
+    l2.invalidateRange(READ_MISS_LINE, 1);
+    l2.write(CLEAN_LINE, &byte, 1);
+    l2.read(INVALIDATE_LINE, &byte, 1);
+    return origin.snapshot();
 }
 
 /** The cold-boot reference: boot, warm, unlock — all on one device. */
@@ -413,6 +508,99 @@ TEST(SnapshotFork, MemShieldWorkingSetForksFaithfully)
     EXPECT_EQ(forked.digest, cold.digest);
     EXPECT_EQ(forked.counters, cold.counters);
     EXPECT_EQ(forked.secretBack, SECRET);
+}
+
+TEST(RecycledFork, MatchesFreshAfterFleetScaleTouch)
+{
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    spawnAndTouch(target, 16 * KiB);
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterLock)
+{
+    // Locking cleans the whole unmasked L2 (a bulk operation).
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    spawnAndTouch(target, 16 * KiB);
+    target.kernel().lockScreen();
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterColdBootReset)
+{
+    // Power loss decays every DRAM page in place and the boot firmware
+    // zeroes iRAM and the whole L2.
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    spawnAndTouch(target, 16 * KiB);
+    target.soc().powerCycle(2.0);
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterSwitchingSnapshots)
+{
+    Device origin(config());
+    apps::SyntheticApp originApp = warmUp(origin);
+    const auto locked = origin.snapshot();
+    const auto snap = warmTemplate();
+
+    // The target last restored another image: this re-fork must take
+    // the full path.
+    Device target(config());
+    target.forkFrom(*locked);
+    os::Process *process = target.kernel().processes().front().get();
+    apps::SyntheticApp app(target.kernel(), *process);
+    target.kernel().unlockScreen("0000");
+    app.resume();
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterL2FastPathWrite)
+{
+    const auto snap = lineTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    hw::L2LineId id;
+    ASSERT_NE(target.soc().l2().probeLine(FAST_WRITE_LINE, id), nullptr);
+    target.soc().l2().linePayloadForWrite(id)[0] ^= 0xff;
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterSingleLineOperations)
+{
+    const auto snap = lineTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    hw::L2Cache &l2 = target.soc().l2();
+    std::uint8_t byte = 0x5a;
+    l2.write(WRITE_HIT_LINE, &byte, 1);
+    l2.read(READ_MISS_LINE, &byte, 1);
+    l2.cleanRange(CLEAN_LINE, 1);
+    l2.invalidateRange(INVALIDATE_LINE, 1);
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterMaskedFlush)
+{
+    const auto snap = lineTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    target.soc().l2().flushAllMasked();
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterRawFlush)
+{
+    const auto snap = lineTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    target.soc().l2().rawFlushAll();
+    expectRecycledForkMatchesFresh(target, *snap);
 }
 
 TEST(SnapshotForkDeath, DefenseKindMismatchIsFatal)
