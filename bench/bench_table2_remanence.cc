@@ -38,7 +38,7 @@ runTrial(ColdBootVariant variant, std::uint64_t seed)
     hw::Soc soc(config);
 
     const auto pattern = fromHex("5a5aa5a5c33c3cc3");
-    fillPattern(soc.dram().raw(), pattern);
+    soc.dram().fillCells(pattern);
     fillPattern(soc.iram().raw(), pattern);
 
     ColdBootAttack attack(variant);
@@ -97,7 +97,7 @@ main()
         hw::PlatformConfig config = hw::PlatformConfig::tegra3(256 * MiB);
         hw::Soc soc(config);
         const auto pattern = fromHex("5a5aa5a5c33c3cc3");
-        fillPattern(soc.dram().raw(), pattern);
+        soc.dram().fillCells(pattern);
         fillPattern(soc.iram().raw(), pattern);
         ColdBootAttack frozen(ColdBootVariant::TwoSecondReset, -18.0);
         const auto m = frozen.measureRemanence(soc, pattern);

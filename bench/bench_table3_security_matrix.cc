@@ -237,7 +237,8 @@ rowhammerVictimFlips(bool catt)
     const PhysAddr victimOff =
         catt ? (alloc.allocFrame(os::MemDomain::Victim) - DRAM_BASE)
              : (64 + geom.banks) * geom.rowBytes;
-    soc.dram().raw()[victimOff] = 0xff; // the bit the attacker wants
+    const std::uint8_t target = 0xff; // the bit the attacker wants
+    soc.dram().writeCells(victimOff, &target, 1);
 
     v2::RowhammerAttack attack(config, V2_SEED);
     attack.run(soc);

@@ -1,7 +1,7 @@
 #include "attacks/cold_boot.hh"
 
-#include "common/bytes.hh"
 #include "common/logging.hh"
+#include "core/dram_scanner.hh"
 
 namespace sentry::attacks
 {
@@ -52,8 +52,9 @@ ColdBootAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
     result.target = target;
 
     // The attacker-controlled boot dumps every physical byte.
-    const bool inDram = containsBytes(soc.dramRaw(), secret);
-    const bool inIram = containsBytes(soc.iramRaw(), secret);
+    const core::DramScanner scanner(soc);
+    const bool inDram = scanner.dramContains(secret);
+    const bool inIram = scanner.iramContains(secret);
     result.secretRecovered = inDram || inIram;
     if (inDram)
         result.notes.push_back("secret found in DRAM dump");
@@ -66,12 +67,9 @@ RemanenceMeasurement
 ColdBootAttack::measureRemanence(hw::Soc &soc,
                                  std::span<const std::uint8_t> pattern) const
 {
-    const auto before = [&](std::span<const std::uint8_t> memory) {
-        return countPattern(memory, pattern);
-    };
-
-    const std::size_t dramBefore = before(soc.dramRaw());
-    const std::size_t iramBefore = before(soc.iramRaw());
+    const core::DramScanner scanner(soc);
+    const std::size_t dramBefore = scanner.dramPatternCount(pattern);
+    const std::size_t iramBefore = scanner.iramPatternCount(pattern);
     if (dramBefore == 0 || iramBefore == 0)
         fatal("remanence measurement requires pre-filled memories");
 
@@ -79,10 +77,10 @@ ColdBootAttack::measureRemanence(hw::Soc &soc,
 
     RemanenceMeasurement measurement;
     measurement.dramFraction =
-        static_cast<double>(countPattern(soc.dramRaw(), pattern)) /
+        static_cast<double>(scanner.dramPatternCount(pattern)) /
         static_cast<double>(dramBefore);
     measurement.iramFraction =
-        static_cast<double>(countPattern(soc.iramRaw(), pattern)) /
+        static_cast<double>(scanner.iramPatternCount(pattern)) /
         static_cast<double>(iramBefore);
     return measurement;
 }

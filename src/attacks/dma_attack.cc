@@ -35,7 +35,7 @@ DmaAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
     result.target = target;
 
     const std::vector<std::uint8_t> dramDump =
-        dumpRange(soc, DRAM_BASE, soc.dramRaw().size());
+        dumpRange(soc, DRAM_BASE, soc.dram().size());
     if (containsBytes(dramDump, secret)) {
         result.secretRecovered = true;
         result.notes.push_back("secret found in DRAM via DMA");
@@ -43,7 +43,7 @@ DmaAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
 
     hw::DmaStatus iramStatus = hw::DmaStatus::Ok;
     const std::vector<std::uint8_t> iramDump =
-        dumpRange(soc, IRAM_BASE, soc.iramRaw().size(), &iramStatus);
+        dumpRange(soc, IRAM_BASE, soc.iram().size(), &iramStatus);
     if (iramStatus == hw::DmaStatus::DeniedByTrustZone) {
         result.notes.push_back("iRAM DMA denied by TrustZone");
     } else if (containsBytes(iramDump, secret)) {

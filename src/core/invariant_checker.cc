@@ -3,10 +3,39 @@
 #include <cstdio>
 
 #include "common/bytes.hh"
+#include "core/dram_scanner.hh"
 #include "hw/soc.hh"
 
 namespace sentry::core
 {
+
+namespace
+{
+
+/** Score @p markers against a search: @p found(bytes) says whether the
+ * attacker's view holds that marker. */
+template <typename Found>
+DumpLeaks
+tallyLeaks(const std::vector<SecretMarker> &markers, Found found)
+{
+    DumpLeaks leaks;
+    for (const SecretMarker &marker : markers) {
+        const bool hit = found(marker.bytes);
+        if (marker.sensitive) {
+            ++leaks.sensitiveProbed;
+            if (hit) {
+                ++leaks.sensitiveLeaked;
+                if (leaks.firstLeakedOwner.empty())
+                    leaks.firstLeakedOwner = marker.owner;
+            }
+        } else if (hit) {
+            ++leaks.nonSensitiveLeaks;
+        }
+    }
+    return leaks;
+}
+
+} // namespace
 
 void
 InvariantChecker::addMarker(SecretMarker marker)
@@ -23,7 +52,7 @@ InvariantChecker::checkLive()
             plaintextMarkers.push_back(marker.bytes);
     }
     SecurityAudit audit(kernel_, sentry_);
-    const AuditReport report = audit.run(plaintextMarkers);
+    const AuditReport report = audit.run(plaintextMarkers, &memo_);
     CheckOutcome outcome;
     if (!report.allPassed()) {
         outcome.ok = false;
@@ -41,34 +70,27 @@ DumpLeaks
 InvariantChecker::checkDumps(std::span<const std::uint8_t> dram_dump,
                              std::span<const std::uint8_t> iram_dump) const
 {
-    DumpLeaks leaks;
-    for (const SecretMarker &marker : markers_) {
-        const bool found = containsBytes(dram_dump, marker.bytes) ||
-                           containsBytes(iram_dump, marker.bytes);
-        if (marker.sensitive) {
-            ++leaks.sensitiveProbed;
-            if (found) {
-                ++leaks.sensitiveLeaked;
-                if (leaks.firstLeakedOwner.empty())
-                    leaks.firstLeakedOwner = marker.owner;
-            }
-        } else if (found) {
-            ++leaks.nonSensitiveLeaks;
-        }
-    }
-    return leaks;
+    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> needle) {
+        return containsBytes(dram_dump, needle) ||
+               containsBytes(iram_dump, needle);
+    });
+}
+
+DumpLeaks
+InvariantChecker::checkDumps(const hw::Soc &soc) const
+{
+    const DramScanner scanner(soc);
+    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> needle) {
+        return scanner.dramContains(needle) || scanner.iramContains(needle);
+    });
 }
 
 CheckOutcome
 InvariantChecker::checkIramZeroed(const hw::Soc &soc) const
 {
-    const auto iram = soc.iramRaw();
-    if (allZero(iram))
+    const std::size_t i = DramScanner(soc).iramFirstNonZero();
+    if (i == soc.iram().size())
         return CheckOutcome{};
-    // Failure path only: locate the first offending byte for the report.
-    std::size_t i = 0;
-    while (i < iram.size() && iram[i] == 0)
-        ++i;
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "iRAM byte 0x%zx non-zero after power event "

@@ -12,7 +12,8 @@
  *     scrubbing — using the markers registered with addMarker();
  *   - attacker's-view invariants (checkDumps): a memory image obtained
  *     by an attack (DMA dump, cold-boot readout) must not contain any
- *     sensitive marker;
+ *     sensitive marker; the Soc overload greps the device's memory in
+ *     place, as the attacker's post-reset readout would see it;
  *   - power-event invariant (checkIramZeroed): after any power loss the
  *     boot firmware must have left iRAM all-zero (Table 2's "0%
  *     recovered" row).
@@ -20,6 +21,13 @@
  * The checker owns the marker list (one entry per planted app secret);
  * callers register markers at spawn time and the same list feeds every
  * check.
+ *
+ * checkLive is incremental: the checker keeps one ScanMemo per needle
+ * (the volatile key and each sensitive marker) and hands them to
+ * SecurityAudit::run, so each audit greps only the DRAM pages written
+ * since that needle was last found absent. A new checker's first audit
+ * scans everything, and so does any audit after a fork onto another
+ * image, a power event or zeroAll, which stamp every page.
  */
 
 #ifndef SENTRY_CORE_INVARIANT_CHECKER_HH
@@ -83,7 +91,8 @@ class InvariantChecker
 
     /**
      * Run the full live-device invariant set (SecurityAudit with the
-     * sensitive markers). @return the first violation, if any.
+     * sensitive markers and this checker's memo). @return the first
+     * violation, if any.
      */
     CheckOutcome checkLive();
 
@@ -95,6 +104,10 @@ class InvariantChecker
     DumpLeaks checkDumps(std::span<const std::uint8_t> dram_dump,
                          std::span<const std::uint8_t> iram_dump) const;
 
+    /** As above, for the memory @p soc holds right now (a cold-boot
+     * readout), searched in place through DramScanner. */
+    DumpLeaks checkDumps(const hw::Soc &soc) const;
+
     /** Assert the post-power-event firmware invariant: iRAM all-zero. */
     CheckOutcome checkIramZeroed(const hw::Soc &soc) const;
 
@@ -102,6 +115,7 @@ class InvariantChecker
     os::Kernel &kernel_;
     Sentry &sentry_;
     std::vector<SecretMarker> markers_;
+    AuditMemo memo_;
 };
 
 } // namespace sentry::core

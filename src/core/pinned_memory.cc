@@ -28,9 +28,8 @@ PinnedMemory::create(hw::Soc &soc, std::size_t pool_bytes,
         // use LockedL2 pools only when no other component manages
         // lockdown on this device.
         const std::size_t waySize = soc.l2().waySizeBytes();
-        const PhysAddr top = DRAM_BASE + soc.dramRaw().size();
         const PhysAddr window =
-            alignDown(top - 2 * soc.l2().size(), waySize);
+            alignDown(soc.dramEnd() - 2 * soc.l2().size(), waySize);
         auto ways = std::make_unique<LockedWayManager>(soc, window);
         if (!ways->available())
             return nullptr;

@@ -2,9 +2,6 @@
 
 #include <bit>
 
-#include "common/bytes.hh"
-#include "core/dram_scanner.hh"
-
 namespace sentry::core
 {
 
@@ -44,7 +41,7 @@ SecurityAudit::deviceLocked() const
 }
 
 void
-SecurityAudit::checkKeyResidency(AuditReport &report)
+SecurityAudit::checkKeyResidency(AuditReport &report, AuditMemo *memo)
 {
     if (sentry_.keysDestroyed()) {
         report.findings.push_back(
@@ -53,7 +50,8 @@ SecurityAudit::checkKeyResidency(AuditReport &report)
     }
     const RootKey key = sentry_.keys().volatileKey();
     DramScanner scanner(kernel_.soc());
-    const bool inDram = scanner.dramContains({key.data(), key.size()});
+    const bool inDram = scanner.dramContains(
+        {key.data(), key.size()}, memo != nullptr ? &memo->key : nullptr);
     const bool onSoc = scanner.iramContains({key.data(), key.size()});
     report.findings.push_back(
         {"key-residency", onSoc && !inDram,
@@ -115,7 +113,8 @@ SecurityAudit::checkFlushMask(AuditReport &report)
 void
 SecurityAudit::checkMarkers(
     AuditReport &report,
-    std::span<const std::vector<std::uint8_t>> plaintext_markers)
+    std::span<const std::vector<std::uint8_t>> plaintext_markers,
+    AuditMemo *memo)
 {
     if (!deviceLocked() || plaintext_markers.empty()) {
         report.findings.push_back({"plaintext-markers", true,
@@ -125,9 +124,13 @@ SecurityAudit::checkMarkers(
         return;
     }
     DramScanner scanner(kernel_.soc());
+    if (memo != nullptr)
+        memo->markers.resize(plaintext_markers.size());
     std::size_t hits = 0;
-    for (const auto &marker : plaintext_markers)
-        hits += scanner.dramContains(marker) ? 1 : 0;
+    for (std::size_t i = 0; i < plaintext_markers.size(); ++i) {
+        ScanMemo *slot = memo != nullptr ? &memo->markers[i] : nullptr;
+        hits += scanner.dramContains(plaintext_markers[i], slot) ? 1 : 0;
+    }
     report.findings.push_back(
         {"plaintext-markers", hits == 0,
          hits == 0 ? "" : std::to_string(hits) + " marker(s) in DRAM"});
@@ -147,17 +150,18 @@ SecurityAudit::checkFreedPages(AuditReport &report)
 
 AuditReport
 SecurityAudit::run(
-    std::span<const std::vector<std::uint8_t>> plaintext_markers)
+    std::span<const std::vector<std::uint8_t>> plaintext_markers,
+    AuditMemo *memo)
 {
     // Make DRAM reflect reality before scanning: push dirty lines out
     // of the unlocked ways (locked ways are exempt by design).
     kernel_.soc().l2().cleanAllMasked();
 
     AuditReport report;
-    checkKeyResidency(report);
+    checkKeyResidency(report, memo);
     checkPageStates(report);
     checkFlushMask(report);
-    checkMarkers(report, plaintext_markers);
+    checkMarkers(report, plaintext_markers, memo);
     checkFreedPages(report);
     return report;
 }

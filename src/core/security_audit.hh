@@ -14,6 +14,11 @@
  *   - caller-supplied plaintext markers do not appear in DRAM while
  *     locked;
  *   - freed pages are scrubbed when the device is locked.
+ *
+ * The DRAM greps (the volatile key, the markers) are full scans unless
+ * the caller hands run() an AuditMemo; then each needle is searched
+ * only in the pages written since it was last found absent (see
+ * DramScanner). Both give the same findings.
  */
 
 #ifndef SENTRY_CORE_SECURITY_AUDIT_HH
@@ -24,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dram_scanner.hh"
 #include "core/sentry.hh"
 #include "os/kernel.hh"
 
@@ -50,6 +56,14 @@ struct AuditReport
     std::string summary() const;
 };
 
+/** Incremental-scan state one caller keeps across audits of one
+ * device (InvariantChecker does). */
+struct AuditMemo
+{
+    ScanMemo key;                  //!< the volatile root key
+    std::vector<ScanMemo> markers; //!< each plaintext marker, by position
+};
+
 /** The auditor. */
 class SecurityAudit
 {
@@ -62,17 +76,22 @@ class SecurityAudit
      * Run all checks.
      * @param plaintext_markers byte strings that must not be in DRAM
      *        while the device is locked (e.g. known app secrets)
+     * @param memo when non-null, the DRAM greps are incremental over
+     *        the pages written since the memo's previous audit of this
+     *        device; null runs the full-scan reference
      */
     AuditReport
-    run(std::span<const std::vector<std::uint8_t>> plaintext_markers = {});
+    run(std::span<const std::vector<std::uint8_t>> plaintext_markers = {},
+        AuditMemo *memo = nullptr);
 
   private:
-    void checkKeyResidency(AuditReport &report);
+    void checkKeyResidency(AuditReport &report, AuditMemo *memo);
     void checkPageStates(AuditReport &report);
     void checkFlushMask(AuditReport &report);
     void checkMarkers(
         AuditReport &report,
-        std::span<const std::vector<std::uint8_t>> plaintext_markers);
+        std::span<const std::vector<std::uint8_t>> plaintext_markers,
+        AuditMemo *memo);
     void checkFreedPages(AuditReport &report);
 
     bool deviceLocked() const;

@@ -28,8 +28,7 @@ PhysAddr
 lockedWindowBase(const hw::Soc &soc, std::size_t way_size,
                  std::size_t l2_size)
 {
-    const PhysAddr top = DRAM_BASE + soc.dramRaw().size();
-    return alignDown(top - l2_size, way_size);
+    return alignDown(soc.dramEnd() - l2_size, way_size);
 }
 
 crypto::StatePlacement
@@ -517,7 +516,7 @@ double
 Sentry::encryptAllMemoryStrawman()
 {
     hw::Soc &soc = kernel_.soc();
-    const auto bytes = static_cast<double>(soc.dramRaw().size());
+    const auto bytes = static_cast<double>(soc.dram().size());
     const double seconds =
         bytes / soc.config().cost.fullMemEncryptBytesPerSec;
     soc.clock().advanceSeconds(seconds);

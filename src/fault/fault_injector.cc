@@ -89,10 +89,14 @@ FaultInjector::record(unsigned index, std::uint64_t ordinal)
 void
 FaultInjector::fireDramBitFlip(const FaultSpec &spec, unsigned index)
 {
-    auto raw = soc_->dram().raw();
+    hw::Dram &dram = soc_->dram();
     for (unsigned i = 0; i < spec.count; ++i) {
         const std::uint64_t r = draw(index);
-        raw[r % raw.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        const PhysAddr offset = r % dram.size();
+        std::uint8_t cell = 0;
+        dram.cells().read(offset, &cell, 1);
+        cell ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        dram.writeCells(offset, &cell, 1);
         ++stats_.bitFlips;
     }
 }

@@ -288,8 +288,7 @@ class Runner
         // device was locked; an awake device legitimately holds
         // decrypted pages (the paper's threat model).
         if (wasLocked) {
-            const core::DumpLeaks leaks =
-                checker_->checkDumps(soc.dramRaw(), soc.iramRaw());
+            const core::DumpLeaks leaks = checker_->checkDumps(soc);
             result.sensitiveSecretsProbed += leaks.sensitiveProbed;
             result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
             result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
@@ -543,13 +542,9 @@ class Runner
             return;
         }
 
-        std::vector<std::uint8_t> dramDump, iramDump;
-        bool haveDumps = false;
+        std::optional<core::DumpLeaks> leaks;
         if (step.attack == AttackKind::Dma) {
-            attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramRaw().size());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramRaw().size());
-            haveDumps = true;
+            leaks = dmaDumpLeaks(soc);
         } else if (step.attack == AttackKind::BusMonitor) {
             // A DDR probe watches while the system generates traffic:
             // a cache clean (which honours the flush mask) plus a full
@@ -557,10 +552,7 @@ class Runner
             attacks::BusMonitorAttack probe(soc);
             probe.startCapture();
             soc.l2().cleanAllMasked();
-            attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramRaw().size());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramRaw().size());
-            haveDumps = true;
+            leaks = dmaDumpLeaks(soc);
             for (const core::SecretMarker &marker : checker_->markers()) {
                 if (!marker.sensitive)
                     continue;
@@ -639,21 +631,16 @@ class Runner
                 variant, step.frozen ? -18.0 : 22.0);
             attack.performReset(soc);
             coldBooted_ = true;
-            const auto dram = soc.dramRaw();
-            const auto iram = soc.iramRaw();
-            dramDump.assign(dram.begin(), dram.end());
-            iramDump.assign(iram.begin(), iram.end());
-            haveDumps = true;
+            // The attacker's readout is the memory as the reset left it.
+            leaks = checker_->checkDumps(soc);
         }
 
-        if (!haveDumps)
+        if (!leaks)
             return;
-        const core::DumpLeaks leaks =
-            checker_->checkDumps(dramDump, iramDump);
-        result.sensitiveSecretsProbed += leaks.sensitiveProbed;
-        result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
-        result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
-        if (leaks.sensitiveLeaked != 0 &&
+        result.sensitiveSecretsProbed += leaks->sensitiveProbed;
+        result.sensitiveSecretsLeaked += leaks->sensitiveLeaked;
+        result.nonSensitiveLeaks += leaks->nonSensitiveLeaks;
+        if (leaks->sensitiveLeaked != 0 &&
             scoreBreach(result, step.attack)) {
             result.ok = false;
             if (result.error.empty())
@@ -661,8 +648,18 @@ class Runner
                                ": attack " + attackKindName(step.attack) +
                                " recovered the secret of sensitive "
                                "process '" +
-                               leaks.firstLeakedOwner + "'";
+                               leaks->firstLeakedOwner + "'";
         }
+    }
+
+    /** DMA-dump all of DRAM, then all of iRAM, and grep the images. */
+    core::DumpLeaks
+    dmaDumpLeaks(hw::Soc &soc)
+    {
+        attacks::DmaAttack dma;
+        const auto dram = dma.dumpRange(soc, DRAM_BASE, soc.dram().size());
+        const auto iram = dma.dumpRange(soc, IRAM_BASE, soc.iram().size());
+        return checker_->checkDumps(dram, iram);
     }
 
     /** Record a v2 outcome into the replay digest (" || "-joined). */

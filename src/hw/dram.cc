@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace sentry::hw
@@ -51,9 +52,38 @@ Dram::busWrite(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 }
 
 void
+Dram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
+{
+    if (offset + len > data_.size())
+        panic("DRAM cell write out of range: 0x%llx (+%zu)",
+              static_cast<unsigned long long>(offset), len);
+    data_.write(offset, buf, len);
+}
+
+void
+Dram::fillCells(std::span<const std::uint8_t> pattern)
+{
+    if (pattern.empty())
+        panic("Dram::fillCells: empty pattern");
+    std::vector<std::uint8_t> phased(pattern.size());
+    data_.rewritePages([&](std::size_t offset, std::span<std::uint8_t> page) {
+        // Rotate the pattern so the fill stays continuous across pages.
+        const std::size_t phase = offset % pattern.size();
+        std::rotate_copy(pattern.begin(), pattern.begin() + phase,
+                         pattern.end(), phased.begin());
+        fillPattern(page, phased);
+    });
+}
+
+void
 Dram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    remanence_.decay(data_.contiguous(), off_seconds, celsius, rng);
+    // Pages are the remanence model's 4 KiB ground regions, so decaying
+    // them one at a time, in order, draws the same RNG stream as one
+    // pass over the whole array.
+    data_.rewritePages([&](std::size_t, std::span<std::uint8_t> page) {
+        remanence_.decay(page, off_seconds, celsius, rng);
+    });
     // Power loss drains every cell: any accumulated activation stress
     // is gone along with the charge.
     activations_.clear();

@@ -109,17 +109,37 @@ class Dram : public BusTarget
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct (simulation-level) view of the cell array. Used by attack
-     * code that dumps memory and by test assertions; not charged to the
-     * simulated clock and not visible on the bus.
+     * Read-only materialized view of the whole cell array, for test
+     * assertions and benchmarks; no library path uses it. Not charged
+     * to the simulated clock and not visible on the bus.
      *
      * Invalidation rule: the span materializes the COW backing store
-     * and stays valid until the next adoptImage() / Soc::forkFrom().
-     * Never hold it across a fork; take a fresh span instead (see
-     * cow_bytes.hh for the full contract).
+     * (every page becomes Private) and stays valid until the next
+     * adoptImage() / Soc::forkFrom(). Never hold it across a fork; take
+     * a fresh span instead (see cow_bytes.hh for the full contract).
+     *
+     * There is deliberately no mutable span: every store to the cells
+     * goes through busWrite(), writeCells(), fillCells(), powerLoss(),
+     * disturbAdjacentRows() or adoptImage(), all of which stamp the
+     * pages they touch, so incremental scans (cells().contains()) see
+     * every change.
      */
-    std::span<std::uint8_t> raw() { return data_.contiguous(); }
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
+
+    /** The cell array itself, for in-place searches (DramScanner). */
+    const CowBytes &cells() const { return data_; }
+
+    /**
+     * Simulation-level store into the cell array (boot firmware, fault
+     * injection, test set-up): stamped like a bus write, but not on the
+     * bus, not traced and not charged to the clock.
+     */
+    void writeCells(PhysAddr offset, const std::uint8_t *buf,
+                    std::size_t len);
+
+    /** Fill the whole cell array with repetitions of @p pattern (the
+     * Table 2 set-up), one stamped page at a time. */
+    void fillCells(std::span<const std::uint8_t> pattern);
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

@@ -13,20 +13,20 @@ Firmware::overwriteBootSlice(Dram &dram, double fraction, Rng &rng) const
 {
     // The loader and kernel image land on scattered physical pages;
     // model as randomly chosen 4 KiB pages filled with image bytes.
-    auto memory = dram.raw();
-    const std::size_t totalPages = memory.size() / PAGE_SIZE;
+    const std::size_t totalPages = dram.size() / PAGE_SIZE;
     const auto pagesToWrite =
         static_cast<std::size_t>(fraction * static_cast<double>(totalPages));
 
+    std::uint8_t image[PAGE_SIZE];
     for (std::size_t i = 0; i < pagesToWrite; ++i) {
         const std::size_t page = rng.below(totalPages);
-        std::uint8_t *base = memory.data() + page * PAGE_SIZE;
         // Boot-image contents: deterministic-looking code bytes.
         for (std::size_t off = 0; off < PAGE_SIZE; off += 8) {
             const std::uint64_t word = rng.next64();
             for (std::size_t b = 0; b < 8; ++b)
-                base[off + b] = static_cast<std::uint8_t>(word >> (8 * b));
+                image[off + b] = static_cast<std::uint8_t>(word >> (8 * b));
         }
+        dram.writeCells(page * PAGE_SIZE, image, PAGE_SIZE);
     }
 }
 

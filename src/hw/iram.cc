@@ -56,7 +56,10 @@ Iram::write(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 void
 Iram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    remanence_.decay(data_.contiguous(), off_seconds, celsius, rng);
+    // Page-wise, as Dram::powerLoss.
+    data_.rewritePages([&](std::size_t, std::span<std::uint8_t> page) {
+        remanence_.decay(page, off_seconds, celsius, rng);
+    });
 }
 
 void

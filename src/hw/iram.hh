@@ -48,15 +48,21 @@ class Iram
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct simulation-level view (attack dumps, test assertions).
+     * Direct simulation-level view (the iRAM-placed AES engine's state
+     * pointer, iRAM fault injection, test assertions).
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
      * Never hold it across a fork; take a fresh span instead (see
-     * cow_bytes.hh for the full contract).
+     * cow_bytes.hh for the full contract). Writes through the mutable
+     * span are not stamped, which is why iRAM is always searched in
+     * full (generation 0).
      */
     std::span<std::uint8_t> raw() { return data_.contiguous(); }
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
+
+    /** The cell array itself, for in-place searches (DramScanner). */
+    const CowBytes &cells() const { return data_; }
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

@@ -66,7 +66,10 @@ class RemanenceModel
      *
      * Decay is applied at byte granularity with the byte survival
      * probability implied by the bit model; this keeps a 1 GiB decay pass
-     * fast while preserving unit-level survival statistics.
+     * fast while preserving unit-level survival statistics. Each region
+     * draws its ground polarity, then one 64-bit draw per four bytes
+     * (four 16-bit survival lanes), so decaying 4 KiB-aligned pieces
+     * in order draws the same stream as one pass over the whole span.
      */
     void decay(std::span<std::uint8_t> memory, double off_seconds,
                double celsius, Rng &rng) const;

@@ -131,7 +131,9 @@ class Soc
     Rng &rng() { return rng_; }
     EnergyModel &energy() { return energy_; }
     Dram &dram() { return dram_; }
+    const Dram &dram() const { return dram_; }
     Iram &iram() { return iram_; }
+    const Iram &iram() const { return iram_; }
     Bus &bus() { return bus_; }
     TrustZone &trustzone() { return tz_; }
     L2Cache &l2() { return l2_; }
@@ -149,10 +151,16 @@ class Soc
      * has one; it sits idle unless the MemShield backend keys it). */
     MemCryptoEngine &memCrypto() { return *memCrypto_; }
 
-    /** Const view of the DRAM cell array (forensics/tests). */
+    /**
+     * Const materialized view of the DRAM cell array, for tests and
+     * benchmarks: it copies every page not yet private (4-16 MiB). No
+     * library path calls it; searches go through core::DramScanner and
+     * sizes through dram().size() or dramEnd().
+     */
     std::span<const std::uint8_t> dramRaw() const { return dram_.raw(); }
 
-    /** Const view of the iRAM cell array (forensics/tests). */
+    /** Const materialized view of the iRAM cell array (tests and
+     * benchmarks, as dramRaw()). */
     std::span<const std::uint8_t> iramRaw() const { return iram_.raw(); }
 
     /** Physical address of the first DRAM byte. */

@@ -50,7 +50,7 @@ TEST(Dram, PowerLossDecaysContents)
 {
     Dram dram(1 * MiB);
     const auto pattern = fromHex("deadbeefcafef00d");
-    fillPattern(dram.raw(), pattern);
+    dram.fillCells(pattern);
     const std::size_t before = countPattern(dram.raw(), pattern);
 
     Rng rng(1);
@@ -90,7 +90,7 @@ TEST(Iram, SramSurvivesBriefPowerLossBetterThanDram)
     Dram dram(256 * KiB);
     const auto pattern = fromHex("a1b2c3d4e5f60718");
     fillPattern(iram.raw(), pattern);
-    fillPattern(dram.raw(), pattern);
+    dram.fillCells(pattern);
 
     Rng rngA(2), rngB(2);
     iram.powerLoss(1.0, 22.0, rngA);

@@ -71,7 +71,8 @@ TEST_F(L2Fixture, Geometry)
 
 TEST_F(L2Fixture, ReadMissFillsThenHits)
 {
-    dram.raw()[0x100] = 0xab;
+    const std::uint8_t cell = 0xab;
+    dram.writeCells(0x100, &cell, 1);
     EXPECT_EQ(read32(DRAM_BASE + 0x100) & 0xff, 0xabu);
     EXPECT_EQ(l2.stats().misses, 1u);
 

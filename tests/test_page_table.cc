@@ -60,12 +60,13 @@ TEST(PageTable, ForEachVisitsInOrder)
 TEST(AddressSpace, VmasAreDisjointWithGuardGaps)
 {
     AddressSpace space;
-    const Vma &a =
-        space.addVma("heap", VmaType::Heap, 8 * PAGE_SIZE,
-                     SharePolicy::Private);
-    const Vma &b =
-        space.addVma("dma", VmaType::DmaRegion, 4 * PAGE_SIZE,
-                     SharePolicy::Private);
+    space.addVma("heap", VmaType::Heap, 8 * PAGE_SIZE, SharePolicy::Private);
+    space.addVma("dma", VmaType::DmaRegion, 4 * PAGE_SIZE,
+                 SharePolicy::Private);
+    // Read both back only now: the second add may reallocate the list
+    // a reference returned by the first would point into.
+    const Vma &a = space.vmas()[0];
+    const Vma &b = space.vmas()[1];
 
     EXPECT_GE(b.base, a.end() + PAGE_SIZE); // guard gap
     EXPECT_EQ(space.totalBytes(), 12 * PAGE_SIZE);

@@ -111,9 +111,8 @@ TEST(DramScanner, SecretAtTheVeryEndOfDramIsFound)
 {
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto secret = bytesOf("edge-of-memory");
-    auto dram = soc.dram().raw();
-    std::memcpy(dram.data() + dram.size() - secret.size(), secret.data(),
-                secret.size());
+    soc.dram().writeCells(soc.dram().size() - secret.size(), secret.data(),
+                          secret.size());
     EXPECT_TRUE(DramScanner(soc).dramContains(secret));
 }
 
@@ -123,7 +122,7 @@ TEST(DramScanner, FullRemanenceSurvivesZeroSecondPowerLoss)
     // so the aligned pattern count is exactly preserved.
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto pattern = fromHex("a5c3e1f00f1e3c5a");
-    fillPattern(soc.dram().raw(), pattern);
+    soc.dram().fillCells(pattern);
 
     DramScanner scanner(soc);
     const std::size_t before = scanner.dramPatternCount(pattern);
@@ -137,7 +136,7 @@ TEST(DramScanner, LongPowerLossDecaysAlmostEverything)
 {
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto pattern = fromHex("a5c3e1f00f1e3c5a");
-    fillPattern(soc.dram().raw(), pattern);
+    soc.dram().fillCells(pattern);
     const std::size_t before =
         DramScanner(soc).dramPatternCount(pattern);
 
@@ -155,13 +154,12 @@ TEST(DramScanner, OverlappingCopiesCountOncePerAlignedSlot)
     // that matches exactly.
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto pattern = fromHex("0102030405060708");
-    auto dram = soc.dram().raw();
 
     // Aligned copy at slot 16, plus a straddling copy at offset 260
     // (not a multiple of 8).
-    std::memcpy(dram.data() + 16 * pattern.size(), pattern.data(),
-                pattern.size());
-    std::memcpy(dram.data() + 260, pattern.data(), pattern.size());
+    soc.dram().writeCells(16 * pattern.size(), pattern.data(),
+                          pattern.size());
+    soc.dram().writeCells(260, pattern.data(), pattern.size());
 
     DramScanner scanner(soc);
     EXPECT_TRUE(scanner.dramContains(pattern));
@@ -179,4 +177,29 @@ TEST(DramScanner, SelfOverlappingPatternCountsDisjointSlots)
     EXPECT_EQ(countPattern(buf, ab), 2u);
     EXPECT_TRUE(containsBytes(buf, bytesOf("baba")));
     EXPECT_EQ(countPattern(buf, bytesOf("baba")), 0u);
+}
+
+TEST(DramScanner, MemoisedSearchFollowsItsNeedle)
+{
+    // A memo answers for the needle it was filled with: handed a
+    // different needle it starts over, so a needle already sitting in
+    // pages the memo had passed over is still found.
+    Soc soc(PlatformConfig::tegra3(4 * MiB));
+    const auto first = bytesOf("first-needle");
+    const auto second = bytesOf("second-needle");
+    soc.dram().writeCells(PAGE_SIZE - 4, second.data(), second.size());
+
+    DramScanner scanner(soc);
+    ScanMemo memo;
+    EXPECT_FALSE(scanner.dramContains(first, &memo));
+    EXPECT_EQ(memo.absentAt, soc.dram().cells().generation());
+    EXPECT_FALSE(scanner.dramContains(first, &memo)); // nothing changed
+    EXPECT_TRUE(scanner.dramContains(second, &memo));
+    EXPECT_EQ(memo.absentAt, 0u); // a hit is not memoised
+
+    // Written after the memo's generation, across a seam: found.
+    EXPECT_FALSE(scanner.dramContains(first, &memo));
+    soc.dram().writeCells(3 * PAGE_SIZE - 5, first.data(), first.size());
+    EXPECT_TRUE(scanner.dramContains(first, &memo));
+    EXPECT_TRUE(scanner.dramContains(first));
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "common/trace_engine.hh"
 #include "core/device.hh"
 #include "core/dram_scanner.hh"
+#include "core/invariant_checker.hh"
 #include "crypto/sha256.hh"
 #include "fork_capture.hh"
 
@@ -384,6 +386,73 @@ TEST(SnapshotFork, DirtyPagesTrackForkWrites)
     const std::size_t dirty = fork.soc().dram().dirtyPages();
     EXPECT_GE(dirty, app.profile().resumeSetBytes / PAGE_SIZE);
     EXPECT_LT(dirty, fork.soc().dram().size() / PAGE_SIZE / 2);
+}
+
+namespace
+{
+
+/** Collects every DRAM page a traced cell write lands on. */
+class DramWriteRecorder : public probe::Subscriber
+{
+  public:
+    void
+    onMemAccess(probe::MemAccess &event) override
+    {
+        if (event.device != probe::MemAccess::Device::Dram ||
+            !event.isWrite || event.len == 0)
+            return;
+        for (std::size_t page = event.offset / PAGE_SIZE;
+             page <= (event.offset + event.len - 1) / PAGE_SIZE; ++page)
+            pages.insert(page);
+    }
+
+    std::set<std::size_t> pages;
+};
+
+} // namespace
+
+TEST(SnapshotFork, AuditsPrivatizeOnlyThePagesWritten)
+{
+    // A fleet device forked from its template: the audits, the dump
+    // check and the Sentry set-up read DRAM in place, so the dirty-page
+    // count is exactly the set of pages the device wrote.
+    const auto platform = hw::PlatformConfig::tegra3(4 * MiB);
+    SentryOptions options;
+    options.placement = AesPlacement::LockedL2;
+    options.pagerWays = 2;
+    Device origin(platform, options);
+    origin.sentry().registerCryptoProviders();
+    const auto snap = origin.snapshot();
+
+    Device fork(platform, options);
+    fork.forkFrom(*snap);
+    ASSERT_EQ(fork.soc().dram().dirtyPages(), 0u);
+    DramWriteRecorder recorder;
+    fork.soc().trace().subscribe(&recorder,
+                                 probe::maskOf(probe::TraceKind::MemAccess));
+
+    constexpr std::size_t TOUCHED = 12;
+    os::Kernel &kernel = fork.kernel();
+    os::Process &process = kernel.createProcess("app");
+    const os::Vma &heap = kernel.addVma(process, "heap", os::VmaType::Heap,
+                                        4 * TOUCHED * PAGE_SIZE);
+    for (std::size_t page = 0; page < TOUCHED; ++page)
+        kernel.writeVirt(process, heap.base + page * PAGE_SIZE,
+                         SECRET.data(), SECRET.size());
+    fork.sentry().markSensitive(process);
+    InvariantChecker checker(kernel, fork.sentry());
+    checker.addMarker({"app", SECRET, true});
+    for (int audit = 0; audit < 3; ++audit)
+        EXPECT_TRUE(checker.checkLive().ok);
+    kernel.lockScreen();
+    for (int audit = 0; audit < 3; ++audit)
+        EXPECT_TRUE(checker.checkLive().ok);
+    EXPECT_EQ(checker.checkDumps(fork.soc()).sensitiveLeaked, 0u);
+    fork.soc().trace().unsubscribe(&recorder);
+
+    EXPECT_GE(recorder.pages.size(), TOUCHED);
+    EXPECT_EQ(fork.soc().dram().dirtyPages(), recorder.pages.size());
+    EXPECT_LT(recorder.pages.size(), fork.soc().dram().size() / PAGE_SIZE / 8);
 }
 
 TEST(SnapshotFork, BackgroundPagerStateForksFaithfully)

@@ -157,7 +157,7 @@ TEST(Soc, BootOverwritesSomeDram)
 {
     Soc soc(PlatformConfig::tegra3(64 * MiB));
     const auto pattern = fromHex("00aa00aa00aa00aa");
-    fillPattern(soc.dram().raw(), pattern);
+    soc.dram().fillCells(pattern);
     const std::size_t before =
         countPattern(soc.dramRaw(), pattern);
 
