@@ -39,7 +39,7 @@ runTrial(ColdBootVariant variant, std::uint64_t seed)
 
     const auto pattern = fromHex("5a5aa5a5c33c3cc3");
     soc.dram().fillCells(pattern);
-    fillPattern(soc.iram().raw(), pattern);
+    soc.iram().fillCells(pattern);
 
     ColdBootAttack attack(variant);
     return attack.measureRemanence(soc, pattern);
@@ -98,7 +98,7 @@ main()
         hw::Soc soc(config);
         const auto pattern = fromHex("5a5aa5a5c33c3cc3");
         soc.dram().fillCells(pattern);
-        fillPattern(soc.iram().raw(), pattern);
+        soc.iram().fillCells(pattern);
         ColdBootAttack frozen(ColdBootVariant::TwoSecondReset, -18.0);
         const auto m = frozen.measureRemanence(soc, pattern);
         std::printf("%-30s %13.1f%% %13.1f%%\n",

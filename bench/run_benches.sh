@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Perf-smoke driver: build and run the benchmarks that exercise the
-# host fast path (bench_fig11_aes_throughput), the batched kcryptd
-# pipeline (bench_fig9_dmcrypt), the fleet scenario engine
-# (bench_fleet), the boot-once unlock path (bench_fig2_unlock), and
-# the full security matrix with the adversary-v2 rows and the
+# audited and bulk AES paths (bench_fig11_aes_throughput), the batched
+# kcryptd pipeline (bench_fig9_dmcrypt), the fleet scenario engine
+# (bench_fleet), the boot-once unlock path (bench_fig2_unlock), the
+# full security matrix with the adversary-v2 rows and the
 # 3-backend x 7-attack defense comparison
-# (bench_table3_security_matrix), then compare every `sim_`-prefixed
-# metric in their BENCH_*.json records against the committed
-# references in bench/reference/.
+# (bench_table3_security_matrix), and the cold-boot remanence path
+# (bench_table2_remanence), then compare every `sim_`-prefixed metric
+# in their BENCH_*.json records against the committed references in
+# bench/reference/.
 # Simulated quantities are deterministic, so ANY drift is a
 # correctness regression and fails the run. `host_wall_*` keys are
 # checked for *presence* only (their values are machine-dependent): a
@@ -31,13 +32,13 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" -j --target bench_fig11_aes_throughput \
     bench_fig9_dmcrypt bench_fleet bench_fig2_unlock \
-    bench_table3_security_matrix
+    bench_table3_security_matrix bench_table2_remanence
 
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 for bench in fig11_aes_throughput fig9_dmcrypt fleet fig2_unlock \
-             table3_security_matrix; do
+             table3_security_matrix table2_remanence; do
     echo "== bench_$bench =="
     SENTRY_BENCH_JSON_DIR="$OUT" "$BUILD/bench/bench_$bench"
 done

@@ -9,8 +9,7 @@
  * firstNonZero) instead of materializing the array. A DRAM search
  * given a ScanMemo is incremental: it visits only the pages stamped
  * since the needle was last found absent. iRAM is always searched in
- * full: it is small, and the iRAM-placed AES engine writes it through
- * an unstamped pointer.
+ * full: at 256 KiB it is too small for a memo to pay for itself.
  */
 
 #ifndef SENTRY_CORE_DRAM_SCANNER_HH

@@ -10,38 +10,6 @@
 namespace sentry::crypto
 {
 
-namespace
-{
-
-/** Host-side block cipher over an expanded schedule, routed through the
- *  runtime-dispatched kernel registry (AES-NI / ARMv8-CE / portable). */
-class ScheduleCipher : public BlockCipher
-{
-  public:
-    explicit ScheduleCipher(const AesKeySchedule &schedule)
-        : schedule_(schedule)
-    {}
-
-    void
-    encryptBlock(const std::uint8_t in[16],
-                 std::uint8_t out[16]) const override
-    {
-        host::kernels().aes.encryptBlock(schedule_, in, out);
-    }
-
-    void
-    decryptBlock(const std::uint8_t in[16],
-                 std::uint8_t out[16]) const override
-    {
-        host::kernels().aes.decryptBlock(schedule_, in, out);
-    }
-
-  private:
-    const AesKeySchedule &schedule_;
-};
-
-} // namespace
-
 HostAesCbc::HostAesCbc(const AesKeySchedule &schedule) : schedule_(schedule)
 {
     // Force the one-time T-table initialisation on this thread so
@@ -156,436 +124,6 @@ class SimAesEngine::SimEnv
     const SimAesEngine &engine_;
 };
 
-/**
- * Audited *fast* environment: same per-lookup semantics as SimEnv, but
- * the state region's cache lines are resolved once and replayed.
- *
- * Invariant: a lookup takes the fast route only when its line is
- * provably resident (one tag compare against the live line array), in
- * which case the reference path would have scored a charged L2 hit with
- * no bus traffic and no state change beyond the counters. Everything
- * else — first touches, evictions by interleaved traffic, the
- * all-ways-locked uncached fallback — drops to the regular
- * MemorySystem path, which is the reference path. Clock and stats
- * charges for fast hits are accumulated and flushed at transaction
- * boundaries (before any slow access and at every block boundary), so
- * every observable point sees identical totals.
- */
-class SimAesEngine::FastEnv
-{
-  public:
-    explicit FastEnv(const SimAesEngine &engine)
-        : engine_(engine), mem_(engine.soc_.memory()),
-          l2_(engine.soc_.l2()), clock_(engine.soc_.clock()),
-          iram_(engine.placement_ == StatePlacement::Iram),
-          registersOnly_(engine.secrets_ == SecretResidency::RegistersOnly),
-          iramCycles_(engine.soc_.config().timing.iramAccessCycles),
-          regionBase_(alignDown(engine.stateBase_, CACHE_LINE_SIZE)),
-          teOff_(engine.teOff_), tdOff_(engine.tdOff_),
-          sboxOff_(engine.sboxOff_), invSboxOff_(engine.invSboxOff_),
-          encKeysOff_(engine.encKeysOff_), decKeysOff_(engine.decKeysOff_)
-    {
-        const PhysAddr end =
-            engine.stateBase_ + engine.layout_.totalBytes();
-        nlines_ = static_cast<std::size_t>(
-            (alignDown(end - 1, CACHE_LINE_SIZE) + CACHE_LINE_SIZE -
-             regionBase_) /
-            CACHE_LINE_SIZE);
-        entries_.assign(nlines_, Entry{});
-        if (iram_)
-            iramData_ = engine.soc_.iram().raw().data();
-    }
-
-    // --- state-access interface for the round engine ----------------
-
-    std::uint32_t
-    te(unsigned t, std::uint8_t i)
-    {
-        return read32(teOff_ + (t * 256 + i) * 4);
-    }
-
-    std::uint32_t
-    td(unsigned t, std::uint8_t i)
-    {
-        return read32(tdOff_ + (t * 256 + i) * 4);
-    }
-
-    std::uint8_t
-    sbox(std::uint8_t i)
-    {
-        std::uint8_t b;
-        read(sboxOff_ + i, &b, 1);
-        return b;
-    }
-
-    std::uint8_t
-    invSbox(std::uint8_t i)
-    {
-        std::uint8_t b;
-        read(invSboxOff_ + i, &b, 1);
-        return b;
-    }
-
-    std::uint32_t
-    encKey(unsigned i)
-    {
-        if (registersOnly_)
-            return engine_.schedule_.encWords()[i]; // register read
-        return read32(encKeysOff_ + 4 * i);
-    }
-
-    std::uint32_t
-    decKey(unsigned i)
-    {
-        if (registersOnly_)
-            return engine_.schedule_.decWords()[i]; // register read
-        return read32(decKeysOff_ + 4 * i);
-    }
-
-    unsigned rounds() const { return engine_.schedule_.rounds(); }
-
-    // --- audited chunked read/write ---------------------------------
-
-    std::uint32_t
-    read32(PhysAddr addr)
-    {
-        // Hot path, inlined: an aligned word in an already-resolved,
-        // still-resident line. Everything else drops to fastReadPtr /
-        // the reference path.
-        if (!iram_) {
-            const std::size_t off =
-                static_cast<std::size_t>(addr - regionBase_);
-            const std::size_t li = off / CACHE_LINE_SIZE;
-            const std::size_t inLine = off % CACHE_LINE_SIZE;
-            if (li < nlines_ && inLine <= CACHE_LINE_SIZE - 4) {
-                const Entry &e = entries_[li];
-                if (e.resolved && e.id.line->valid &&
-                    e.id.line->tag == e.id.tag) {
-                    ++pendingHits_;
-                    ++audited_;
-                    std::uint32_t v;
-                    std::memcpy(&v, e.payload + inLine, 4);
-                    return v;
-                }
-            }
-        }
-        const std::uint8_t *p = fastReadPtr(addr, 4);
-        if (p != nullptr) {
-            std::uint32_t v;
-            std::memcpy(&v, p, 4);
-            return v;
-        }
-        slowCharge(addr, 4);
-        return mem_.read32(addr);
-    }
-
-    void
-    read(PhysAddr addr, std::uint8_t *dst, std::size_t len)
-    {
-        while (len > 0) {
-            const std::size_t chunk = lineChunk(addr, len);
-            const std::uint8_t *p = fastReadPtr(addr, chunk);
-            if (p != nullptr) {
-                std::memcpy(dst, p, chunk);
-            } else {
-                slowCharge(addr, chunk);
-                mem_.read(addr, dst, chunk);
-            }
-            addr += chunk;
-            dst += chunk;
-            len -= chunk;
-        }
-    }
-
-    void
-    write(PhysAddr addr, const std::uint8_t *src, std::size_t len)
-    {
-        while (len > 0) {
-            const std::size_t chunk = lineChunk(addr, len);
-            std::uint8_t *p = fastWritePtr(addr, chunk);
-            if (p != nullptr) {
-                std::memcpy(p, src, chunk);
-            } else {
-                slowCharge(addr, chunk);
-                mem_.write(addr, src, chunk);
-            }
-            addr += chunk;
-            src += chunk;
-            len -= chunk;
-        }
-    }
-
-    /** Flush accumulated fast-hit charges (a transaction boundary). */
-    void
-    flush()
-    {
-        if (pendingHits_ > 0) {
-            l2_.chargeHits(pendingHits_);
-            pendingHits_ = 0;
-        }
-        if (pendingIram_ > 0) {
-            clock_.advance(pendingIram_ * iramCycles_);
-            pendingIram_ = 0;
-        }
-    }
-
-    /** @return total audited accesses issued (fast + slow chunks). */
-    std::uint64_t audited() const { return audited_; }
-
-    /** @return total slow-path chunks issued. */
-    std::uint64_t slowCount() const { return slow_; }
-
-    /** @return true when the engine state lives in iRAM. */
-    bool isIram() const { return iram_; }
-
-    // --- native block tier -------------------------------------------
-    //
-    // When the entire lookup working set of one direction (round
-    // tables, S-box, and — for OnRegion secrets — the round keys) is
-    // resident with byte-for-byte canonical content, every lookup of a
-    // block is guaranteed to be a charged L2 hit returning exactly the
-    // canonical value. The block can then run through the host cipher
-    // and charge the measured per-block lookup count in one batch —
-    // same ciphertext, same counters, same clock. Residency can only
-    // be lost to an eviction, and an eviction is always paired with a
-    // line fill, so readiness re-verifies whenever the fill counter
-    // moves. iRAM state verifies against the iRAM array instead; there
-    // is no residency question.
-
-    /** Per-call entry point: (re)verify the lookup working set. */
-    void
-    beginCall(bool encrypt)
-    {
-        nativeOk_ = verifyLookupState(encrypt);
-        fillsSeen_ = l2_.stats().fills;
-    }
-
-    /** @return true when the next block may run on the host cipher. */
-    bool
-    nativeReady(bool encrypt)
-    {
-        if ((encrypt ? lookupsEnc_ : lookupsDec_) == 0)
-            return false; // per-block lookup count not yet measured
-        if (!iram_) {
-            const std::uint64_t fills = l2_.stats().fills;
-            if (fills != fillsSeen_) {
-                nativeOk_ = verifyLookupState(encrypt);
-                fillsSeen_ = fills;
-            }
-        }
-        return nativeOk_;
-    }
-
-    /** Account one native block's lookups (flushed with the rest). */
-    void
-    chargeNativeLookups(bool encrypt)
-    {
-        const std::uint64_t n = encrypt ? lookupsEnc_ : lookupsDec_;
-        audited_ += n;
-        if (iram_)
-            pendingIram_ += n;
-        else
-            pendingHits_ += n;
-    }
-
-    /**
-     * Record a fully-audited block's lookup count. Only an all-fast
-     * block is usable as the reference: a slow chunk means part of the
-     * working set was charged differently. The count itself is
-     * data-independent (fixed by the round structure), so one clean
-     * measurement holds for every later block.
-     */
-    void
-    noteMeasuredBlock(bool encrypt, std::uint64_t lookups, bool all_fast)
-    {
-        if (all_fast)
-            (encrypt ? lookupsEnc_ : lookupsDec_) = lookups;
-    }
-
-  private:
-    struct Entry
-    {
-        const std::uint8_t *payload = nullptr; //!< line-aligned
-        hw::L2LineId id;
-        bool resolved = false;
-    };
-
-    /** Largest chunk of [addr, addr+len) inside addr's cache line. */
-    static std::size_t
-    lineChunk(PhysAddr addr, std::size_t len)
-    {
-        const PhysAddr lineEnd =
-            alignDown(addr, CACHE_LINE_SIZE) + CACHE_LINE_SIZE;
-        return std::min<std::size_t>(len, lineEnd - addr);
-    }
-
-    /** Account the slow-path chunks MemorySystem will issue for
-     *  [addr, addr+len) and flush so the reference path's clock/stat
-     *  ordering around misses is preserved exactly. */
-    void
-    slowCharge(PhysAddr addr, std::size_t len)
-    {
-        while (len > 0) {
-            const std::size_t chunk = lineChunk(addr, len);
-            ++audited_;
-            ++slow_;
-            addr += chunk;
-            len -= chunk;
-        }
-        flush();
-    }
-
-    /** @return true when every byte of [addr, addr+len) is servable
-     *  from resident lines (or iRAM) and equals @p ref. */
-    bool
-    contentMatches(PhysAddr addr, const void *ref, std::size_t len)
-    {
-        const std::uint8_t *r = static_cast<const std::uint8_t *>(ref);
-        if (iram_)
-            return std::memcmp(iramData_ + (addr - IRAM_BASE), r, len) == 0;
-        while (len > 0) {
-            const std::size_t chunk = lineChunk(addr, len);
-            Entry *e = entryFor(addr, chunk);
-            if (e == nullptr)
-                return false;
-            if (!e->resolved || !l2_.lineResident(e->id)) {
-                const std::uint8_t *p = l2_.probeLine(addr, e->id);
-                if (p == nullptr)
-                    return false; // not resident
-                e->payload = p;
-                e->resolved = true;
-            }
-            if (std::memcmp(e->payload + addr % CACHE_LINE_SIZE, r, chunk) !=
-                0)
-                return false;
-            addr += chunk;
-            r += chunk;
-            len -= chunk;
-        }
-        return true;
-    }
-
-    /** Verify one direction's whole lookup working set. Byte layout in
-     *  the region is host representation (MemorySystem::write32 stores
-     *  words verbatim), so canonical tables compare directly. */
-    bool
-    verifyLookupState(bool encrypt)
-    {
-        const AesTables &t = aesTables();
-        if (encrypt) {
-            for (unsigned k = 0; k < 4; ++k)
-                if (!contentMatches(teOff_ + k * 256 * 4, t.te[k], 256 * 4))
-                    return false;
-            if (!contentMatches(sboxOff_, t.sbox, 256))
-                return false;
-            if (!registersOnly_) {
-                const auto w = engine_.schedule_.encWords();
-                if (!contentMatches(encKeysOff_, w.data(), 4 * w.size()))
-                    return false;
-            }
-        } else {
-            for (unsigned k = 0; k < 4; ++k)
-                if (!contentMatches(tdOff_ + k * 256 * 4, t.td[k], 256 * 4))
-                    return false;
-            if (!contentMatches(invSboxOff_, t.invSbox, 256))
-                return false;
-            if (!registersOnly_) {
-                const auto w = engine_.schedule_.decWords();
-                if (!contentMatches(decKeysOff_, w.data(), 4 * w.size()))
-                    return false;
-            }
-        }
-        return true;
-    }
-
-    Entry *
-    entryFor(PhysAddr addr, std::size_t len)
-    {
-        if (addr % CACHE_LINE_SIZE + len > CACHE_LINE_SIZE)
-            return nullptr; // straddles: let MemorySystem split it
-        const std::size_t li =
-            static_cast<std::size_t>((addr - regionBase_) /
-                                     CACHE_LINE_SIZE);
-        if (li >= entries_.size())
-            return nullptr; // outside the mapped state region
-        return &entries_[li];
-    }
-
-    const std::uint8_t *
-    fastReadPtr(PhysAddr addr, std::size_t len)
-    {
-        if (iram_) {
-            ++pendingIram_;
-            ++audited_;
-            return iramData_ + (addr - IRAM_BASE);
-        }
-        Entry *e = entryFor(addr, len);
-        if (e == nullptr)
-            return nullptr;
-        if (!e->resolved || !l2_.lineResident(e->id)) {
-            const std::uint8_t *p = l2_.probeLine(addr, e->id);
-            if (p == nullptr)
-                return nullptr; // not resident: regular path
-            e->payload = p;
-            e->resolved = true;
-        }
-        ++pendingHits_;
-        ++audited_;
-        return e->payload + addr % CACHE_LINE_SIZE;
-    }
-
-    std::uint8_t *
-    fastWritePtr(PhysAddr addr, std::size_t len)
-    {
-        if (iram_) {
-            ++pendingIram_;
-            ++audited_;
-            return iramData_ + (addr - IRAM_BASE);
-        }
-        Entry *e = entryFor(addr, len);
-        if (e == nullptr)
-            return nullptr;
-        if (!e->resolved || !l2_.lineResident(e->id)) {
-            const std::uint8_t *p = l2_.probeLine(addr, e->id);
-            if (p == nullptr)
-                return nullptr;
-            e->payload = p;
-            e->resolved = true;
-        }
-        ++pendingHits_;
-        ++audited_;
-        // Marks the line dirty, exactly as a write() hit would.
-        return l2_.linePayloadForWrite(e->id) + addr % CACHE_LINE_SIZE;
-    }
-
-    const SimAesEngine &engine_;
-    hw::MemorySystem &mem_;
-    hw::L2Cache &l2_;
-    SimClock &clock_;
-    const bool iram_;
-    const bool registersOnly_;
-    const Cycles iramCycles_;
-    const PhysAddr regionBase_;
-    // Component offsets mirrored from the engine so the per-lookup hot
-    // path needs no second object's cache lines.
-    const PhysAddr teOff_, tdOff_, sboxOff_, invSboxOff_, encKeysOff_,
-        decKeysOff_;
-    std::uint8_t *iramData_ = nullptr;
-    std::vector<Entry> entries_;
-    std::size_t nlines_ = 0;
-    std::uint64_t pendingHits_ = 0;
-    std::uint64_t pendingIram_ = 0;
-    std::uint64_t audited_ = 0;
-    std::uint64_t slow_ = 0;
-    // Native-tier state (see the comment block above).
-    bool nativeOk_ = false;
-    std::uint64_t fillsSeen_ = 0;
-    std::uint64_t lookupsEnc_ = 0;
-    std::uint64_t lookupsDec_ = 0;
-};
-
-SimAesEngine::~SimAesEngine() = default;
-
 void
 SimAesEngine::restoreForkState(const ForkState &fs)
 {
@@ -593,8 +131,6 @@ SimAesEngine::restoreForkState(const ForkState &fs)
     bytesProcessed_ = fs.bytesProcessed;
     scrubbed_ = fs.scrubbed;
     chargeDivisor_ = fs.chargeDivisor;
-    fastPath_ = fs.fastPath;
-    fastEnv_.reset();
 }
 
 SimAesEngine::SimAesEngine(hw::Soc &soc, PhysAddr state_base,
@@ -664,213 +200,42 @@ void
 SimAesEngine::encryptBlock(const std::uint8_t in[16],
                            std::uint8_t out[16]) const
 {
-    if (scrubbed_)
-        panic("SimAesEngine used after scrub()");
-    hw::MemorySystem &mem = soc_.memory();
-
-    touchRegistersWithSecrets();
-    if (onSoc()) {
-        hw::OnSocIrqGuard guard(soc_.cpu());
-        mem.write(inputOff_, in, AES_BLOCK_SIZE);
-        std::uint8_t block[AES_BLOCK_SIZE];
-        mem.read(inputOff_, block, AES_BLOCK_SIZE);
-        SimEnv env(*this);
-        aesEncryptBlock(env, block, out);
-    } else {
-        mem.write(inputOff_, in, AES_BLOCK_SIZE);
-        std::uint8_t block[AES_BLOCK_SIZE];
-        mem.read(inputOff_, block, AES_BLOCK_SIZE);
-        SimEnv env(*this);
-        aesEncryptBlock(env, block, out);
-        soc_.cpu().pollPreemption();
-    }
+    cryptBlock(in, out, /*encrypt=*/true);
 }
 
 void
 SimAesEngine::decryptBlock(const std::uint8_t in[16],
                            std::uint8_t out[16]) const
 {
+    cryptBlock(in, out, /*encrypt=*/false);
+}
+
+void
+SimAesEngine::cryptBlock(const std::uint8_t in[16], std::uint8_t out[16],
+                         bool encrypt) const
+{
     if (scrubbed_)
         panic("SimAesEngine used after scrub()");
     hw::MemorySystem &mem = soc_.memory();
 
     touchRegistersWithSecrets();
+    const auto runCipher = [&] {
+        mem.write(inputOff_, in, AES_BLOCK_SIZE);
+        std::uint8_t block[AES_BLOCK_SIZE];
+        mem.read(inputOff_, block, AES_BLOCK_SIZE);
+        SimEnv env(*this);
+        if (encrypt)
+            aesEncryptBlock(env, block, out);
+        else
+            aesDecryptBlock(env, block, out);
+    };
     if (onSoc()) {
         hw::OnSocIrqGuard guard(soc_.cpu());
-        mem.write(inputOff_, in, AES_BLOCK_SIZE);
-        std::uint8_t block[AES_BLOCK_SIZE];
-        mem.read(inputOff_, block, AES_BLOCK_SIZE);
-        SimEnv env(*this);
-        aesDecryptBlock(env, block, out);
+        runCipher();
     } else {
-        mem.write(inputOff_, in, AES_BLOCK_SIZE);
-        std::uint8_t block[AES_BLOCK_SIZE];
-        mem.read(inputOff_, block, AES_BLOCK_SIZE);
-        SimEnv env(*this);
-        aesDecryptBlock(env, block, out);
+        runCipher();
         soc_.cpu().pollPreemption();
     }
-}
-
-void
-SimAesEngine::encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
-                            std::size_t nblocks) const
-{
-    cryptBlocks(nullptr, in, out, nblocks, /*encrypt=*/true);
-}
-
-void
-SimAesEngine::decryptBlocks(const std::uint8_t *in, std::uint8_t *out,
-                            std::size_t nblocks) const
-{
-    cryptBlocks(nullptr, in, out, nblocks, /*encrypt=*/false);
-}
-
-void
-SimAesEngine::cryptBlocks(const Iv *cbc_iv, const std::uint8_t *in,
-                          std::uint8_t *out, std::size_t nblocks,
-                          bool encrypt) const
-{
-    if (scrubbed_)
-        panic("SimAesEngine used after scrub()");
-
-    Iv chain{};
-    if (cbc_iv != nullptr)
-        chain = *cbc_iv;
-
-    if (!fastPath_) {
-        // Reference path: the audited per-block loop, with any CBC
-        // chaining applied host-side around it.
-        std::uint8_t x[AES_BLOCK_SIZE];
-        for (std::size_t b = 0; b < nblocks; ++b) {
-            const std::uint8_t *src = in + AES_BLOCK_SIZE * b;
-            std::uint8_t *dst = out + AES_BLOCK_SIZE * b;
-            if (cbc_iv == nullptr) {
-                if (encrypt)
-                    encryptBlock(src, dst);
-                else
-                    decryptBlock(src, dst);
-            } else if (encrypt) {
-                std::memcpy(x, src, AES_BLOCK_SIZE);
-                host::xorBlock16(x, chain.data());
-                encryptBlock(x, dst);
-                std::memcpy(chain.data(), dst, AES_BLOCK_SIZE);
-            } else {
-                Iv next;
-                std::memcpy(next.data(), src, AES_BLOCK_SIZE);
-                decryptBlock(src, x);
-                host::xorBlock16(x, chain.data());
-                std::memcpy(dst, x, AES_BLOCK_SIZE);
-                chain = next;
-            }
-        }
-        return;
-    }
-
-    if (!fastEnv_)
-        fastEnv_ = std::make_unique<FastEnv>(*this);
-    FastEnv &env = *fastEnv_;
-    env.beginCall(encrypt);
-    ScheduleCipher native(schedule_);
-
-    // Snapshot counters for the end-of-call accounting cross-check.
-    const hw::L2Stats &l2stats = soc_.l2().stats();
-    const std::uint64_t l2Before = l2stats.hits + l2stats.misses;
-    const std::uint64_t issuedBefore = env.audited();
-    const std::uint64_t spillsBefore = soc_.cpu().spillCount();
-
-    std::uint8_t block[AES_BLOCK_SIZE];
-    std::uint8_t x[AES_BLOCK_SIZE];
-    Iv next{};
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        const std::uint8_t *src = in + AES_BLOCK_SIZE * b;
-        std::uint8_t *dst = out + AES_BLOCK_SIZE * b;
-        if (cbc_iv != nullptr) {
-            if (encrypt) {
-                std::memcpy(x, src, AES_BLOCK_SIZE);
-                host::xorBlock16(x, chain.data());
-                src = x;
-            } else {
-                std::memcpy(next.data(), src, AES_BLOCK_SIZE);
-            }
-        }
-        touchRegistersWithSecrets();
-
-        const auto runCipher = [&] {
-            env.write(inputOff_, src, AES_BLOCK_SIZE);
-            env.read(inputOff_, block, AES_BLOCK_SIZE);
-            if (env.nativeReady(encrypt)) {
-                if (encrypt)
-                    native.encryptBlock(block, dst);
-                else
-                    native.decryptBlock(block, dst);
-                env.chargeNativeLookups(encrypt);
-            } else {
-                const std::uint64_t a0 = env.audited();
-                const std::uint64_t s0 = env.slowCount();
-                if (encrypt)
-                    aesEncryptBlock(env, block, dst);
-                else
-                    aesDecryptBlock(env, block, dst);
-                env.noteMeasuredBlock(encrypt, env.audited() - a0,
-                                      env.slowCount() == s0);
-            }
-            env.flush(); // boundary: a guard exit reads the clock
-        };
-
-        if (onSoc()) {
-            hw::OnSocIrqGuard guard(soc_.cpu());
-            runCipher();
-        } else {
-            runCipher();
-            soc_.cpu().pollPreemption();
-        }
-
-        if (cbc_iv != nullptr) {
-            if (encrypt) {
-                std::memcpy(chain.data(), dst, AES_BLOCK_SIZE);
-            } else {
-                host::xorBlock16(dst, chain.data());
-                chain = next;
-            }
-        }
-    }
-
-    // Fast-path invariant: every audited access is visible in the L2
-    // hit/miss counters, one for one. Register spills from a delivered
-    // preemption issue their own traffic, so only check when none
-    // happened (and never for iRAM state, which bypasses the L2).
-    if (!env.isIram() && soc_.cpu().spillCount() == spillsBefore) {
-        const std::uint64_t issued = env.audited() - issuedBefore;
-        const std::uint64_t counted =
-            l2stats.hits + l2stats.misses - l2Before;
-        if (issued != counted) {
-            panic("audited fast path drift: issued %llu accesses, L2 "
-                  "counted %llu",
-                  static_cast<unsigned long long>(issued),
-                  static_cast<unsigned long long>(counted));
-        }
-    }
-}
-
-void
-SimAesEngine::cbcEncryptAudited(const Iv &iv,
-                                std::span<std::uint8_t> data) const
-{
-    if (data.size() % AES_BLOCK_SIZE != 0)
-        fatal("cbcEncryptAudited requires a multiple of 16 bytes");
-    cryptBlocks(&iv, data.data(), data.data(),
-                data.size() / AES_BLOCK_SIZE, /*encrypt=*/true);
-}
-
-void
-SimAesEngine::cbcDecryptAudited(const Iv &iv,
-                                std::span<std::uint8_t> data) const
-{
-    if (data.size() % AES_BLOCK_SIZE != 0)
-        fatal("cbcDecryptAudited requires a multiple of 16 bytes");
-    cryptBlocks(&iv, data.data(), data.data(),
-                data.size() / AES_BLOCK_SIZE, /*encrypt=*/false);
 }
 
 void

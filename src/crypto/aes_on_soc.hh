@@ -28,7 +28,6 @@
 #define SENTRY_CRYPTO_AES_ON_SOC_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "crypto/aes.hh"
@@ -134,52 +133,14 @@ class SimAesEngine : public BlockCipher
                  bool kernel_path = false,
                  SecretResidency secrets = SecretResidency::OnRegion);
 
-    ~SimAesEngine() override; // out of line: FastEnv is incomplete here
-
-    /** Audited single-block encrypt: exact per-lookup memory traffic. */
+    /** Audited single-block encrypt: exact per-lookup memory traffic.
+     * Many blocks go through the modes in modes.hh, one call each. */
     void encryptBlock(const std::uint8_t in[16],
                       std::uint8_t out[16]) const override;
 
     /** Audited single-block decrypt. */
     void decryptBlock(const std::uint8_t in[16],
                       std::uint8_t out[16]) const override;
-
-    /**
-     * Batched audited encrypt: semantically identical to calling
-     * encryptBlock() once per 16-byte block, but the fast path resolves
-     * the state region's cache lines once per call and replays the
-     * audited lookups against them. Simulated clock, L2Stats, bus
-     * traffic, and memory contents match the per-block loop exactly at
-     * every block boundary (see DESIGN.md "fast-path invariants").
-     */
-    void encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
-                       std::size_t nblocks) const;
-
-    /** Batched audited decrypt; same equivalence as encryptBlocks(). */
-    void decryptBlocks(const std::uint8_t *in, std::uint8_t *out,
-                       std::size_t nblocks) const;
-
-    /**
-     * Audited CBC encrypt of a host buffer: equivalent to host-side
-     * chaining around an encryptBlock() loop, with every table lookup
-     * an individual simulated access.
-     */
-    void cbcEncryptAudited(const Iv &iv,
-                           std::span<std::uint8_t> data) const;
-
-    /** Audited CBC decrypt of a host buffer. */
-    void cbcDecryptAudited(const Iv &iv,
-                           std::span<std::uint8_t> data) const;
-
-    /**
-     * Toggle the batched fast path (on by default). With it off the
-     * batched entry points fall back to the per-block reference loop;
-     * tests use the toggle to assert the two are indistinguishable.
-     */
-    void setFastPath(bool enabled) { fastPath_ = enabled; }
-
-    /** @return true while the batched fast path is enabled. */
-    bool fastPathEnabled() const { return fastPath_; }
 
     /** Bulk CBC encrypt of a host buffer (e.g. a dm-crypt sector). */
     void cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data);
@@ -257,29 +218,24 @@ class SimAesEngine : public BlockCipher
         std::uint64_t bytesProcessed;
         bool scrubbed;
         double chargeDivisor;
-        bool fastPath;
     };
 
     ForkState forkState() const
     {
         return ForkState{schedule_, bytesProcessed_, scrubbed_,
-                         chargeDivisor_, fastPath_};
+                         chargeDivisor_};
     }
 
-    /** Restore host state; drops the fast-path line map, whose pinned
-     * cache lines and cached iRAM pointer die with the fork. */
+    /** Restore host state captured by forkState(). */
     void restoreForkState(const ForkState &fs);
 
   private:
-    class SimEnv;  // audited state-access environment
-    class FastEnv; // audited fast path (pinned line handles)
+    class SimEnv; // audited state-access environment
 
     bool onSoc() const { return placement_ != StatePlacement::Dram; }
-    /** Batched audited core; non-null @p cbc_iv selects CBC chaining
-     *  (in == out == the data buffer). */
-    void cryptBlocks(const Iv *cbc_iv, const std::uint8_t *in,
-                     std::uint8_t *out, std::size_t nblocks,
-                     bool encrypt) const;
+    /** The audited block body behind encryptBlock()/decryptBlock(). */
+    void cryptBlock(const std::uint8_t in[16], std::uint8_t out[16],
+                    bool encrypt) const;
     void materialiseState(std::span<const std::uint8_t> key);
     void chargeBulk(std::size_t bytes);
     void touchRegistersWithSecrets() const;
@@ -294,8 +250,6 @@ class SimAesEngine : public BlockCipher
     std::uint64_t bytesProcessed_ = 0;
     bool scrubbed_ = false;
     double chargeDivisor_ = 1.0;
-    bool fastPath_ = true;
-    mutable std::unique_ptr<FastEnv> fastEnv_; // lazily built line map
 
     // Component offsets resolved once for the audited path.
     PhysAddr inputOff_, keyOff_, encKeysOff_, decKeysOff_, teOff_, tdOff_,

@@ -104,10 +104,16 @@ FaultInjector::fireDramBitFlip(const FaultSpec &spec, unsigned index)
 void
 FaultInjector::fireIramBitFlip(const FaultSpec &spec, unsigned index)
 {
-    auto raw = soc_->iram().raw();
+    // Through the untraced cell store, as for DRAM: an injected flip
+    // is not a CPU access, so it emits no MemAccess.
+    hw::Iram &iram = soc_->iram();
     for (unsigned i = 0; i < spec.count; ++i) {
         const std::uint64_t r = draw(index);
-        raw[r % raw.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        const PhysAddr offset = r % iram.size();
+        std::uint8_t cell = 0;
+        iram.cells().read(offset, &cell, 1);
+        cell ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        iram.writeCells(offset, &cell, 1);
         ++stats_.bitFlips;
     }
 }

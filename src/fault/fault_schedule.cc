@@ -69,7 +69,7 @@ parseSeconds(const std::string &token, unsigned line)
     if (errno != 0 || end == nullptr || *end != '\0' || token.empty())
         throw FaultParseError(line,
                               "malformed seconds '" + token + "'");
-    if (value <= 0.0 || value > MAX_SECONDS)
+    if (!(value > 0.0 && value <= MAX_SECONDS)) // NaN fails too
         throw FaultParseError(line, "seconds out of range: '" + token +
                                         "' (0 < s <= 3600)");
     return value;

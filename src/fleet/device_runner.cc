@@ -56,6 +56,15 @@ constexpr std::uint64_t SALT_V2ATTACK = 0x76325f61747461b1ULL;
 constexpr std::uint64_t SALT_SCHEDULE = 0x7363686564756c65ULL;
 constexpr std::uint64_t SALT_BUSKEY = 0x6275736b65795f73ULL;
 
+/** Fail @p result; the first failure's message is the one kept. */
+void
+failDevice(DeviceResult &result, std::string error)
+{
+    result.ok = false;
+    if (result.error.empty())
+        result.error = std::move(error);
+}
+
 /** The Threat a given attack verb exercises; nullopt for verbs outside
  * the seven-threat matrix (code_injection stays a platform test every
  * backend must pass). */
@@ -153,9 +162,7 @@ class Runner
                 checkInvariants(step, result);
             }
         } catch (const std::exception &e) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error = e.what();
+            failDevice(result, e.what());
         }
         if (device_)
             snapshot(result);
@@ -279,11 +286,8 @@ class Runner
 
         const core::CheckOutcome iramCheck =
             checker_->checkIramZeroed(soc);
-        if (!iramCheck.ok) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error = "power glitch: " + iramCheck.detail;
-        }
+        if (!iramCheck.ok)
+            failDevice(result, "power glitch: " + iramCheck.detail);
         // Remanent DRAM is only required to be secret-free while the
         // device was locked; an awake device legitimately holds
         // decrypted pages (the paper's threat model).
@@ -293,12 +297,10 @@ class Runner
             result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
             result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
             if (leaks.sensitiveLeaked != 0) {
-                result.ok = false;
-                if (result.error.empty())
-                    result.error =
-                        "power glitch left the secret of sensitive "
-                        "process '" +
-                        leaks.firstLeakedOwner + "' in remanent memory";
+                failDevice(result, "power glitch left the secret of "
+                                   "sensitive process '" +
+                                       leaks.firstLeakedOwner +
+                                       "' in remanent memory");
             }
         }
         return true;
@@ -560,13 +562,11 @@ class Runner
                     probe.analyzeForSecret(marker.bytes, marker.owner);
                 if (captured.secretRecovered &&
                     scoreBreach(result, step.attack)) {
-                    result.ok = false;
-                    if (result.error.empty())
-                        result.error =
-                            "line " + std::to_string(step.line) +
-                            ": bus probe captured the secret of "
-                            "sensitive process '" +
-                            marker.owner + "'";
+                    failDevice(result,
+                               "line " + std::to_string(step.line) +
+                                   ": bus probe captured the secret of "
+                                   "sensitive process '" +
+                                   marker.owner + "'");
                 }
             }
             // A backend whose cipher state sits in DRAM gives the probe
@@ -583,12 +583,10 @@ class Runner
                                             /*num_blocks=*/48, sideRng);
                 if (side.recoveredBytes() != 0 &&
                     scoreBreach(result, step.attack)) {
-                    result.ok = false;
-                    if (result.error.empty())
-                        result.error =
-                            "line " + std::to_string(step.line) +
-                            ": bus probe recovered AES key bits from "
-                            "the DRAM-resident cipher state";
+                    failDevice(result,
+                               "line " + std::to_string(step.line) +
+                                   ": bus probe recovered AES key bits from "
+                                   "the DRAM-resident cipher state");
                 }
             }
         } else if (step.attack == AttackKind::CodeInjection) {
@@ -603,22 +601,18 @@ class Runner
             // not a Sentry regression.
             if (dmaWrite.secretRecovered &&
                 soc.config().secureWorldAvailable) {
-                result.ok = false;
-                if (result.error.empty())
-                    result.error =
-                        "line " + std::to_string(step.line) +
-                        ": DMA code injection into iRAM landed despite "
-                        "TrustZone protection";
+                failDevice(result,
+                           "line " + std::to_string(step.line) +
+                               ": DMA code injection into iRAM landed despite "
+                               "TrustZone protection");
             }
             const std::vector<std::uint8_t> evilImage(256, 0x90);
             const attacks::AttackResult fw =
                 inject.replaceFirmware(soc, evilImage);
             if (fw.secretRecovered) {
-                result.ok = false;
-                if (result.error.empty())
-                    result.error =
-                        "line " + std::to_string(step.line) +
-                        ": unsigned firmware image was accepted";
+                failDevice(result,
+                           "line " + std::to_string(step.line) +
+                               ": unsigned firmware image was accepted");
             }
         } else {
             attacks::ColdBootVariant variant =
@@ -642,13 +636,11 @@ class Runner
         result.nonSensitiveLeaks += leaks->nonSensitiveLeaks;
         if (leaks->sensitiveLeaked != 0 &&
             scoreBreach(result, step.attack)) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error = "line " + std::to_string(step.line) +
-                               ": attack " + attackKindName(step.attack) +
-                               " recovered the secret of sensitive "
-                               "process '" +
-                               leaks->firstLeakedOwner + "'";
+            failDevice(result, "line " + std::to_string(step.line) +
+                                   ": attack " + attackKindName(step.attack) +
+                                   " recovered the secret of sensitive "
+                                   "process '" +
+                                   leaks->firstLeakedOwner + "'");
         }
     }
 
@@ -735,13 +727,11 @@ class Runner
         if ((outcome.secretRecovered ||
              outcome.counter("locked_writebacks") != 0) &&
             scoreBreach(result, step.attack)) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error =
-                    "line " + std::to_string(step.line) + ": attack " +
-                    attackKindName(step.attack) +
-                    " recovered the secret storage location of the "
-                    "sentry keys via cache timing";
+            failDevice(result,
+                       "line " + std::to_string(step.line) + ": attack " +
+                           attackKindName(step.attack) +
+                           " recovered the secret storage location of the "
+                           "sentry keys via cache timing");
         }
     }
 
@@ -818,14 +808,12 @@ class Runner
                                   ? victimFlips != 0
                                   : outcome.counter("bit_flips") != 0;
         if (breached && scoreBreach(result, step.attack)) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error =
-                    "line " + std::to_string(step.line) +
-                    ": rowhammer disturbance flipped " +
-                    std::to_string(victimFlips) +
-                    " bit(s) in sensitive process memory despite the "
-                    "row partition";
+            failDevice(result,
+                       "line " + std::to_string(step.line) +
+                           ": rowhammer disturbance flipped " +
+                           std::to_string(victimFlips) +
+                           " bit(s) in sensitive process memory despite the "
+                           "row partition");
         }
         for (const PhysAddr frame : aggressorFrames)
             alloc.freeFrame(frame);
@@ -865,12 +853,10 @@ class Runner
         result.v2RecoveredNibbles += outcome.counter("recovered_nibbles");
         appendAttackDigest(result, outcome);
         if (outcome.secretRecovered && scoreBreach(result, step.attack)) {
-            result.ok = false;
-            if (result.error.empty())
-                result.error =
-                    "line " + std::to_string(step.line) +
-                    ": tz_side_channel recovered the secret of the "
-                    "secure-world fuse through the shared mailbox";
+            failDevice(result,
+                       "line " + std::to_string(step.line) +
+                           ": tz_side_channel recovered the secret of the "
+                           "secure-world fuse through the shared mailbox");
         }
         alloc.freeFrame(mailbox);
     }
@@ -892,11 +878,9 @@ class Runner
         ++result.auditsRun;
         if (!outcome.ok) {
             ++result.auditFailures;
-            result.ok = false;
-            if (result.error.empty())
-                result.error = "line " + std::to_string(step.line) +
-                               ": audit failed after step: " +
-                               outcome.detail;
+            failDevice(result, "line " + std::to_string(step.line) +
+                                   ": audit failed after step: " +
+                                   outcome.detail);
         }
     }
 

@@ -278,7 +278,7 @@ parseScenario(const std::string &text, const std::string &name)
             if (errno != 0 || end == nullptr || *end != '\0')
                 throw ScenarioError(lineNo, "malformed jitter '" +
                                                 tokens[1] + "'");
-            if (pct < 0.0 || pct > 90.0)
+            if (!(pct >= 0.0 && pct <= 90.0)) // NaN fails too
                 throw ScenarioError(lineNo, "jitter " + tokens[1] +
                                                 " out of range (0..90)");
             scenario.jitter = pct / 100.0;

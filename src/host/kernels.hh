@@ -5,11 +5,10 @@
  *
  * The simulator burns host CPU in three places that have nothing to do
  * with simulated semantics: bulk AES over host buffers (kcryptd
- * workers, the MemShield engine, the native tier of the audited fast
- * path), whole-memory scans (fleet audits grep every device's DRAM
- * after every scenario step), and cache-line copies in the L2 replay
- * loops. Each of those calls through a `Kernels` entry selected once at
- * startup:
+ * workers, the MemShield engine, SimAesEngine's bulk CBC paths),
+ * memory scans (fleet audits grep device DRAM after every scenario
+ * step), and cache-line copies in the L2 access path. Each of those
+ * calls through a `Kernels` entry selected once at startup:
  *
  *   - feature detection (host/cpu_features.hh) picks the best candidate
  *     tier the machine supports (AES-NI/VAES on x86-64, the ARMv8
@@ -114,8 +113,8 @@ std::string hostInfoString();
 std::string hostFeaturesKey();
 
 /**
- * Copy one (possibly partial) 32-byte cache line. The L2 replay loops
- * call this with len == CACHE_LINE_SIZE almost always; pinning that
+ * Copy one (possibly partial) 32-byte cache line. The L2 access path
+ * calls this with len == CACHE_LINE_SIZE almost always; pinning that
  * case to a fixed-size copy lets the compiler emit two vector moves
  * instead of a variable-length memcpy dispatch.
  */

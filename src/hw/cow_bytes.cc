@@ -54,7 +54,22 @@ CowBytes::writeSlow(std::size_t offset, const std::uint8_t *in,
     }
 }
 
-std::span<std::uint8_t>
+void
+CowBytes::fillPattern(std::span<const std::uint8_t> pattern)
+{
+    if (pattern.empty())
+        panic("CowBytes::fillPattern: empty pattern");
+    std::vector<std::uint8_t> phased(pattern.size());
+    rewritePages([&](std::size_t offset, std::span<std::uint8_t> page) {
+        // Rotate the pattern so the fill stays continuous across pages.
+        const std::size_t phase = offset % pattern.size();
+        std::rotate_copy(pattern.begin(), pattern.begin() + phase,
+                         pattern.end(), phased.begin());
+        sentry::fillPattern(page, phased);
+    });
+}
+
+std::span<const std::uint8_t>
 CowBytes::contiguous() const
 {
     if (privatized_.size() != nPages_) {

@@ -24,8 +24,9 @@
  * `zeroAll()` (which drops the held one), rebinds every page.
  *
  * Write stamps: every store to a page records a new write generation
- * in that page's stamp — `write()`, `rewritePages()`, `adopt()`'s
- * rebinding and `zeroAll()` are the stores. `contains()` searches in
+ * in that page's stamp — `write()`, `rewritePages()`, `fillPattern()`,
+ * `adopt()`'s rebinding and `zeroAll()` are the stores, and there is
+ * no other way to change the contents. `contains()` searches in
  * place, page by page plus the seams between neighbouring pages, and
  * visits only what was stamped after a caller-supplied generation: a
  * needle found absent at generation g can only have appeared since in
@@ -33,13 +34,12 @@
  * scan every incremental answer is checked against).
  *
  * Span-stability rule (the `raw()` contract for Dram/Iram): the
- * contiguous span returned by `contiguous()` materializes every page
- * into private storage and stays valid — and visible to reads through
- * this object — until the next `adopt()` (i.e. until the owning device
- * is forked again). `freeze()` and `zeroAll()` never invalidate it.
- * Code that holds a span across `adopt()` reads stale bytes; take a
- * fresh span instead. Writes through the span are not stamped, so only
- * callers that always search at generation 0 may write through it.
+ * read-only span returned by `contiguous()` materializes every page
+ * into private storage and stays valid — and follows later stores
+ * through this object — until the next `adopt()` (i.e. until the
+ * owning device is forked again). `freeze()` and `zeroAll()` never
+ * invalidate it. Code that holds a span across `adopt()` reads stale
+ * bytes; take a fresh span instead.
  */
 
 #ifndef SENTRY_HW_COW_BYTES_HH
@@ -145,13 +145,17 @@ class CowBytes
                std::span<std::uint8_t>(privatePage(page), pageBytes(page)));
     }
 
+    /** Fill the whole array with repetitions of @p pattern, continuous
+     * across pages, through rewritePages(). */
+    void fillPattern(std::span<const std::uint8_t> pattern);
+
     /**
      * Materialize every page into private storage and return the whole
-     * array as one mutable span. See the span-stability rule in the
+     * array as one read-only span. See the span-stability rule in the
      * file comment. Logically const: contents are unchanged, only the
      * page states move to Private.
      */
-    std::span<std::uint8_t> contiguous() const;
+    std::span<const std::uint8_t> contiguous() const;
 
     /** @return the newest write generation; every page is stamped at
      * or below it. Construction is generation 1. */

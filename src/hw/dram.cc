@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace sentry::hw
@@ -58,21 +57,6 @@ Dram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
         panic("DRAM cell write out of range: 0x%llx (+%zu)",
               static_cast<unsigned long long>(offset), len);
     data_.write(offset, buf, len);
-}
-
-void
-Dram::fillCells(std::span<const std::uint8_t> pattern)
-{
-    if (pattern.empty())
-        panic("Dram::fillCells: empty pattern");
-    std::vector<std::uint8_t> phased(pattern.size());
-    data_.rewritePages([&](std::size_t offset, std::span<std::uint8_t> page) {
-        // Rotate the pattern so the fill stays continuous across pages.
-        const std::size_t phase = offset % pattern.size();
-        std::rotate_copy(pattern.begin(), pattern.begin() + phase,
-                         pattern.end(), phased.begin());
-        fillPattern(page, phased);
-    });
 }
 
 void

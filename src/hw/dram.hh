@@ -118,10 +118,10 @@ class Dram : public BusTarget
      * adoptImage() / Soc::forkFrom(). Never hold it across a fork; take
      * a fresh span instead (see cow_bytes.hh for the full contract).
      *
-     * There is deliberately no mutable span: every store to the cells
-     * goes through busWrite(), writeCells(), fillCells(), powerLoss(),
-     * disturbAdjacentRows() or adoptImage(), all of which stamp the
-     * pages they touch, so incremental scans (cells().contains()) see
+     * Every store to the cells goes through busWrite(), writeCells(),
+     * fillCells(), powerLoss(), disturbAdjacentRows() or adoptImage(),
+     * all of which stamp the pages they touch (CowBytes offers no
+     * other store), so incremental scans (cells().contains()) see
      * every change.
      */
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
@@ -139,7 +139,10 @@ class Dram : public BusTarget
 
     /** Fill the whole cell array with repetitions of @p pattern (the
      * Table 2 set-up), one stamped page at a time. */
-    void fillCells(std::span<const std::uint8_t> pattern);
+    void fillCells(std::span<const std::uint8_t> pattern)
+    {
+        data_.fillPattern(pattern);
+    }
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

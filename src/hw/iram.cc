@@ -1,6 +1,5 @@
 #include "hw/iram.hh"
 
-
 #include "common/logging.hh"
 
 namespace sentry::hw
@@ -51,6 +50,13 @@ Iram::write(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
     checkRange(offset, len);
     data_.write(offset, buf, len);
     traceIramOp(trace_, true, offset, len);
+}
+
+void
+Iram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
+{
+    checkRange(offset, len);
+    data_.write(offset, buf, len);
 }
 
 void

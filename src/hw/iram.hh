@@ -48,21 +48,33 @@ class Iram
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct simulation-level view (the iRAM-placed AES engine's state
-     * pointer, iRAM fault injection, test assertions).
+     * Read-only materialized view of the whole array, for test
+     * assertions and benchmarks. Not charged and not traced.
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
      * Never hold it across a fork; take a fresh span instead (see
-     * cow_bytes.hh for the full contract). Writes through the mutable
-     * span are not stamped, which is why iRAM is always searched in
-     * full (generation 0).
+     * cow_bytes.hh for the full contract).
      */
-    std::span<std::uint8_t> raw() { return data_.contiguous(); }
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
 
     /** The cell array itself, for in-place searches (DramScanner). */
     const CowBytes &cells() const { return data_; }
+
+    /**
+     * Simulation-level store into the array (fault injection):
+     * stamped like write(), but not traced. As with Dram, every store
+     * stamps the pages it touches.
+     */
+    void writeCells(PhysAddr offset, const std::uint8_t *buf,
+                    std::size_t len);
+
+    /** Fill the whole array with repetitions of @p pattern (the
+     * Table 2 set-up), one stamped page at a time. */
+    void fillCells(std::span<const std::uint8_t> pattern)
+    {
+        data_.fillPattern(pattern);
+    }
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

@@ -283,23 +283,6 @@ L2Cache::peek(PhysAddr addr, unsigned *way_out) const
            (addr % CACHE_LINE_SIZE);
 }
 
-const std::uint8_t *
-L2Cache::probeLine(PhysAddr addr, L2LineId &id) const
-{
-    if (!cacheable(addr))
-        return nullptr;
-    const std::size_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const int way = findWay(set, tag);
-    if (way < 0)
-        return nullptr;
-    const std::size_t index = lineIndex(set, static_cast<unsigned>(way));
-    id.line = &lines_[index];
-    id.tag = tag;
-    id.index = static_cast<std::uint32_t>(index);
-    return lineData(set, static_cast<unsigned>(way));
-}
-
 bool
 L2Cache::wayHasDirtyLines(unsigned way) const
 {

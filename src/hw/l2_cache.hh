@@ -66,22 +66,6 @@ struct L2Line
     bool operator==(const L2Line &) const = default;
 };
 
-/**
- * Identity of a resident cache line handed out by L2Cache::probeLine.
- *
- * A fast path holds one of these per line it has pinned and revalidates
- * it with L2Cache::lineResident before every use: the check is a single
- * tag compare, and a stale id simply sends the access back down the
- * regular (bit-exact) path. Ids never dangle — `line` points into the
- * line-state array, which is allocated once in the constructor.
- */
-struct L2LineId
-{
-    const L2Line *line = nullptr;
-    std::uint64_t tag = 0;
-    std::uint32_t index = 0; //!< set * ways + way
-};
-
 /** The shared L2 cache controller. */
 class L2Cache
 {
@@ -208,55 +192,6 @@ class L2Cache
      */
     const std::uint8_t *peek(PhysAddr addr, unsigned *way_out = nullptr) const;
 
-    /**
-     * Fast-path probe: if @p addr's line is resident, fill @p id with
-     * its identity and return a pointer to the line payload. Charges
-     * nothing — the caller accounts for its accesses with chargeHits().
-     * @return nullptr when the line is not resident (or not cacheable);
-     *         the caller must then use the regular read()/write() path.
-     */
-    const std::uint8_t *probeLine(PhysAddr addr, L2LineId &id) const;
-
-    /** @return true while @p id still names a valid line with its tag. */
-    bool
-    lineResident(const L2LineId &id) const
-    {
-        return id.line->valid && id.line->tag == id.tag;
-    }
-
-    /** @return payload pointer for a resident line id. */
-    const std::uint8_t *
-    linePayload(const L2LineId &id) const
-    {
-        return data_.data() + std::size_t{id.index} * CACHE_LINE_SIZE;
-    }
-
-    /**
-     * Payload pointer for a fast-path *write* to a resident line: marks
-     * the line dirty, exactly as a write() hit would.
-     */
-    std::uint8_t *
-    linePayloadForWrite(const L2LineId &id)
-    {
-        touchSet(id.index / ways_);
-        lines_[id.index].dirty = true;
-        return data_.data() + std::size_t{id.index} * CACHE_LINE_SIZE;
-    }
-
-    /**
-     * Account @p n fast-path hits in one batch: bumps the hit counter
-     * and charges n * hitCycles, identical in sum to n read()/write()
-     * hits. Fast paths accumulate counts and flush them here at
-     * transaction boundaries (end of an AES block, before any slow-path
-     * access, before an irq-guard exit reads the clock).
-     */
-    void
-    chargeHits(std::uint64_t n)
-    {
-        stats_.hits += n;
-        clock_.advance(n * timing_.hitCycles);
-    }
-
     /** @return true if any line of way @p way is valid and dirty. */
     bool wayHasDirtyLines(unsigned way) const;
 
@@ -288,8 +223,7 @@ class L2Cache
 
     /**
      * Overwrite this controller's state in place (geometry must match;
-     * fatal otherwise). Storage is reused, so L2LineId handles never
-     * dangle — stale ids simply fail lineResident() revalidation.
+     * fatal otherwise).
      *
      * The controller keeps a reference to the image it restores. A
      * later restore of that same image copies back only the sets

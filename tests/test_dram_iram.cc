@@ -89,7 +89,7 @@ TEST(Iram, SramSurvivesBriefPowerLossBetterThanDram)
     Iram iram(256 * KiB);
     Dram dram(256 * KiB);
     const auto pattern = fromHex("a1b2c3d4e5f60718");
-    fillPattern(iram.raw(), pattern);
+    iram.fillCells(pattern);
     dram.fillCells(pattern);
 
     Rng rngA(2), rngB(2);

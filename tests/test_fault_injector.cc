@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/trace_engine.hh"
 #include "common/types.hh"
 #include "fault/fault_injector.hh"
 #include "hw/platform.hh"
@@ -151,12 +152,28 @@ TEST_F(InjectorFixture, IramBitFlipCorruptsOnSocSram)
 
     FaultInjector injector(sched, 11);
     injector.arm(soc);
+    probe::CounterSink sink;
+    sink.attach(soc.trace());
 
+    const CowBytes &cells = soc.iram().cells();
+    const std::uint64_t before = cells.generation();
     std::uint8_t buf[16] = {};
     soc.iram().write(0, buf, sizeof(buf));
+    sink.detach();
     EXPECT_EQ(injector.stats().firings, 1u);
     EXPECT_EQ(injector.stats().iramOps, 1u);
     EXPECT_GE(setBits(soc.iramRaw()), 1u);
+
+    // The flips are stamped, so an incremental scan would see them, and
+    // untraced: the only iRAM access on the trace is the triggering write.
+    const auto iram = soc.iramRaw();
+    for (std::size_t page = 0; page < cells.pageCount(); ++page) {
+        if (setBits(iram.subspan(page * PAGE_SIZE, PAGE_SIZE)) != 0) {
+            EXPECT_GT(cells.pageStamp(page), before) << "page " << page;
+        }
+    }
+    EXPECT_EQ(sink.counters().iramWrites, 1u);
+    EXPECT_EQ(sink.counters().iramReads, 0u);
 }
 
 TEST_F(InjectorFixture, LockdownGlitchClearsOnlySetBits)

@@ -115,6 +115,9 @@ TEST(FaultSchedule, RejectsOutOfRangeMagnitudes)
         parseFaultSchedule("fault kcryptd_stall after 1 seconds 7200\n"),
         FaultParseError);
     EXPECT_THROW(
+        parseFaultSchedule("fault power_glitch after 1 seconds nan\n"),
+        FaultParseError);
+    EXPECT_THROW(
         parseFaultSchedule("fault dma_burst after 1 bytes 999999999\n"),
         FaultParseError);
 }

@@ -153,6 +153,7 @@ TEST(FleetScenario, SemanticErrorsReportLine)
     EXPECT_EQ(parseFailure("unlock\n").line(), 1u);
     // bad jitter
     EXPECT_EQ(parseFailure("jitter 150\n").line(), 1u);
+    EXPECT_EQ(parseFailure("spawn a\njitter nan\n").line(), 2u);
     // empty scenario
     EXPECT_THROW(parseScenario("# only comments\n\n", "t"),
                  ScenarioError);

@@ -164,13 +164,12 @@ warmTemplate()
     return origin.snapshot();
 }
 
-/** Five lines in five consecutive L2 sets, one per single-line
+/** Four lines in four consecutive L2 sets, one per single-line
  * operation the twins below apply. */
-constexpr PhysAddr FAST_WRITE_LINE = DRAM_BASE + 8 * MiB;
-constexpr PhysAddr WRITE_HIT_LINE = FAST_WRITE_LINE + CACHE_LINE_SIZE;
-constexpr PhysAddr READ_MISS_LINE = FAST_WRITE_LINE + 2 * CACHE_LINE_SIZE;
-constexpr PhysAddr CLEAN_LINE = FAST_WRITE_LINE + 3 * CACHE_LINE_SIZE;
-constexpr PhysAddr INVALIDATE_LINE = FAST_WRITE_LINE + 4 * CACHE_LINE_SIZE;
+constexpr PhysAddr WRITE_HIT_LINE = DRAM_BASE + 8 * MiB;
+constexpr PhysAddr READ_MISS_LINE = WRITE_HIT_LINE + CACHE_LINE_SIZE;
+constexpr PhysAddr CLEAN_LINE = WRITE_HIT_LINE + 2 * CACHE_LINE_SIZE;
+constexpr PhysAddr INVALIDATE_LINE = WRITE_HIT_LINE + 3 * CACHE_LINE_SIZE;
 
 /** A warm template whose L2 is clean except CLEAN_LINE, with
  * READ_MISS_LINE absent and the other lines resident. An operation on
@@ -184,7 +183,6 @@ lineTemplate()
     hw::L2Cache &l2 = origin.soc().l2();
     l2.cleanAllMasked();
     std::uint8_t byte = 0x42;
-    l2.read(FAST_WRITE_LINE, &byte, 1);
     l2.read(WRITE_HIT_LINE, &byte, 1);
     l2.invalidateRange(READ_MISS_LINE, 1);
     l2.write(CLEAN_LINE, &byte, 1);
@@ -626,17 +624,6 @@ TEST(RecycledFork, MatchesFreshAfterSwitchingSnapshots)
     apps::SyntheticApp app(target.kernel(), *process);
     target.kernel().unlockScreen("0000");
     app.resume();
-    expectRecycledForkMatchesFresh(target, *snap);
-}
-
-TEST(RecycledFork, MatchesFreshAfterL2FastPathWrite)
-{
-    const auto snap = lineTemplate();
-    Device target(config());
-    target.forkFrom(*snap);
-    hw::L2LineId id;
-    ASSERT_NE(target.soc().l2().probeLine(FAST_WRITE_LINE, id), nullptr);
-    target.soc().l2().linePayloadForWrite(id)[0] ^= 0xff;
     expectRecycledForkMatchesFresh(target, *snap);
 }
 

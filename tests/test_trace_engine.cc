@@ -2,33 +2,22 @@
  * @file
  * Tests for the TraceEngine spine: subscription semantics (order,
  * mask replacement, response channels), the stock CounterSink and
- * ChromeTraceSink, and trace parity — with tracing enabled, the
- * batched audited AES fast path must produce the same CounterSink
- * totals as the per-block reference loop. Parity is asserted for the
- * Dram and LockedL2 placements only: the iRAM-placement fast path
- * legitimately reads pinned state without calling Iram::read, so its
- * MemAccess counts differ by design (DESIGN.md §9).
+ * ChromeTraceSink, and batched delivery.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "common/trace_engine.hh"
-#include "core/locked_way_manager.hh"
-#include "crypto/aes_on_soc.hh"
 #include "hw/platform.hh"
 #include "hw/soc.hh"
 
 using namespace sentry;
-using namespace sentry::crypto;
 using namespace sentry::hw;
 
 namespace
@@ -166,87 +155,6 @@ TEST(ChromeTraceSink, TruncatesAtTheEventCap)
     EXPECT_EQ(sink.eventCount(), 4u);
     EXPECT_TRUE(sink.truncated());
 }
-
-namespace
-{
-
-/** One machine with a counter sink; engine fast path is on or off. */
-struct CountedMachine
-{
-    explicit CountedMachine(bool fast)
-        : soc(PlatformConfig::tegra3(32 * MiB)),
-          wayManager(soc, DRAM_BASE + 16 * MiB), fastPath(fast)
-    {
-        sink.attach(soc.trace());
-    }
-
-    void
-    makeEngine(StatePlacement placement, std::span<const std::uint8_t> key)
-    {
-        const PhysAddr base = placement == StatePlacement::Dram
-                                  ? DRAM_BASE + 4 * MiB
-                                  : wayManager.lockWay()->base;
-        engine = std::make_unique<SimAesEngine>(soc, base, key, placement);
-        engine->setFastPath(fastPath);
-    }
-
-    Soc soc;
-    core::LockedWayManager wayManager;
-    bool fastPath;
-    probe::CounterSink sink; // detaches before soc is destroyed
-    std::unique_ptr<SimAesEngine> engine;
-};
-
-/** A deterministic byte pattern. */
-std::vector<std::uint8_t>
-pattern(std::size_t n, std::uint8_t seed)
-{
-    std::vector<std::uint8_t> v(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(seed + 31 * i + (i >> 5));
-    return v;
-}
-
-class TraceParityTest : public testing::TestWithParam<StatePlacement>
-{
-};
-
-} // namespace
-
-TEST_P(TraceParityTest, CounterTotalsMatchFastPathOnAndOff)
-{
-    CountedMachine fast(true), ref(false);
-    const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    fast.makeEngine(GetParam(), key);
-    ref.makeEngine(GetParam(), key);
-
-    const std::size_t nblocks = 96;
-    const auto pt = pattern(nblocks * AES_BLOCK_SIZE, 7);
-    std::vector<std::uint8_t> ctFast(pt.size()), ctRef(pt.size());
-    fast.engine->encryptBlocks(pt.data(), ctFast.data(), nblocks);
-    ref.engine->encryptBlocks(pt.data(), ctRef.data(), nblocks);
-    EXPECT_EQ(ctFast, ctRef);
-
-    std::vector<std::uint8_t> back(pt.size());
-    fast.engine->decryptBlocks(ctFast.data(), back.data(), nblocks);
-    ref.engine->decryptBlocks(ctRef.data(), back.data(), nblocks);
-
-    // Every trace-point total — not just the per-device stats the twin
-    // test in test_l2_fastpath.cc compares — must be identical.
-    EXPECT_EQ(fast.sink.counters().summary(),
-              ref.sink.counters().summary());
-    EXPECT_EQ(fast.soc.clock().now(), ref.soc.clock().now());
-}
-
-INSTANTIATE_TEST_SUITE_P(Placements, TraceParityTest,
-                         testing::Values(StatePlacement::Dram,
-                                         StatePlacement::LockedL2),
-                         [](const testing::TestParamInfo<StatePlacement>
-                                &info) {
-                             return info.param == StatePlacement::Dram
-                                        ? std::string("Dram")
-                                        : std::string("LockedL2");
-                         });
 
 namespace
 {
