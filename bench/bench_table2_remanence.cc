@@ -11,13 +11,24 @@
  *   OS reboot (no power loss):  iRAM 100%,  DRAM 96.4%
  *   Device reflash (power loss): iRAM 0%,   DRAM 97.5%
  *   2 second reset (power loss): iRAM 0%,   DRAM 0.1%
+ *
+ * The first 2 s-reset trial runs again with the host kernels pinned to
+ * the portable tier: the fractions and the post-reset DRAM must match
+ * the active tier's bit for bit (exit 1 otherwise), and both host
+ * times are published.
  */
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <string>
 
 #include "attacks/cold_boot.hh"
 #include "bench_util.hh"
 #include "common/bytes.hh"
+#include "crypto/sha256.hh"
+#include "host/kernels.hh"
 #include "hw/platform.hh"
 #include "hw/soc.hh"
 
@@ -27,22 +38,76 @@ using namespace sentry::attacks;
 namespace
 {
 
-/** One measurement: fresh device, filled memories, one reset. */
-RemanenceMeasurement
-runTrial(ColdBootVariant variant, std::uint64_t seed)
+const auto PATTERN = fromHex("5a5aa5a5c33c3cc3");
+
+/** A fresh device whose DRAM and iRAM hold the repeating pattern. */
+std::unique_ptr<hw::Soc>
+filledSoc(std::uint64_t seed)
 {
     // 256 MiB stands in for the paper's 1 GiB tablet; remanence is a
     // per-cell property, so the fraction is size-independent.
     hw::PlatformConfig config = hw::PlatformConfig::tegra3(256 * MiB);
     config.seed = seed;
-    hw::Soc soc(config);
+    auto soc = std::make_unique<hw::Soc>(config);
+    soc->dram().fillCells(PATTERN);
+    soc->iram().fillCells(PATTERN);
+    return soc;
+}
 
-    const auto pattern = fromHex("5a5aa5a5c33c3cc3");
-    soc.dram().fillCells(pattern);
-    soc.iram().fillCells(pattern);
+/** One measurement: fresh device, filled memories, one reset. */
+RemanenceMeasurement
+runTrial(ColdBootVariant variant, std::uint64_t seed)
+{
+    const auto soc = filledSoc(seed);
+    return ColdBootAttack(variant).measureRemanence(*soc, PATTERN);
+}
 
-    ColdBootAttack attack(variant);
-    return attack.measureRemanence(soc, pattern);
+/** Rerun the first 2 s-reset trial on the active and on the portable
+ * kernel tier; exit 1 if the fractions or the post-reset DRAM differ. */
+void
+tierParitySection(bench::Session &session)
+{
+    struct TierRun
+    {
+        RemanenceMeasurement m;
+        std::string dramDigest;
+        double seconds = 0.0;
+    };
+    const auto run = [] {
+        const auto soc = filledSoc(1000);
+        TierRun out;
+        const auto t0 = std::chrono::steady_clock::now();
+        out.m = ColdBootAttack(ColdBootVariant::TwoSecondReset)
+                    .measureRemanence(*soc, PATTERN);
+        out.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        out.dramDigest = toHex(crypto::Sha256::hash(soc->dram().raw()));
+        return out;
+    };
+    const TierRun active = run();
+    host::setActiveKernelsForTest(&host::portableKernels());
+    const TierRun portable = run();
+    host::setActiveKernelsForTest(nullptr);
+    if (active.m.dramFraction != portable.m.dramFraction ||
+        active.m.iramFraction != portable.m.iramFraction ||
+        active.dramDigest != portable.dramDigest) {
+        std::fprintf(stderr,
+                     "table2: kernel tiers disagree on the 2 s reset "
+                     "(DRAM sha256 %s vs %s)\n",
+                     active.dramDigest.c_str(), portable.dramDigest.c_str());
+        std::exit(1);
+    }
+
+    std::printf("\nhost bytes tier (%s), one 256 MiB 2 s reset and its "
+                "pattern counts:\n",
+                host::kernels().bytes.tier);
+    std::printf("  active tier  : %8.3f s host\n", active.seconds);
+    std::printf("  portable tier: %8.3f s host\n", portable.seconds);
+    std::printf("  host speedup : %8.2fx  (post-reset DRAM bit-identical)\n",
+                portable.seconds / active.seconds);
+    session.metric("host_wall_tier_active_seconds", active.seconds);
+    session.metric("host_wall_tier_portable_seconds", portable.seconds);
 }
 
 } // namespace
@@ -106,5 +171,7 @@ main()
                     100.0 * m.dramFraction);
         session.metric("sim_dram_pct_frozen", 100.0 * m.dramFraction);
     }
+
+    tierParitySection(session);
     return 0;
 }

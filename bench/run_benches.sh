@@ -89,11 +89,12 @@ for ref_path in sorted(refdir.glob("BENCH_*.json")):
     if "host_cpu_features" not in new:
         print(f"DRIFT: {ref_path.name}: missing host_cpu_features key")
         failures += 1
-# The two tier-parity benchmarks time the active kernel tier against
+# The three tier-parity benchmarks time the active kernel tier against
 # the pinned portable tier (and exit nonzero themselves if the outputs
 # diverge); losing either timing key means the comparison stopped
 # running.
-for name in ("BENCH_fig9_dmcrypt.json", "BENCH_fleet.json"):
+for name in ("BENCH_fig9_dmcrypt.json", "BENCH_fleet.json",
+             "BENCH_table2_remanence.json"):
     path = outdir / name
     if not path.exists():
         continue

@@ -131,7 +131,8 @@ main(int argc, char **argv)
             try {
                 options.dramBytes =
                     fleet::parseSize(nextArg(argc, argv, i, arg), 0);
-            } catch (const fleet::ScenarioError &e) {
+                fleet::checkDramBytes(options.dramBytes);
+            } catch (const std::exception &e) {
                 usageError(std::string("--dram: ") + e.what());
             }
         } else if (std::strcmp(arg, "--json") == 0) {

@@ -195,7 +195,8 @@ main(int argc, char **argv)
             try {
                 options.dramBytes =
                     fleet::parseSize(nextArg(argc, argv, i, arg), 0);
-            } catch (const fleet::ScenarioError &e) {
+                fleet::checkDramBytes(options.dramBytes);
+            } catch (const std::exception &e) {
                 usageError(std::string("--dram: ") + e.what());
             }
         } else if (std::strcmp(arg, "--host-info") == 0) {
@@ -211,8 +212,9 @@ main(int argc, char **argv)
     }
     if (options.trials == 0 || options.steps == 0)
         usageError("--trials and --steps must be positive");
-    if (jobs == 0)
-        usageError("--jobs must be positive");
+    if (jobs == 0 || jobs > fleet::MAX_THREADS)
+        usageError("--jobs out of range (1.." +
+                   std::to_string(fleet::MAX_THREADS) + ")");
     if (jobs > 1 && !options.traceOutPath.empty())
         usageError("--trace-out needs --jobs 1 (a single trial's "
                    "timeline cannot interleave workers)");

@@ -6,11 +6,18 @@
  * behaviour (DRAM remanence decay, workload address streams, DMA timing)
  * draws from instances of this class so every experiment is reproducible
  * from its seed.
+ *
+ * The state update is linear over GF(2), so skipping a fixed number of
+ * draws is one matrix product over the 256 state bits. jump() skips
+ * JUMP_DRAWS draws through a table built at compile time (rng.cc);
+ * state() and setState() let a kernel step the stream in SIMD lanes
+ * and hand it back.
  */
 
 #ifndef SENTRY_COMMON_RNG_HH
 #define SENTRY_COMMON_RNG_HH
 
+#include <array>
 #include <cstdint>
 
 namespace sentry
@@ -20,6 +27,12 @@ namespace sentry
 class Rng
 {
   public:
+    /** The generator's four 64-bit state words. */
+    using State = std::array<std::uint64_t, 4>;
+
+    /** Draws that one jump() skips. */
+    static constexpr unsigned JUMP_DRAWS = 256;
+
     explicit Rng(std::uint64_t seed = 0x5e47ee1dULL) { reseed(seed); }
 
     /** Reset the stream from a 64-bit seed. */
@@ -70,6 +83,16 @@ class Rng
     /** @return true with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
+    /** @return the current state; setState() resumes from it. */
+    const State &state() const { return state_; }
+
+    /** Continue the stream from @p state. */
+    void setState(const State &state) { state_ = state; }
+
+    /** Advance the stream as JUMP_DRAWS calls to next64() would, in 64
+     * table lookups. */
+    void jump();
+
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -77,7 +100,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t state_[4];
+    State state_;
 };
 
 } // namespace sentry

@@ -27,7 +27,8 @@
  * SecurityAudit::run, so each audit greps only the DRAM pages written
  * since that needle was last found absent. A new checker's first audit
  * scans everything, and so does any audit after a fork onto another
- * image, a power event or zeroAll, which stamp every page.
+ * image or zeroAll, which stamp every page. A power loss stamps only
+ * the pages its decay rewrites.
  */
 
 #ifndef SENTRY_CORE_INVARIANT_CHECKER_HH

@@ -16,8 +16,6 @@ namespace sentry::fleet
 namespace
 {
 
-constexpr unsigned MAX_THREADS = 256;
-
 std::string
 formatDouble(double value)
 {
@@ -156,9 +154,7 @@ validateOptions(const FleetOptions &options)
         throw std::invalid_argument(
             "fleet shard count " + std::to_string(options.shards) +
             " out of range (0.." + std::to_string(MAX_SHARDS) + ")");
-    if (options.dramBytes < 4 * MiB || options.dramBytes > 1 * GiB)
-        throw std::invalid_argument(
-            "per-device DRAM out of range (4MiB..1GiB)");
+    checkDramBytes(options.dramBytes);
 }
 
 } // namespace

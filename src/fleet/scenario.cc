@@ -144,6 +144,17 @@ parseSize(const std::string &token, unsigned line)
     return bytes;
 }
 
+void
+checkDramBytes(std::size_t bytes)
+{
+    if (bytes < 4 * MiB || bytes > 1 * GiB)
+        throw std::invalid_argument(
+            "per-device DRAM out of range (4MiB..1GiB)");
+    if (bytes % PAGE_SIZE != 0)
+        throw std::invalid_argument(
+            "per-device DRAM must be a whole number of 4KiB pages");
+}
+
 double
 parseDuration(const std::string &token, unsigned line)
 {

@@ -63,6 +63,9 @@ constexpr unsigned MAX_DEVICES = 1u << 20;
 /** Upper bound on the shard count of the worker/dispatcher engine. */
 constexpr unsigned MAX_SHARDS = 4096;
 
+/** Upper bound on the worker threads of a fleet run or fuzz campaign. */
+constexpr unsigned MAX_THREADS = 256;
+
 /** Parse/validation failure; carries the offending 1-based line. */
 class ScenarioError : public std::runtime_error
 {
@@ -215,6 +218,13 @@ std::string formatScenario(const Scenario &scenario);
  * @throws ScenarioError (with @p line) when malformed or zero
  */
 std::size_t parseSize(const std::string &token, unsigned line);
+
+/**
+ * Check a per-device DRAM size: 4 MiB..1 GiB, and a whole number of
+ * 4 KiB pages.
+ * @throws std::invalid_argument naming the rule @p bytes breaks
+ */
+void checkDramBytes(std::size_t bytes);
 
 /**
  * Parse a duration token ("250ms", "2s", "100us").

@@ -1,6 +1,7 @@
 #include "host/kernels.hh"
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -116,6 +117,46 @@ portableAllZero(const std::uint8_t *buf, std::size_t len)
     return acc == 0;
 }
 
+Rng::State
+portableDecayPage(std::uint8_t *cells, std::size_t len, Rng::State state,
+                  std::uint32_t threshold, std::uint8_t ground)
+{
+    // All-ones when the low 16-bit lane of @p lanes survives.
+    const auto keepMask = [threshold](std::uint64_t lanes) {
+        return 0u - static_cast<std::uint32_t>((lanes & 0xffff) < threshold);
+    };
+    const std::uint32_t groundWord = ground * 0x01010101u;
+
+    Rng rng;
+    rng.setState(state);
+    std::size_t index = 0;
+    // Whole words: a mask blend instead of a per-byte branch, which
+    // mispredicts at mid-range survival.
+    for (; index + 4 <= len; index += 4) {
+        const std::uint64_t lanes = rng.next64();
+        std::uint32_t keep = (keepMask(lanes) & 0x000000ffu) |
+                             (keepMask(lanes >> 16) & 0x0000ff00u) |
+                             (keepMask(lanes >> 32) & 0x00ff0000u) |
+                             (keepMask(lanes >> 48) & 0xff000000u);
+        if constexpr (std::endian::native == std::endian::big)
+            keep = __builtin_bswap32(keep);
+        std::uint32_t word;
+        std::memcpy(&word, cells + index, sizeof word);
+        word = (word & keep) | (groundWord & ~keep);
+        std::memcpy(cells + index, &word, sizeof word);
+    }
+    // A partial tail word takes its own draw, as a whole word would.
+    if (index < len) {
+        std::uint64_t lanes = rng.next64();
+        for (; index < len; ++index) {
+            if (static_cast<std::uint32_t>(lanes & 0xffff) >= threshold)
+                cells[index] = ground;
+            lanes >>= 16;
+        }
+    }
+    return rng.state();
+}
+
 constexpr AesKernel PORTABLE_AES = {
     "portable",        portableEncryptBlock, portableDecryptBlock,
     portableCbcEncrypt, portableCbcDecrypt,
@@ -126,6 +167,7 @@ constexpr BytesKernel PORTABLE_BYTES = {
     portableCountPattern,
     portableContainsBytes,
     portableAllZero,
+    portableDecayPage,
 };
 
 // ---------------------------------------------------------------------
@@ -269,6 +311,27 @@ verifyBytesKernel(const BytesKernel &candidate)
             return false;
         zeros[flip] = 0;
     }
+
+    // decayPage on a full page at the edge thresholds (nothing kept,
+    // the signed-compare boundary, everything but lane 0xffff kept),
+    // toward both grounds: same bytes and same final state.
+    Rng::State state;
+    fillDeterministic(reinterpret_cast<std::uint8_t *>(state.data()),
+                      sizeof state, 0xdecade);
+    std::vector<std::uint8_t> page(PAGE_SIZE), want(PAGE_SIZE);
+    fillDeterministic(page.data(), page.size(), 0x7e11);
+    for (const std::uint32_t threshold : {0u, 1u, 32767u, 32768u, 65535u}) {
+        for (const std::uint8_t ground : {0x00, 0xff}) {
+            want = page;
+            std::vector<std::uint8_t> got = page;
+            if (candidate.decayPage(got.data(), got.size(), state, threshold,
+                                    ground) !=
+                    PORTABLE_BYTES.decayPage(want.data(), want.size(), state,
+                                             threshold, ground) ||
+                got != want)
+                return false;
+        }
+    }
     return true;
 }
 
@@ -342,7 +405,8 @@ hostInfoString()
            "audited tier)";
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
-    out += "  (fleet audit scans, remanence pattern counts)";
+    out += "  (fleet audit scans, remanence pattern counts, power-loss "
+           "decay)";
     out += "\ntrace emission: batched per bus burst (sync subscribers "
            "dispatch inline)";
     out += "\n";

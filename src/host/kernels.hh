@@ -3,16 +3,18 @@
  * The host kernel registry: one dispatch point for every host-side hot
  * path (DESIGN.md section 14).
  *
- * The simulator burns host CPU in three places that have nothing to do
+ * The simulator burns host CPU in four places that have nothing to do
  * with simulated semantics: bulk AES over host buffers (kcryptd
  * workers, the MemShield engine, SimAesEngine's bulk CBC paths),
  * memory scans (fleet audits grep device DRAM after every scenario
- * step), and cache-line copies in the L2 access path. Each of those
- * calls through a `Kernels` entry selected once at startup:
+ * step), remanence decay at every power loss, and cache-line copies in
+ * the L2 access path. Each of those but the last calls through a
+ * `Kernels` entry selected once at startup:
  *
  *   - feature detection (host/cpu_features.hh) picks the best candidate
  *     tier the machine supports (AES-NI/VAES on x86-64, the ARMv8
- *     crypto extension on aarch64, AVX2 for the byte scans);
+ *     crypto extension on aarch64, AVX2 for the byte scans and the
+ *     decay);
  *   - the candidate is *content-verified on first use*: it must
  *     reproduce the portable tier bit for bit on known-answer vectors
  *     and pseudorandom buffers, or the registry silently falls back to
@@ -35,6 +37,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/rng.hh"
 #include "crypto/aes.hh"
 #include "host/cpu_features.hh"
 
@@ -62,7 +65,8 @@ struct AesKernel
                        std::size_t len);
 };
 
-/** Byte-buffer scan kernels behind common/bytes.hh and the auditors. */
+/** Byte-buffer kernels behind common/bytes.hh, the auditors and the
+ * remanence model. */
 struct BytesKernel
 {
     const char *tier; //!< "portable", "avx2"
@@ -76,6 +80,17 @@ struct BytesKernel
                           const std::uint8_t *needle, std::size_t needleLen);
     /** @return true when every byte of @p buf is zero. */
     bool (*allZero)(const std::uint8_t *buf, std::size_t len);
+    /**
+     * Decay one remanence region of @p len bytes (at most a page) in
+     * place, drawing from the xoshiro256** stream at @p state: one draw
+     * per 4-byte word, a partial last word included. Byte i of a word
+     * is kept when 16-bit lane i of its draw is below @p threshold
+     * (at most 65535), and otherwise becomes @p ground.
+     * @return the stream's state after those draws
+     */
+    Rng::State (*decayPage)(std::uint8_t *cells, std::size_t len,
+                            Rng::State state, std::uint32_t threshold,
+                            std::uint8_t ground);
 };
 
 /** The full registry: one entry per host hot path family. */

@@ -60,12 +60,12 @@ CowBytes::fillPattern(std::span<const std::uint8_t> pattern)
     if (pattern.empty())
         panic("CowBytes::fillPattern: empty pattern");
     std::vector<std::uint8_t> phased(pattern.size());
-    rewritePages([&](std::size_t offset, std::span<std::uint8_t> page) {
+    rewritePages([&](const PageRewrite &page) {
         // Rotate the pattern so the fill stays continuous across pages.
-        const std::size_t phase = offset % pattern.size();
+        const std::size_t phase = page.offset() % pattern.size();
         std::rotate_copy(pattern.begin(), pattern.begin() + phase,
                          pattern.end(), phased.begin());
-        sentry::fillPattern(page, phased);
+        sentry::fillPattern(page.bytes(), phased);
     });
 }
 

@@ -24,7 +24,9 @@
  * `zeroAll()` (which drops the held one), rebinds every page.
  *
  * Write stamps: every store to a page records a new write generation
- * in that page's stamp — `write()`, `rewritePages()`, `fillPattern()`,
+ * in that page's stamp — `write()`, the pages whose bytes a
+ * `rewritePages()` callback takes (`fillPattern()` takes them all;
+ * the remanence decay leaves a Zero page it would not change),
  * `adopt()`'s rebinding and `zeroAll()` are the stores, and there is
  * no other way to change the contents. `contains()` searches in
  * place, page by page plus the seams between neighbouring pages, and
@@ -131,18 +133,49 @@ class CowBytes
         writeSlow(offset, static_cast<const std::uint8_t *>(buf), len);
     }
 
+    /** One page offered to a rewritePages() callback. */
+    class PageRewrite
+    {
+      public:
+        /** @return the page's offset in the array. */
+        std::size_t offset() const { return page_ * PAGE_SIZE; }
+
+        /** @return the page's length (the last one may be partial). */
+        std::size_t size() const { return cells_.pageBytes(page_); }
+
+        /** @return true while the page is Zero (reads the shared zero
+         * page). */
+        bool isZero() const { return cells_.pageIsZero(page_); }
+
+        /** Privatize and stamp the page, and return its bytes to store
+         * into. The span is only valid during the callback. */
+        std::span<std::uint8_t> bytes() const
+        {
+            return {cells_.privatePage(page_), size()};
+        }
+
+      private:
+        friend class CowBytes;
+        PageRewrite(CowBytes &cells, std::size_t page)
+            : cells_(cells), page_(page)
+        {}
+
+        CowBytes &cells_;
+        std::size_t page_;
+    };
+
     /**
-     * Stamped bulk write: privatize and stamp every page in order, and
-     * hand its logical bytes to @p fn(offset, bytes). The span is only
-     * valid during the call.
+     * Stamped bulk write: hand every page, in order, to
+     * @p fn(const PageRewrite &). A page is privatized and stamped only
+     * when @p fn asks for its bytes; a page @p fn leaves alone keeps its
+     * state and its stamp.
      */
     template <typename Fn>
     void
     rewritePages(Fn &&fn)
     {
         for (std::size_t page = 0; page < nPages_; ++page)
-            fn(page * PAGE_SIZE,
-               std::span<std::uint8_t>(privatePage(page), pageBytes(page)));
+            fn(PageRewrite(*this, page));
     }
 
     /** Fill the whole array with repetitions of @p pattern, continuous

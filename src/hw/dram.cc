@@ -62,12 +62,7 @@ Dram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 void
 Dram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    // Pages are the remanence model's 4 KiB ground regions, so decaying
-    // them one at a time, in order, draws the same RNG stream as one
-    // pass over the whole array.
-    data_.rewritePages([&](std::size_t, std::span<std::uint8_t> page) {
-        remanence_.decay(page, off_seconds, celsius, rng);
-    });
+    remanence_.decay(data_, off_seconds, celsius, rng);
     // Power loss drains every cell: any accumulated activation stress
     // is gone along with the charge.
     activations_.clear();

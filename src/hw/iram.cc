@@ -62,10 +62,7 @@ Iram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 void
 Iram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    // Page-wise, as Dram::powerLoss.
-    data_.rewritePages([&](std::size_t, std::span<std::uint8_t> page) {
-        remanence_.decay(page, off_seconds, celsius, rng);
-    });
+    remanence_.decay(data_, off_seconds, celsius, rng);
 }
 
 void

@@ -1,12 +1,11 @@
 #include "hw/remanence.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "host/kernels.hh"
 
 namespace sentry::hw
 {
@@ -29,6 +28,13 @@ temperatureScale(double celsius)
     // Retention roughly doubles per 10 C of cooling.
     return std::exp2((ROOM_CELSIUS - celsius) / 10.0);
 }
+
+/** One ground polarity per 4 KiB region. */
+std::uint8_t
+drawGround(Rng &rng)
+{
+    return rng.chance(0.5) ? 0x00 : 0xff;
+}
 } // namespace
 
 double
@@ -46,67 +52,57 @@ RemanenceModel::unitSurvival(double off_seconds, double celsius) const
     return std::pow(bitSurvival(off_seconds, celsius), 64.0);
 }
 
+std::optional<std::uint32_t>
+RemanenceModel::keepThreshold(double off_seconds, double celsius) const
+{
+    if (off_seconds <= 0)
+        return std::nullopt;
+    const double byteSurvival =
+        std::pow(bitSurvival(off_seconds, celsius), 8.0);
+    if (byteSurvival >= 1.0)
+        return std::nullopt;
+    // 16-bit threshold gives probability resolution of ~1.5e-5, enough
+    // for the 97.5%-survival reflash case.
+    return static_cast<std::uint32_t>(byteSurvival * 65536.0);
+}
+
 void
 RemanenceModel::decay(std::span<std::uint8_t> memory, double off_seconds,
                       double celsius, Rng &rng) const
 {
-    if (off_seconds <= 0)
+    const auto threshold = keepThreshold(off_seconds, celsius);
+    if (!threshold)
         return;
-
-    const double byteSurvival =
-        std::pow(bitSurvival(off_seconds, celsius), 8.0);
-    if (byteSurvival >= 1.0)
-        return;
-
-    // 16-bit threshold gives probability resolution of ~1.5e-5, enough
-    // for the 97.5%-survival reflash case.
-    const auto threshold =
-        static_cast<std::uint32_t>(byteSurvival * 65536.0);
-
-    // All-ones when the low 16-bit lane of @p lanes survives.
-    const auto keepMask = [threshold](std::uint64_t lanes) {
-        return 0u - static_cast<std::uint32_t>((lanes & 0xffff) < threshold);
-    };
-
-    // Draw from a local copy: stores into the byte array may alias the
-    // caller's generator, which would pin its state to memory.
-    Rng local = rng;
-    std::size_t index = 0;
-    while (index < memory.size()) {
-        // One ground polarity per 4 KiB region.
-        const std::uint8_t ground = local.chance(0.5) ? 0x00 : 0xff;
-        const std::uint32_t groundWord = ground * 0x01010101u;
-        const std::size_t regionEnd =
-            std::min(memory.size(), (index / PAGE_SIZE + 1) * PAGE_SIZE);
-
-        // Whole words: lane i of the draw keeps byte i when it falls
-        // below the threshold. A mask blend instead of a per-byte
-        // branch, which mispredicts at mid-range survival.
-        for (; index + 4 <= regionEnd; index += 4) {
-            const std::uint64_t lanes = local.next64();
-            std::uint32_t keep = (keepMask(lanes) & 0x000000ffu) |
-                                 (keepMask(lanes >> 16) & 0x0000ff00u) |
-                                 (keepMask(lanes >> 32) & 0x00ff0000u) |
-                                 (keepMask(lanes >> 48) & 0xff000000u);
-            if constexpr (std::endian::native == std::endian::big)
-                keep = __builtin_bswap32(keep);
-            std::uint32_t cells;
-            std::memcpy(&cells, memory.data() + index, sizeof cells);
-            cells = (cells & keep) | (groundWord & ~keep);
-            std::memcpy(memory.data() + index, &cells, sizeof cells);
-        }
-        // A partial tail word (an array whose size is not a multiple of
-        // four) takes its own draw, as a whole word would.
-        if (index < regionEnd) {
-            std::uint64_t lanes = local.next64();
-            for (; index < regionEnd; ++index) {
-                if (static_cast<std::uint32_t>(lanes & 0xffff) >= threshold)
-                    memory[index] = ground;
-                lanes >>= 16;
-            }
-        }
+    const host::BytesKernel &kernel = host::portableKernels().bytes;
+    for (std::size_t index = 0; index < memory.size(); index += PAGE_SIZE) {
+        const std::uint8_t ground = drawGround(rng);
+        const std::size_t len = std::min(PAGE_SIZE, memory.size() - index);
+        rng.setState(kernel.decayPage(memory.data() + index, len,
+                                      rng.state(), *threshold, ground));
     }
-    rng = local;
+}
+
+void
+RemanenceModel::decay(CowBytes &cells, double off_seconds, double celsius,
+                      Rng &rng) const
+{
+    const auto threshold = keepThreshold(off_seconds, celsius);
+    if (!threshold)
+        return;
+    constexpr unsigned PAGE_JUMPS = PAGE_SIZE / 4 / Rng::JUMP_DRAWS;
+    const host::BytesKernel &kernel = host::kernels().bytes;
+    cells.rewritePages([&](const CowBytes::PageRewrite &page) {
+        const std::uint8_t ground = drawGround(rng);
+        if (ground == 0x00 && page.isZero() && page.size() == PAGE_SIZE) {
+            // Zero cells that decay toward 0x00 keep every byte.
+            for (unsigned i = 0; i < PAGE_JUMPS; ++i)
+                rng.jump();
+            return;
+        }
+        const std::span<std::uint8_t> bytes = page.bytes();
+        rng.setState(kernel.decayPage(bytes.data(), bytes.size(),
+                                      rng.state(), *threshold, ground));
+    });
 }
 
 } // namespace sentry::hw

@@ -15,15 +15,25 @@
  *   - 2 second reset:             0.1% of units survive
  * Decayed bits collapse to the ground polarity of their 4 KiB region
  * (real DRAM cells discharge toward 0 or 1 depending on cell wiring).
+ *
+ * Draw layout: each 4 KiB region draws its ground, then one 64-bit
+ * value per four bytes, so a full region takes 1025 draws. Memory
+ * arrays decay through the CowBytes overload, which runs the active
+ * host kernel (host::BytesKernel::decayPage) page by page and skips
+ * the draws of a never-written page that would decay to itself; the
+ * span overload runs the portable kernel and is the reference both are
+ * checked against.
  */
 
 #ifndef SENTRY_HW_REMANENCE_HH
 #define SENTRY_HW_REMANENCE_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/rng.hh"
+#include "hw/cow_bytes.hh"
 
 namespace sentry::hw
 {
@@ -74,7 +84,22 @@ class RemanenceModel
     void decay(std::span<std::uint8_t> memory, double off_seconds,
                double celsius, Rng &rng) const;
 
+    /**
+     * decay() over a copy-on-write array, page by page: same bytes and
+     * same draws as the span overload over the array's contents. A full
+     * Zero page that draws ground 0x00 would keep every byte, so the
+     * stream jumps past its draws and the page stays Zero and
+     * unstamped; every other page is privatized, stamped and decayed.
+     */
+    void decay(CowBytes &cells, double off_seconds, double celsius,
+               Rng &rng) const;
+
   private:
+    /** @return the 16-bit lane value below which a byte survives, or
+     * nothing when no byte can decay. */
+    std::optional<std::uint32_t> keepThreshold(double off_seconds,
+                                               double celsius) const;
+
     MemoryTech tech_;
     double tauBitRoom_;
 };

@@ -91,6 +91,29 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_NEAR(static_cast<double>(hits) / N, 0.25, 0.01);
 }
 
+TEST(Rng, JumpEqualsStepping)
+{
+    // From states far from any seed, one jump and four jumps land where
+    // stepping JUMP_DRAWS and 4 * JUMP_DRAWS draws does.
+    Rng source(0x7ab1e);
+    for (int trial = 0; trial < 16; ++trial) {
+        const Rng::State start = {source.next64(), source.next64(),
+                                  source.next64(), source.next64()};
+        for (const unsigned jumps : {1u, 4u}) {
+            Rng stepped, jumped;
+            stepped.setState(start);
+            jumped.setState(start);
+            for (unsigned i = 0; i < jumps * Rng::JUMP_DRAWS; ++i)
+                stepped.next64();
+            for (unsigned i = 0; i < jumps; ++i)
+                jumped.jump();
+            EXPECT_EQ(jumped.state(), stepped.state())
+                << "trial " << trial << ", " << jumps << " jumps";
+            EXPECT_EQ(jumped.next64(), stepped.next64());
+        }
+    }
+}
+
 TEST(SimClock, AdvancesAndConverts)
 {
     SimClock clock(1e9); // 1 GHz

@@ -416,10 +416,11 @@ TEST(CowBytesStamps, ZeroAllAndRewritePagesStampEveryPage)
 
     before = bytes.generation();
     std::vector<std::size_t> lengths;
-    bytes.rewritePages([&](std::size_t offset, std::span<std::uint8_t> page) {
-        EXPECT_EQ(offset, lengths.size() * PAGE_SIZE);
+    bytes.rewritePages([&](const CowBytes::PageRewrite &page) {
+        EXPECT_EQ(page.offset(), lengths.size() * PAGE_SIZE);
         lengths.push_back(page.size());
-        std::memset(page.data(), 0x5a, page.size());
+        const std::span<std::uint8_t> cells = page.bytes();
+        std::memset(cells.data(), 0x5a, cells.size());
     });
     EXPECT_EQ(lengths, (std::vector<std::size_t>{PAGE_SIZE, PAGE_SIZE,
                                                  PAGE_SIZE, 10}));
@@ -427,6 +428,33 @@ TEST(CowBytesStamps, ZeroAllAndRewritePagesStampEveryPage)
         EXPECT_GT(bytes.pageStamp(page), before) << page;
     EXPECT_EQ(readAll(bytes),
               std::vector<std::uint8_t>(bytes.size(), 0x5a));
+}
+
+TEST(CowBytesStamps, RewritePagesStampsOnlyThePagesItTakes)
+{
+    // Page 1 is Private, page 2 Shared, pages 0 and 3 Zero.
+    CowBytes source(4 * PAGE_SIZE);
+    const std::uint8_t mark = 0x77;
+    source.write(2 * PAGE_SIZE, &mark, 1);
+    CowBytes bytes(4 * PAGE_SIZE);
+    bytes.adopt(source.freeze());
+    bytes.write(PAGE_SIZE + 5, &mark, 1);
+
+    std::vector<std::uint64_t> stamps;
+    for (std::size_t page = 0; page < bytes.pageCount(); ++page)
+        stamps.push_back(bytes.pageStamp(page));
+    std::vector<bool> zero;
+    bytes.rewritePages([&](const CowBytes::PageRewrite &page) {
+        zero.push_back(page.isZero());
+        if (page.offset() == 3 * PAGE_SIZE)
+            page.bytes()[0] = mark;
+    });
+    EXPECT_EQ(zero, (std::vector<bool>{true, false, false, true}));
+    for (std::size_t page = 0; page < 3; ++page)
+        EXPECT_EQ(bytes.pageStamp(page), stamps[page]) << page;
+    EXPECT_GT(bytes.pageStamp(3), stamps[3]);
+    EXPECT_EQ(bytes.privatePages(), 2u); // pages 1 and 3
+    EXPECT_FALSE(bytes.pageIsPrivate(2));
 }
 
 TEST(CowBytesStamps, FillPatternIsContinuousAcrossPagesAndStamps)
@@ -537,8 +565,9 @@ TEST(CowBytesSearch, AllZeroAndSingleByteNeedles)
     EXPECT_TRUE(bytes.contains(zeros)); // every Zero page holds it
 
     // Fill every byte non-zero: the zero needle is gone...
-    bytes.rewritePages([](std::size_t, std::span<std::uint8_t> page) {
-        std::memset(page.data(), 0xee, page.size());
+    bytes.rewritePages([](const CowBytes::PageRewrite &page) {
+        const std::span<std::uint8_t> cells = page.bytes();
+        std::memset(cells.data(), 0xee, cells.size());
     });
     EXPECT_FALSE(bytes.contains(zeros));
     // ...until a run of zeros lands across a seam.
@@ -711,12 +740,16 @@ TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
             bytes.zeroAll();
             std::fill(model.begin(), model.end(), 0);
         } else if (kind < 93) {
-            // Stamped bulk write: a few bytes in every page.
+            // Stamped bulk write: a few bytes in every page, or only
+            // in pages that are not Zero (the rest keep their stamps).
             const std::uint8_t salt = static_cast<std::uint8_t>(rng.next64());
-            bytes.rewritePages([&](std::size_t off,
-                                   std::span<std::uint8_t> page) {
-                page[off % 97 % page.size()] = salt;
-                model[off + off % 97 % page.size()] = salt;
+            const bool skipZero = (salt & 1) != 0;
+            bytes.rewritePages([&](const CowBytes::PageRewrite &page) {
+                if (skipZero && page.isZero())
+                    return;
+                const std::size_t at = page.offset() % 97 % page.size();
+                page.bytes()[at] = salt;
+                model[page.offset() + at] = salt;
             });
         } else {
             // Materialize: page states change, contents do not.

@@ -166,6 +166,10 @@ TEST_F(FleetEngine, InvalidOptionsThrow)
     FleetOptions tinyDram = smallOptions(1);
     tinyDram.dramBytes = 1 * MiB;
     EXPECT_THROW(runFleet(scenario, tinyDram), std::invalid_argument);
+
+    FleetOptions partialPage = smallOptions(1);
+    partialPage.dramBytes = 4 * MiB + 1;
+    EXPECT_THROW(runFleet(scenario, partialPage), std::invalid_argument);
 }
 
 TEST_F(FleetEngine, ScenarioPlatformOverridesOptions)

@@ -19,10 +19,12 @@
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_on_soc.hh"
 #include "fleet/fleet.hh"
 #include "fleet/scenario.hh"
+#include "fleet/shard.hh"
 #include "host/cpu_features.hh"
 #include "host/kernels.hh"
 
@@ -192,6 +194,35 @@ TEST_F(HostKernelsTest, BytesKernelMatchesNaiveReference)
     }
 }
 
+TEST_F(HostKernelsTest, DecayPageMatchesPortableAtEdgeThresholds)
+{
+    // Thresholds at the ends and at the signed 16-bit boundary, toward
+    // both grounds, on a full page (the AVX2 lanes) and on partial
+    // pages: same bytes and same final stream state.
+    const host::BytesKernel &active = host::kernels().bytes;
+    const host::BytesKernel &portable = host::portableKernels().bytes;
+    Rng source(0xdeca7);
+    for (const std::size_t len : {PAGE_SIZE, PAGE_SIZE - 1, std::size_t{7}}) {
+        for (const std::uint32_t threshold :
+             {0u, 1u, 32767u, 32768u, 65535u}) {
+            for (const std::uint8_t ground : {0x00, 0xff}) {
+                const Rng::State state = {source.next64(), source.next64(),
+                                          source.next64(), source.next64()};
+                const auto cells = patternBuf(len, threshold + ground);
+                auto got = cells;
+                auto want = cells;
+                EXPECT_EQ(active.decayPage(got.data(), len, state,
+                                           threshold, ground),
+                          portable.decayPage(want.data(), len, state,
+                                             threshold, ground))
+                    << len << " " << threshold << " " << int(ground);
+                EXPECT_EQ(got, want)
+                    << len << " " << threshold << " " << int(ground);
+            }
+        }
+    }
+}
+
 TEST_F(HostKernelsTest, BytesFrontDoorsRouteThroughTheRegistry)
 {
     auto buf = patternBuf(4096, 5);
@@ -248,22 +279,8 @@ TEST_F(HostKernelsTest, FleetScheduleDigestIdenticalAcrossTiers)
 {
     // The headline guarantee: pinning the portable tier must not move a
     // single sim_ metric of a fleet run — accelerated kernels change
-    // host instruction selection only, never simulated results.
-    const fleet::Scenario scenario = fleet::builtinScenario("fleet-smoke");
-    fleet::FleetOptions options;
-    options.devices = 3;
-    options.threads = 1;
-    options.seed = 0x5e47c0deULL;
-    options.dramBytes = 8 * MiB;
-
-    const fleet::FleetReport active = fleet::runFleet(scenario, options);
-    host::setActiveKernelsForTest(&host::portableKernels());
-    const fleet::FleetReport portable = fleet::runFleet(scenario, options);
-    host::setActiveKernelsForTest(nullptr);
-
-    ASSERT_TRUE(active.allOk) << active.summary();
-    ASSERT_TRUE(portable.allOk) << portable.summary();
-
+    // host instruction selection only, never simulated results. The
+    // attack campaign's resets run the power-loss decay kernel.
     const auto fingerprint = [](const fleet::FleetReport &report) {
         std::string out;
         for (const fleet::FleetMetric &metric : report.metrics) {
@@ -273,11 +290,29 @@ TEST_F(HostKernelsTest, FleetScheduleDigestIdenticalAcrossTiers)
         for (const fleet::DeviceResult &r : report.results) {
             out += std::to_string(r.index) + ":" +
                    std::to_string(r.simCycles) + ":" +
-                   std::to_string(r.bytesEncryptedOnLock) + "\n";
+                   std::to_string(r.bytesEncryptedOnLock) + ":" +
+                   fleet::deviceDigest(r) + "\n";
         }
         return out;
     };
-    EXPECT_EQ(fingerprint(active), fingerprint(portable));
+    for (const char *name : {"fleet-smoke", "attack-campaign"}) {
+        const fleet::Scenario scenario = fleet::builtinScenario(name);
+        fleet::FleetOptions options;
+        options.devices = 3;
+        options.threads = 1;
+        options.seed = 0x5e47c0deULL;
+        options.dramBytes = 8 * MiB;
+
+        const fleet::FleetReport active = fleet::runFleet(scenario, options);
+        host::setActiveKernelsForTest(&host::portableKernels());
+        const fleet::FleetReport portable =
+            fleet::runFleet(scenario, options);
+        host::setActiveKernelsForTest(nullptr);
+
+        ASSERT_TRUE(active.allOk) << name << "\n" << active.summary();
+        ASSERT_TRUE(portable.allOk) << name << "\n" << portable.summary();
+        EXPECT_EQ(fingerprint(active), fingerprint(portable)) << name;
+    }
 }
 
 TEST_F(HostKernelsTest, RegistryReportsCoherentTiers)
@@ -291,6 +326,10 @@ TEST_F(HostKernelsTest, RegistryReportsCoherentTiers)
     if (host::forcedPortable()) {
         EXPECT_STREQ(active.aes.tier, "portable");
         EXPECT_STREQ(active.bytes.tier, "portable");
+    } else if (host::cpuFeatures().avx2) {
+        // The AVX2 scans and decay pass their own verification: a
+        // rejected tier would fall back to portable without a word.
+        EXPECT_STREQ(active.bytes.tier, "avx2");
     }
 
     // The --host-info payload and the bench record key both name the

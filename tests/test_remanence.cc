@@ -11,6 +11,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "crypto/sha256.hh"
+#include "hw/cow_bytes.hh"
 #include "hw/remanence.hh"
 
 using namespace sentry;
@@ -179,4 +180,90 @@ TEST(Remanence, PageWiseDecayMatchesOnePass)
         model.decay({paged.data() + off, PAGE_SIZE}, 1.0, 22.0, rngPaged);
     EXPECT_EQ(whole, paged);
     EXPECT_EQ(rngWhole.next64(), rngPaged.next64());
+}
+
+TEST(Remanence, CowDecayMatchesSpanReference)
+{
+    // A forked array with every page state: Zero (0, 4, 6, 8..11 and
+    // the partial page 12), Shared (2, and the all-zero 3), Private
+    // (1, 5) and all-zero Private (7). Decaying it in place must give
+    // the bytes and the next draw of the span decay over a copy of its
+    // contents, for each pinned case.
+    constexpr std::size_t PAGES = 13;
+    constexpr std::size_t SIZE = (PAGES - 1) * PAGE_SIZE + 1031;
+    Rng fill(0x5eed);
+    const auto randomPage = [&fill] {
+        std::vector<std::uint8_t> page(PAGE_SIZE);
+        for (auto &byte : page)
+            byte = static_cast<std::uint8_t>(fill.next64());
+        return page;
+    };
+    const std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
+    CowBytes source(SIZE);
+    source.write(2 * PAGE_SIZE, randomPage().data(), PAGE_SIZE);
+    source.write(3 * PAGE_SIZE, zeros.data(), PAGE_SIZE);
+    source.write(5 * PAGE_SIZE, randomPage().data(), PAGE_SIZE);
+    const auto image = source.freeze();
+    const auto page1 = randomPage();
+    const auto half5 = randomPage();
+
+    const struct
+    {
+        MemoryTech tech;
+        double seconds, celsius;
+    } cases[] = {
+        {MemoryTech::Dram, 0.007, 22.0}, {MemoryTech::Dram, 2.0, 22.0},
+        {MemoryTech::Dram, 2.0, -18.0},  {MemoryTech::Sram, 0.007, 22.0},
+        {MemoryTech::Sram, 2.0, 22.0},   {MemoryTech::Sram, 2.0, -18.0},
+    };
+    std::size_t skipped = 0, rewrittenZero = 0;
+    for (const auto &c : cases) {
+        CowBytes cells(SIZE);
+        cells.adopt(image);
+        cells.write(PAGE_SIZE, page1.data(), PAGE_SIZE);
+        cells.write(5 * PAGE_SIZE + 100, half5.data(), 2000);
+        cells.write(7 * PAGE_SIZE, zeros.data(), PAGE_SIZE);
+        std::vector<std::uint64_t> stamps;
+        for (std::size_t page = 0; page < PAGES; ++page) {
+            ASSERT_EQ(cells.pageIsPrivate(page), page == 1 || page == 5 ||
+                                                     page == 7);
+            stamps.push_back(cells.pageStamp(page));
+        }
+        std::vector<std::uint8_t> reference(SIZE);
+        cells.read(0, reference.data(), SIZE);
+
+        const RemanenceModel model(c.tech);
+        Rng cowRng(1234), spanRng(1234), grounds(1234);
+        model.decay(cells, c.seconds, c.celsius, cowRng);
+        model.decay(reference, c.seconds, c.celsius, spanRng);
+        std::vector<std::uint8_t> decayed(SIZE);
+        cells.read(0, decayed.data(), SIZE);
+        EXPECT_EQ(decayed, reference) << c.seconds << " s at " << c.celsius;
+        EXPECT_EQ(cowRng.next64(), spanRng.next64())
+            << c.seconds << " s at " << c.celsius;
+
+        // Replay the draws: a full Zero page that drew ground 0x00 is
+        // left alone; every other page was rewritten.
+        for (std::size_t page = 0; page < PAGES; ++page) {
+            const bool groundZero = grounds.chance(0.5);
+            const std::size_t len =
+                std::min(PAGE_SIZE, SIZE - page * PAGE_SIZE);
+            for (std::size_t word = 0; word < (len + 3) / 4; ++word)
+                grounds.next64();
+            const bool wasZero = page != 1 && page != 2 && page != 3 &&
+                                 page != 5 && page != 7;
+            const bool fullZero = wasZero && len == PAGE_SIZE;
+            const bool untouched = fullZero && groundZero;
+            skipped += untouched;
+            rewrittenZero += fullZero && !groundZero;
+            EXPECT_EQ(cells.pageIsPrivate(page), !untouched) << page;
+            if (untouched)
+                EXPECT_EQ(cells.pageStamp(page), stamps[page]) << page;
+            else
+                EXPECT_GT(cells.pageStamp(page), stamps[page]) << page;
+        }
+    }
+    // The cases exercise both the skip and the rewrite of Zero pages.
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(rewrittenZero, 0u);
 }
