@@ -281,7 +281,8 @@ main()
                     report.threads, report.hostSeconds, rate,
                     p95 != nullptr ? p95->d : 0.0);
 
-        const std::string tag = "n" + std::to_string(devices);
+        std::string tag = "n";
+        tag += std::to_string(devices);
         for (const fleet::FleetMetric &metric : report.metrics) {
             if (metric.name.rfind("sim_", 0) == 0) {
                 const std::string key =

@@ -78,8 +78,10 @@ class Session
         // Every record carries the host CPU features and active kernel
         // tiers, so a perf regression can be traced to the tier that
         // produced the numbers (run_benches.sh asserts presence).
-        entries_.emplace_back("host_cpu_features",
-                              "\"" + host::hostFeaturesKey() + "\"");
+        std::string features = "\"";
+        features += host::hostFeaturesKey();
+        features += '"';
+        entries_.emplace_back("host_cpu_features", features);
         std::fprintf(f, "  \"metrics\": {");
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             std::fprintf(f, "%s\n    \"%s\": %s", i == 0 ? "" : ",",

@@ -9,12 +9,16 @@
  *
  * Exit status: 0 when every device finished with all Sentry invariants
  * green; 1 on invariant violations; 2 on usage/parse errors (scenario
- * parse failures print the offending line number).
+ * parse failures print the offending line number) and on an output
+ * file (--json, --trace-out) that cannot be written, which is checked
+ * before any device runs.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -78,6 +82,30 @@ nextArg(int argc, char **argv, int &i, const char *flag)
     return argv[++i];
 }
 
+/** @return @p flag's value, a whole number of at most @p max. */
+std::uint64_t
+numberArg(int argc, char **argv, int &i, const char *flag,
+          std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const char *value = nextArg(argc, argv, i, flag);
+    try {
+        return fleet::parseUnsigned(value, max);
+    } catch (const std::exception &e) {
+        usageError(std::string(flag) + ": " + e.what());
+    }
+}
+
+/** Refuse @p flag's output @p path up front when it cannot be written. */
+void
+checkOutput(const char *flag, const std::string &path)
+{
+    try {
+        fleet::checkWritable(path);
+    } catch (const std::exception &e) {
+        usageError(std::string(flag) + ": " + e.what());
+    }
+}
+
 } // namespace
 
 int
@@ -98,19 +126,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--devices") == 0) {
-            devices = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            devices = static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--threads") == 0) {
-            options.threads = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            options.threads =
+                static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--shards") == 0) {
-            options.shards = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            options.shards =
+                static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--scenario") == 0) {
             scenarioName = nextArg(argc, argv, i, arg);
         } else if (std::strcmp(arg, "--seed") == 0) {
-            options.seed =
-                std::strtoull(nextArg(argc, argv, i, arg), nullptr, 0);
+            options.seed = numberArg(argc, argv, i, arg, UINT64_MAX);
         } else if (std::strcmp(arg, "--platform") == 0) {
             const std::string name = nextArg(argc, argv, i, arg);
             if (name == "tegra3")
@@ -149,8 +175,7 @@ main(int argc, char **argv)
             options.retainResults = false;
         } else if (std::strcmp(arg, "--replay-device") == 0) {
             wantReplay = true;
-            replayIndex = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            replayIndex = static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--list") == 0) {
             for (const std::string &name : fleet::builtinScenarioNames())
                 std::printf("%s\n", name.c_str());
@@ -166,6 +191,11 @@ main(int argc, char **argv)
             usageError(std::string("unknown option '") + arg + "'");
         }
     }
+
+    if (wantJson && !wantReplay)
+        checkOutput("--json", jsonPath);
+    if (!options.traceOutPath.empty())
+        checkOutput("--trace-out", options.traceOutPath);
 
     fleet::Scenario scenario;
     try {
@@ -226,11 +256,12 @@ main(int argc, char **argv)
 
     std::printf("%s", report.summary().c_str());
     if (wantJson) {
-        if (!report.writeJson(jsonPath))
+        if (!report.writeJson(jsonPath)) {
             std::fprintf(stderr, "sentry_fleet: cannot write %s\n",
                          jsonPath.c_str());
-        else
-            std::printf("wrote %s\n", jsonPath.c_str());
+            return 2;
+        }
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
     return report.allOk ? 0 : 1;
 }

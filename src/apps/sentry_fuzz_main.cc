@@ -24,13 +24,16 @@
  * Exit status, campaign mode: 0 when every trial upheld the invariants,
  * 1 when any failed. Replay mode: 0 when the recorded verdict
  * reproduced (or the file had none and the trial passed), 1 otherwise.
- * 2 on usage/parse errors.
+ * 2 on usage/parse errors, including a --trace-out file that cannot be
+ * written (checked before any trial runs).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +41,7 @@
 
 #include "common/logging.hh"
 #include "fault/fuzzer.hh"
+#include "fleet/scenario.hh"
 #include "fleet/shard.hh"
 #include "host/kernels.hh"
 
@@ -88,6 +92,30 @@ nextArg(int argc, char **argv, int &i, const char *flag)
     if (i + 1 >= argc)
         usageError(std::string(flag) + " needs a value");
     return argv[++i];
+}
+
+/** @return @p flag's value, a whole number of at most @p max. */
+std::uint64_t
+numberArg(int argc, char **argv, int &i, const char *flag,
+          std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const char *value = nextArg(argc, argv, i, flag);
+    try {
+        return fleet::parseUnsigned(value, max);
+    } catch (const std::exception &e) {
+        usageError(std::string(flag) + ": " + e.what());
+    }
+}
+
+/** Refuse @p flag's output @p path up front when it cannot be written. */
+void
+checkOutput(const char *flag, const std::string &path)
+{
+    try {
+        fleet::checkWritable(path);
+    } catch (const std::exception &e) {
+        usageError(std::string(flag) + ": " + e.what());
+    }
 }
 
 std::string
@@ -154,17 +182,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--seed") == 0) {
-            options.seed =
-                std::strtoull(nextArg(argc, argv, i, arg), nullptr, 0);
+            options.seed = numberArg(argc, argv, i, arg, UINT64_MAX);
         } else if (std::strcmp(arg, "--trials") == 0) {
-            options.trials = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            options.trials =
+                static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            jobs = static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--steps") == 0) {
-            options.steps = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+            options.steps =
+                static_cast<unsigned>(numberArg(argc, argv, i, arg));
         } else if (std::strcmp(arg, "--schedule") == 0) {
             schedulePath = nextArg(argc, argv, i, arg);
         } else if (std::strcmp(arg, "--repro-dir") == 0) {
@@ -218,6 +244,8 @@ main(int argc, char **argv)
     if (jobs > 1 && !options.traceOutPath.empty())
         usageError("--trace-out needs --jobs 1 (a single trial's "
                    "timeline cannot interleave workers)");
+    if (!options.traceOutPath.empty())
+        checkOutput("--trace-out", options.traceOutPath);
 
     if (!schedulePath.empty())
         return replay(schedulePath, options);

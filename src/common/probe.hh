@@ -5,17 +5,19 @@
  *
  * Hardware and OS models *emit* trace points; they know nothing about
  * who listens. Consumers (the fault injector, the bus-monitor probe,
- * counter sinks, timeline dumpers) *subscribe* to a per-Soc
- * TraceEngine (common/trace_engine.hh) for the kinds they care about.
- * With no subscriber for a kind, the emission site reduces to one
- * pointer test plus one bit test and builds no payload — the host fast
- * path (DESIGN.md §6) stays intact.
+ * timeline dumpers) *subscribe* to a per-Soc TraceEngine
+ * (common/trace_engine.hh) for the kinds they care about, and an
+ * attached CounterSink has the engine count every kind as it fires.
+ * With no subscriber and no counter for a kind, the emission site
+ * reduces to one pointer test plus one bit test and builds no payload
+ * — the host fast path (DESIGN.md §6) stays intact.
  *
  * Some payloads are bidirectional: a subscriber may write a *response*
  * field (BusTransfer::extraWrites, KcryptdOp::stallSeconds) that the
  * emitting device acts on after the emit returns. This is how fault
  * injection feeds effects back into the machine without the devices
- * ever holding a pointer to the fault model.
+ * ever holding a pointer to the fault model. Each payload names its
+ * own kind (KIND), which is how TraceEngine::emit finds its mask bit.
  */
 
 #ifndef SENTRY_COMMON_PROBE_HH
@@ -88,6 +90,8 @@ traceKindName(TraceKind kind)
 /** A DRAM or iRAM cell-array access (device-relative offset). */
 struct MemAccess
 {
+    static constexpr TraceKind KIND = TraceKind::MemAccess;
+
     enum class Device
     {
         Dram,
@@ -103,6 +107,8 @@ struct MemAccess
 /** One transaction on the external memory bus. */
 struct BusTransfer
 {
+    static constexpr TraceKind KIND = TraceKind::BusTransfer;
+
     PhysAddr addr;
     std::uint32_t size;
     bool isWrite;
@@ -122,6 +128,8 @@ struct BusTransfer
 /** An L2 dirty line leaving the SoC (fires before the bus write). */
 struct CacheEvent
 {
+    static constexpr TraceKind KIND = TraceKind::CacheEvent;
+
     unsigned way;
     bool wayLocked;
     PhysAddr addr;
@@ -130,6 +138,8 @@ struct CacheEvent
 /** Energy charged to the battery model. */
 struct PowerEvent
 {
+    static constexpr TraceKind KIND = TraceKind::PowerEvent;
+
     const char *category; //!< energyCategoryName() string
     double joules;
 };
@@ -137,6 +147,8 @@ struct PowerEvent
 /** A DMA engine moved @c len bytes at @c addr. */
 struct DmaBurst
 {
+    static constexpr TraceKind KIND = TraceKind::DmaBurst;
+
     PhysAddr addr;
     std::size_t len;
     bool isWrite;
@@ -145,6 +157,8 @@ struct DmaBurst
 /** The hardware crypto accelerator processed one request. */
 struct CryptoOp
 {
+    static constexpr TraceKind KIND = TraceKind::CryptoOp;
+
     std::size_t bytes;
     bool encrypt;
 };
@@ -152,36 +166,13 @@ struct CryptoOp
 /** A dm-crypt worker picked up one 512-byte block. */
 struct KcryptdOp
 {
+    static constexpr TraceKind KIND = TraceKind::KcryptdOp;
+
     /**
      * Response channel: subscribers add worker-stall seconds here; the
      * emitting kcryptd path charges the total to the sim clock.
      */
     double stallSeconds;
-};
-
-/**
- * One batched trace point: a POD snapshot of the payload taken at emit
- * time, *after* every synchronous subscriber ran — response fields
- * (stallSeconds, extraWrites) carry their final values.
- *
- * Snapshots outlive the emitting call, so transient pointers are
- * dropped: BusTransfer::data is nulled (it is only valid during a
- * synchronous callback). PowerEvent::category survives because it
- * always points at a static energyCategoryName() string.
- */
-struct TraceRecord
-{
-    TraceKind kind;
-    double tsUs; //!< simulated microseconds at emit (0 with no clock)
-    union {
-        MemAccess mem;
-        BusTransfer bus;
-        CacheEvent cache;
-        PowerEvent power;
-        DmaBurst dma;
-        CryptoOp crypto;
-        KcryptdOp kcryptd;
-    };
 };
 
 } // namespace sentry::probe

@@ -36,31 +36,21 @@ TraceEngine::unsubscribe(Subscriber *sub)
 }
 
 void
-TraceEngine::subscribeBatched(BatchSubscriber *sub, TraceMask mask)
+TraceEngine::attachCounters(TraceCounters *totals)
 {
-    flushPending();
-    for (BatchEntry &e : batchEntries_) {
-        if (e.sub == sub) {
-            e.mask = mask;
-            recomputeMask();
-            return;
-        }
-    }
-    batchEntries_.push_back({sub, mask});
-    batchMask_ |= mask;
-    activeMask_ |= mask;
+    if (counters_ != nullptr)
+        panic("trace engine: a second CounterSink attached (an engine "
+              "counts into one set of totals)");
+    counters_ = totals;
+    activeMask_ = syncMask_ | TRACE_ALL;
 }
 
 void
-TraceEngine::unsubscribeBatched(BatchSubscriber *sub)
+TraceEngine::detachCounters(const TraceCounters *totals)
 {
-    flushPending();
-    batchEntries_.erase(std::remove_if(batchEntries_.begin(),
-                                       batchEntries_.end(),
-                                       [sub](const BatchEntry &e) {
-                                           return e.sub == sub;
-                                       }),
-                        batchEntries_.end());
+    if (counters_ != totals)
+        return;
+    counters_ = nullptr;
     recomputeMask();
 }
 
@@ -70,125 +60,30 @@ TraceEngine::recomputeMask()
     syncMask_ = 0;
     for (const Entry &e : entries_)
         syncMask_ |= e.mask;
-    batchMask_ = 0;
-    for (const BatchEntry &e : batchEntries_)
-        batchMask_ |= e.mask;
-    activeMask_ = syncMask_ | batchMask_;
+    activeMask_ = syncMask_ | (counters_ != nullptr ? TRACE_ALL : 0);
 }
 
-void
-TraceEngine::setBatchCapacity(std::size_t capacity)
-{
-    flushPending();
-    capacity_ = capacity == 0 ? 1 : capacity;
-}
-
-void
-TraceEngine::flushSlow()
-{
-    // Swap the ring out so records a subscriber emits indirectly while
-    // consuming (e.g. a sink read that triggers simulated work) land in
-    // a fresh buffer instead of invalidating the one being walked.
-    std::vector<TraceRecord> batch;
-    batch.swap(pending_);
-    for (const BatchEntry &e : batchEntries_) {
-        // Common case: one sink subscribed to everything — hand over
-        // the whole run without a filtering copy.
-        bool coversAll = true;
-        for (const TraceRecord &r : batch) {
-            if ((e.mask & maskOf(r.kind)) == 0) {
-                coversAll = false;
-                break;
-            }
-        }
-        if (coversAll) {
-            e.sub->onRecords(batch.data(), batch.size());
-            continue;
-        }
-        std::size_t runStart = 0;
-        for (std::size_t i = 0; i <= batch.size(); ++i) {
-            const bool wanted =
-                i < batch.size() && (e.mask & maskOf(batch[i].kind)) != 0;
-            if (!wanted) {
-                if (i > runStart)
-                    e.sub->onRecords(batch.data() + runStart, i - runStart);
-                runStart = i + 1;
-            }
-        }
-    }
-    // Give the allocation back to the ring (unless an indirect emission
-    // already started refilling it).
-    if (pending_.empty()) {
-        batch.clear();
-        batch.swap(pending_);
-    }
-}
-
-TraceRecord &
-TraceEngine::appendRecord(TraceKind kind)
-{
-    pending_.emplace_back();
-    TraceRecord &rec = pending_.back();
-    rec.kind = kind;
-    rec.tsUs = clock_ != nullptr ? clock_->seconds() * 1e6 : 0.0;
-    return rec;
-}
-
-void
-TraceEngine::commitRecord()
-{
-    if (pending_.size() >= capacity_)
-        flushSlow();
-}
-
-// One dispatch body per payload type; kept out of the header so the
-// emission sites inline only the enabled() test. The synchronous pass
-// runs first (response fields get their final values), then the payload
-// is snapshotted for the batch ring.
-#define SENTRY_TRACE_DISPATCH(Kind, Method, Field)                          \
-    void TraceEngine::emit(Kind &event)                                     \
+// One dispatch body per payload type, kept out of the header so the
+// emission sites inline only the mask tests and the count.
+#define SENTRY_TRACE_DISPATCH(Kind, Method)                                 \
+    void TraceEngine::dispatch(Kind &event)                                 \
     {                                                                       \
         const TraceMask bit = maskOf(TraceKind::Kind);                      \
-        if ((syncMask_ & bit) != 0) {                                       \
-            for (const Entry &e : entries_) {                               \
-                if ((e.mask & bit) != 0)                                    \
-                    e.sub->Method(event);                                   \
-            }                                                               \
-        }                                                                   \
-        if ((batchMask_ & bit) != 0) {                                      \
-            appendRecord(TraceKind::Kind).Field = event;                    \
-            commitRecord();                                                 \
+        for (const Entry &e : entries_) {                                   \
+            if ((e.mask & bit) != 0)                                        \
+                e.sub->Method(event);                                       \
         }                                                                   \
     }
 
-SENTRY_TRACE_DISPATCH(MemAccess, onMemAccess, mem)
-SENTRY_TRACE_DISPATCH(CacheEvent, onCacheEvent, cache)
-SENTRY_TRACE_DISPATCH(PowerEvent, onPowerEvent, power)
-SENTRY_TRACE_DISPATCH(DmaBurst, onDmaBurst, dma)
-SENTRY_TRACE_DISPATCH(CryptoOp, onCryptoOp, crypto)
-SENTRY_TRACE_DISPATCH(KcryptdOp, onKcryptdOp, kcryptd)
+SENTRY_TRACE_DISPATCH(MemAccess, onMemAccess)
+SENTRY_TRACE_DISPATCH(BusTransfer, onBusTransfer)
+SENTRY_TRACE_DISPATCH(CacheEvent, onCacheEvent)
+SENTRY_TRACE_DISPATCH(PowerEvent, onPowerEvent)
+SENTRY_TRACE_DISPATCH(DmaBurst, onDmaBurst)
+SENTRY_TRACE_DISPATCH(CryptoOp, onCryptoOp)
+SENTRY_TRACE_DISPATCH(KcryptdOp, onKcryptdOp)
 
 #undef SENTRY_TRACE_DISPATCH
-
-// BusTransfer is special-cased: the payload pointer is only valid
-// during the synchronous callback, so the snapshot drops it.
-void
-TraceEngine::emit(BusTransfer &event)
-{
-    const TraceMask bit = maskOf(TraceKind::BusTransfer);
-    if ((syncMask_ & bit) != 0) {
-        for (const Entry &e : entries_) {
-            if ((e.mask & bit) != 0)
-                e.sub->onBusTransfer(event);
-        }
-    }
-    if ((batchMask_ & bit) != 0) {
-        TraceRecord &rec = appendRecord(TraceKind::BusTransfer);
-        rec.bus = event;
-        rec.bus.data = nullptr;
-        commitRecord();
-    }
-}
 
 std::string
 TraceCounters::summary() const
@@ -225,80 +120,21 @@ CounterSink::attach(TraceEngine &engine)
 {
     detach();
     engine_ = &engine;
-    engine_->subscribeBatched(this, TRACE_ALL);
+    engine_->attachCounters(&counters_);
 }
 
 void
 CounterSink::detach()
 {
     if (engine_ != nullptr) {
-        engine_->unsubscribeBatched(this);
+        engine_->detachCounters(&counters_);
         engine_ = nullptr;
-    }
-}
-
-const TraceCounters &
-CounterSink::counters() const
-{
-    if (engine_ != nullptr)
-        engine_->flushPending();
-    return counters_;
-}
-
-void
-CounterSink::onRecords(const TraceRecord *records, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRecord &r = records[i];
-        switch (r.kind) {
-          case TraceKind::MemAccess:
-            if (r.mem.device == MemAccess::Device::Dram)
-                ++(r.mem.isWrite ? counters_.dramWrites
-                                 : counters_.dramReads);
-            else
-                ++(r.mem.isWrite ? counters_.iramWrites
-                                 : counters_.iramReads);
-            break;
-          case TraceKind::BusTransfer:
-            if (r.bus.duplicate)
-                ++counters_.busDuplicates;
-            if (r.bus.isWrite) {
-                ++counters_.busWrites;
-                counters_.busWriteBytes += r.bus.size;
-            } else {
-                ++counters_.busReads;
-                counters_.busReadBytes += r.bus.size;
-            }
-            break;
-          case TraceKind::CacheEvent:
-            ++counters_.cacheWritebacks;
-            break;
-          case TraceKind::PowerEvent:
-            ++counters_.powerEvents;
-            counters_.joules += r.power.joules;
-            break;
-          case TraceKind::DmaBurst:
-            ++counters_.dmaBursts;
-            counters_.dmaBytes += r.dma.len;
-            break;
-          case TraceKind::CryptoOp:
-            ++counters_.cryptoOps;
-            counters_.cryptoBytes += r.crypto.bytes;
-            break;
-          case TraceKind::KcryptdOp:
-            ++counters_.kcryptdBlocks;
-            counters_.kcryptdStallSeconds += r.kcryptd.stallSeconds;
-            break;
-          default:
-            break;
-        }
     }
 }
 
 ChromeTraceSink::~ChromeTraceSink()
 {
     if (!autoDumpPath_.empty()) {
-        syncFromEngine();
         removeCrashHook(&ChromeTraceSink::crashHook, this);
         writeJson(autoDumpPath_);
         autoDumpPath_.clear();
@@ -311,14 +147,14 @@ ChromeTraceSink::attach(TraceEngine &engine, TraceMask mask)
 {
     detach();
     engine_ = &engine;
-    engine_->subscribeBatched(this, mask);
+    engine_->subscribe(this, mask);
 }
 
 void
 ChromeTraceSink::detach()
 {
     if (engine_ != nullptr) {
-        engine_->unsubscribeBatched(this);
+        engine_->unsubscribe(this);
         engine_ = nullptr;
     }
 }
@@ -336,82 +172,75 @@ ChromeTraceSink::setAutoDump(const std::string &path)
 void
 ChromeTraceSink::crashHook(void *self)
 {
+    // Every event delivered before the panic is already recorded.
     auto *sink = static_cast<ChromeTraceSink *>(self);
-    // Crash path: skip the engine flush (its state may be what paniced)
-    // and dump whatever has already been delivered.
     if (!sink->autoDumpPath_.empty())
         sink->writeJson(sink->autoDumpPath_);
 }
 
 void
-ChromeTraceSink::syncFromEngine() const
+ChromeTraceSink::record(TraceKind kind, std::uint64_t arg0,
+                        std::uint64_t arg1, double argF, bool flag)
 {
-    if (engine_ != nullptr)
-        engine_->flushPending();
-}
-
-std::size_t
-ChromeTraceSink::eventCount() const
-{
-    syncFromEngine();
-    return events_.size();
+    if (events_.size() >= maxEvents_) {
+        truncated_ = true;
+        return;
+    }
+    const SimClock *clock = engine_ != nullptr ? engine_->clock() : nullptr;
+    const double tsUs = clock != nullptr ? clock->seconds() * 1e6 : 0.0;
+    events_.push_back({kind, tsUs, arg0, arg1, argF, flag});
 }
 
 void
-ChromeTraceSink::onRecords(const TraceRecord *records, std::size_t count)
+ChromeTraceSink::onMemAccess(MemAccess &event)
 {
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRecord &r = records[i];
-        if (events_.size() >= maxEvents_) {
-            truncated_ = true;
-            return;
-        }
-        Event e{r.kind, r.tsUs, 0, 0, 0.0, false};
-        switch (r.kind) {
-          case TraceKind::MemAccess:
-            e.arg0 = r.mem.offset |
-                     (r.mem.device == MemAccess::Device::Iram
-                          ? std::uint64_t{1} << 63
-                          : 0);
-            e.arg1 = r.mem.len;
-            e.flag = r.mem.isWrite;
-            break;
-          case TraceKind::BusTransfer:
-            e.arg0 = r.bus.addr;
-            e.arg1 = (std::uint64_t{r.bus.duplicate} << 32) | r.bus.size;
-            e.flag = r.bus.isWrite;
-            break;
-          case TraceKind::CacheEvent:
-            e.arg0 = r.cache.addr;
-            e.arg1 = r.cache.way;
-            e.flag = r.cache.wayLocked;
-            break;
-          case TraceKind::PowerEvent:
-            e.argF = r.power.joules;
-            break;
-          case TraceKind::DmaBurst:
-            e.arg0 = r.dma.addr;
-            e.arg1 = r.dma.len;
-            e.flag = r.dma.isWrite;
-            break;
-          case TraceKind::CryptoOp:
-            e.arg0 = r.crypto.bytes;
-            e.flag = r.crypto.encrypt;
-            break;
-          case TraceKind::KcryptdOp:
-            e.argF = r.kcryptd.stallSeconds;
-            break;
-          default:
-            break;
-        }
-        events_.push_back(e);
-    }
+    const std::uint64_t iram =
+        event.device == MemAccess::Device::Iram ? std::uint64_t{1} << 63 : 0;
+    record(TraceKind::MemAccess, event.offset | iram, event.len, 0.0,
+           event.isWrite);
+}
+
+void
+ChromeTraceSink::onBusTransfer(BusTransfer &event)
+{
+    record(TraceKind::BusTransfer, event.addr,
+           (std::uint64_t{event.duplicate} << 32) | event.size, 0.0,
+           event.isWrite);
+}
+
+void
+ChromeTraceSink::onCacheEvent(CacheEvent &event)
+{
+    record(TraceKind::CacheEvent, event.addr, event.way, 0.0, event.wayLocked);
+}
+
+void
+ChromeTraceSink::onPowerEvent(PowerEvent &event)
+{
+    record(TraceKind::PowerEvent, 0, 0, event.joules, false);
+}
+
+void
+ChromeTraceSink::onDmaBurst(DmaBurst &event)
+{
+    record(TraceKind::DmaBurst, event.addr, event.len, 0.0, event.isWrite);
+}
+
+void
+ChromeTraceSink::onCryptoOp(CryptoOp &event)
+{
+    record(TraceKind::CryptoOp, event.bytes, 0, 0.0, event.encrypt);
+}
+
+void
+ChromeTraceSink::onKcryptdOp(KcryptdOp &event)
+{
+    record(TraceKind::KcryptdOp, 0, 0, event.stallSeconds, false);
 }
 
 bool
 ChromeTraceSink::writeJson(const std::string &path) const
 {
-    syncFromEngine();
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;

@@ -1,29 +1,24 @@
 /**
  * @file
  * The per-Soc TraceEngine that fans typed trace points (common/probe.hh)
- * out to subscribers, plus two stock sinks: a passive per-device counter
- * accumulator (CounterSink) and a chrome://tracing timeline dumper
- * (ChromeTraceSink).
+ * out to subscribers and counts them, plus two stock sinks: the
+ * per-device counter totals (CounterSink) and a chrome://tracing
+ * timeline dumper (ChromeTraceSink).
  *
- * Two subscriber classes exist:
+ * Subscribers are called inline at the emission site, in subscription
+ * order. The fault injector subscribes at arm time, before any monitor
+ * or sink, so its effects and response fields (BusTransfer::extraWrites,
+ * KcryptdOp::stallSeconds) are in place before later subscribers record
+ * the event: a subscriber sees the response fields written by the
+ * subscribers attached before it.
  *
- *   - synchronous Subscribers are called inline at the emission site, in
- *     subscription order — the fault injector subscribes at arm time
- *     (before any attack probe), so fault effects are applied before
- *     monitors record the transaction, and response channels
- *     (BusTransfer::extraWrites, KcryptdOp::stallSeconds) work exactly
- *     as the old hook-before-observer plumbing behaved;
- *
- *   - batched BatchSubscribers (the passive sinks) receive POD
- *     TraceRecord snapshots from a per-Soc pending ring that the
- *     emitting devices flush at bus-burst boundaries. An enabled
- *     CounterSink or ChromeTraceSink therefore costs one snapshot
- *     append on the hot path instead of a virtual dispatch per event,
- *     while the *disabled* cost stays one pointer load plus one bit
- *     test. Records are appended after the synchronous pass, so batch
- *     consumers observe final response-field values, in exact emission
- *     order; sink accessors (counters(), writeJson()) force a flush, so
- *     readers never see a stale prefix (DESIGN.md section 14).
+ * Counting is not a subscriber. While a CounterSink is attached, emit()
+ * folds the event into its TraceCounters inline, after every subscriber
+ * returned. The totals therefore carry final response values, and the
+ * events a subscriber emits from inside its own callback are counted
+ * before the outer one. A kind nobody subscribes to or counts costs one
+ * pointer test plus one bit test at the emission site (DESIGN.md
+ * section 14.2).
  */
 
 #ifndef SENTRY_COMMON_TRACE_ENGINE_HH
@@ -64,137 +59,6 @@ class Subscriber
     virtual void onKcryptdOp(KcryptdOp &event) { (void)event; }
 };
 
-/**
- * Receiver interface for batched trace records. Records arrive in
- * emission order, already filtered to the subscription mask, at burst
- * boundaries (or per event when batching is off).
- */
-class BatchSubscriber
-{
-  public:
-    virtual ~BatchSubscriber() = default;
-
-    virtual void onRecords(const TraceRecord *records,
-                           std::size_t count) = 0;
-};
-
-/**
- * Fan-out point for one simulated machine. Every device of a Soc holds
- * a pointer to its engine and guards each emission site with
- * `enabled(kind)` — one load plus one bit test when nobody listens.
- */
-class TraceEngine
-{
-  public:
-    /** Default pending-ring capacity (records) before a forced flush. */
-    static constexpr std::size_t DEFAULT_BATCH_CAPACITY = 256;
-
-    /**
-     * Attach @p sub for the kinds in @p mask. Subscribing an already
-     * attached subscriber replaces its mask.
-     */
-    void subscribe(Subscriber *sub, TraceMask mask);
-
-    /** Detach @p sub (no-op when it is not attached). */
-    void unsubscribe(Subscriber *sub);
-
-    /**
-     * Attach @p sub as a batch consumer for the kinds in @p mask.
-     * Pending records are flushed first, so a new consumer never sees
-     * events emitted before it attached.
-     */
-    void subscribeBatched(BatchSubscriber *sub, TraceMask mask);
-
-    /** Flush, then detach @p sub (no-op when it is not attached). */
-    void unsubscribeBatched(BatchSubscriber *sub);
-
-    /** @return true when at least one subscriber wants @p kind. */
-    bool
-    enabled(TraceKind kind) const
-    {
-        return (activeMask_ & maskOf(kind)) != 0;
-    }
-
-    /** @return true when any subscriber is attached at all. */
-    bool anyEnabled() const { return activeMask_ != 0; }
-
-    /** @return number of attached subscribers (both classes). */
-    std::size_t
-    subscriberCount() const
-    {
-        return entries_.size() + batchEntries_.size();
-    }
-
-    /**
-     * Wire the clock that stamps TraceRecord::tsUs (the Soc does this at
-     * construction). Without a clock, records carry ts 0.
-     */
-    void setClock(const SimClock *clock) { clock_ = clock; }
-
-    /**
-     * Set the pending-ring capacity. 1 disables batching — every record
-     * is delivered immediately, which the parity tests use to prove the
-     * batched stream is identical to the unbatched one.
-     */
-    void setBatchCapacity(std::size_t capacity);
-
-    /** @return the pending-ring capacity. */
-    std::size_t batchCapacity() const { return capacity_; }
-
-    /** @return records currently waiting in the ring. */
-    std::size_t pendingCount() const { return pending_.size(); }
-
-    /**
-     * Deliver pending records to the batch subscribers. Devices call
-     * this at burst boundaries (end of a bus transaction); sinks call
-     * it from their read accessors. Inline early-out keeps the empty
-     * case to one load.
-     */
-    void
-    flushPending()
-    {
-        if (!pending_.empty())
-            flushSlow();
-    }
-
-    void emit(MemAccess &event);
-    void emit(BusTransfer &event);
-    void emit(CacheEvent &event);
-    void emit(PowerEvent &event);
-    void emit(DmaBurst &event);
-    void emit(CryptoOp &event);
-    void emit(KcryptdOp &event);
-
-  private:
-    struct Entry
-    {
-        Subscriber *sub;
-        TraceMask mask;
-    };
-
-    struct BatchEntry
-    {
-        BatchSubscriber *sub;
-        TraceMask mask;
-    };
-
-    void recomputeMask();
-    void flushSlow();
-    /** Stamp ts/kind on a fresh pending record (payload set by caller),
-     *  then flush when the ring is full. */
-    TraceRecord &appendRecord(TraceKind kind);
-    void commitRecord();
-
-    std::vector<Entry> entries_;
-    std::vector<BatchEntry> batchEntries_;
-    TraceMask syncMask_ = 0;
-    TraceMask batchMask_ = 0;
-    TraceMask activeMask_ = 0;
-    const SimClock *clock_ = nullptr;
-    std::size_t capacity_ = DEFAULT_BATCH_CAPACITY;
-    std::vector<TraceRecord> pending_;
-};
-
 /** Passive per-device totals accumulated from every trace-point kind. */
 struct TraceCounters
 {
@@ -227,6 +91,60 @@ struct TraceCounters
     /** @return bus transactions of either direction (incl. duplicates). */
     std::uint64_t busOps() const { return busReads + busWrites; }
 
+    /** Fold one event into the totals (TraceEngine::emit calls these). */
+    void
+    count(const MemAccess &event)
+    {
+        if (event.device == MemAccess::Device::Dram)
+            ++(event.isWrite ? dramWrites : dramReads);
+        else
+            ++(event.isWrite ? iramWrites : iramReads);
+    }
+
+    void
+    count(const BusTransfer &event)
+    {
+        if (event.duplicate)
+            ++busDuplicates;
+        if (event.isWrite) {
+            ++busWrites;
+            busWriteBytes += event.size;
+        } else {
+            ++busReads;
+            busReadBytes += event.size;
+        }
+    }
+
+    void count(const CacheEvent &) { ++cacheWritebacks; }
+
+    void
+    count(const PowerEvent &event)
+    {
+        ++powerEvents;
+        joules += event.joules;
+    }
+
+    void
+    count(const DmaBurst &event)
+    {
+        ++dmaBursts;
+        dmaBytes += event.len;
+    }
+
+    void
+    count(const CryptoOp &event)
+    {
+        ++cryptoOps;
+        cryptoBytes += event.bytes;
+    }
+
+    void
+    count(const KcryptdOp &event)
+    {
+        ++kcryptdBlocks;
+        kcryptdStallSeconds += event.stallSeconds;
+    }
+
     /** Sum another device's counters into this one (commutative for
      * the integer fields; the two double fields are plain sums). */
     TraceCounters &
@@ -258,27 +176,116 @@ struct TraceCounters
 };
 
 /**
- * Batch sink that accumulates TraceCounters. Deterministic: totals
- * depend only on the simulated event stream, never on host timing or
- * on where the burst boundaries fall.
+ * Fan-out point for one simulated machine. Every device of a Soc holds
+ * a pointer to its engine and guards each emission site with
+ * `enabled(kind)` — one load plus one bit test when nobody listens.
  */
-class CounterSink : public BatchSubscriber
+class TraceEngine
 {
   public:
-    ~CounterSink() override { detach(); }
+    /**
+     * Attach @p sub for the kinds in @p mask. Subscribing an already
+     * attached subscriber replaces its mask.
+     */
+    void subscribe(Subscriber *sub, TraceMask mask);
 
-    /** Subscribe to @p engine for every kind (detaches from any prior). */
+    /** Detach @p sub (no-op when it is not attached). */
+    void unsubscribe(Subscriber *sub);
+
+    /**
+     * Count every kind into @p totals from now on (CounterSink::attach
+     * calls this). An engine has one counting slot: attaching while
+     * another set of totals is attached panics, since silently
+     * dropping one of them would lose counts.
+     */
+    void attachCounters(TraceCounters *totals);
+
+    /** Stop counting into @p totals (no-op when it is not attached). */
+    void detachCounters(const TraceCounters *totals);
+
+    /** @return true when a subscriber or the counters want @p kind. */
+    bool
+    enabled(TraceKind kind) const
+    {
+        return (activeMask_ & maskOf(kind)) != 0;
+    }
+
+    /** @return true when anything is attached at all. */
+    bool anyEnabled() const { return activeMask_ != 0; }
+
+    /** @return attached subscribers, plus one while counting. */
+    std::size_t
+    subscriberCount() const
+    {
+        return entries_.size() + (counters_ != nullptr ? 1 : 0);
+    }
+
+    /** Wire the simulated clock (the Soc does this at construction). */
+    void setClock(const SimClock *clock) { clock_ = clock; }
+
+    /** @return the simulated clock, or nullptr when none is wired. */
+    const SimClock *clock() const { return clock_; }
+
+    /**
+     * Fire one trace point: run the subscribers for its kind, in
+     * subscription order, then count it. Dispatch stays out of line.
+     */
+    template <typename Event>
+    void
+    emit(Event &event)
+    {
+        if ((syncMask_ & maskOf(Event::KIND)) != 0)
+            dispatch(event);
+        if (counters_ != nullptr)
+            counters_->count(event);
+    }
+
+  private:
+    struct Entry
+    {
+        Subscriber *sub;
+        TraceMask mask;
+    };
+
+    void recomputeMask();
+
+    void dispatch(MemAccess &event);
+    void dispatch(BusTransfer &event);
+    void dispatch(CacheEvent &event);
+    void dispatch(PowerEvent &event);
+    void dispatch(DmaBurst &event);
+    void dispatch(CryptoOp &event);
+    void dispatch(KcryptdOp &event);
+
+    std::vector<Entry> entries_;
+    TraceMask syncMask_ = 0;
+    TraceMask activeMask_ = 0;
+    TraceCounters *counters_ = nullptr;
+    const SimClock *clock_ = nullptr;
+};
+
+/**
+ * The per-device trace totals. While attached, the engine counts every
+ * kind into them as it fires. Deterministic: the totals depend only on
+ * the simulated event stream, never on host timing.
+ */
+class CounterSink
+{
+  public:
+    CounterSink() = default;
+    CounterSink(const CounterSink &) = delete;
+    CounterSink &operator=(const CounterSink &) = delete;
+    ~CounterSink() { detach(); }
+
+    /** Count every kind on @p engine (detaches from any prior engine). */
     void attach(TraceEngine &engine);
 
-    /** Flush and unsubscribe (no-op when unattached). */
+    /** Stop counting (no-op when unattached). */
     void detach();
 
-    /** @return the totals, flushing any pending records first. */
-    const TraceCounters &counters() const;
+    const TraceCounters &counters() const { return counters_; }
 
     void reset() { counters_ = TraceCounters{}; }
-
-    void onRecords(const TraceRecord *records, std::size_t count) override;
 
   private:
     TraceEngine *engine_ = nullptr;
@@ -286,16 +293,18 @@ class CounterSink : public BatchSubscriber
 };
 
 /**
- * Batch sink that records a bounded timeline of instant events and
+ * Subscriber that records a bounded timeline of instant events and
  * writes them as chrome://tracing JSON (load via chrome://tracing or
  * https://ui.perfetto.dev). Timestamps are *simulated* microseconds,
- * stamped at emit time by the engine's clock.
+ * read from the engine's clock when the callback runs. Subscribe it
+ * after anything that moves the clock or writes response fields, as
+ * the fleet runner does after the fault injector.
  *
  * With an auto-dump path set, the sink also writes its timeline from
  * the destructor and from the panic() crash path, so a fleet run that
  * dies on an invariant failure still leaves a loadable trace file.
  */
-class ChromeTraceSink : public BatchSubscriber
+class ChromeTraceSink : public Subscriber
 {
   public:
     /** @param maxEvents hard cap; later events are dropped (truncated()). */
@@ -303,12 +312,14 @@ class ChromeTraceSink : public BatchSubscriber
         : maxEvents_(maxEvents)
     {}
 
+    ChromeTraceSink(const ChromeTraceSink &) = delete;
+    ChromeTraceSink &operator=(const ChromeTraceSink &) = delete;
     ~ChromeTraceSink() override;
 
     /** Subscribe to @p engine for the kinds in @p mask. */
     void attach(TraceEngine &engine, TraceMask mask = TRACE_ALL);
 
-    /** Flush and unsubscribe (no-op when unattached). */
+    /** Unsubscribe (no-op when unattached). */
     void detach();
 
     /**
@@ -322,12 +333,18 @@ class ChromeTraceSink : public BatchSubscriber
     /** Write the recorded timeline; @return false on I/O failure. */
     bool writeJson(const std::string &path) const;
 
-    /** @return captured events, flushing any pending records first. */
-    std::size_t eventCount() const;
+    /** @return captured events. */
+    std::size_t eventCount() const { return events_.size(); }
 
     bool truncated() const { return truncated_; }
 
-    void onRecords(const TraceRecord *records, std::size_t count) override;
+    void onMemAccess(MemAccess &event) override;
+    void onBusTransfer(BusTransfer &event) override;
+    void onCacheEvent(CacheEvent &event) override;
+    void onPowerEvent(PowerEvent &event) override;
+    void onDmaBurst(DmaBurst &event) override;
+    void onCryptoOp(CryptoOp &event) override;
+    void onKcryptdOp(KcryptdOp &event) override;
 
   private:
     struct Event
@@ -341,7 +358,9 @@ class ChromeTraceSink : public BatchSubscriber
     };
 
     static void crashHook(void *self);
-    void syncFromEngine() const;
+    /** Keep one event, stamped with the current simulated time. */
+    void record(TraceKind kind, std::uint64_t arg0, std::uint64_t arg1,
+                double argF, bool flag);
 
     TraceEngine *engine_ = nullptr;
     std::size_t maxEvents_;

@@ -213,9 +213,10 @@ class Runner
                 *options_.faultSchedule, seed_ ^ 0xfa017a5e5ca1ab1eULL);
             injector_->arm(device_->soc());
         }
-        // Attach after the injector so fault effects land before the
-        // counters record each transaction (subscription order is
-        // callback order).
+        // The engine counts each event after every subscriber ran, so
+        // the totals carry the injector's response fields. The timeline
+        // subscribes after the injector (subscription order is callback
+        // order), so it records fault effects and bus-delay cycles too.
         counters_.attach(device_->soc().trace());
         if (index_ == 0 && !options_.traceOutPath.empty()) {
             chromeSink_ = std::make_unique<probe::ChromeTraceSink>();

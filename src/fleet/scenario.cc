@@ -1,8 +1,11 @@
 #include "fleet/scenario.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -153,6 +156,39 @@ checkDramBytes(std::size_t bytes)
     if (bytes % PAGE_SIZE != 0)
         throw std::invalid_argument(
             "per-device DRAM must be a whole number of 4KiB pages");
+}
+
+std::uint64_t
+parseUnsigned(const std::string &token, std::uint64_t max)
+{
+    // strtoull skips blanks and accepts a sign (negating the value), so
+    // the token must start with a digit and end where the number does.
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value =
+        std::strtoull(token.c_str(), &end, 0);
+    const bool digitFirst =
+        !token.empty() && std::isdigit(static_cast<unsigned char>(token[0]));
+    if (!digitFirst || *end != '\0')
+        throw std::invalid_argument("malformed number '" + token + "'");
+    if (errno == ERANGE || value > max)
+        throw std::invalid_argument("'" + token + "' out of range (max " +
+                                    std::to_string(max) + ")");
+    return value;
+}
+
+void
+checkWritable(const std::string &path)
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    std::FILE *f = std::fopen(path.c_str(), "a");
+    if (f == nullptr)
+        throw std::invalid_argument("cannot write '" + path +
+                                    "': " + std::strerror(errno));
+    std::fclose(f);
+    if (!existed)
+        std::remove(path.c_str());
 }
 
 double

@@ -227,6 +227,22 @@ std::size_t parseSize(const std::string &token, unsigned line);
 void checkDramBytes(std::size_t bytes);
 
 /**
+ * Parse a whole unsigned command-line number: decimal, or hex with a 0x
+ * prefix.
+ * @throws std::invalid_argument when @p token is not one number from
+ *         its first character to its last (a sign or trailing
+ *         characters) or exceeds @p max
+ */
+std::uint64_t parseUnsigned(const std::string &token, std::uint64_t max);
+
+/**
+ * Check that an output file can be written at @p path, before a run
+ * that would write it at the end. A file the check creates is removed.
+ * @throws std::invalid_argument naming the path when it cannot
+ */
+void checkWritable(const std::string &path);
+
+/**
  * Parse a duration token ("250ms", "2s", "100us").
  * @throws ScenarioError (with @p line) when malformed or non-positive
  */

@@ -61,9 +61,6 @@ Bus::read(PhysAddr addr, std::uint8_t *buf, std::size_t len,
         probe::BusTransfer event{addr, static_cast<std::uint32_t>(len),
                                  false, initiator, buf, false, 0};
         trace_->emit(event);
-        // End of the burst: hand everything the transaction generated
-        // (line fills, cell accesses, this transfer) to the batch sinks.
-        trace_->flushPending();
     }
 }
 
@@ -92,7 +89,6 @@ Bus::write(PhysAddr addr, const std::uint8_t *buf, std::size_t len,
                                   true, initiator, buf, true, 0};
         trace_->emit(replay);
     }
-    trace_->flushPending();
 }
 
 } // namespace sentry::hw

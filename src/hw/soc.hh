@@ -89,9 +89,9 @@ class MemorySystem
  * a snapshot: it belongs to each device's own construction.
  *
  * TraceEngine counters follow the "reset by default, owner decides"
- * policy: the engine itself holds no counters (they live in subscriber
- * CounterSinks, which are per-device wiring), so a forked device starts
- * with whatever sinks its owner attaches — typically fresh zeros.
+ * policy: the engine itself holds no counters (they live in the
+ * attached CounterSink, which is per-device wiring), so a forked device
+ * starts with whatever sink its owner attaches — typically fresh zeros.
  */
 struct SocSnapshot
 {
@@ -187,9 +187,9 @@ class Soc
     /**
      * The machine's single observation spine: every device of this Soc
      * fires its trace points here. Subscribe a probe::Subscriber (the
-     * fault injector, a bus monitor, a CounterSink, ...) to observe or
-     * perturb the machine; with no subscribers every emission site
-     * early-outs at one pointer + bit test.
+     * fault injector, a bus monitor, a timeline, ...) to observe or
+     * perturb the machine, or attach a CounterSink to count it; with
+     * neither, every emission site early-outs at one pointer + bit test.
      */
     probe::TraceEngine &trace() { return trace_; }
     const probe::TraceEngine &trace() const { return trace_; }
