@@ -155,6 +155,67 @@ snapshotFleetSection(bench::Session &session,
 }
 
 /**
+ * The ten-verb attack gauntlet: perfbench's attack_jobs job text at its
+ * preset sizes (the seven live verbs, then the three cold-boot verbs)
+ * on each defense backend, 8 snapshot-forked devices with 4 MiB of
+ * DRAM. It is the one reference that runs the DMA and bus-monitor
+ * verbs through the fleet runner on every backend, so their simulated
+ * side (bus traffic, leak scores, breaches, cost ledgers) lands in the
+ * record as sim_gauntlet_<backend>_* keys.
+ */
+int
+gauntletSection(bench::Session &session)
+{
+    static const char GAUNTLET[] = R"(audits every_step
+spawn wallet sensitive heap 128KiB
+spawn leaky heap 64KiB
+touch wallet 32KiB
+lock
+sleep 100ms
+attack dma
+attack bus_monitor
+attack code_injection
+attack prime_probe
+attack evict_reload
+attack rowhammer
+attack tz_side_channel
+attack cold_boot
+attack os_reboot
+attack 2s_reset frozen
+)";
+    std::printf("\nten-verb gauntlet (8 forked devices, 4 MiB DRAM):\n");
+    for (const char *backend : {"sentry", "amnesia", "memshield"}) {
+        const fleet::Scenario scenario = fleet::parseScenario(
+            std::string("defense ") + backend + "\n" + GAUNTLET,
+            std::string("gauntlet-") + backend);
+        fleet::FleetOptions options = baseOptions(8, 1);
+        options.spawnMode = fleet::SpawnMode::Snapshot;
+        options.dramBytes = 4 * MiB;
+        const fleet::FleetReport report =
+            fleet::runFleet(scenario, options);
+        if (!report.allOk) {
+            std::fprintf(stderr,
+                         "fleet: invariants violated in the %s "
+                         "gauntlet:\n%s",
+                         backend, report.summary().c_str());
+            return 1;
+        }
+        std::printf("  %-9s %.3f host s\n", backend, report.hostSeconds);
+        for (const fleet::FleetMetric &metric : report.metrics) {
+            if (metric.name.rfind("sim_", 0) != 0)
+                continue;
+            const std::string key = std::string("sim_gauntlet_") +
+                                    backend + "_" + metric.name.substr(4);
+            if (metric.isInt)
+                session.metric(key, metric.u);
+            else
+                session.metric(key, metric.d);
+        }
+    }
+    return 0;
+}
+
+/**
  * Population scale: the fleet-scale preset (transition-only audits,
  * snapshot spawn, streaming aggregation) at 1k / 10k / 100k devices,
  * all forking one shared warmed template. The claim under test is
@@ -348,6 +409,8 @@ main()
                    portableRun.hostSeconds);
 
     if (const int rc = snapshotFleetSection(session, scenario); rc != 0)
+        return rc;
+    if (const int rc = gauntletSection(session); rc != 0)
         return rc;
     spinUpSection(session);
     if (const int rc = scaleSection(session); rc != 0)

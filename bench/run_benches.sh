@@ -120,6 +120,15 @@ if fleet_new.exists():
                 "host_per_device_ns_1000", "host_per_device_ns_10000",
                 "host_per_device_ns_100000",
                 "host_scale_flatness_100k_vs_1k"]
+    # The ten-verb gauntlet runs the DMA and bus-monitor verbs through
+    # the fleet runner on every backend; no other record pins them.
+    required += [f"sim_gauntlet_{b}_{m}"
+                 for b in ("sentry", "amnesia", "memshield")
+                 for m in ("attacks_total", "sensitive_probes",
+                           "sensitive_leaks", "nonsensitive_leaks",
+                           "trace_bus_bytes_total", "trace_dma_bytes_total",
+                           "defense_claim_breaches",
+                           "defense_vulnerable_hits", "cycles_total")]
     for key in required:
         if key not in fleet:
             print(f"DRIFT: BENCH_fleet.json: missing required sharded-"

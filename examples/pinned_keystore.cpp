@@ -80,17 +80,15 @@ main()
 
     // Attacker 2: bus monitor during heavy keystore use.
     {
-        hw::BusMonitor probe;
+        StreamMatcher onBus({creds[0].token});
+        hw::BusMonitor probe(/*capture_payloads=*/false, &onBus);
         probe.attach(soc.trace());
         for (int i = 0; i < 100; ++i)
             pool->read(creds[i % 3].slot, 0, token);
         probe.detach();
         std::printf("bus probe saw a token?              %s "
                     "(%llu bytes of unrelated traffic)\n",
-                    containsBytes(probe.concatenatedPayloads(),
-                                  creds[0].token)
-                        ? "YES"
-                        : "no",
+                    onBus.found(0) ? "YES" : "no",
                     static_cast<unsigned long long>(
                         probe.bytesObserved()));
     }

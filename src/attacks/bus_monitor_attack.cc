@@ -23,6 +23,12 @@ BusMonitorAttack::BusMonitorAttack(hw::Soc &soc)
     monitor_.attach(soc_.trace());
 }
 
+BusMonitorAttack::BusMonitorAttack(hw::Soc &soc, StreamMatcher &matcher)
+    : soc_(soc), monitor_(/*capture_payloads=*/false, &matcher)
+{
+    monitor_.attach(soc_.trace());
+}
+
 BusMonitorAttack::~BusMonitorAttack()
 {
     monitor_.detach();
@@ -42,9 +48,11 @@ BusMonitorAttack::analyzeForSecret(std::span<const std::uint8_t> secret,
     result.attack = "bus-monitor";
     result.target = target;
 
-    const std::vector<std::uint8_t> payloads =
-        monitor_.concatenatedPayloads();
-    if (containsBytes(payloads, secret)) {
+    StreamMatcher matcher(std::vector<std::vector<std::uint8_t>>{
+        {secret.begin(), secret.end()}});
+    for (const hw::CapturedTransaction &txn : monitor_.trace())
+        matcher.feed(txn.data);
+    if (matcher.found(0)) {
         result.secretRecovered = true;
         result.notes.push_back("secret bytes crossed the memory bus");
     }

@@ -52,8 +52,16 @@ struct SideChannelResult
 class BusMonitorAttack
 {
   public:
-    /** Attach the probe to @p soc's memory bus. */
+    /** Attach a payload-capturing probe to @p soc's memory bus. */
     explicit BusMonitorAttack(hw::Soc &soc);
+
+    /**
+     * Attach an address-only probe that feeds every payload to
+     * @p matcher as it crosses the bus and stores none: the secrets
+     * are grepped in flight (analyzeForSecret() then sees nothing;
+     * read @p matcher instead). @p matcher must outlive the probe.
+     */
+    BusMonitorAttack(hw::Soc &soc, StreamMatcher &matcher);
     ~BusMonitorAttack();
 
     BusMonitorAttack(const BusMonitorAttack &) = delete;
@@ -66,7 +74,8 @@ class BusMonitorAttack
     const hw::BusMonitor &monitor() const { return monitor_; }
 
     /**
-     * Search everything captured since startCapture() for @p secret.
+     * Search everything captured since startCapture() for @p secret:
+     * the captured payloads, in order, streamed through a StreamMatcher.
      */
     AttackResult analyzeForSecret(std::span<const std::uint8_t> secret,
                                   const std::string &target) const;

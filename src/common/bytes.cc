@@ -1,5 +1,6 @@
 #include "common/bytes.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 
@@ -48,6 +49,66 @@ containsBytes(std::span<const std::uint8_t> haystack,
                                                haystack.size(),
                                                needle.data(),
                                                needle.size());
+}
+
+StreamMatcher::StreamMatcher(std::vector<std::vector<std::uint8_t>> needles)
+    : needles_(std::move(needles))
+{
+    for (const auto &needle : needles_) {
+        if (!needle.empty())
+            carry_ = std::max(carry_, needle.size() - 1);
+    }
+    window_.resize(2 * carry_);
+    reset();
+}
+
+void
+StreamMatcher::reset()
+{
+    found_.assign(needles_.size(), 0);
+    unfound_ = 0;
+    for (const auto &needle : needles_)
+        unfound_ += needle.empty() ? 0 : 1;
+    tail_ = 0;
+}
+
+void
+StreamMatcher::search(std::span<const std::uint8_t> bytes)
+{
+    for (std::size_t i = 0; i < needles_.size(); ++i) {
+        if (found_[i] == 0 && containsBytes(bytes, needles_[i])) {
+            found_[i] = 1;
+            --unfound_;
+        }
+    }
+}
+
+void
+StreamMatcher::feed(std::span<const std::uint8_t> chunk)
+{
+    // Found flags only rise until reset(), so once every needle is
+    // found the rest of the stream cannot change an answer.
+    if (unfound_ == 0 || chunk.empty())
+        return;
+    search(chunk);
+    if (carry_ == 0)
+        return; // one-byte needles never cross a seam
+    // The seam window: the carried tail, then the chunk's head.
+    const std::size_t head = std::min(chunk.size(), carry_);
+    std::memcpy(window_.data() + tail_, chunk.data(), head);
+    if (tail_ != 0)
+        search({window_.data(), tail_ + head});
+    // Carry the stream's last carry_ bytes into the next seam.
+    if (chunk.size() >= carry_) {
+        std::memcpy(window_.data(), chunk.data() + chunk.size() - carry_,
+                    carry_);
+        tail_ = carry_;
+    } else {
+        const std::size_t held = tail_ + head;
+        const std::size_t keep = std::min(held, carry_);
+        std::memmove(window_.data(), window_.data() + held - keep, keep);
+        tail_ = keep;
+    }
 }
 
 bool

@@ -156,21 +156,20 @@ class AmnesiaBackend final : public DefenseBackend
     static constexpr double REKEY_JOULES = 1.5e-3;
 
     AmnesiaBackend(os::Kernel &kernel, const RootKey &master)
-        : kernel_(kernel), master_(master)
+        : kernel_(kernel), workingKey_(amnesiaWorkingKey(master))
     {
         hw::Soc &soc = kernel_.soc();
         pinned_ = PinnedMemory::create(soc, /*pool_bytes=*/64);
         if (pinned_ == nullptr)
             fatal("amnesia backend needs pin-on-SoC storage");
         keySlot_ = pinned_->alloc(16);
-
-        const std::array<std::uint8_t, 16> wk = amnesiaWorkingKey(master_);
-        pinned_->write(keySlot_, 0, wk);
+        pinned_->write(keySlot_, 0, workingKey_);
 
         const auto layout = crypto::AesStateLayout::forKeyBytes(16);
         engine_ = std::make_unique<crypto::SimAesEngine>(
             soc, allocDramState(kernel_, layout.totalBytes()),
-            std::span<const std::uint8_t>(wk), crypto::StatePlacement::Dram,
+            std::span<const std::uint8_t>(workingKey_),
+            crypto::StatePlacement::Dram,
             /*kernel_path=*/true, crypto::SecretResidency::RegistersOnly);
     }
 
@@ -208,13 +207,13 @@ class AmnesiaBackend final : public DefenseBackend
     void
     onLockEpoch(std::uint32_t) override
     {
-        // Re-derive the working key from the master and rewrite the
-        // pinned slot. The derivation is deterministic, so the key VALUE
-        // is stable across epochs (pages encrypted before this lock stay
-        // decryptable); what the rekey buys is that the schedule is
-        // rebuilt from the master instead of persisting anywhere.
-        const std::array<std::uint8_t, 16> wk = amnesiaWorkingKey(master_);
-        pinned_->write(keySlot_, 0, wk);
+        // Rekey: rewrite the pinned slot with the working key and charge
+        // the simulated PBKDF2 run. The derivation is deterministic, so
+        // the key VALUE is stable across epochs (pages encrypted before
+        // this lock stay decryptable): the host derives it once, at
+        // construction, and a fork carries the template's key, never
+        // one derived from the master the target was constructed with.
+        pinned_->write(keySlot_, 0, workingKey_);
         hw::Soc &soc = kernel_.soc();
         soc.clock().advanceSeconds(REKEY_SECONDS);
         soc.energy().charge(hw::EnergyCategory::CpuAes, REKEY_JOULES);
@@ -236,6 +235,7 @@ class AmnesiaBackend final : public DefenseBackend
     {
         DefenseForkState fs = DefenseBackend::forkState();
         fs.engine = engine_->forkState();
+        fs.workingKey = workingKey_;
         return fs;
     }
 
@@ -243,14 +243,15 @@ class AmnesiaBackend final : public DefenseBackend
     restoreForkState(const DefenseForkState &fs) override
     {
         DefenseBackend::restoreForkState(fs);
-        if (!fs.engine.has_value())
+        if (!fs.engine.has_value() || !fs.workingKey.has_value())
             fatal("amnesia fork state lacks engine state");
         engine_->restoreForkState(*fs.engine);
+        workingKey_ = *fs.workingKey;
     }
 
   private:
     os::Kernel &kernel_;
-    RootKey master_;
+    std::array<std::uint8_t, 16> workingKey_;
     std::unique_ptr<PinnedMemory> pinned_;
     OnSocRegion keySlot_;
     std::unique_ptr<crypto::SimAesEngine> engine_;

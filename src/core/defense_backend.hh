@@ -113,6 +113,9 @@ struct DefenseForkState
     /** Backend-owned engine state; absent for the Sentry backend (its
      * engine forks through SentrySnapshot::engine). */
     std::optional<crypto::SimAesEngine::ForkState> engine;
+    /** Amnesia's working key, derived once from the template's master
+     * and rewritten at every lock epoch; absent for other backends. */
+    std::optional<std::array<std::uint8_t, 16>> workingKey;
     DefenseCosts costs;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/bytes.hh"
+#include "common/logging.hh"
 #include "core/dram_scanner.hh"
 #include "hw/soc.hh"
 
@@ -12,15 +13,16 @@ namespace sentry::core
 namespace
 {
 
-/** Score @p markers against a search: @p found(bytes) says whether the
- * attacker's view holds that marker. */
+/** Score @p markers against a search: @p found(i) says whether the
+ * attacker's view holds marker i. */
 template <typename Found>
 DumpLeaks
 tallyLeaks(const std::vector<SecretMarker> &markers, Found found)
 {
     DumpLeaks leaks;
-    for (const SecretMarker &marker : markers) {
-        const bool hit = found(marker.bytes);
+    for (std::size_t i = 0; i < markers.size(); ++i) {
+        const SecretMarker &marker = markers[i];
+        const bool hit = found(i);
         if (marker.sensitive) {
             ++leaks.sensitiveProbed;
             if (hit) {
@@ -70,9 +72,9 @@ DumpLeaks
 InvariantChecker::checkDumps(std::span<const std::uint8_t> dram_dump,
                              std::span<const std::uint8_t> iram_dump) const
 {
-    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> needle) {
-        return containsBytes(dram_dump, needle) ||
-               containsBytes(iram_dump, needle);
+    return tallyLeaks(markers_, [&](std::size_t i) {
+        return containsBytes(dram_dump, markers_[i].bytes) ||
+               containsBytes(iram_dump, markers_[i].bytes);
     });
 }
 
@@ -80,8 +82,31 @@ DumpLeaks
 InvariantChecker::checkDumps(const hw::Soc &soc) const
 {
     const DramScanner scanner(soc);
-    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> needle) {
-        return scanner.dramContains(needle) || scanner.iramContains(needle);
+    return tallyLeaks(markers_, [&](std::size_t i) {
+        return scanner.dramContains(markers_[i].bytes) ||
+               scanner.iramContains(markers_[i].bytes);
+    });
+}
+
+StreamMatcher
+InvariantChecker::markerMatcher() const
+{
+    std::vector<std::vector<std::uint8_t>> needles;
+    needles.reserve(markers_.size());
+    for (const SecretMarker &marker : markers_)
+        needles.push_back(marker.bytes);
+    return StreamMatcher(std::move(needles));
+}
+
+DumpLeaks
+InvariantChecker::checkDumps(const StreamMatcher &dram_image,
+                             const StreamMatcher &iram_image) const
+{
+    if (dram_image.size() != markers_.size() ||
+        iram_image.size() != markers_.size())
+        panic("checkDumps: matcher does not hold the registered markers");
+    return tallyLeaks(markers_, [&](std::size_t i) {
+        return dram_image.found(i) || iram_image.found(i);
     });
 }
 

@@ -13,7 +13,9 @@
  *   - attacker's-view invariants (checkDumps): a memory image obtained
  *     by an attack (DMA dump, cold-boot readout) must not contain any
  *     sensitive marker; the Soc overload greps the device's memory in
- *     place, as the attacker's post-reset readout would see it;
+ *     place, as the attacker's post-reset readout would see it, and the
+ *     StreamMatcher overload scores images that were grepped as they
+ *     streamed past (a DMA sweep) instead of being materialized;
  *   - power-event invariant (checkIramZeroed): after any power loss the
  *     boot firmware must have left iRAM all-zero (Table 2's "0%
  *     recovered" row).
@@ -39,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "core/security_audit.hh"
 
 namespace sentry::hw
@@ -108,6 +111,15 @@ class InvariantChecker
     /** As above, for the memory @p soc holds right now (a cold-boot
      * readout), searched in place through DramScanner. */
     DumpLeaks checkDumps(const hw::Soc &soc) const;
+
+    /** @return a matcher holding every registered marker, in order:
+     * stream one attacker image through it for the overload below. */
+    StreamMatcher markerMatcher() const;
+
+    /** As checkDumps(span, span), for a DRAM and an iRAM image that
+     * were each streamed through their own markerMatcher(). */
+    DumpLeaks checkDumps(const StreamMatcher &dram_image,
+                         const StreamMatcher &iram_image) const;
 
     /** Assert the post-power-event firmware invariant: iRAM all-zero. */
     CheckOutcome checkIramZeroed(const hw::Soc &soc) const;

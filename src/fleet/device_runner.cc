@@ -551,17 +551,23 @@ class Runner
         } else if (step.attack == AttackKind::BusMonitor) {
             // A DDR probe watches while the system generates traffic:
             // a cache clean (which honours the flush mask) plus a full
-            // DMA dump — everything that crosses the bus is captured.
-            attacks::BusMonitorAttack probe(soc);
+            // DMA sweep — everything that crosses the bus is grepped for
+            // the sensitive markers as it crosses, and none of it kept.
+            std::vector<std::vector<std::uint8_t>> sensitive;
+            for (const core::SecretMarker &marker : checker_->markers()) {
+                if (marker.sensitive)
+                    sensitive.push_back(marker.bytes);
+            }
+            StreamMatcher crossed(std::move(sensitive));
+            attacks::BusMonitorAttack probe(soc, crossed);
             probe.startCapture();
             soc.l2().cleanAllMasked();
             leaks = dmaDumpLeaks(soc);
+            std::size_t next = 0;
             for (const core::SecretMarker &marker : checker_->markers()) {
                 if (!marker.sensitive)
                     continue;
-                const attacks::AttackResult captured =
-                    probe.analyzeForSecret(marker.bytes, marker.owner);
-                if (captured.secretRecovered &&
+                if (crossed.found(next++) &&
                     scoreBreach(result, step.attack)) {
                     failDevice(result,
                                "line " + std::to_string(step.line) +
@@ -645,13 +651,14 @@ class Runner
         }
     }
 
-    /** DMA-dump all of DRAM, then all of iRAM, and grep the images. */
+    /** DMA-sweep all of DRAM, then all of iRAM, grepping each image
+     * for every marker as its bursts arrive. */
     core::DumpLeaks
     dmaDumpLeaks(hw::Soc &soc)
     {
-        attacks::DmaAttack dma;
-        const auto dram = dma.dumpRange(soc, DRAM_BASE, soc.dram().size());
-        const auto iram = dma.dumpRange(soc, IRAM_BASE, soc.iram().size());
+        StreamMatcher dram = checker_->markerMatcher();
+        StreamMatcher iram = checker_->markerMatcher();
+        attacks::DmaAttack().grepMemory(soc, dram, iram);
         return checker_->checkDumps(dram, iram);
     }
 

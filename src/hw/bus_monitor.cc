@@ -11,20 +11,14 @@ BusMonitor::onBusTransfer(probe::BusTransfer &event)
     cap.size = event.size;
     cap.isWrite = event.isWrite;
     cap.initiator = event.initiator;
-    if (capturePayloads_ && event.data != nullptr)
-        cap.data.assign(event.data, event.data + event.size);
+    if (event.data != nullptr) {
+        if (matcher_ != nullptr)
+            matcher_->feed({event.data, event.size});
+        if (capturePayloads_)
+            cap.data.assign(event.data, event.data + event.size);
+    }
     bytesObserved_ += event.size;
     trace_.push_back(std::move(cap));
-}
-
-std::vector<std::uint8_t>
-BusMonitor::concatenatedPayloads() const
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(bytesObserved_);
-    for (const auto &txn : trace_)
-        out.insert(out.end(), txn.data.begin(), txn.data.end());
-    return out;
 }
 
 } // namespace sentry::hw

@@ -3,7 +3,8 @@
  * A recording bus probe — the hardware a bus-monitoring attacker clips
  * onto the DDR traces (paper section 3.1, e.g. a FuturePlus DDR analysis
  * probe). It captures addresses, directions, and payloads of everything
- * crossing the external memory bus.
+ * crossing the external memory bus, or greps the payloads as they cross
+ * through a StreamMatcher and stores none of them.
  */
 
 #ifndef SENTRY_HW_BUS_MONITOR_HH
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/trace_engine.hh"
 #include "common/types.hh"
 #include "hw/bus.hh"
@@ -36,9 +38,13 @@ class BusMonitor : public probe::Subscriber
     /**
      * @param capture_payloads when false, only addresses are recorded
      *        (an access-pattern-only probe); payload vectors stay empty.
+     * @param matcher when set, every payload is fed to it in event
+     *        order while the probe is attached (not owned; must outlive
+     *        the attachment).
      */
-    explicit BusMonitor(bool capture_payloads = true)
-        : capturePayloads_(capture_payloads)
+    explicit BusMonitor(bool capture_payloads = true,
+                        StreamMatcher *matcher = nullptr)
+        : capturePayloads_(capture_payloads), matcher_(matcher)
     {}
 
     ~BusMonitor() override { detach(); }
@@ -71,11 +77,9 @@ class BusMonitor : public probe::Subscriber
     /** @return total bytes observed crossing the bus. */
     std::uint64_t bytesObserved() const { return bytesObserved_; }
 
-    /** Concatenate all captured payloads into one buffer. */
-    std::vector<std::uint8_t> concatenatedPayloads() const;
-
   private:
     bool capturePayloads_;
+    StreamMatcher *matcher_;
     probe::TraceEngine *engine_ = nullptr;
     std::vector<CapturedTransaction> trace_;
     std::uint64_t bytesObserved_ = 0;

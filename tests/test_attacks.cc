@@ -3,16 +3,23 @@
  * Attack-harness tests: cold-boot variants against protected and
  * unprotected devices, DMA attacks with and without TrustZone/cache
  * protection, and bus-monitor payload capture — the behaviours behind
- * the paper's Tables 2 and 3.
+ * the paper's Tables 2 and 3 — plus the streamed DMA and bus-probe
+ * greps checked against their materialized references.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "attacks/cold_boot.hh"
 #include "attacks/dma_attack.hh"
 #include "attacks/bus_monitor_attack.hh"
 #include "common/bytes.hh"
+#include "common/rng.hh"
 #include "core/device.hh"
+#include "core/invariant_checker.hh"
+#include "fault/fault_injector.hh"
 
 using namespace sentry;
 using namespace sentry::attacks;
@@ -241,4 +248,279 @@ TEST(AttackReport, Formatting)
     EXPECT_NE(formatResult(result).find("Safe"), std::string::npos);
     result.secretRecovered = true;
     EXPECT_NE(formatResult(result).find("UNSAFE"), std::string::npos);
+}
+
+namespace
+{
+
+std::vector<std::uint8_t>
+randomBytes(Rng &rng, std::size_t len)
+{
+    std::vector<std::uint8_t> out(len);
+    for (auto &byte : out)
+        byte = static_cast<std::uint8_t>(rng.next64());
+    return out;
+}
+
+/**
+ * The runner's DMA verb (grepMemory: bursts grepped as they stream
+ * through one markerMatcher() per image) against the materialized
+ * reference, checkDumps(dumpRange(DRAM), dumpRange(iRAM)), on markers
+ * planted where a streamed grep can go wrong: across a 64 KiB burst
+ * seam and a 4 KiB page seam, in the last DRAM bytes (a short last
+ * burst), across an iRAM burst seam, and split between the end of DRAM
+ * and the start of iRAM (separate images: no seam between them).
+ */
+void
+expectStreamedDmaMatchesDumps(const hw::PlatformConfig &platform,
+                              bool iram_readable)
+{
+    Device device(platform);
+    hw::Soc &soc = device.soc();
+    InvariantChecker checker(device.kernel(), device.sentry());
+    Rng rng(0xd3a5eed);
+    const std::size_t burst = DmaAttack::BURST;
+    const std::size_t dramSize = soc.dram().size();
+    ASSERT_NE(dramSize % burst, 0u) << "want a short last burst";
+
+    const auto plantDram = [&](const std::string &owner, bool sensitive,
+                               std::size_t offset, std::size_t len) {
+        const auto bytes = randomBytes(rng, len);
+        soc.dram().writeCells(offset, bytes.data(), bytes.size());
+        checker.addMarker({owner, bytes, sensitive});
+    };
+    plantDram("burst-seam", true, 2 * burst - 7, 16);
+    plantDram("page-seam", false, 3 * burst + 5 * PAGE_SIZE - 11, 24);
+    plantDram("dram-end", true, dramSize - 12, 12);
+    const auto iramBytes = randomBytes(rng, 16);
+    soc.iram().writeCells(2 * burst - 5, iramBytes.data(), iramBytes.size());
+    checker.addMarker({"iram-seam", iramBytes, true});
+    std::vector<std::uint8_t> straddle(
+        checker.markers()[2].bytes.end() - 4,
+        checker.markers()[2].bytes.end());
+    std::uint8_t iramHead[4];
+    soc.iram().read(0, iramHead, sizeof iramHead);
+    straddle.insert(straddle.end(), iramHead, iramHead + 4);
+    checker.addMarker({"dram-iram-straddle", straddle, true});
+    checker.addMarker({"one-byte", {0x00}, false});
+    checker.addMarker({"absent", randomBytes(rng, 16), true});
+    // With a secure world, also refuse the DRAM burst after one that
+    // ends in non-zero bytes: the refused burst must read as zeros, not
+    // as what the reused burst buffer held before.
+    if (soc.config().secureWorldAvailable) {
+        const auto filler = randomBytes(rng, 64);
+        soc.dram().writeCells(6 * burst - filler.size(), filler.data(),
+                              filler.size());
+        hw::SecureWorldGuard secure(soc.trustzone());
+        ASSERT_TRUE(
+            soc.trustzone().protectRegionFromDma(DRAM_BASE + 6 * burst, 1));
+    }
+
+    DmaAttack dma;
+    StreamMatcher dram = checker.markerMatcher();
+    StreamMatcher iram = checker.markerMatcher();
+    const hw::DmaStatus iramStatus = dma.grepMemory(soc, dram, iram);
+
+    hw::DmaStatus dramDumpStatus = hw::DmaStatus::Ok;
+    hw::DmaStatus iramDumpStatus = hw::DmaStatus::Ok;
+    const auto dramDump =
+        dma.dumpRange(soc, DRAM_BASE, dramSize, &dramDumpStatus);
+    const auto iramDump =
+        dma.dumpRange(soc, IRAM_BASE, soc.iram().size(), &iramDumpStatus);
+    EXPECT_EQ(dramDumpStatus, soc.config().secureWorldAvailable
+                                  ? hw::DmaStatus::DeniedByTrustZone
+                                  : hw::DmaStatus::Ok);
+    EXPECT_EQ(iramStatus, iramDumpStatus);
+    EXPECT_EQ(iramStatus == hw::DmaStatus::Ok, iram_readable);
+    // The reference images hold the cells, and zeros in every burst
+    // TrustZone refused.
+    const auto image = [&](std::span<const std::uint8_t> cells,
+                           PhysAddr base) {
+        std::vector<std::uint8_t> want(cells.begin(), cells.end());
+        for (std::size_t off = 0; off < want.size(); off += burst) {
+            const std::size_t len = std::min(burst, want.size() - off);
+            if (soc.trustzone().dmaDenied(base + off, len))
+                std::fill_n(want.begin() + off, len, 0);
+        }
+        return want;
+    };
+    ASSERT_EQ(dramDump, image(soc.dramRaw(), DRAM_BASE));
+    ASSERT_EQ(iramDump, image(soc.iramRaw(), IRAM_BASE));
+
+    for (std::size_t i = 0; i < checker.markers().size(); ++i) {
+        const SecretMarker &marker = checker.markers()[i];
+        EXPECT_EQ(dram.found(i), containsBytes(dramDump, marker.bytes))
+            << marker.owner;
+        EXPECT_EQ(iram.found(i), containsBytes(iramDump, marker.bytes))
+            << marker.owner;
+        // DmaAttack::run streams the same sweeps for one secret.
+        const bool expectRun =
+            containsBytes(dramDump, marker.bytes) ||
+            (iramStatus != hw::DmaStatus::DeniedByTrustZone &&
+             containsBytes(iramDump, marker.bytes));
+        EXPECT_EQ(dma.run(soc, marker.bytes, marker.owner).secretRecovered,
+                  expectRun)
+            << marker.owner;
+    }
+    EXPECT_TRUE(dram.found(0));
+    EXPECT_TRUE(dram.found(1));
+    EXPECT_TRUE(dram.found(2));
+    EXPECT_EQ(iram.found(3), iram_readable);
+    EXPECT_FALSE(dram.found(4) || iram.found(4));
+    EXPECT_TRUE(dram.found(5));
+    EXPECT_FALSE(dram.found(6) || iram.found(6));
+
+    const DumpLeaks streamed = checker.checkDumps(dram, iram);
+    const DumpLeaks dumped = checker.checkDumps(dramDump, iramDump);
+    EXPECT_EQ(streamed.sensitiveProbed, dumped.sensitiveProbed);
+    EXPECT_EQ(streamed.sensitiveLeaked, dumped.sensitiveLeaked);
+    EXPECT_EQ(streamed.nonSensitiveLeaks, dumped.nonSensitiveLeaks);
+    EXPECT_EQ(streamed.firstLeakedOwner, dumped.firstLeakedOwner);
+    EXPECT_EQ(streamed.firstLeakedOwner, "burst-seam");
+}
+
+} // namespace
+
+TEST(DmaStreaming, MatchesDumpsWithTrustZoneDeniedIram)
+{
+    expectStreamedDmaMatchesDumps(hw::PlatformConfig::tegra3(8 * MiB +
+                                                             12 * KiB),
+                                  /*iram_readable=*/false);
+}
+
+TEST(DmaStreaming, MatchesDumpsWithUnprotectedIram)
+{
+    expectStreamedDmaMatchesDumps(hw::PlatformConfig::nexus4(8 * MiB +
+                                                             12 * KiB),
+                                  /*iram_readable=*/true);
+}
+
+namespace
+{
+
+/** A SoC in the state the runner's bus-monitor verb finds a device:
+ * dirty lines in the L2, and a fault schedule that duplicates a
+ * writeback and nests a DMA burst inside another. */
+struct BusVerbSoc
+{
+    BusVerbSoc() : soc(hw::PlatformConfig::tegra3(4 * MiB))
+    {
+        Rng rng(0xb05);
+        // Known bytes where the DMA sweep's first burst starts.
+        const auto head = randomBytes(rng, 64);
+        soc.dram().writeCells(0, head.data(), head.size());
+        soc.l2().cleanAllMasked();
+        for (unsigned line = 0; line < 6; ++line) {
+            const auto bytes = randomBytes(rng, CACHE_LINE_SIZE);
+            soc.l2().write(DRAM_BASE + 1 * MiB + line * 4 * KiB,
+                           bytes.data(), bytes.size());
+        }
+        fault::FaultSchedule schedule;
+        fault::FaultSpec dup;
+        dup.kind = fault::FaultKind::BusDuplicateWrite;
+        dup.after = 2;
+        dup.count = 2;
+        fault::FaultSpec burst;
+        burst.kind = fault::FaultKind::DmaBurst;
+        burst.after = 4;
+        burst.bytes = 4096;
+        schedule.faults = {dup, burst};
+        injector = std::make_unique<fault::FaultInjector>(schedule, 5);
+        injector->arm(soc);
+    }
+
+    /** The verb's traffic: a masked clean, then a DMA sweep of DRAM. */
+    void
+    traffic()
+    {
+        soc.l2().cleanAllMasked();
+        DmaAttack().sweep(soc, DRAM_BASE, soc.dram().size(),
+                          [](std::span<const std::uint8_t>) {});
+    }
+
+    hw::Soc soc;
+    std::unique_ptr<fault::FaultInjector> injector;
+};
+
+/** The last @p tail bytes of @p a, then the first @p head bytes of @p b. */
+std::vector<std::uint8_t>
+joint(const std::vector<std::uint8_t> &a, std::size_t tail,
+      const std::vector<std::uint8_t> &b, std::size_t head)
+{
+    std::vector<std::uint8_t> out(a.end() - tail, a.end());
+    out.insert(out.end(), b.begin(), b.begin() + head);
+    return out;
+}
+
+} // namespace
+
+TEST(BusProbeStreaming, InFlightMatchEqualsCapturedPayloads)
+{
+    // A first run with a capturing probe shows the stream; its seams
+    // become the needles of an identical second run, in which the
+    // runner's in-flight probe and a capturing probe watch together.
+    std::vector<std::vector<std::uint8_t>> needles;
+    {
+        BusVerbSoc first;
+        BusMonitorAttack capture(first.soc);
+        capture.startCapture();
+        first.traffic();
+        ASSERT_EQ(first.injector->stats().busDuplicates, 2u);
+        ASSERT_EQ(first.injector->stats().dmaBurstBytes, 4096u);
+        const auto &trace = capture.monitor().trace();
+        bool sawWritebackToBurst = false, sawDuplicate = false;
+        for (std::size_t i = 0; i + 2 < trace.size(); ++i) {
+            const auto &a = trace[i].data;
+            const auto &b = trace[i + 1].data;
+            const auto &c = trace[i + 2].data;
+            // A writeback followed by a DMA burst (the nested fault
+            // burst, or the sweep's first burst after the clean).
+            if (trace[i].isWrite && !trace[i + 1].isWrite &&
+                trace[i + 1].initiator == hw::BusInitiator::Dma &&
+                !sawWritebackToBurst) {
+                needles.push_back(joint(a, 8, b, 8));
+                sawWritebackToBurst = true;
+            }
+            // A writeback and its duplicate: only there does a line's
+            // tail meet its own head.
+            if (trace[i].isWrite && trace[i + 1].isWrite &&
+                trace[i].addr == trace[i + 1].addr && !sawDuplicate) {
+                needles.push_back(joint(a, 16, b, 16));
+                sawDuplicate = true;
+            }
+            // Three short writebacks in a row: a needle over all of b.
+            if (trace[i].isWrite && trace[i + 1].isWrite &&
+                trace[i + 2].isWrite && needles.size() < 6) {
+                std::vector<std::uint8_t> three = joint(a, 4, b, b.size());
+                three.insert(three.end(), c.begin(), c.begin() + 4);
+                needles.push_back(three);
+            }
+        }
+        ASSERT_TRUE(sawWritebackToBurst);
+        ASSERT_TRUE(sawDuplicate);
+        ASSERT_EQ(needles.size(), 6u);
+        Rng rng(0xab5e);
+        needles.push_back(randomBytes(rng, 16)); // absent
+    }
+
+    BusVerbSoc second;
+    StreamMatcher crossed(needles);
+    BusMonitorAttack capture(second.soc);
+    BusMonitorAttack live(second.soc, crossed);
+    capture.startCapture();
+    live.startCapture();
+    second.traffic();
+
+    ASSERT_EQ(live.monitor().trace().size(),
+              capture.monitor().trace().size());
+    for (const hw::CapturedTransaction &txn : live.monitor().trace())
+        EXPECT_TRUE(txn.data.empty());
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < needles.size(); ++i) {
+        const bool captured =
+            capture.analyzeForSecret(needles[i], "needle").secretRecovered;
+        EXPECT_EQ(crossed.found(i), captured) << "needle " << i;
+        found += crossed.found(i) ? 1 : 0;
+    }
+    EXPECT_EQ(found, needles.size() - 1); // all but the absent one
 }

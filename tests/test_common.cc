@@ -43,6 +43,115 @@ TEST(Bytes, ContainsBytesFindsUnalignedNeedles)
     EXPECT_FALSE(containsBytes(needle, hay)); // needle longer than hay
 }
 
+namespace
+{
+
+/** Feed @p stream to @p matcher in chunks of @p chunk bytes. */
+void
+feedInChunks(StreamMatcher &matcher, const std::vector<std::uint8_t> &stream,
+             std::size_t chunk)
+{
+    for (std::size_t off = 0; off < stream.size(); off += chunk) {
+        const std::size_t len = std::min(chunk, stream.size() - off);
+        matcher.feed({stream.data() + off, len});
+    }
+}
+
+} // namespace
+
+TEST(StreamMatcher, FindsANeedleAtEveryOffsetAcrossSeams)
+{
+    // One 8-byte needle at every offset of a 40-byte stream, fed as two
+    // chunks (one seam), in 3-byte chunks (short chunks: several seams
+    // per occurrence) and in 1-byte chunks.
+    const auto needle = fromHex("0102030405060708");
+    for (std::size_t at = 0; at + needle.size() <= 40; ++at) {
+        std::vector<std::uint8_t> stream(40, 0);
+        std::copy(needle.begin(), needle.end(), stream.begin() + at);
+        for (const std::size_t chunk : {20u, 3u, 1u}) {
+            StreamMatcher matcher({needle});
+            feedInChunks(matcher, stream, chunk);
+            EXPECT_TRUE(matcher.found(0)) << "at " << at << " chunk "
+                                          << chunk;
+        }
+    }
+}
+
+TEST(StreamMatcher, OneByteEmptyAndOverlongNeedles)
+{
+    const std::vector<std::uint8_t> stream{7, 8, 9};
+    StreamMatcher matcher({{8}, {}, {7, 8, 9, 10}, {9, 7}, {6}});
+    EXPECT_EQ(matcher.size(), 5u);
+    feedInChunks(matcher, stream, 1);
+    EXPECT_TRUE(matcher.found(0));
+    EXPECT_FALSE(matcher.found(1)); // containsBytes never finds ""
+    EXPECT_FALSE(matcher.found(2)); // longer than the whole stream
+    EXPECT_FALSE(matcher.found(3));
+    EXPECT_FALSE(matcher.found(4));
+
+    StreamMatcher onlyEmpty(std::vector<std::vector<std::uint8_t>>(1));
+    onlyEmpty.feed(stream);
+    EXPECT_FALSE(onlyEmpty.found(0));
+}
+
+TEST(StreamMatcher, ResetStartsANewStream)
+{
+    StreamMatcher matcher({fromHex("aabb"), fromHex("bbcc")});
+    matcher.feed(fromHex("00aa"));
+    matcher.feed(fromHex("bb"));
+    EXPECT_TRUE(matcher.found(0));
+    matcher.reset();
+    EXPECT_FALSE(matcher.found(0));
+    // The tail "bb" of the old stream must not meet the new one.
+    matcher.feed(fromHex("cc00"));
+    EXPECT_FALSE(matcher.found(1));
+    matcher.feed(fromHex("bb"));
+    matcher.feed(fromHex("cc"));
+    EXPECT_TRUE(matcher.found(1));
+    EXPECT_FALSE(matcher.found(0));
+}
+
+TEST(StreamMatcher, EqualsContainsBytesOverTheConcatenation)
+{
+    // Random streams over a 3-letter alphabet (many partial matches),
+    // needles of 0-12 bytes cut from the stream or drawn at random, and
+    // random chunk sizes including empty and shorter-than-carry chunks:
+    // after every feed, found(i) equals a grep of the whole prefix.
+    Rng rng(0x5eedf00d);
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<std::uint8_t> stream(rng.below(200));
+        for (auto &byte : stream)
+            byte = static_cast<std::uint8_t>(rng.below(3));
+        std::vector<std::vector<std::uint8_t>> needles(1 + rng.below(4));
+        for (auto &needle : needles) {
+            const std::size_t len = rng.below(13);
+            if (rng.below(2) == 0 && len <= stream.size()) {
+                const std::size_t at = rng.below(stream.size() - len + 1);
+                needle.assign(stream.begin() + at,
+                              stream.begin() + at + len);
+            } else {
+                needle.resize(len);
+                for (auto &byte : needle)
+                    byte = static_cast<std::uint8_t>(rng.below(3));
+            }
+        }
+        StreamMatcher matcher(needles);
+        std::size_t fed = 0;
+        while (fed < stream.size()) {
+            const std::size_t len =
+                std::min<std::size_t>(rng.below(20), stream.size() - fed);
+            matcher.feed({stream.data() + fed, len});
+            fed += len;
+            const std::span<const std::uint8_t> prefix(stream.data(), fed);
+            for (std::size_t i = 0; i < needles.size(); ++i) {
+                ASSERT_EQ(matcher.found(i), containsBytes(prefix, needles[i]))
+                    << "trial " << trial << " needle " << i << " after "
+                    << fed << " bytes";
+            }
+        }
+    }
+}
+
 TEST(Bytes, HexRoundTrip)
 {
     const auto bytes = fromHex("00ff10abCDef");

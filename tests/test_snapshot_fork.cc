@@ -551,6 +551,47 @@ TEST(SnapshotFork, RekeyedAmnesiaForkMatchesColdUnlock)
     EXPECT_EQ(forked.secretBack, SECRET);
 }
 
+TEST(SnapshotFork, AmnesiaForkRekeysWithTheTemplatesKey)
+{
+    // Every lock rewrites Amnesia's pinned working key. A fork must
+    // write the template's key, never one derived from the master of
+    // the stack it was constructed on: forks of one snapshot onto
+    // targets built with different seeds lock into the origin's state.
+    SentryOptions options;
+    options.defense = DefenseKind::Amnesia;
+    const auto seeded = [](std::uint64_t seed) {
+        hw::PlatformConfig platform = config();
+        platform.seed = seed;
+        return platform;
+    };
+    // Memory, on-SoC storage and clock after the lock.
+    const auto lockedState = [](Device &device) {
+        device.kernel().lockScreen();
+        crypto::Sha256 hasher;
+        const crypto::Sha256Digest memory = deviceDigest(device);
+        hasher.update(memory);
+        hasher.update(device.soc().l2().forkState().image->data);
+        return hasher.finish();
+    };
+
+    Device origin(seeded(1), options);
+    apps::SyntheticApp app(origin.kernel(),
+                           apps::AppProfile::byName("Contacts"));
+    app.populate(SECRET);
+    origin.sentry().markSensitive(app.process());
+    const auto snap = origin.snapshot();
+
+    Device sameSeed(seeded(1), options);
+    Device otherSeed(seeded(2), options);
+    sameSeed.forkFrom(*snap);
+    otherSeed.forkFrom(*snap);
+    const crypto::Sha256Digest want = lockedState(origin);
+    EXPECT_EQ(lockedState(sameSeed), want);
+    EXPECT_EQ(lockedState(otherSeed), want);
+    EXPECT_EQ(otherSeed.sentry().defense().costs().rekeys,
+              origin.sentry().defense().costs().rekeys);
+}
+
 TEST(SnapshotFork, MemShieldWorkingSetForksFaithfully)
 {
     // MemShield's bounded plaintext working set (and its mem-crypto
