@@ -59,23 +59,45 @@ main()
     std::printf("pattern anywhere in DRAM?                 %s\n",
                 containsBytes(soc.dramRaw(), pattern) ? "YES" : "no");
 
+    // Each flush's own L2 writebacks and bus writes, so the reference
+    // pins how much each one pushes to DRAM, not only whether it leaks.
+    struct FlushTraffic
+    {
+        std::uint64_t writebacks = 0;
+        std::uint64_t busWrites = 0;
+    };
+    const auto measure = [&soc](auto &&flush) {
+        const std::uint64_t wb = soc.l2().stats().writebacks;
+        const std::uint64_t writes = soc.bus().stats().writes;
+        flush();
+        return FlushTraffic{soc.l2().stats().writebacks - wb,
+                            soc.bus().stats().writes - writes};
+    };
+
     // Step 4a: masked flush (the patched kernel): still safe.
-    soc.l2().flushAllMasked();
+    const FlushTraffic masked = measure([&] { soc.l2().flushAllMasked(); });
     const bool afterMasked = containsBytes(soc.dramRaw(), pattern);
-    std::printf("after masked flush, pattern in DRAM?      %s\n",
-                afterMasked ? "YES" : "no");
+    std::printf("after masked flush, pattern in DRAM?      %s  "
+                "(%llu writebacks)\n",
+                afterMasked ? "YES" : "no",
+                static_cast<unsigned long long>(masked.writebacks));
 
     // Step 4b: the stock full flush: unlocks and leaks.
-    soc.l2().rawFlushAll();
+    const FlushTraffic raw = measure([&] { soc.l2().rawFlushAll(); });
     const bool afterRaw = containsBytes(soc.dramRaw(), pattern);
     std::printf("after RAW full flush, pattern in DRAM?    %s  "
-                "(the hazard the OS change prevents)\n",
-                afterRaw ? "YES" : "no");
+                "(%llu writebacks; the hazard the OS change prevents)\n",
+                afterRaw ? "YES" : "no",
+                static_cast<unsigned long long>(raw.writebacks));
     session.metric("sim_dma_leaked", static_cast<std::uint64_t>(leaked));
     session.metric("sim_leak_after_masked_flush",
                    static_cast<std::uint64_t>(afterMasked));
     session.metric("sim_leak_after_raw_flush",
                    static_cast<std::uint64_t>(afterRaw));
+    session.metric("sim_masked_flush_writebacks", masked.writebacks);
+    session.metric("sim_masked_flush_bus_writes", masked.busWrites);
+    session.metric("sim_raw_flush_writebacks", raw.writebacks);
+    session.metric("sim_raw_flush_bus_writes", raw.busWrites);
     std::printf("lockdown register after raw flush:        0x%x "
                 "(ways unlocked)\n",
                 soc.l2().lockdownReg());

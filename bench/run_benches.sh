@@ -5,8 +5,9 @@
 # (bench_fleet), the boot-once unlock path (bench_fig2_unlock), the
 # full security matrix with the adversary-v2 rows and the
 # 3-backend x 7-attack defense comparison
-# (bench_table3_security_matrix), and the cold-boot remanence path
-# (bench_table2_remanence), then compare every `sim_`-prefixed metric
+# (bench_table3_security_matrix), the cold-boot remanence path
+# (bench_table2_remanence) and the paper's section 4.2 PL310 masked-vs-
+# raw flush validation (bench_sec42_pl310_validation), then compare every `sim_`-prefixed metric
 # in their BENCH_*.json records against the committed references in
 # bench/reference/.
 # Simulated quantities are deterministic, so ANY drift is a
@@ -32,13 +33,14 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 cmake --build "$BUILD" -j --target bench_fig11_aes_throughput \
     bench_fig9_dmcrypt bench_fleet bench_fig2_unlock \
-    bench_table3_security_matrix bench_table2_remanence
+    bench_table3_security_matrix bench_table2_remanence \
+    bench_sec42_pl310_validation
 
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 for bench in fig11_aes_throughput fig9_dmcrypt fleet fig2_unlock \
-             table3_security_matrix table2_remanence; do
+             table3_security_matrix table2_remanence sec42_pl310_validation; do
     echo "== bench_$bench =="
     SENTRY_BENCH_JSON_DIR="$OUT" "$BUILD/bench/bench_$bench"
 done

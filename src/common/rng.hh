@@ -9,9 +9,9 @@
  *
  * The state update is linear over GF(2), so skipping a fixed number of
  * draws is one matrix product over the 256 state bits. jump() skips
- * JUMP_DRAWS draws through a table built at compile time (rng.cc);
- * state() and setState() let a kernel step the stream in SIMD lanes
- * and hand it back.
+ * JUMP_DRAWS draws and jumpPage() PAGE_JUMP_DRAWS draws, each through
+ * a table built at compile time (rng.cc); state() and setState() let a
+ * kernel step the stream in SIMD lanes and hand it back.
  */
 
 #ifndef SENTRY_COMMON_RNG_HH
@@ -32,6 +32,10 @@ class Rng
 
     /** Draws that one jump() skips. */
     static constexpr unsigned JUMP_DRAWS = 256;
+
+    /** Draws that one jumpPage() skips: what decaying one 4 KiB page
+     * takes, at one 64-bit draw per four bytes. */
+    static constexpr unsigned PAGE_JUMP_DRAWS = 4 * JUMP_DRAWS;
 
     explicit Rng(std::uint64_t seed = 0x5e47ee1dULL) { reseed(seed); }
 
@@ -92,6 +96,10 @@ class Rng
     /** Advance the stream as JUMP_DRAWS calls to next64() would, in 64
      * table lookups. */
     void jump();
+
+    /** Advance the stream as PAGE_JUMP_DRAWS calls to next64() would,
+     * in 64 table lookups. */
+    void jumpPage();
 
   private:
     static std::uint64_t

@@ -16,6 +16,7 @@ pbkdf2Sha256(std::span<const std::uint8_t> password,
     if (iterations == 0)
         fatal("pbkdf2Sha256: iteration count must be positive");
 
+    const HmacSha256 prf(password);
     std::vector<std::uint8_t> derived;
     derived.reserve(dkLen);
 
@@ -28,10 +29,10 @@ pbkdf2Sha256(std::span<const std::uint8_t> password,
         msg.push_back(static_cast<std::uint8_t>(blockIndex >> 8));
         msg.push_back(static_cast<std::uint8_t>(blockIndex));
 
-        Sha256Digest u = hmacSha256(password, msg);
+        Sha256Digest u = prf.mac(msg);
         Sha256Digest t = u;
         for (unsigned iter = 1; iter < iterations; ++iter) {
-            u = hmacSha256(password, {u.data(), u.size()});
+            u = prf.mac({u.data(), u.size()});
             for (std::size_t i = 0; i < t.size(); ++i)
                 t[i] ^= u[i];
         }

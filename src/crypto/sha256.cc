@@ -154,9 +154,7 @@ Sha256::hash(std::span<const std::uint8_t> data)
     return hasher.finish();
 }
 
-Sha256Digest
-hmacSha256(std::span<const std::uint8_t> key,
-           std::span<const std::uint8_t> message)
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key)
 {
     std::uint8_t keyBlock[64] = {};
     if (key.size() > 64) {
@@ -171,16 +169,27 @@ hmacSha256(std::span<const std::uint8_t> key,
         ipad[i] = keyBlock[i] ^ 0x36;
         opad[i] = keyBlock[i] ^ 0x5c;
     }
+    inner_.update({ipad, 64});
+    outer_.update({opad, 64});
+}
 
-    Sha256 inner;
-    inner.update({ipad, 64});
+Sha256Digest
+HmacSha256::mac(std::span<const std::uint8_t> message) const
+{
+    Sha256 inner = inner_;
     inner.update(message);
     const Sha256Digest innerDigest = inner.finish();
 
-    Sha256 outer;
-    outer.update({opad, 64});
+    Sha256 outer = outer_;
     outer.update({innerDigest.data(), innerDigest.size()});
     return outer.finish();
+}
+
+Sha256Digest
+hmacSha256(std::span<const std::uint8_t> key,
+           std::span<const std::uint8_t> message)
+{
+    return HmacSha256(key).mac(message);
 }
 
 } // namespace sentry::crypto

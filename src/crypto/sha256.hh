@@ -45,6 +45,24 @@ class Sha256
     std::size_t bufferLen_;
 };
 
+/**
+ * HMAC-SHA256 (RFC 2104) under one key: the key's inner and outer pads
+ * are absorbed once, so each MAC costs the message's compressions plus
+ * two, however many messages are signed.
+ */
+class HmacSha256
+{
+  public:
+    explicit HmacSha256(std::span<const std::uint8_t> key);
+
+    /** @return HMAC(key, @p message). */
+    Sha256Digest mac(std::span<const std::uint8_t> message) const;
+
+  private:
+    Sha256 inner_; //!< state after absorbing key ^ ipad
+    Sha256 outer_; //!< state after absorbing key ^ opad
+};
+
 /** HMAC-SHA256 per RFC 2104. */
 Sha256Digest hmacSha256(std::span<const std::uint8_t> key,
                         std::span<const std::uint8_t> message);

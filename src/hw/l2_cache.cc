@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.hh"
 #include "host/kernels.hh"
@@ -24,8 +25,19 @@ L2Cache::L2Cache(SimClock &clock, Bus &bus, TrustZone &tz,
     sets_ = size / (ways * CACHE_LINE_SIZE);
     if ((sets_ & (sets_ - 1)) != 0)
         fatal("L2 set count must be a power of two (got %zu)", sets_);
+    if (cacheable_size != 0 &&
+        tagOf(cacheable_base + cacheable_size - 1) >
+            std::numeric_limits<Tag>::max())
+        fatal("L2 tags of the cacheable window end at 0x%llx, past the "
+              "%zu-bit tag store",
+              static_cast<unsigned long long>(
+                  tagOf(cacheable_base + cacheable_size - 1)),
+              8 * sizeof(Tag));
+    allWays_ = ways == 32 ? ~0u : (1u << ways) - 1;
 
-    lines_.resize(sets_ * ways_);
+    tags_.assign(sets_ * ways_, 0);
+    valid_.assign(sets_, 0);
+    dirty_.assign(sets_, 0);
     data_.assign(sets_ * ways_ * CACHE_LINE_SIZE, 0);
     rr_.assign(sets_, 0);
     mru_.assign(sets_, 0);
@@ -43,15 +55,14 @@ L2Cache::findWay(std::size_t set, std::uint64_t tag) const
 {
     // MRU hint first: a tag can live in at most one way, so a hint hit
     // is the same answer the scan would give.
+    const Tag *row = tags_.data() + lineIndex(set, 0);
+    const std::uint32_t valid = valid_[set];
     const unsigned hint = mru_[set];
-    if (hint < ways_) {
-        const Line &line = lines_[lineIndex(set, hint)];
-        if (line.valid && line.tag == tag)
-            return static_cast<int>(hint);
-    }
-    for (unsigned way = 0; way < ways_; ++way) {
-        const Line &line = lines_[lineIndex(set, way)];
-        if (line.valid && line.tag == tag) {
+    if (((valid >> hint) & 1) != 0 && row[hint] == tag)
+        return static_cast<int>(hint);
+    for (std::uint32_t bits = valid; bits != 0; bits &= bits - 1) {
+        const unsigned way = std::countr_zero(bits);
+        if (row[way] == tag) {
             mru_[set] = static_cast<std::uint8_t>(way);
             return static_cast<int>(way);
         }
@@ -62,13 +73,11 @@ L2Cache::findWay(std::size_t set, std::uint64_t tag) const
 int
 L2Cache::pickVictim(std::size_t set)
 {
-    // Round-robin among allocatable (unlocked) ways; prefer invalid lines.
-    for (unsigned way = 0; way < ways_; ++way) {
-        if (lockdownMask_ & (1u << way))
-            continue;
-        if (!lines_[lineIndex(set, way)].valid)
-            return static_cast<int>(way);
-    }
+    // Round-robin among allocatable (unlocked) ways; prefer invalid
+    // lines, lowest way first.
+    const std::uint32_t free = allWays_ & ~lockdownMask_ & ~valid_[set];
+    if (free != 0)
+        return std::countr_zero(free);
     for (unsigned probe = 0; probe < ways_; ++probe) {
         const unsigned way = (rr_[set] + probe) % ways_;
         if (lockdownMask_ & (1u << way))
@@ -82,21 +91,21 @@ L2Cache::pickVictim(std::size_t set)
 void
 L2Cache::writebackLine(std::size_t set, unsigned way)
 {
-    Line &line = lines_[lineIndex(set, way)];
-    if (!line.valid || !line.dirty)
+    const std::uint32_t bit = 1u << way;
+    if ((dirty_[set] & bit) == 0)
         return;
     touchSet(set);
     // Fire before the bus write so a scheduled DMA burst races the
     // flush (reads DRAM while the line is still only in the cache).
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::CacheEvent)) {
-        probe::CacheEvent event{way, (lockdownMask_ & (1u << way)) != 0,
-                                lineAddr(set, line)};
+        probe::CacheEvent event{way, (lockdownMask_ & bit) != 0,
+                                lineAddr(set, way)};
         trace_->emit(event);
     }
-    bus_.write(lineAddr(set, line), lineData(set, way), CACHE_LINE_SIZE,
+    bus_.write(lineAddr(set, way), lineData(set, way), CACHE_LINE_SIZE,
                BusInitiator::CpuCache);
     clock_.advance(timing_.writebackCycles);
-    line.dirty = false;
+    dirty_[set] &= ~bit;
     ++stats_.writebacks;
 }
 
@@ -138,13 +147,14 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
             }
             return;
         }
+        // The victim is clean from here on: writebackLine cleans a dirty
+        // one, and an invalid one is never dirty.
         writebackLine(set, static_cast<unsigned>(way));
-        Line &line = lines_[lineIndex(set, static_cast<unsigned>(way))];
         bus_.read(lineBase, lineData(set, static_cast<unsigned>(way)),
                   CACHE_LINE_SIZE, BusInitiator::CpuCache);
-        line.tag = tag;
-        line.valid = true;
-        line.dirty = false;
+        tags_[lineIndex(set, static_cast<unsigned>(way))] =
+            static_cast<Tag>(tag);
+        valid_[set] |= 1u << way;
         mru_[set] = static_cast<std::uint8_t>(way);
         ++stats_.fills;
     }
@@ -155,7 +165,7 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
         host::copyLine(rbuf, cached, len);
     } else {
         host::copyLine(cached, wbuf, len);
-        lines_[lineIndex(set, static_cast<unsigned>(way))].dirty = true;
+        dirty_[set] |= 1u << way;
     }
 }
 
@@ -183,16 +193,15 @@ L2Cache::writeLockdownReg(std::uint32_t mask)
 void
 L2Cache::flushAllMasked()
 {
-    touchAllSets();
     for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned way = 0; way < ways_; ++way) {
-            if (flushWayMask_ & (1u << way))
-                continue;
-            Line &line = lines_[lineIndex(set, way)];
-            if (!line.valid)
-                continue;
+        const std::uint32_t lines = valid_[set] & ~flushWayMask_;
+        if (lines == 0)
+            continue;
+        touchSet(set);
+        for (std::uint32_t bits = lines; bits != 0; bits &= bits - 1) {
+            const unsigned way = std::countr_zero(bits);
             writebackLine(set, way);
-            line.valid = false;
+            valid_[set] &= ~(1u << way);
         }
     }
 }
@@ -200,13 +209,11 @@ L2Cache::flushAllMasked()
 void
 L2Cache::cleanAllMasked()
 {
-    touchAllSets();
+    // writebackLine marks each set it changes.
     for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned way = 0; way < ways_; ++way) {
-            if (flushWayMask_ & (1u << way))
-                continue;
-            writebackLine(set, way);
-        }
+        for (std::uint32_t bits = dirty_[set] & ~flushWayMask_; bits != 0;
+             bits &= bits - 1)
+            writebackLine(set, std::countr_zero(bits));
     }
 }
 
@@ -216,14 +223,14 @@ L2Cache::rawFlushAll()
     // The stock full flush ignores locks: every dirty line (locked or
     // not) is written back to DRAM and everything is invalidated. The
     // lockdown register is cleared — locked ways are gone.
-    touchAllSets();
     for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned way = 0; way < ways_; ++way) {
-            Line &line = lines_[lineIndex(set, way)];
-            if (!line.valid)
-                continue;
+        if (valid_[set] == 0)
+            continue;
+        touchSet(set);
+        for (std::uint32_t bits = valid_[set]; bits != 0; bits &= bits - 1) {
+            const unsigned way = std::countr_zero(bits);
             writebackLine(set, way);
-            line.valid = false;
+            valid_[set] &= ~(1u << way);
         }
     }
     lockdownMask_ = 0;
@@ -252,17 +259,20 @@ L2Cache::invalidateRange(PhysAddr addr, std::size_t len)
         if (way < 0 || (flushWayMask_ & (1u << way)))
             continue;
         touchSet(set);
-        lines_[lineIndex(set, static_cast<unsigned>(way))].valid = false;
-        lines_[lineIndex(set, static_cast<unsigned>(way))].dirty = false;
+        valid_[set] &= ~(1u << way);
+        dirty_[set] &= ~(1u << way);
     }
 }
 
 void
 L2Cache::resetAndZero()
 {
-    touchAllSets();
-    for (auto &line : lines_)
-        line = Line{};
+    // Every set changes: forget the restored image, so the next restore
+    // copies everything.
+    restored_.reset();
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(valid_.begin(), valid_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     std::memset(data_.data(), 0, data_.size());
     lockdownMask_ = 0;
     flushWayMask_ = 0;
@@ -286,20 +296,19 @@ L2Cache::peek(PhysAddr addr, unsigned *way_out) const
 bool
 L2Cache::wayHasDirtyLines(unsigned way) const
 {
-    for (std::size_t set = 0; set < sets_; ++set) {
-        const Line &line = lines_[lineIndex(set, way)];
-        if (line.valid && line.dirty)
-            return true;
-    }
-    return false;
+    const std::uint32_t bit = 1u << way;
+    return std::any_of(dirty_.begin(), dirty_.end(),
+                       [bit](std::uint32_t dirty) {
+                           return (dirty & bit) != 0;
+                       });
 }
 
 L2Cache::ForkState
 L2Cache::forkState() const
 {
     ForkState fs;
-    fs.image =
-        std::make_shared<const ForkImage>(ForkImage{lines_, data_, rr_});
+    fs.image = std::make_shared<const ForkImage>(
+        ForkImage{tags_, valid_, dirty_, data_, rr_});
     fs.mru = mru_;
     fs.lockdownMask = lockdownMask_;
     fs.flushWayMask = flushWayMask_;
@@ -311,7 +320,9 @@ void
 L2Cache::restoreForkState(const ForkState &fs)
 {
     const ForkImage &image = *fs.image;
-    if (image.lines.size() != lines_.size() ||
+    if (image.tags.size() != tags_.size() ||
+        image.valid.size() != valid_.size() ||
+        image.dirty.size() != dirty_.size() ||
         image.data.size() != data_.size() || image.rr.size() != rr_.size() ||
         fs.mru.size() != mru_.size())
         fatal("L2Cache::restoreForkState: geometry mismatch");
@@ -322,15 +333,19 @@ L2Cache::restoreForkState(const ForkState &fs)
             for (std::uint64_t bits = touched_[word]; bits != 0;
                  bits &= bits - 1) {
                 const std::size_t set = word * 64 + std::countr_zero(bits);
-                std::copy_n(image.lines.begin() + lineIndex(set, 0), ways_,
-                            lines_.begin() + lineIndex(set, 0));
+                std::copy_n(image.tags.begin() + lineIndex(set, 0), ways_,
+                            tags_.begin() + lineIndex(set, 0));
+                valid_[set] = image.valid[set];
+                dirty_[set] = image.dirty[set];
                 std::memcpy(lineData(set, 0),
                             image.data.data() + set * setBytes, setBytes);
                 rr_[set] = image.rr[set];
             }
         }
     } else {
-        std::copy(image.lines.begin(), image.lines.end(), lines_.begin());
+        std::copy(image.tags.begin(), image.tags.end(), tags_.begin());
+        std::copy(image.valid.begin(), image.valid.end(), valid_.begin());
+        std::copy(image.dirty.begin(), image.dirty.end(), dirty_.begin());
         std::copy(image.data.begin(), image.data.end(), data_.begin());
         std::copy(image.rr.begin(), image.rr.end(), rr_.begin());
         restored_ = fs.image;

@@ -56,16 +56,6 @@ struct L2Timing
     Cycles writebackCycles = 30;
 };
 
-/** Tag-store state of one cache line (read-only outside L2Cache). */
-struct L2Line
-{
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-
-    bool operator==(const L2Line &) const = default;
-};
-
 /** The shared L2 cache controller. */
 class L2Cache
 {
@@ -135,6 +125,10 @@ class L2Cache
     /**
      * Clean (write back) and invalidate all ways *except* those in the
      * flush-way mask — the patched-OS flush path.
+     *
+     * The whole-cache operations visit only the lines they act on (the
+     * valid, or for a clean the dirty, lines of the ways they cover),
+     * set by set in ascending order and lowest way first within a set.
      */
     void flushAllMasked();
 
@@ -198,11 +192,18 @@ class L2Cache
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** The per-set arrays of a capture: tag store, payloads and
-     * round-robin pointers (~1.5 MiB for the 1 MiB Tegra 3 L2). */
+    /** A line's tag: its address above the set index. The constructor
+     * checks that every tag of the cacheable window fits. */
+    using Tag = std::uint32_t;
+
+    /** The per-set arrays of a capture: tag rows, valid and dirty way
+     * masks, payloads and round-robin pointers (~1.2 MiB for the 1 MiB
+     * Tegra 3 L2). */
     struct ForkImage
     {
-        std::vector<L2Line> lines;
+        std::vector<Tag> tags;
+        std::vector<std::uint32_t> valid;
+        std::vector<std::uint32_t> dirty;
         std::vector<std::uint8_t> data;
         std::vector<std::uint32_t> rr;
     };
@@ -228,16 +229,14 @@ class L2Cache
      * The controller keeps a reference to the image it restores. A
      * later restore of that same image copies back only the sets
      * touched since (a fill, write, writeback or invalidate marks its
-     * set before changing it); a different image, or one restored
-     * after a bulk operation (full flush, clean, reset), is copied
-     * back whole. The replacement hints and the scalars are always
-     * copied whole.
+     * set before changing it, and so do the flushes for each set whose
+     * lines they invalidate); a different image, or one restored after
+     * the firmware reset, is copied back whole. The replacement hints
+     * and the scalars are always copied whole.
      */
     void restoreForkState(const ForkState &fs);
 
   private:
-    using Line = L2Line;
-
     std::size_t lineIndex(std::size_t set, unsigned way) const
     {
         return set * ways_ + way;
@@ -263,9 +262,10 @@ class L2Cache
         return addr / CACHE_LINE_SIZE / sets_;
     }
 
-    PhysAddr lineAddr(std::size_t set, const Line &line) const
+    PhysAddr lineAddr(std::size_t set, unsigned way) const
     {
-        return (line.tag * sets_ + set) * CACHE_LINE_SIZE;
+        return (PhysAddr{tags_[lineIndex(set, way)]} * sets_ + set) *
+               CACHE_LINE_SIZE;
     }
 
     /** @return hit way index or -1. */
@@ -282,10 +282,6 @@ class L2Cache
         touched_[set / 64] |= std::uint64_t{1} << (set % 64);
     }
 
-    /** A bulk operation may have changed every set: forget the
-     * restored image, so the next restore copies everything. */
-    void touchAllSets() { restored_.reset(); }
-
     /** Common read/write path. */
     void access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
                 std::size_t len);
@@ -299,13 +295,20 @@ class L2Cache
     unsigned ways_;
     L2Timing timing_;
 
-    std::vector<Line> lines_;       // sets_ * ways_
-    std::vector<std::uint8_t> data_; // line payloads
-    std::vector<std::uint32_t> rr_;  // per-set round-robin pointer
-    // Per-set most-recently-hit way: checked before the way scan so the
-    // pinned-AES-state access pattern (same handful of lines, millions
-    // of times) short-circuits in one compare. Pure lookup acceleration
-    // — never changes which way findWay() reports.
+    std::uint32_t allWays_; // bit w set for every way w < ways_
+
+    // The line state. Bit w of valid_[s] / dirty_[s] is way w of set s;
+    // a dirty line is valid. Set s's tags are the row
+    // tags_[s * ways_ ..], and its payloads the same rows of data_.
+    std::vector<Tag> tags_;
+    std::vector<std::uint32_t> valid_;
+    std::vector<std::uint32_t> dirty_;
+    std::vector<std::uint8_t> data_;
+    std::vector<std::uint32_t> rr_; // per-set round-robin pointer
+    // Per-set most-recently-hit way: checked before the valid-way scan
+    // so the pinned-AES-state access pattern (same handful of lines,
+    // millions of times) short-circuits in one compare. Pure lookup
+    // acceleration — never changes which way findWay() reports.
     mutable std::vector<std::uint8_t> mru_;
     std::uint32_t lockdownMask_ = 0;
     std::uint32_t flushWayMask_ = 0;

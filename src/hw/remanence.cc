@@ -89,14 +89,13 @@ RemanenceModel::decay(CowBytes &cells, double off_seconds, double celsius,
     const auto threshold = keepThreshold(off_seconds, celsius);
     if (!threshold)
         return;
-    constexpr unsigned PAGE_JUMPS = PAGE_SIZE / 4 / Rng::JUMP_DRAWS;
+    static_assert(PAGE_SIZE / 4 == Rng::PAGE_JUMP_DRAWS);
     const host::BytesKernel &kernel = host::kernels().bytes;
     cells.rewritePages([&](const CowBytes::PageRewrite &page) {
         const std::uint8_t ground = drawGround(rng);
         if (ground == 0x00 && page.isZero() && page.size() == PAGE_SIZE) {
             // Zero cells that decay toward 0x00 keep every byte.
-            for (unsigned i = 0; i < PAGE_JUMPS; ++i)
-                rng.jump();
+            rng.jumpPage();
             return;
         }
         const std::span<std::uint8_t> bytes = page.bytes();

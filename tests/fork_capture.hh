@@ -31,7 +31,8 @@ struct ForkCapture
     {
         const hw::L2Cache::ForkImage &a = *l2.image;
         const hw::L2Cache::ForkImage &b = *other.l2.image;
-        return a.lines == b.lines && a.data == b.data && a.rr == b.rr &&
+        return a.tags == b.tags && a.valid == b.valid &&
+               a.dirty == b.dirty && a.data == b.data && a.rr == b.rr &&
                l2.mru == other.l2.mru &&
                l2.lockdownMask == other.l2.lockdownMask &&
                l2.flushWayMask == other.l2.flushWayMask &&

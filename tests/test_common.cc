@@ -203,7 +203,8 @@ TEST(Rng, ChanceMatchesProbability)
 TEST(Rng, JumpEqualsStepping)
 {
     // From states far from any seed, one jump and four jumps land where
-    // stepping JUMP_DRAWS and 4 * JUMP_DRAWS draws does.
+    // stepping JUMP_DRAWS and 4 * JUMP_DRAWS draws does, and so does
+    // one page jump.
     Rng source(0x7ab1e);
     for (int trial = 0; trial < 16; ++trial) {
         const Rng::State start = {source.next64(), source.next64(),
@@ -220,6 +221,20 @@ TEST(Rng, JumpEqualsStepping)
                 << "trial " << trial << ", " << jumps << " jumps";
             EXPECT_EQ(jumped.next64(), stepped.next64());
         }
+        // One page jump lands where PAGE_JUMP_DRAWS steps and four
+        // plain jumps do.
+        Rng stepped, jumped, quartered;
+        stepped.setState(start);
+        jumped.setState(start);
+        quartered.setState(start);
+        for (unsigned i = 0; i < Rng::PAGE_JUMP_DRAWS; ++i)
+            stepped.next64();
+        jumped.jumpPage();
+        for (unsigned i = 0; i < Rng::PAGE_JUMP_DRAWS / Rng::JUMP_DRAWS; ++i)
+            quartered.jump();
+        EXPECT_EQ(jumped.state(), stepped.state()) << "trial " << trial;
+        EXPECT_EQ(jumped.state(), quartered.state()) << "trial " << trial;
+        EXPECT_EQ(jumped.next64(), stepped.next64());
     }
 }
 

@@ -123,6 +123,20 @@ TEST(Pbkdf2, FourThousandIterations)
               "962893a001ce4e11a4963873aa98134a");
 }
 
+TEST(Pbkdf2, LongPasswordTwoBlocksArePinned)
+{
+    // A 100-byte password takes HMAC's hashed-key path, and 40 bytes
+    // need a second output block. The pinned value is what Python's
+    // hashlib.pbkdf2_hmac gives for the same inputs.
+    std::vector<std::uint8_t> password(100);
+    for (std::size_t i = 0; i < password.size(); ++i)
+        password[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    const auto dk = pbkdf2Sha256(password, bytesOf("NaCl-sentry"), 3, 40);
+    EXPECT_EQ(toHex(dk),
+              "1ab955d2bd91d686d6d906eadbce23e34de8419dcfc62d90b1a4514c"
+              "6376d1062e47c66daa65a5a7");
+}
+
 TEST(Pbkdf2, OutputLengthsAreExact)
 {
     for (std::size_t len : {1u, 16u, 31u, 32u, 33u, 64u, 100u}) {

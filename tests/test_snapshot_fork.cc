@@ -27,6 +27,7 @@
 #include "core/device.hh"
 #include "core/dram_scanner.hh"
 #include "core/invariant_checker.hh"
+#include "core/security_audit.hh"
 #include "crypto/sha256.hh"
 #include "fork_capture.hh"
 
@@ -187,6 +188,22 @@ lineTemplate()
     l2.invalidateRange(READ_MISS_LINE, 1);
     l2.write(CLEAN_LINE, &byte, 1);
     l2.read(INVALIDATE_LINE, &byte, 1);
+    return origin.snapshot();
+}
+
+/** A warm template whose unmasked ways hold two lines, WRITE_HIT_LINE
+ * (clean) and CLEAN_LINE (dirty), in two of the L2's sets: a masked
+ * flush on a fork invalidates lines in those sets only. */
+std::shared_ptr<const DeviceSnapshot>
+sparseTemplate()
+{
+    Device origin(config());
+    warm(origin);
+    hw::L2Cache &l2 = origin.soc().l2();
+    l2.flushAllMasked();
+    std::uint8_t byte = 0x42;
+    l2.read(WRITE_HIT_LINE, &byte, 1);
+    l2.write(CLEAN_LINE, &byte, 1);
     return origin.snapshot();
 }
 
@@ -688,6 +705,33 @@ TEST(RecycledFork, MatchesFreshAfterMaskedFlush)
     Device target(config());
     target.forkFrom(*snap);
     target.soc().l2().flushAllMasked();
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterAuditClean)
+{
+    // The audit's masked clean writes back only the dirty unmasked
+    // lines; the sets it marks are all a re-fork copies back.
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    spawnAndTouch(target, 16 * KiB);
+    (void)SecurityAudit(target.kernel(), target.sentry()).run();
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterPartialMaskedFlush)
+{
+    const auto snap = sparseTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    hw::L2Cache &l2 = target.soc().l2();
+    const auto before = l2.forkState();
+    std::size_t flushedSets = 0;
+    for (const std::uint32_t valid : before.image->valid)
+        flushedSets += (valid & ~l2.flushWayMask()) != 0;
+    ASSERT_EQ(flushedSets, 2u);
+    l2.flushAllMasked();
     expectRecycledForkMatchesFresh(target, *snap);
 }
 
