@@ -55,7 +55,7 @@ main()
     // 5. A thief taps RESET and boots a memory dumper. Nothing.
     attacks::ColdBootAttack attack(
         attacks::ColdBootVariant::DeviceReflash);
-    const attacks::AttackResult result =
+    const attacks::v2::AttackOutcome result =
         attack.run(device.soc(), secret, "messenger heap");
     std::printf("cold boot:   %s\n", result.verdict());
 

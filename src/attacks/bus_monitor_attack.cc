@@ -40,11 +40,11 @@ BusMonitorAttack::startCapture()
     monitor_.clear();
 }
 
-AttackResult
+v2::AttackOutcome
 BusMonitorAttack::analyzeForSecret(std::span<const std::uint8_t> secret,
                                    const std::string &target) const
 {
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = "bus-monitor";
     result.target = target;
 

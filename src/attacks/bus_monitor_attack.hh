@@ -26,7 +26,7 @@
 #include <span>
 #include <vector>
 
-#include "attacks/report.hh"
+#include "attacks/v2/attack.hh"
 #include "common/rng.hh"
 #include "crypto/aes_on_soc.hh"
 #include "hw/bus_monitor.hh"
@@ -77,8 +77,8 @@ class BusMonitorAttack
      * Search everything captured since startCapture() for @p secret:
      * the captured payloads, in order, streamed through a StreamMatcher.
      */
-    AttackResult analyzeForSecret(std::span<const std::uint8_t> secret,
-                                  const std::string &target) const;
+    v2::AttackOutcome analyzeForSecret(std::span<const std::uint8_t> secret,
+                                       const std::string &target) const;
 
     /**
      * Run the first-round known-plaintext attack against @p engine.

@@ -5,12 +5,12 @@
 namespace sentry::attacks
 {
 
-AttackResult
+v2::AttackOutcome
 CodeInjectionAttack::injectViaDma(hw::Soc &soc, PhysAddr addr,
                                   std::span<const std::uint8_t> payload,
                                   const std::string &target)
 {
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = "code-injection/dma";
     result.target = target;
 
@@ -33,11 +33,11 @@ CodeInjectionAttack::injectViaDma(hw::Soc &soc, PhysAddr addr,
     return result;
 }
 
-AttackResult
+v2::AttackOutcome
 CodeInjectionAttack::replaceFirmware(hw::Soc &soc,
                                      std::span<const std::uint8_t> image)
 {
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = "code-injection/firmware";
     result.target = "boot ROM (zeroing logic)";
 

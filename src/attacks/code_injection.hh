@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <span>
 
-#include "attacks/report.hh"
+#include "attacks/v2/attack.hh"
 #include "hw/soc.hh"
 
 namespace sentry::attacks
@@ -32,16 +32,16 @@ class CodeInjectionAttack
      * Try to overwrite [addr, addr+payload.size()) via DMA.
      * @return result; secretRecovered=true means the write landed.
      */
-    AttackResult injectViaDma(hw::Soc &soc, PhysAddr addr,
-                              std::span<const std::uint8_t> payload,
-                              const std::string &target);
+    v2::AttackOutcome injectViaDma(hw::Soc &soc, PhysAddr addr,
+                                   std::span<const std::uint8_t> payload,
+                                   const std::string &target);
 
     /**
      * Try to install a malicious (unsigned) boot firmware image that
      * would skip the zeroing of on-SoC storage.
      */
-    AttackResult replaceFirmware(hw::Soc &soc,
-                                 std::span<const std::uint8_t> image);
+    v2::AttackOutcome replaceFirmware(hw::Soc &soc,
+                                      std::span<const std::uint8_t> image);
 };
 
 } // namespace sentry::attacks

@@ -41,13 +41,13 @@ ColdBootAttack::performReset(hw::Soc &soc) const
     }
 }
 
-AttackResult
+v2::AttackOutcome
 ColdBootAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
                     const std::string &target) const
 {
     performReset(soc);
 
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = std::string("cold-boot/") + coldBootVariantName(variant_);
     result.target = target;
 

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <span>
 
-#include "attacks/report.hh"
+#include "attacks/v2/attack.hh"
 #include "hw/soc.hh"
 
 namespace sentry::attacks
@@ -64,8 +64,8 @@ class ColdBootAttack
      * Full attack: reset, dump, grep for @p secret.
      * @param target description for the report
      */
-    AttackResult run(hw::Soc &soc, std::span<const std::uint8_t> secret,
-                     const std::string &target) const;
+    v2::AttackOutcome run(hw::Soc &soc, std::span<const std::uint8_t> secret,
+                          const std::string &target) const;
 
     /**
      * Table 2 methodology: count aligned occurrences of @p pattern in

@@ -52,11 +52,11 @@ DmaAttack::dumpRange(hw::Soc &soc, PhysAddr addr, std::size_t len,
     return dump;
 }
 
-AttackResult
+v2::AttackOutcome
 DmaAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
                const std::string &target)
 {
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = "dma";
     result.target = target;
 

@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "attacks/report.hh"
+#include "attacks/v2/attack.hh"
 #include "common/bytes.hh"
 #include "hw/soc.hh"
 
@@ -62,8 +62,8 @@ class DmaAttack
      * Full attack: sweep all of DRAM and (if permitted) iRAM, grepping
      * the bursts for @p secret as they arrive.
      */
-    AttackResult run(hw::Soc &soc, std::span<const std::uint8_t> secret,
-                     const std::string &target);
+    v2::AttackOutcome run(hw::Soc &soc, std::span<const std::uint8_t> secret,
+                          const std::string &target);
 };
 
 } // namespace sentry::attacks

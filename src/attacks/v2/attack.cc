@@ -1,5 +1,6 @@
 #include "attacks/v2/attack.hh"
 
+#include <cstdio>
 #include <sstream>
 
 #include "hw/soc.hh"
@@ -38,6 +39,15 @@ AttackOutcome::digest() const
     for (const auto &[name, value] : counters)
         out << ';' << name << '=' << value;
     return out.str();
+}
+
+std::string
+formatResult(const AttackOutcome &outcome)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "%-24s %-32s %s", outcome.attack.c_str(),
+                  outcome.target.c_str(), outcome.verdict());
+    return buf;
 }
 
 AttackOutcome

@@ -37,9 +37,10 @@ namespace sentry::attacks::v2
 {
 
 /**
- * Structured result of one attack run. Counters keep insertion order
- * so digest() is canonical; notes are human-facing and excluded from
- * the digest.
+ * Structured result of one attack run, for every attack: the paper's
+ * (cold boot, DMA, bus monitor, code injection) and the v2 suite's.
+ * Counters keep insertion order so digest() is canonical; notes are
+ * human-facing and excluded from the digest.
  */
 struct AttackOutcome
 {
@@ -56,10 +57,10 @@ struct AttackOutcome
     /** @return counter @p key's value (0 when absent). */
     std::uint64_t counter(const std::string &key) const;
 
-    /** @return "recovered" or "defeated". */
+    /** @return "UNSAFE"/"Safe" as in the paper's Table 3. */
     const char *verdict() const
     {
-        return secretRecovered ? "recovered" : "defeated";
+        return secretRecovered ? "UNSAFE" : "Safe";
     }
 
     /**
@@ -69,6 +70,9 @@ struct AttackOutcome
      */
     std::string digest() const;
 };
+
+/** Pretty-print an outcome line ("attack  target  verdict"). */
+std::string formatResult(const AttackOutcome &outcome);
 
 /** Base class of all v2 attacks. */
 class Attack : public probe::Subscriber

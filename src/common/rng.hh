@@ -23,6 +23,17 @@
 namespace sentry
 {
 
+/** SplitMix64 step: advance @p state and return the next output. */
+constexpr std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** Fast, seedable PRNG (xoshiro256**). Not cryptographic. */
 class Rng
 {
@@ -44,13 +55,8 @@ class Rng
     reseed(std::uint64_t seed)
     {
         // SplitMix64 expansion of the seed into the 256-bit state.
-        for (auto &word : state_) {
-            seed += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
-        }
+        for (auto &word : state_)
+            word = splitmix64(seed);
     }
 
     /** @return the next 64 random bits. */

@@ -39,29 +39,6 @@ parseDefenseKind(std::string_view name)
     return std::nullopt;
 }
 
-const char *
-threatName(Threat threat)
-{
-    switch (threat) {
-      case Threat::ColdBoot:
-        return "cold_boot";
-      case Threat::BusMonitor:
-        return "bus_monitor";
-      case Threat::Dma:
-        return "dma";
-      case Threat::PrimeProbe:
-        return "prime_probe";
-      case Threat::EvictReload:
-        return "evict_reload";
-      case Threat::Rowhammer:
-        return "rowhammer";
-      case Threat::TzSideChannel:
-        return "tz_side_channel";
-      default:
-        return "?";
-    }
-}
-
 std::array<std::uint8_t, 16>
 defenseWorkingKey(const RootKey &master, std::string_view label)
 {

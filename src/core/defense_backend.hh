@@ -69,7 +69,8 @@ const char *defenseKindName(DefenseKind kind);
 /** Parse a backend name; nullopt when unknown. */
 std::optional<DefenseKind> parseDefenseKind(std::string_view name);
 
-/** The seven attack verbs a backend is scored against. */
+/** The seven threats a backend is scored against; fleet::ATTACK_VERBS
+ * names the attack verbs that exercise each. */
 enum class Threat
 {
     ColdBoot, //!< the cold-boot family (reflash / os_reboot / 2s_reset)
@@ -80,12 +81,6 @@ enum class Threat
     Rowhammer,
     TzSideChannel,
 };
-
-/** Number of Threat values (matrix dimension). */
-inline constexpr unsigned THREAT_COUNT = 7;
-
-/** @return printable threat name (matches the scenario attack verbs). */
-const char *threatName(Threat threat);
 
 /** Simulated cost ledger a backend accrues beyond baseline Sentry. */
 struct DefenseCosts

@@ -3,26 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/rng.hh"
 #include "hw/soc.hh"
 
 namespace sentry::fault
 {
-
-namespace
-{
-
-/** SplitMix64 step: advances @p state and returns the next output. */
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 FaultInjector::FaultInjector(FaultSchedule schedule, std::uint64_t seed)
     : schedule_(std::move(schedule))

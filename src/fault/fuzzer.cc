@@ -1,11 +1,13 @@
 #include "fault/fuzzer.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "fleet/device_runner.hh"
 
@@ -39,40 +41,25 @@ makeSleep(Rng &rng)
     return step;
 }
 
-/** Non-destructive attack kinds usable mid-scenario. */
+/**
+ * Draw an attack verb from the ATTACK_VERBS rows whose coldBootFamily
+ * flag is @p cold_boot, uniformly, in table order: the live verbs
+ * mid-scenario, the cold-boot family only as the final step.
+ */
 AttackKind
-liveAttackKind(Rng &rng)
+drawAttackKind(Rng &rng, bool cold_boot)
 {
-    switch (rng.below(7)) {
-      case 0:
-        return AttackKind::Dma;
-      case 1:
-        return AttackKind::BusMonitor;
-      case 2:
-        return AttackKind::CodeInjection;
-      case 3:
-        return AttackKind::PrimeProbe;
-      case 4:
-        return AttackKind::EvictReload;
-      case 5:
-        return AttackKind::Rowhammer;
-      default:
-        return AttackKind::TzSideChannel;
+    constexpr auto COLD_BOOT_VERBS = static_cast<std::uint64_t>(
+        std::ranges::count(fleet::ATTACK_VERBS, true,
+                           &fleet::AttackVerb::coldBootFamily));
+    std::uint64_t pick =
+        rng.below(cold_boot ? COLD_BOOT_VERBS
+                            : fleet::ATTACK_VERBS.size() - COLD_BOOT_VERBS);
+    for (const fleet::AttackVerb &row : fleet::ATTACK_VERBS) {
+        if (row.coldBootFamily == cold_boot && pick-- == 0)
+            return row.kind;
     }
-}
-
-/** Destructive (cold-boot family) attack kinds for the final step. */
-AttackKind
-destructiveAttackKind(Rng &rng)
-{
-    switch (rng.below(3)) {
-      case 0:
-        return AttackKind::ColdBootReflash;
-      case 1:
-        return AttackKind::OsReboot;
-      default:
-        return AttackKind::TwoSecondReset;
-    }
+    panic("attack verb draw ran past the table");
 }
 
 FaultSpec
@@ -239,7 +226,7 @@ generateTrial(const FuzzOptions &options, unsigned index)
                 locked = false;
             } else if (pick < 55) {
                 step.op = Op::Attack;
-                step.attack = liveAttackKind(rng);
+                step.attack = drawAttackKind(rng, /*cold_boot=*/false);
             } else if (pick < 70) {
                 step = makeSleep(rng);
             } else if (pick < 85) {
@@ -276,7 +263,7 @@ generateTrial(const FuzzOptions &options, unsigned index)
         }
         Step step;
         step.op = Op::Attack;
-        step.attack = destructiveAttackKind(rng);
+        step.attack = drawAttackKind(rng, /*cold_boot=*/true);
         step.frozen = rng.chance(0.3);
         addStep(step);
     }

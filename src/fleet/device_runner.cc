@@ -18,6 +18,7 @@
 #include "attacks/v2/tz_side_channel.hh"
 #include "common/bytes.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/device.hh"
 #include "core/invariant_checker.hh"
 #include "fault/fault.hh"
@@ -65,34 +66,6 @@ failDevice(DeviceResult &result, std::string error)
         result.error = std::move(error);
 }
 
-/** The Threat a given attack verb exercises; nullopt for verbs outside
- * the seven-threat matrix (code_injection stays a platform test every
- * backend must pass). */
-std::optional<core::Threat>
-attackThreat(AttackKind kind)
-{
-    switch (kind) {
-      case AttackKind::ColdBootReflash:
-      case AttackKind::OsReboot:
-      case AttackKind::TwoSecondReset:
-        return core::Threat::ColdBoot;
-      case AttackKind::Dma:
-        return core::Threat::Dma;
-      case AttackKind::BusMonitor:
-        return core::Threat::BusMonitor;
-      case AttackKind::PrimeProbe:
-        return core::Threat::PrimeProbe;
-      case AttackKind::EvictReload:
-        return core::Threat::EvictReload;
-      case AttackKind::Rowhammer:
-        return core::Threat::Rowhammer;
-      case AttackKind::TzSideChannel:
-        return core::Threat::TzSideChannel;
-      default:
-        return std::nullopt;
-    }
-}
-
 std::string
 hex64(std::uint64_t value)
 {
@@ -100,16 +73,6 @@ hex64(std::uint64_t value)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(value));
     return buf;
-}
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 /** Platform + Sentry configuration shared by Runner::boot() and the
@@ -294,9 +257,7 @@ class Runner
         // decrypted pages (the paper's threat model).
         if (wasLocked) {
             const core::DumpLeaks leaks = checker_->checkDumps(soc);
-            result.sensitiveSecretsProbed += leaks.sensitiveProbed;
-            result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
-            result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
+            tallyLeaks(result, leaks);
             if (leaks.sensitiveLeaked != 0) {
                 failDevice(result, "power glitch left the secret of "
                                    "sensitive process '" +
@@ -352,25 +313,36 @@ class Runner
     }
 
     /**
-     * Score one observed breach against the backend's claimed threat
-     * matrix. A breach of a claimed-defeated threat fails the device —
-     * the caller applies its legacy error path, so the default Sentry
-     * backend (which claims everything) behaves byte-identically. A
-     * breach of a claimed-vulnerable threat is tallied and the run
-     * continues: that asymmetry is what the differential harness
-     * measures.
-     * @return true when the caller should apply its failure path.
+     * Score one observed breach by @p step's verb against the backend's
+     * claimed threat matrix. A breach of a threat the backend claims to
+     * defeat counts a claim breach and fails the device with "line N:
+     * <what>"; a breach of a claimed-vulnerable threat only counts a
+     * vulnerable hit and the run continues (the asymmetry the
+     * differential harness measures). A verb with no threat
+     * (code_injection) fails the device and counts neither.
      */
-    bool
-    scoreBreach(DeviceResult &result, AttackKind kind)
+    void
+    breach(const Step &step, DeviceResult &result, const std::string &what)
     {
-        const std::optional<core::Threat> threat = attackThreat(kind);
-        if (threat.has_value() && !defense().defeats(*threat)) {
-            ++result.defenseVulnerableHits;
-            return false;
+        const std::optional<core::Threat> threat =
+            attackVerb(step.attack).threat;
+        if (threat.has_value()) {
+            if (!defense().defeats(*threat)) {
+                ++result.defenseVulnerableHits;
+                return;
+            }
+            ++result.defenseClaimBreaches;
         }
-        ++result.defenseClaimBreaches;
-        return true;
+        failDevice(result, "line " + std::to_string(step.line) + ": " + what);
+    }
+
+    /** Add one memory grep's probe and leak counts to @p result. */
+    static void
+    tallyLeaks(DeviceResult &result, const core::DumpLeaks &leaks)
+    {
+        result.sensitiveSecretsProbed += leaks.sensitiveProbed;
+        result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
+        result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
     }
 
     void
@@ -531,124 +503,136 @@ class Runner
             hex64(samplePriority(seed_, SALT_SCHEDULE,
                                  result.attacksRun - 1));
 
-        if (step.attack == AttackKind::PrimeProbe ||
-            step.attack == AttackKind::EvictReload) {
+        switch (step.attack) {
+          case AttackKind::ColdBootReflash:
+            doColdBoot(step, result, attacks::ColdBootVariant::DeviceReflash);
+            break;
+          case AttackKind::OsReboot:
+            doColdBoot(step, result, attacks::ColdBootVariant::OsReboot);
+            break;
+          case AttackKind::TwoSecondReset:
+            doColdBoot(step, result,
+                       attacks::ColdBootVariant::TwoSecondReset);
+            break;
+          case AttackKind::Dma:
+            scoreDump(step, result, dmaDumpLeaks(soc));
+            break;
+          case AttackKind::BusMonitor:
+            doBusMonitor(step, result);
+            break;
+          case AttackKind::CodeInjection:
+            doCodeInjection(step, result);
+            break;
+          case AttackKind::PrimeProbe:
+          case AttackKind::EvictReload:
             doCacheAttack(step, result);
-            return;
-        }
-        if (step.attack == AttackKind::Rowhammer) {
+            break;
+          case AttackKind::Rowhammer:
             doRowhammer(step, result);
-            return;
-        }
-        if (step.attack == AttackKind::TzSideChannel) {
+            break;
+          case AttackKind::TzSideChannel:
             doTzSideChannel(step, result);
-            return;
+            break;
         }
-
-        std::optional<core::DumpLeaks> leaks;
-        if (step.attack == AttackKind::Dma) {
-            leaks = dmaDumpLeaks(soc);
-        } else if (step.attack == AttackKind::BusMonitor) {
-            // A DDR probe watches while the system generates traffic:
-            // a cache clean (which honours the flush mask) plus a full
-            // DMA sweep — everything that crosses the bus is grepped for
-            // the sensitive markers as it crosses, and none of it kept.
-            std::vector<std::vector<std::uint8_t>> sensitive;
-            for (const core::SecretMarker &marker : checker_->markers()) {
-                if (marker.sensitive)
-                    sensitive.push_back(marker.bytes);
-            }
-            StreamMatcher crossed(std::move(sensitive));
-            attacks::BusMonitorAttack probe(soc, crossed);
-            probe.startCapture();
-            soc.l2().cleanAllMasked();
-            leaks = dmaDumpLeaks(soc);
-            std::size_t next = 0;
-            for (const core::SecretMarker &marker : checker_->markers()) {
-                if (!marker.sensitive)
-                    continue;
-                if (crossed.found(next++) &&
-                    scoreBreach(result, step.attack)) {
-                    failDevice(result,
-                               "line " + std::to_string(step.line) +
-                                   ": bus probe captured the secret of "
-                                   "sensitive process '" +
-                                   marker.owner + "'");
-                }
-            }
-            // A backend whose cipher state sits in DRAM gives the probe
-            // a second channel: the table-access pattern of the cipher
-            // itself (Tromer/Osvik/Shamir). Sentry and MemShield keep
-            // all cipher state on the SoC, so this phase never runs for
-            // them and their bus traffic stays untouched.
-            crypto::SimAesEngine *dramEngine = defense().dramStateEngine();
-            if (dramEngine != nullptr) {
-                Rng sideRng(samplePriority(seed_, SALT_BUSKEY,
-                                           result.attacksRun - 1));
-                const attacks::SideChannelResult side =
-                    probe.recoverAesKeyBits(*dramEngine,
-                                            /*num_blocks=*/48, sideRng);
-                if (side.recoveredBytes() != 0 &&
-                    scoreBreach(result, step.attack)) {
-                    failDevice(result,
-                               "line " + std::to_string(step.line) +
-                                   ": bus probe recovered AES key bits from "
-                                   "the DRAM-resident cipher state");
-                }
-            }
-        } else if (step.attack == AttackKind::CodeInjection) {
-            attacks::CodeInjectionAttack inject;
-            const std::vector<std::uint8_t> payload(64, 0xCC);
-            const attacks::AttackResult dmaWrite = inject.injectViaDma(
-                soc, IRAM_BASE + IRAM_FIRMWARE_RESERVED, payload,
-                "on-SoC crypto state");
-            // With a secure world, TrustZone must deny peripheral
-            // writes into iRAM; without one (locked-firmware Nexus 4)
-            // the landed write is the platform's documented weakness,
-            // not a Sentry regression.
-            if (dmaWrite.secretRecovered &&
-                soc.config().secureWorldAvailable) {
-                failDevice(result,
-                           "line " + std::to_string(step.line) +
-                               ": DMA code injection into iRAM landed despite "
-                               "TrustZone protection");
-            }
-            const std::vector<std::uint8_t> evilImage(256, 0x90);
-            const attacks::AttackResult fw =
-                inject.replaceFirmware(soc, evilImage);
-            if (fw.secretRecovered) {
-                failDevice(result,
-                           "line " + std::to_string(step.line) +
-                               ": unsigned firmware image was accepted");
-            }
-        } else {
-            attacks::ColdBootVariant variant =
-                attacks::ColdBootVariant::DeviceReflash;
-            if (step.attack == AttackKind::OsReboot)
-                variant = attacks::ColdBootVariant::OsReboot;
-            else if (step.attack == AttackKind::TwoSecondReset)
-                variant = attacks::ColdBootVariant::TwoSecondReset;
-            const attacks::ColdBootAttack attack(
-                variant, step.frozen ? -18.0 : 22.0);
-            attack.performReset(soc);
+        if (attackVerb(step.attack).coldBootFamily)
             coldBooted_ = true;
-            // The attacker's readout is the memory as the reset left it.
-            leaks = checker_->checkDumps(soc);
-        }
+    }
 
-        if (!leaks)
-            return;
-        result.sensitiveSecretsProbed += leaks->sensitiveProbed;
-        result.sensitiveSecretsLeaked += leaks->sensitiveLeaked;
-        result.nonSensitiveLeaks += leaks->nonSensitiveLeaks;
-        if (leaks->sensitiveLeaked != 0 &&
-            scoreBreach(result, step.attack)) {
-            failDevice(result, "line " + std::to_string(step.line) +
-                                   ": attack " + attackKindName(step.attack) +
-                                   " recovered the secret of sensitive "
-                                   "process '" +
-                                   leaks->firstLeakedOwner + "'");
+    /** Tally a memory grep's leaks; a sensitive leak is a breach. */
+    void
+    scoreDump(const Step &step, DeviceResult &result,
+              const core::DumpLeaks &leaks)
+    {
+        tallyLeaks(result, leaks);
+        if (leaks.sensitiveLeaked != 0)
+            breach(step, result,
+                   std::string("attack ") + attackKindName(step.attack) +
+                       " recovered the secret of sensitive process '" +
+                       leaks.firstLeakedOwner + "'");
+    }
+
+    /** Reset the device the cold-boot way; the attacker's readout is
+     * the memory as the reset left it. */
+    void
+    doColdBoot(const Step &step, DeviceResult &result,
+               attacks::ColdBootVariant variant)
+    {
+        hw::Soc &soc = device_->soc();
+        attacks::ColdBootAttack(variant, step.frozen ? -18.0 : 22.0)
+            .performReset(soc);
+        scoreDump(step, result, checker_->checkDumps(soc));
+    }
+
+    /**
+     * A DDR probe watches while the system generates traffic: a cache
+     * clean (which honours the flush mask) plus a full DMA sweep.
+     * Everything that crosses the bus is grepped for the sensitive
+     * markers as it crosses, and none of it kept.
+     */
+    void
+    doBusMonitor(const Step &step, DeviceResult &result)
+    {
+        hw::Soc &soc = device_->soc();
+        std::vector<std::vector<std::uint8_t>> sensitive;
+        for (const core::SecretMarker &marker : checker_->markers()) {
+            if (marker.sensitive)
+                sensitive.push_back(marker.bytes);
         }
+        StreamMatcher crossed(std::move(sensitive));
+        attacks::BusMonitorAttack probe(soc, crossed);
+        probe.startCapture();
+        soc.l2().cleanAllMasked();
+        const core::DumpLeaks leaks = dmaDumpLeaks(soc);
+        std::size_t next = 0;
+        for (const core::SecretMarker &marker : checker_->markers()) {
+            if (marker.sensitive && crossed.found(next++))
+                breach(step, result,
+                       "bus probe captured the secret of sensitive "
+                       "process '" +
+                           marker.owner + "'");
+        }
+        // A backend whose cipher state sits in DRAM gives the probe a
+        // second channel: the table-access pattern of the cipher itself
+        // (Tromer/Osvik/Shamir). Sentry and MemShield keep all cipher
+        // state on the SoC, so this phase never runs for them and their
+        // bus traffic stays untouched.
+        crypto::SimAesEngine *dramEngine = defense().dramStateEngine();
+        if (dramEngine != nullptr) {
+            Rng sideRng(
+                samplePriority(seed_, SALT_BUSKEY, result.attacksRun - 1));
+            const attacks::SideChannelResult side = probe.recoverAesKeyBits(
+                *dramEngine, /*num_blocks=*/48, sideRng);
+            if (side.recoveredBytes() != 0)
+                breach(step, result,
+                       "bus probe recovered AES key bits from the "
+                       "DRAM-resident cipher state");
+        }
+        scoreDump(step, result, leaks);
+    }
+
+    /**
+     * With a secure world, TrustZone must deny peripheral writes into
+     * iRAM; without one (locked-firmware Nexus 4) the landed write is
+     * the platform's documented weakness, not a Sentry regression. No
+     * platform may accept an unsigned firmware image.
+     */
+    void
+    doCodeInjection(const Step &step, DeviceResult &result)
+    {
+        hw::Soc &soc = device_->soc();
+        attacks::CodeInjectionAttack inject;
+        const std::vector<std::uint8_t> payload(64, 0xCC);
+        if (inject
+                .injectViaDma(soc, IRAM_BASE + IRAM_FIRMWARE_RESERVED,
+                              payload, "on-SoC crypto state")
+                .secretRecovered &&
+            soc.config().secureWorldAvailable)
+            breach(step, result,
+                   "DMA code injection into iRAM landed despite TrustZone "
+                   "protection");
+        const std::vector<std::uint8_t> evilImage(256, 0x90);
+        if (inject.replaceFirmware(soc, evilImage).secretRecovered)
+            breach(step, result, "unsigned firmware image was accepted");
     }
 
     /** DMA-sweep all of DRAM, then all of iRAM, grepping each image
@@ -732,15 +716,12 @@ class Runner
         }
         result.v2LockedWaybacks += outcome.counter("locked_writebacks");
         appendAttackDigest(result, outcome);
-        if ((outcome.secretRecovered ||
-             outcome.counter("locked_writebacks") != 0) &&
-            scoreBreach(result, step.attack)) {
-            failDevice(result,
-                       "line " + std::to_string(step.line) + ": attack " +
-                           attackKindName(step.attack) +
-                           " recovered the secret storage location of the "
-                           "sentry keys via cache timing");
-        }
+        if (outcome.secretRecovered ||
+            outcome.counter("locked_writebacks") != 0)
+            breach(step, result,
+                   std::string("attack ") + attackKindName(step.attack) +
+                       " recovered the secret storage location of the "
+                       "sentry keys via cache timing");
     }
 
     void
@@ -815,14 +796,12 @@ class Runner
         const bool breached = claimed
                                   ? victimFlips != 0
                                   : outcome.counter("bit_flips") != 0;
-        if (breached && scoreBreach(result, step.attack)) {
-            failDevice(result,
-                       "line " + std::to_string(step.line) +
-                           ": rowhammer disturbance flipped " +
-                           std::to_string(victimFlips) +
-                           " bit(s) in sensitive process memory despite the "
-                           "row partition");
-        }
+        if (breached)
+            breach(step, result,
+                   "rowhammer disturbance flipped " +
+                       std::to_string(victimFlips) +
+                       " bit(s) in sensitive process memory despite the "
+                       "row partition");
         for (const PhysAddr frame : aggressorFrames)
             alloc.freeFrame(frame);
     }
@@ -860,12 +839,10 @@ class Runner
         const attacks::v2::AttackOutcome outcome = attack.run(soc);
         result.v2RecoveredNibbles += outcome.counter("recovered_nibbles");
         appendAttackDigest(result, outcome);
-        if (outcome.secretRecovered && scoreBreach(result, step.attack)) {
-            failDevice(result,
-                       "line " + std::to_string(step.line) +
-                           ": tz_side_channel recovered the secret of the "
-                           "secure-world fuse through the shared mailbox");
-        }
+        if (outcome.secretRecovered)
+            breach(step, result,
+                   "tz_side_channel recovered the secret of the "
+                   "secure-world fuse through the shared mailbox");
         alloc.freeFrame(mailbox);
     }
 

@@ -1,5 +1,6 @@
 #include "fleet/scenario.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -72,34 +73,6 @@ splitNumberSuffix(const std::string &token, std::string &number,
 }
 
 } // namespace
-
-const char *
-attackKindName(AttackKind kind)
-{
-    switch (kind) {
-      case AttackKind::ColdBootReflash:
-        return "cold_boot";
-      case AttackKind::OsReboot:
-        return "os_reboot";
-      case AttackKind::TwoSecondReset:
-        return "2s_reset";
-      case AttackKind::Dma:
-        return "dma";
-      case AttackKind::BusMonitor:
-        return "bus_monitor";
-      case AttackKind::CodeInjection:
-        return "code_injection";
-      case AttackKind::PrimeProbe:
-        return "prime_probe";
-      case AttackKind::EvictReload:
-        return "evict_reload";
-      case AttackKind::Rowhammer:
-        return "rowhammer";
-      case AttackKind::TzSideChannel:
-        return "tz_side_channel";
-    }
-    return "?";
-}
 
 bool
 Scenario::needsBackground() const
@@ -433,37 +406,21 @@ parseScenario(const std::string &text, const std::string &name)
             if (argc < 1)
                 throw ScenarioError(lineNo, "attack needs a kind");
             step.op = Op::Attack;
-            if (tokens[1] == "cold_boot")
-                step.attack = AttackKind::ColdBootReflash;
-            else if (tokens[1] == "os_reboot")
-                step.attack = AttackKind::OsReboot;
-            else if (tokens[1] == "2s_reset")
-                step.attack = AttackKind::TwoSecondReset;
-            else if (tokens[1] == "dma")
-                step.attack = AttackKind::Dma;
-            else if (tokens[1] == "bus_monitor")
-                step.attack = AttackKind::BusMonitor;
-            else if (tokens[1] == "code_injection")
-                step.attack = AttackKind::CodeInjection;
-            else if (tokens[1] == "prime_probe")
-                step.attack = AttackKind::PrimeProbe;
-            else if (tokens[1] == "evict_reload")
-                step.attack = AttackKind::EvictReload;
-            else if (tokens[1] == "rowhammer")
-                step.attack = AttackKind::Rowhammer;
-            else if (tokens[1] == "tz_side_channel")
-                step.attack = AttackKind::TzSideChannel;
-            else
-                throw ScenarioError(
-                    lineNo, "unknown attack '" + tokens[1] +
-                                "' (cold_boot, os_reboot, 2s_reset, dma, "
-                                "bus_monitor, code_injection, prime_probe, "
-                                "evict_reload, rowhammer, tz_side_channel)");
+            const auto verb = std::ranges::find_if(
+                ATTACK_VERBS,
+                [&](const AttackVerb &row) { return tokens[1] == row.name; });
+            if (verb == ATTACK_VERBS.end()) {
+                std::string known;
+                for (const AttackVerb &row : ATTACK_VERBS)
+                    known += (known.empty() ? "" : ", ") +
+                             std::string(row.name);
+                throw ScenarioError(lineNo, "unknown attack '" + tokens[1] +
+                                                "' (" + known + ")");
+            }
+            step.attack = verb->kind;
             for (std::size_t i = 2; i < tokens.size(); ++i) {
                 if (tokens[i] == "frozen") {
-                    if (step.attack != AttackKind::ColdBootReflash &&
-                        step.attack != AttackKind::OsReboot &&
-                        step.attack != AttackKind::TwoSecondReset)
+                    if (!verb->coldBootFamily)
                         throw ScenarioError(
                             lineNo, "frozen only applies to cold-boot "
                                     "attacks");

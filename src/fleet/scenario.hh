@@ -32,9 +32,12 @@
  *   wake                           # wake from suspend (still locked)
  *   touch NAME [SIZE]              # touch app memory through paging
  *   filebench SIZE [seqread|randread|randrw] [direct]
- *   attack cold_boot|os_reboot|2s_reset|dma|bus_monitor|code_injection
- *          |prime_probe|evict_reload|rowhammer|tz_side_channel [frozen]
- *          # frozen only with the power-loss (cold-boot family) kinds
+ *   attack VERB [frozen]           # one ATTACK_VERBS row: cold_boot,
+ *                                  # os_reboot, 2s_reset, dma,
+ *                                  # bus_monitor, code_injection,
+ *                                  # prime_probe, evict_reload,
+ *                                  # rowhammer, tz_side_channel;
+ *                                  # frozen only on coldBootFamily rows
  *   zero_freed                     # run the freed-page zeroing kthread
  *
  * SIZE is an integer with an optional B/KiB/MiB/GiB suffix; DURATION is
@@ -46,7 +49,10 @@
 #ifndef SENTRY_FLEET_SCENARIO_HH
 #define SENTRY_FLEET_SCENARIO_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -119,8 +125,64 @@ enum class AttackKind
     TzSideChannel,   //!< `tz_side_channel`: secure-world mailbox probe
 };
 
+/**
+ * One attack verb: everything the parser, the fuzzer and the device
+ * runner know about it besides the runner's verb body. Adding a verb
+ * takes one row here plus that body.
+ */
+struct AttackVerb
+{
+    AttackKind kind;
+    const char *name; //!< DSL spelling (`attack <name>`)
+    /** Threat the runner scores a breach against (core::DefenseBackend::
+     * defeats). nullopt: a platform test every backend must pass, so a
+     * breach fails the device and counts toward neither tally. */
+    std::optional<core::Threat> threat;
+    /** A power-loss reset of the cold-boot family: `frozen` applies,
+     * the verb resets the device (only attack/sleep steps may follow),
+     * and the fuzzer draws it only as a trial's final step. */
+    bool coldBootFamily;
+};
+
+/** Every attack verb, one row per AttackKind, in enum order. */
+inline constexpr std::array<AttackVerb, 10> ATTACK_VERBS{{
+    {AttackKind::ColdBootReflash, "cold_boot", core::Threat::ColdBoot, true},
+    {AttackKind::OsReboot, "os_reboot", core::Threat::ColdBoot, true},
+    {AttackKind::TwoSecondReset, "2s_reset", core::Threat::ColdBoot, true},
+    {AttackKind::Dma, "dma", core::Threat::Dma, false},
+    {AttackKind::BusMonitor, "bus_monitor", core::Threat::BusMonitor, false},
+    {AttackKind::CodeInjection, "code_injection", std::nullopt, false},
+    {AttackKind::PrimeProbe, "prime_probe", core::Threat::PrimeProbe, false},
+    {AttackKind::EvictReload, "evict_reload", core::Threat::EvictReload,
+     false},
+    {AttackKind::Rowhammer, "rowhammer", core::Threat::Rowhammer, false},
+    {AttackKind::TzSideChannel, "tz_side_channel",
+     core::Threat::TzSideChannel, false},
+}};
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < ATTACK_VERBS.size(); ++i) {
+            if (static_cast<std::size_t>(ATTACK_VERBS[i].kind) != i)
+                return false;
+        }
+        return true;
+    }(),
+    "ATTACK_VERBS rows must follow AttackKind order");
+
+/** @return @p kind's row of ATTACK_VERBS. */
+constexpr const AttackVerb &
+attackVerb(AttackKind kind)
+{
+    return ATTACK_VERBS[static_cast<std::size_t>(kind)];
+}
+
 /** @return the DSL spelling of @p kind. */
-const char *attackKindName(AttackKind kind);
+inline const char *
+attackKindName(AttackKind kind)
+{
+    return attackVerb(kind).name;
+}
 
 /** One parsed statement. */
 struct Step

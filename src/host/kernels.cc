@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "crypto/aes_round.hh"
 #include "host/kernels_detail.hh"
@@ -177,18 +178,13 @@ constexpr BytesKernel PORTABLE_BYTES = {
 // correctness.
 // ---------------------------------------------------------------------
 
-/** Deterministic filler (split-mix style) for verification buffers. */
+/** Deterministic filler (one SplitMix64 step per byte) for
+ * verification buffers. */
 void
 fillDeterministic(std::uint8_t *buf, std::size_t len, std::uint64_t seed)
 {
-    std::uint64_t x = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        x += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        buf[i] = static_cast<std::uint8_t>(z ^ (z >> 31));
-    }
+    for (std::size_t i = 0; i < len; ++i)
+        buf[i] = static_cast<std::uint8_t>(splitmix64(seed));
 }
 
 bool

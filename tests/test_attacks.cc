@@ -61,7 +61,7 @@ TEST_F(VictimFixture, ColdBootRecoversSecretsFromUnlockedDevice)
     // preserves DRAM wins.
     device.soc().l2().cleanAllMasked();
     ColdBootAttack attack(ColdBootVariant::OsReboot);
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.run(device.soc(), SECRET, "plaintext in DRAM");
     EXPECT_TRUE(result.secretRecovered);
     EXPECT_STREQ(result.verdict(), "UNSAFE");
@@ -77,7 +77,7 @@ TEST_F(VictimFixture, ColdBootDefeatedByEncryptOnLock)
         // only further degrades memory. Even the gentlest one finds
         // nothing.
         ColdBootAttack attack(variant);
-        const AttackResult result =
+        const v2::AttackOutcome result =
             attack.run(device.soc(), SECRET, "locked device");
         EXPECT_FALSE(result.secretRecovered)
             << coldBootVariantName(variant);
@@ -90,7 +90,7 @@ TEST_F(VictimFixture, ColdBootCannotRecoverVolatileKeyFromIram)
     device.kernel().lockScreen();
 
     ColdBootAttack attack(ColdBootVariant::DeviceReflash);
-    const AttackResult result = attack.run(
+    const v2::AttackOutcome result = attack.run(
         device.soc(), {key.data(), key.size()}, "volatile key in iRAM");
     // Boot firmware zeroes iRAM on any power loss.
     EXPECT_FALSE(result.secretRecovered);
@@ -106,7 +106,7 @@ TEST_F(VictimFixture, OsRebootPreservesIramContents)
     device.kernel().lockScreen();
 
     ColdBootAttack attack(ColdBootVariant::OsReboot);
-    const AttackResult result = attack.run(
+    const v2::AttackOutcome result = attack.run(
         device.soc(), {key.data(), key.size()}, "volatile key in iRAM");
     EXPECT_TRUE(result.secretRecovered);
 }
@@ -132,11 +132,11 @@ TEST_F(VictimFixture, FreezerExtendsTwoSecondResetRecovery)
 
         // Run the frozen attack on this device and the room-temp one on
         // the fixture device (both have the secret everywhere).
-        const AttackResult coldResult =
+        const v2::AttackOutcome coldResult =
             frozen.run(roomDevice.soc(), SECRET, "frozen DRAM");
         EXPECT_TRUE(coldResult.secretRecovered);
 
-        const AttackResult roomResult =
+        const v2::AttackOutcome roomResult =
             room.run(device.soc(), SECRET, "room-temperature DRAM");
         // 16 copies of the secret at 0.1% unit survival: recovery of an
         // intact copy is overwhelmingly unlikely.
@@ -148,7 +148,7 @@ TEST_F(VictimFixture, DmaAttackReadsUnlockedDram)
 {
     device.soc().l2().cleanAllMasked();
     DmaAttack attack;
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.run(device.soc(), SECRET, "plaintext in DRAM");
     EXPECT_TRUE(result.secretRecovered);
 }
@@ -157,7 +157,7 @@ TEST_F(VictimFixture, DmaAttackDefeatedByEncryptOnLock)
 {
     device.kernel().lockScreen();
     DmaAttack attack;
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.run(device.soc(), SECRET, "locked device");
     EXPECT_FALSE(result.secretRecovered);
 }
@@ -169,7 +169,7 @@ TEST_F(VictimFixture, DmaAttackCannotReachProtectedIram)
     device.kernel().lockScreen();
 
     DmaAttack attack;
-    const AttackResult result = attack.run(
+    const v2::AttackOutcome result = attack.run(
         device.soc(), {key.data(), key.size()}, "volatile key in iRAM");
     EXPECT_FALSE(result.secretRecovered);
 
@@ -188,7 +188,7 @@ TEST(DmaAttackNexus, UnprotectedIramIsReadable)
     nexus.iram().write(0x8000, secret.data(), secret.size());
 
     DmaAttack attack;
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.run(nexus, secret, "key in unprotected iRAM");
     EXPECT_TRUE(result.secretRecovered);
 }
@@ -202,8 +202,8 @@ TEST_F(VictimFixture, DmaAttackCannotSeeLockedCacheLines)
                                 lockedSecret.size());
 
     DmaAttack attack;
-    const AttackResult result = attack.run(device.soc(), lockedSecret,
-                                           "data in locked L2 way");
+    const v2::AttackOutcome result =
+        attack.run(device.soc(), lockedSecret, "data in locked L2 way");
     EXPECT_FALSE(result.secretRecovered);
 }
 
@@ -217,7 +217,7 @@ TEST_F(VictimFixture, BusMonitorSeesPlaintextPageTraffic)
     device.kernel().readVirt(*app, heap, buf, 16);
     device.soc().l2().cleanAllMasked(); // force writebacks across the bus
 
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.analyzeForSecret(SECRET, "app heap traffic");
     EXPECT_TRUE(result.secretRecovered);
 }
@@ -234,14 +234,14 @@ TEST_F(VictimFixture, BusMonitorSeesOnlyCiphertextWhenLocked)
     std::uint8_t buf[16];
     device.kernel().readVirt(*app, heap, buf, 16);
 
-    const AttackResult result =
+    const v2::AttackOutcome result =
         attack.analyzeForSecret(SECRET, "decrypt-on-demand traffic");
     EXPECT_FALSE(result.secretRecovered);
 }
 
 TEST(AttackReport, Formatting)
 {
-    AttackResult result;
+    v2::AttackOutcome result;
     result.attack = "dma";
     result.target = "iRAM";
     result.secretRecovered = false;

@@ -82,7 +82,7 @@ TEST_F(AttackFixture, PrimeProbeRecoversSignalFromUnlockedLine)
     const AttackOutcome outcome = attack.run(soc);
 
     EXPECT_TRUE(outcome.secretRecovered);
-    EXPECT_STREQ(outcome.verdict(), "recovered");
+    EXPECT_STREQ(outcome.verdict(), "UNSAFE");
     // All 8 ways allocatable, and every round carried the signal.
     EXPECT_EQ(outcome.counter("eviction_set_size"), soc.l2().ways());
     EXPECT_EQ(outcome.counter("signal_rounds"), outcome.counter("rounds"));
@@ -108,7 +108,7 @@ TEST_F(AttackFixture, LockdownDefeatsPrimeProbe)
     // accesses hit in the locked way without allocating, and no probe
     // round ever sees a displaced conflict line.
     EXPECT_FALSE(outcome.secretRecovered);
-    EXPECT_STREQ(outcome.verdict(), "defeated");
+    EXPECT_STREQ(outcome.verdict(), "Safe");
     EXPECT_EQ(outcome.counter("eviction_set_size"), soc.l2().ways() - 1);
     EXPECT_EQ(outcome.counter("signal_rounds"), 0u);
     EXPECT_EQ(outcome.counter("probe_misses"), 0u);

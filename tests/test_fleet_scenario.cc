@@ -376,6 +376,42 @@ TEST(FleetScenario, AdversaryV2KindsParseAndRejectFrozen)
               std::string::npos);
 }
 
+TEST(FleetScenario, EveryAttackVerbParsesRoundTripsAndGatesFrozen)
+{
+    for (std::size_t i = 0; i < ATTACK_VERBS.size(); ++i) {
+        const AttackVerb &verb = ATTACK_VERBS[i];
+        EXPECT_EQ(static_cast<std::size_t>(verb.kind), i) << verb.name;
+        const std::string line = std::string("attack ") + verb.name;
+        for (const bool frozen : {false, true}) {
+            const std::string text = line + (frozen ? " frozen" : "");
+            // The freezer variant only applies to power-loss attacks.
+            if (frozen && !verb.coldBootFamily) {
+                EXPECT_STREQ(parseFailure(text + "\n").what(),
+                             "line 1: frozen only applies to cold-boot "
+                             "attacks")
+                    << text;
+                continue;
+            }
+            const Scenario first = parseScenario("lock\n" + text, "verb");
+            ASSERT_EQ(first.steps.size(), 2u) << text;
+            EXPECT_EQ(first.steps[1].attack, verb.kind) << text;
+            EXPECT_EQ(first.steps[1].frozen, frozen) << text;
+            EXPECT_EQ(formatStep(first.steps[1]), text);
+            const Scenario second =
+                parseScenario(formatScenario(first), first.name);
+            ASSERT_EQ(second.steps.size(), 2u) << text;
+            EXPECT_EQ(second.steps[1].attack, verb.kind) << text;
+            EXPECT_EQ(second.steps[1].frozen, frozen) << text;
+        }
+    }
+
+    // The unknown-verb diagnostic lists every verb, in table order.
+    EXPECT_STREQ(parseFailure("attack spectre\n").what(),
+                 "line 1: unknown attack 'spectre' (cold_boot, os_reboot, "
+                 "2s_reset, dma, bus_monitor, code_injection, prime_probe, "
+                 "evict_reload, rowhammer, tz_side_channel)");
+}
+
 TEST(FleetScenario, FormatScenarioRoundTrips)
 {
     // The fuzzer serializes shrunk scenarios with formatScenario();

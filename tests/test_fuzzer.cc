@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,6 +68,57 @@ TEST(Fuzzer, GenerateTrialIsDeterministic)
     // Different indexes explore different trials.
     EXPECT_NE(formatTrialFile(generateTrial(options, 0)),
               formatTrialFile(generateTrial(options, 1)));
+}
+
+TEST(Fuzzer, GeneratedAttackVerbsArePinned)
+{
+    // Each campaign seed must keep drawing the same verbs (live ones
+    // mid-trial, the cold-boot family only as the finale, `frozen` only
+    // there), so campaigns and their reproducers replay byte for byte.
+    // Between them the pins cover all ten verbs and each cold-boot verb
+    // with and without `frozen`.
+    const struct
+    {
+        std::uint64_t seed;
+        unsigned steps;
+        unsigned index;
+        const char *attacks;
+    } pins[] = {
+        {1, 30, 3,
+         "evict_reload, bus_monitor, bus_monitor, bus_monitor, rowhammer, "
+         "tz_side_channel, dma, code_injection"},
+        {1, 30, 4,
+         "code_injection, dma, code_injection, prime_probe, prime_probe, "
+         "evict_reload, 2s_reset frozen"},
+        {2, 30, 2,
+         "bus_monitor, prime_probe, bus_monitor, tz_side_channel, "
+         "evict_reload, cold_boot frozen"},
+        {2, 30, 4, "evict_reload, tz_side_channel, rowhammer, os_reboot"},
+        {0xfeedface, 30, 1,
+         "rowhammer, bus_monitor, prime_probe, tz_side_channel, cold_boot"},
+        {0xfeedface, 30, 5,
+         "dma, code_injection, code_injection, code_injection, "
+         "tz_side_channel, 2s_reset"},
+        {0xdecaf, 10, 5, "bus_monitor, code_injection, os_reboot frozen"},
+    };
+    for (const auto &pin : pins) {
+        FuzzOptions options;
+        options.seed = pin.seed;
+        options.steps = pin.steps;
+        const FuzzTrialSpec spec = generateTrial(options, pin.index);
+        std::string attacks;
+        for (const fleet::Step &step : spec.scenario.steps) {
+            if (step.op != fleet::Op::Attack)
+                continue;
+            if (!attacks.empty())
+                attacks += ", ";
+            attacks += fleet::attackKindName(step.attack);
+            if (step.frozen)
+                attacks += " frozen";
+        }
+        EXPECT_EQ(attacks, pin.attacks)
+            << "seed " << pin.seed << " trial " << pin.index;
+    }
 }
 
 TEST(Fuzzer, RunTrialIsBitReplayable)

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <vector>
 
-#include "attacks/report.hh"
+#include "attacks/v2/attack.hh"
 #include "common/bytes.hh"
 #include "core/dram_scanner.hh"
 #include "hw/platform.hh"
@@ -37,7 +37,7 @@ bytesOf(const char *text)
 
 TEST(AttackReport, FormatsAlignedColumnsAndVerdicts)
 {
-    AttackResult safe;
+    v2::AttackOutcome safe;
     safe.attack = "cold-boot/reflash";
     safe.target = "volatile key in iRAM";
     safe.secretRecovered = false;
@@ -47,13 +47,13 @@ TEST(AttackReport, FormatsAlignedColumnsAndVerdicts)
     EXPECT_NE(line.find("Safe"), std::string::npos);
     EXPECT_EQ(line.find("UNSAFE"), std::string::npos);
 
-    AttackResult unsafe = safe;
+    v2::AttackOutcome unsafe = safe;
     unsafe.secretRecovered = true;
     EXPECT_NE(formatResult(unsafe).find("UNSAFE"), std::string::npos);
 
     // Short fields are padded to their columns: verdict starts at the
     // same offset regardless of field contents.
-    AttackResult other;
+    v2::AttackOutcome other;
     other.attack = "dma";
     other.target = "key";
     EXPECT_EQ(formatResult(other).find("Safe"), line.find("Safe"));
@@ -61,7 +61,7 @@ TEST(AttackReport, FormatsAlignedColumnsAndVerdicts)
 
 TEST(AttackReport, EmptyFieldsStillFormat)
 {
-    const AttackResult blank; // all defaults
+    const v2::AttackOutcome blank; // all defaults
     const std::string line = formatResult(blank);
     EXPECT_NE(line.find("Safe"), std::string::npos);
 }
@@ -70,7 +70,7 @@ TEST(AttackReport, OversizedFieldsAreTruncatedNotOverflowed)
 {
     // The formatter writes through a fixed 256-byte buffer; pathological
     // field lengths must clamp, not corrupt.
-    AttackResult huge;
+    v2::AttackOutcome huge;
     huge.attack = std::string(300, 'a');
     huge.target = std::string(300, 'b');
     huge.secretRecovered = true;
