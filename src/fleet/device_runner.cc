@@ -75,7 +75,7 @@ hex64(std::uint64_t value)
     return buf;
 }
 
-/** Platform + Sentry configuration shared by Runner::boot() and the
+/** Platform + Sentry configuration shared by Runner::construct() and the
  * snapshot template (the fork target must match the template's
  * geometry and options exactly). */
 std::pair<hw::PlatformConfig, core::SentryOptions>
@@ -138,11 +138,18 @@ class Runner
     }
 
   private:
+    /** Construct this device's stack from its configuration. */
     void
-    boot()
+    construct()
     {
         const auto [config, sentryOptions] =
             deviceConfig(scenario_, options_, seed_);
+        device_ = std::make_unique<core::Device>(config, sentryOptions);
+    }
+
+    void
+    boot()
+    {
         if (options_.spawnMode == SpawnMode::Snapshot) {
             if (!options_.templateSnapshot)
                 throw std::runtime_error(
@@ -155,8 +162,7 @@ class Runner
             if (pool_ != nullptr && pool_->device)
                 device_ = std::move(pool_->device);
             else
-                device_ =
-                    std::make_unique<core::Device>(config, sentryOptions);
+                construct();
             // Fork the warmed image instead of re-booting. forkFrom
             // re-registers the crypto providers on this fresh target.
             device_->forkFrom(*options_.templateSnapshot);
@@ -164,7 +170,7 @@ class Runner
             // each device keeps its own deterministic randomness.
             device_->soc().rng().reseed(seed_);
         } else {
-            device_ = std::make_unique<core::Device>(config, sentryOptions);
+            construct();
             device_->sentry().registerCryptoProviders();
         }
         enableRowPartition();
@@ -401,6 +407,12 @@ class Runner
     void
     doSpawn(const Step &step)
     {
+        // Sentry turns background mode off on a platform without cache
+        // locking (nexus4): it has no pager to keep the process on-SoC.
+        if (step.background && device_->sentry().pager() == nullptr)
+            stepError(step, "background spawn of '" + step.name +
+                                "' needs background mode, which this "
+                                "platform cannot run (no cache locking)");
         os::Kernel &kernel = device_->kernel();
         os::Process &process = kernel.createProcess(step.name);
         const os::Vma &heap =

@@ -51,6 +51,8 @@ struct Vma
     VirtAddr end() const { return base + size; }
     std::size_t pages() const { return size / PAGE_SIZE; }
     bool contains(VirtAddr va) const { return va >= base && va < end(); }
+
+    bool operator==(const Vma &) const = default;
 };
 
 /** The ordered set of VMAs of one process. */
@@ -74,6 +76,8 @@ class AddressSpace
 
     /** @return total mapped bytes. */
     std::size_t totalBytes() const;
+
+    bool operator==(const AddressSpace &) const = default;
 
   private:
     /** Process VAs start here; gap between VMAs. */

@@ -1,7 +1,6 @@
 #include "os/kernel.hh"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -200,10 +199,8 @@ Kernel::snapshot() const
 {
     KernelSnapshot snap{{},
                         nextPid_,
-                        allocator_,
-                        {},
-                        {},
-                        0,
+                        std::make_shared<const PhysAllocator>(allocator_),
+                        scheduler_.forkState(),
                         faultCount_,
                         freedDirtyFrames_,
                         powerState_,
@@ -219,13 +216,6 @@ Kernel::snapshot() const
             process->addressSpace(), process->sensitive(),
             process->schedulable(), process->kernelStackTop()});
     }
-    const Scheduler::ForkState queues = scheduler_.forkState();
-    for (const Process *process : queues.runQueue)
-        snap.runQueue.push_back(process->pid());
-    for (const Process *process : queues.parked)
-        snap.parked.push_back(process->pid());
-    snap.currentPid =
-        queues.current != nullptr ? queues.current->pid() : 0;
     return snap;
 }
 
@@ -233,7 +223,6 @@ void
 Kernel::forkFrom(const KernelSnapshot &snap)
 {
     processes_.clear();
-    std::unordered_map<int, Process *> byPid;
     for (const KernelSnapshot::ProcessImage &image : snap.processes) {
         auto process = std::make_unique<Process>(image.pid, image.name);
         process->pageTable() = image.pageTable;
@@ -241,26 +230,24 @@ Kernel::forkFrom(const KernelSnapshot &snap)
         process->setSensitive(image.sensitive);
         process->setSchedulable(image.schedulable);
         process->setKernelStackTop(image.kernelStackTop);
-        byPid.emplace(image.pid, process.get());
         processes_.push_back(std::move(process));
     }
+    scheduler_.restoreForkState(snap.queues, [this](int pid) {
+        for (const auto &process : processes_) {
+            if (process->pid() == pid)
+                return process.get();
+        }
+        panic("Kernel::forkFrom: scheduler names unknown pid %d", pid);
+    });
 
-    const auto lookup = [&](int pid) -> Process * {
-        const auto it = byPid.find(pid);
-        if (it == byPid.end())
-            panic("Kernel::forkFrom: scheduler names unknown pid %d", pid);
-        return it->second;
-    };
-    Scheduler::ForkState queues;
-    for (const int pid : snap.runQueue)
-        queues.runQueue.push_back(lookup(pid));
-    for (const int pid : snap.parked)
-        queues.parked.push_back(lookup(pid));
-    queues.current = snap.currentPid != 0 ? lookup(snap.currentPid) : nullptr;
-    scheduler_.restoreForkState(queues);
+    // Assign the held image only when it changes: every worker shares
+    // the template's, and a refcount update would bounce its cache line.
+    const bool sameImage = snap.allocator == restoredAllocator_;
+    allocator_.restore(*snap.allocator, sameImage);
+    if (!sameImage)
+        restoredAllocator_ = snap.allocator;
 
     nextPid_ = snap.nextPid;
-    allocator_ = snap.allocator;
     faultCount_ = snap.faultCount;
     freedDirtyFrames_ = snap.freedDirtyFrames;
     powerState_ = snap.powerState;

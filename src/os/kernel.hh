@@ -51,8 +51,9 @@ enum class WakeReason
  * Process objects are captured as rebuildable images (page tables and
  * address spaces copied by value, scheduler membership by pid); hooks
  * (fault handler, lock hooks) and the crypto registry are wiring and
- * stay with each device. Page *contents* live in the SocSnapshot's COW
- * DRAM image, not here.
+ * stay with each device. The allocator is an immutable image that
+ * every fork of the snapshot shares. Page *contents* live in the
+ * SocSnapshot's COW DRAM image, not here.
  */
 struct KernelSnapshot
 {
@@ -65,14 +66,14 @@ struct KernelSnapshot
         bool sensitive = false;
         bool schedulable = true;
         PhysAddr kernelStackTop = 0;
+
+        bool operator==(const ProcessImage &) const = default;
     };
 
     std::vector<ProcessImage> processes;
     int nextPid = 1;
-    PhysAllocator allocator;
-    std::vector<int> runQueue;
-    std::vector<int> parked;
-    int currentPid = 0; //!< 0 = none
+    std::shared_ptr<const PhysAllocator> allocator;
+    Scheduler::ForkState queues;
     std::uint64_t faultCount = 0;
     std::vector<PhysAddr> freedDirtyFrames;
     PowerState powerState = PowerState::Awake;
@@ -225,7 +226,9 @@ class Kernel
      * Replace this kernel's state with @p snap: existing processes are
      * discarded, the snapshot's are rebuilt with their original pids,
      * and scheduler queues are re-threaded onto the new objects.
-     * Installed hooks and the crypto registry are left untouched.
+     * Re-forking from the allocator image this kernel last restored
+     * copies back only what the allocator changed since. Installed
+     * hooks and the crypto registry are left untouched.
      */
     void forkFrom(const KernelSnapshot &snap);
 
@@ -249,6 +252,10 @@ class Kernel
 
     hw::Soc &soc_;
     PhysAllocator allocator_;
+    /** The image allocator_ was last restored from; held, so identity
+     * is a pointer compare that cannot be fooled by a freed and reused
+     * address. */
+    std::shared_ptr<const PhysAllocator> restoredAllocator_;
     Scheduler scheduler_;
     crypto::CryptoApi cryptoApi_;
 

@@ -34,6 +34,8 @@ struct Pte
     bool onSoc = false;
     /** Background mode: the page's DRAM home while resident on-SoC. */
     PhysAddr dramHome = 0;
+
+    bool operator==(const Pte &) const = default;
 };
 
 /** Sparse page table keyed by page-aligned virtual address. */
@@ -58,6 +60,8 @@ class PageTable
 
     /** @return page-aligned base of the page containing @p va. */
     static VirtAddr pageOf(VirtAddr va) { return alignDown(va, PAGE_SIZE); }
+
+    bool operator==(const PageTable &) const = default;
 
   private:
     std::map<VirtAddr, Pte> entries_;

@@ -17,18 +17,61 @@ PhysAllocator::PhysAllocator(PhysAddr base, std::size_t size)
     for (PhysAddr frame = base + size; frame > base;)
         freeList_.push_back(frame -= PAGE_SIZE);
     totalFrames_ = freeList_.size();
+    allocated_.assign((totalFrames_ + 63) / 64, 0);
 }
 
 void
 PhysAllocator::reserveRange(PhysAddr base, std::size_t size)
 {
-    const PhysAddr end = base + size;
-    freeList_.erase(std::remove_if(freeList_.begin(), freeList_.end(),
-                                   [&](PhysAddr frame) {
-                                       return frame >= base && frame < end;
-                                   }),
+    eraseFree(base, base + size);
+    totalFrames_ = freeList_.size() + allocatedCount_;
+}
+
+bool
+PhysAllocator::isAllocated(PhysAddr frame) const
+{
+    if (frame < base_ || frame - base_ >= size_ || frame % PAGE_SIZE != 0)
+        return false;
+    const std::size_t index = (frame - base_) / PAGE_SIZE;
+    return ((allocated_[index / 64] >> (index % 64)) & 1) != 0;
+}
+
+void
+PhysAllocator::markAllocated(PhysAddr frame, bool allocated)
+{
+    const std::size_t index = (frame - base_) / PAGE_SIZE;
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if (allocated) {
+        allocated_[index / 64] |= bit;
+        ++allocatedCount_;
+    } else {
+        allocated_[index / 64] &= ~bit;
+        --allocatedCount_;
+    }
+}
+
+PhysAddr
+PhysAllocator::take(std::size_t index)
+{
+    const PhysAddr frame = freeList_[index];
+    freeList_.erase(freeList_.begin() + static_cast<std::ptrdiff_t>(index));
+    lowWater_ = std::min(lowWater_, index);
+    markAllocated(frame, true);
+    return frame;
+}
+
+void
+PhysAllocator::eraseFree(PhysAddr base, PhysAddr end)
+{
+    const auto inRange = [&](PhysAddr frame) {
+        return frame >= base && frame < end;
+    };
+    const auto first =
+        std::find_if(freeList_.begin(), freeList_.end(), inRange);
+    lowWater_ = std::min(
+        lowWater_, static_cast<std::size_t>(first - freeList_.begin()));
+    freeList_.erase(std::remove_if(first, freeList_.end(), inRange),
                     freeList_.end());
-    totalFrames_ = freeList_.size() + allocated_.size();
 }
 
 PhysAddr
@@ -36,11 +79,8 @@ PhysAllocator::allocFrame()
 {
     if (freeList_.empty())
         fatal("out of physical memory (%zu frames allocated)",
-              allocated_.size());
-    const PhysAddr frame = freeList_.back();
-    freeList_.pop_back();
-    allocated_.insert(frame);
-    return frame;
+              allocatedCount_);
+    return take(freeList_.size() - 1);
 }
 
 std::size_t
@@ -75,47 +115,26 @@ PhysAllocator::tryAllocFrame(MemDomain domain)
     // Fast path: no partition, or a Default request whose next frame
     // already qualifies — identical behavior (and identical frame
     // order) to the plain allocFrame() stack pop.
-    const bool partitioned = partition_.enabled();
-    if (!partitioned ||
-        (domain == MemDomain::Default && inVictimRows(freeList_.back()))) {
-        const PhysAddr frame = freeList_.back();
-        freeList_.pop_back();
-        allocated_.insert(frame);
-        return frame;
-    }
+    const std::size_t top = freeList_.size() - 1;
+    if (!partition_.enabled() ||
+        (domain == MemDomain::Default && inVictimRows(freeList_[top])))
+        return take(top);
 
     // Victim/Default scan from the back (low addresses first, like the
     // stack pop); Attacker scans from the front, i.e. from the highest
     // addresses, keeping the two regions' allocation orders disjoint.
-    const bool wantVictim = domain != MemDomain::Attacker;
-    if (wantVictim) {
+    if (domain != MemDomain::Attacker) {
         for (std::size_t i = freeList_.size(); i > 0; --i) {
-            const PhysAddr frame = freeList_[i - 1];
-            if (!inVictimRows(frame))
-                continue;
-            freeList_.erase(freeList_.begin() +
-                            static_cast<std::ptrdiff_t>(i - 1));
-            allocated_.insert(frame);
-            return frame;
+            if (inVictimRows(freeList_[i - 1]))
+                return take(i - 1);
         }
         // Default degrades gracefully so enabling the partition never
         // shrinks usable capacity; strict Victim does not.
-        if (domain == MemDomain::Default) {
-            const PhysAddr frame = freeList_.back();
-            freeList_.pop_back();
-            allocated_.insert(frame);
-            return frame;
-        }
-        return 0;
+        return domain == MemDomain::Default ? take(top) : 0;
     }
     for (std::size_t i = 0; i < freeList_.size(); ++i) {
-        const PhysAddr frame = freeList_[i];
-        if (!inAttackerRows(frame))
-            continue;
-        freeList_.erase(freeList_.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-        allocated_.insert(frame);
-        return frame;
+        if (inAttackerRows(freeList_[i]))
+            return take(i);
     }
     return 0;
 }
@@ -127,7 +146,7 @@ PhysAllocator::allocFrame(MemDomain domain)
     if (frame == 0)
         fatal("out of physical memory in domain %d (%zu frames "
               "allocated)",
-              static_cast<int>(domain), allocated_.size());
+              static_cast<int>(domain), allocatedCount_);
     return frame;
 }
 
@@ -146,13 +165,10 @@ PhysAllocator::allocContiguous(std::size_t frames)
         if (!contiguous) {
             if (i - runStart >= frames) {
                 const PhysAddr base = sorted[runStart];
-                for (std::size_t f = 0; f < frames; ++f) {
-                    const PhysAddr frame = base + f * PAGE_SIZE;
-                    freeList_.erase(std::remove(freeList_.begin(),
-                                                freeList_.end(), frame),
-                                    freeList_.end());
-                    allocated_.insert(frame);
-                }
+                const PhysAddr end = base + frames * PAGE_SIZE;
+                eraseFree(base, end);
+                for (PhysAddr frame = base; frame < end; frame += PAGE_SIZE)
+                    markAllocated(frame, true);
                 return base;
             }
             runStart = i;
@@ -164,10 +180,41 @@ PhysAllocator::allocContiguous(std::size_t frames)
 void
 PhysAllocator::freeFrame(PhysAddr frame)
 {
-    if (allocated_.erase(frame) == 0)
+    if (!isAllocated(frame))
         panic("double free of frame 0x%llx",
               static_cast<unsigned long long>(frame));
+    markAllocated(frame, false);
     freeList_.push_back(frame);
+}
+
+void
+PhysAllocator::restore(const PhysAllocator &image, bool same_image)
+{
+    if (same_image) {
+        // Entries below the mark still equal the image's.
+        freeList_.resize(lowWater_);
+        freeList_.insert(freeList_.end(),
+                         image.freeList_.begin() +
+                             static_cast<std::ptrdiff_t>(lowWater_),
+                         image.freeList_.end());
+        allocated_ = image.allocated_;
+        allocatedCount_ = image.allocatedCount_;
+        totalFrames_ = image.totalFrames_;
+        partition_ = image.partition_;
+    } else {
+        *this = image;
+    }
+    lowWater_ = freeList_.size();
+}
+
+bool
+PhysAllocator::operator==(const PhysAllocator &other) const
+{
+    return base_ == other.base_ && size_ == other.size_ &&
+           freeList_ == other.freeList_ && allocated_ == other.allocated_ &&
+           allocatedCount_ == other.allocatedCount_ &&
+           totalFrames_ == other.totalFrames_ &&
+           partition_ == other.partition_;
 }
 
 } // namespace sentry::os

@@ -7,7 +7,6 @@
 #define SENTRY_OS_PHYS_ALLOCATOR_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
@@ -44,9 +43,17 @@ struct RowPartition
     PhysAddr geomBase = 0;         //!< frame addr of DRAM row 0
 
     bool enabled() const { return rowBytes != 0; }
+    bool operator==(const RowPartition &) const = default;
 };
 
-/** Stack-based free-frame allocator (4 KiB frames). */
+/**
+ * Stack-based free-frame allocator (4 KiB frames).
+ *
+ * Allocated frames are a bitmap, one bit per frame. A fork restores the
+ * allocator from an immutable image (Kernel::forkFrom); re-restoring
+ * the image it already holds copies back only the free-list entries at
+ * and above the lowest index any operation changed since.
+ */
 class PhysAllocator
 {
   public:
@@ -101,21 +108,50 @@ class PhysAllocator
     /** @return total frames managed (free + allocated). */
     std::size_t totalFrames() const { return totalFrames_; }
 
+    /** @return the free frames in stack order: allocFrame() takes the
+     * back one. */
+    const std::vector<PhysAddr> &freeList() const { return freeList_; }
+
     /** @return true if @p frame is currently allocated. */
-    bool isAllocated(PhysAddr frame) const
-    {
-        return allocated_.contains(frame);
-    }
+    bool isAllocated(PhysAddr frame) const;
+
+    /**
+     * Make this allocator equal to @p image. With @p same_image (this
+     * allocator was last restored from @p image and has changed since
+     * only through its own methods) only the free-list entries from
+     * the low-water mark up are copied back; otherwise everything is.
+     */
+    void restore(const PhysAllocator &image, bool same_image);
+
+    /** Equal frame state; the low-water mark is bookkeeping, not
+     * state. */
+    bool operator==(const PhysAllocator &other) const;
 
   private:
     std::size_t rowInBank(PhysAddr frame) const;
 
+    /** Take freeList_[index] off the free list and mark it allocated. */
+    PhysAddr take(std::size_t index);
+
+    /** Drop every free frame in [base, end) from the free list. */
+    void eraseFree(PhysAddr base, PhysAddr end);
+
+    /** Set or clear @p frame's bit in allocated_. */
+    void markAllocated(PhysAddr frame, bool allocated);
+
     PhysAddr base_;
     std::size_t size_;
     std::vector<PhysAddr> freeList_;
-    std::unordered_set<PhysAddr> allocated_;
+    /** Bit i set: frame base_ + i * PAGE_SIZE is allocated. */
+    std::vector<std::uint64_t> allocated_;
+    std::size_t allocatedCount_ = 0;
     std::size_t totalFrames_ = 0;
     RowPartition partition_;
+    /** freeList_[0, lowWater_) still equals the free list of the image
+     * last restored. Every change lowers it to the first index it
+     * moves; an append moves none, since lowWater_ <= freeList_.size()
+     * always holds. */
+    std::size_t lowWater_ = 0;
 };
 
 } // namespace sentry::os

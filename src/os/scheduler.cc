@@ -72,4 +72,29 @@ Scheduler::tick()
     return current_;
 }
 
+Scheduler::ForkState
+Scheduler::forkState() const
+{
+    ForkState fs;
+    for (const Process *process : runQueue_)
+        fs.runQueue.push_back(process->pid());
+    for (const Process *process : parked_)
+        fs.parked.push_back(process->pid());
+    fs.currentPid = current_ != nullptr ? current_->pid() : 0;
+    return fs;
+}
+
+void
+Scheduler::restoreForkState(const ForkState &fs,
+                            const std::function<Process *(int)> &by_pid)
+{
+    runQueue_.clear();
+    for (const int pid : fs.runQueue)
+        runQueue_.push_back(by_pid(pid));
+    parked_.clear();
+    for (const int pid : fs.parked)
+        parked_.push_back(by_pid(pid));
+    current_ = fs.currentPid != 0 ? by_pid(fs.currentPid) : nullptr;
+}
+
 } // namespace sentry::os

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "hw/cpu.hh"
@@ -56,29 +57,26 @@ class Scheduler
     std::size_t runnable() const { return runQueue_.size(); }
 
     /**
-     * Queue state for snapshot/fork. The pointers name processes of one
-     * specific kernel; Kernel::snapshot() translates them to pids and
-     * Kernel::forkFrom() translates back to its freshly rebuilt
-     * Process objects before calling restoreForkState().
+     * Queue state for snapshot/fork, by pid, so that it names no
+     * process object of one specific kernel.
      */
     struct ForkState
     {
-        std::deque<Process *> runQueue;
-        std::deque<Process *> parked;
-        Process *current = nullptr;
+        std::vector<int> runQueue;
+        std::vector<int> parked;
+        int currentPid = 0; //!< 0 = none
+
+        bool operator==(const ForkState &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        return ForkState{runQueue_, parked_, current_};
-    }
+    ForkState forkState() const;
 
-    void restoreForkState(const ForkState &fs)
-    {
-        runQueue_ = fs.runQueue;
-        parked_ = fs.parked;
-        current_ = fs.current;
-    }
+    /**
+     * Refill the queues from @p fs in place; @p by_pid maps each pid to
+     * this kernel's process. No context switch happens.
+     */
+    void restoreForkState(const ForkState &fs,
+                          const std::function<Process *(int)> &by_pid);
 
   private:
     hw::Cpu &cpu_;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Everything Device::forkFrom restores into a Soc, captured so that a
- * re-forked device can be compared with a fresh fork of the same
- * snapshot. Memories are read through the COW arrays, so taking a
- * capture privatizes no page.
+ * Everything Device::forkFrom restores into a Soc and a Kernel,
+ * captured so that a re-forked device can be compared with a fresh
+ * fork of the same snapshot. Memories are read through the COW arrays,
+ * so taking a capture privatizes no page.
  */
 
 #ifndef SENTRY_TESTS_FORK_CAPTURE_HH
@@ -17,6 +17,22 @@
 namespace sentry::test
 {
 
+/** Equal kernel state: processes (page tables, VMAs, flags), the
+ * allocator's free list in order and its allocated frames, the run and
+ * parked queues, and the counters. */
+inline bool
+sameKernel(const os::KernelSnapshot &a, const os::KernelSnapshot &b)
+{
+    return a.processes == b.processes && a.nextPid == b.nextPid &&
+           *a.allocator == *b.allocator && a.queues == b.queues &&
+           a.faultCount == b.faultCount &&
+           a.freedDirtyFrames == b.freedDirtyFrames &&
+           a.powerState == b.powerState && a.pin == b.pin &&
+           a.badPinAttempts == b.badPinAttempts &&
+           a.suspendedSeconds == b.suspendedSeconds &&
+           a.wakeCount == b.wakeCount && a.kernelCycles == b.kernelCycles;
+}
+
 struct ForkCapture
 {
     hw::L2Cache::ForkState l2;
@@ -25,6 +41,7 @@ struct ForkCapture
     std::size_t dramDirtyPages = 0;
     std::size_t iramDirtyPages = 0;
     std::uint64_t now = 0;
+    os::KernelSnapshot kernel;
 
     bool
     operator==(const ForkCapture &other) const
@@ -38,7 +55,8 @@ struct ForkCapture
                l2.flushWayMask == other.l2.flushWayMask &&
                l2.stats == other.l2.stats && dram == other.dram &&
                iram == other.iram && dramDirtyPages == other.dramDirtyPages &&
-               iramDirtyPages == other.iramDirtyPages && now == other.now;
+               iramDirtyPages == other.iramDirtyPages && now == other.now &&
+               sameKernel(kernel, other.kernel);
     }
 };
 
@@ -55,6 +73,7 @@ captureFork(core::Device &device)
     capture.dramDirtyPages = soc.dram().dirtyPages();
     capture.iramDirtyPages = soc.iram().dirtyPages();
     capture.now = soc.clock().now();
+    capture.kernel = device.kernel().snapshot();
     return capture;
 }
 

@@ -150,6 +150,30 @@ TEST_F(FleetEngine, StepAfterColdBootFailsGracefully)
               std::string::npos);
 }
 
+TEST_F(FleetEngine, BackgroundSpawnWithoutCacheLockingFailsGracefully)
+{
+    // nexus4 cannot lock cache ways, so Sentry runs without background
+    // mode there: each device fails at the spawn, and the run reports.
+    const Scenario scenario = parseScenario(
+        "platform nexus4\nspawn mail sensitive background heap 64KiB\n"
+        "lock\n",
+        "background-nexus4");
+    const FleetReport report = runFleet(scenario, smallOptions(4));
+
+    EXPECT_FALSE(report.allOk);
+    ASSERT_EQ(report.results.size(), 4u);
+    for (const DeviceResult &result : report.results) {
+        EXPECT_FALSE(result.ok);
+        EXPECT_EQ(result.stepsExecuted, 0u);
+        EXPECT_NE(result.error.find("line 2: background spawn of 'mail'"),
+                  std::string::npos)
+            << result.error;
+    }
+    const FleetMetric *failedDevices = report.find("sim_devices_failed");
+    ASSERT_NE(failedDevices, nullptr);
+    EXPECT_EQ(failedDevices->u, 4u);
+}
+
 TEST_F(FleetEngine, InvalidOptionsThrow)
 {
     const Scenario scenario = builtinScenario("fleet-smoke");

@@ -129,10 +129,11 @@ spawnAndTouch(Device &device, std::size_t heap_bytes)
  * after the fork, and again after both run a fleet-scale device's work.
  */
 void
-expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap)
+expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap,
+                               const SentryOptions &options = {})
 {
     target.forkFrom(snap);
-    Device fresh(config());
+    Device fresh(config(), options);
     fresh.forkFrom(snap);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
         << "right after the fork";
@@ -140,6 +141,22 @@ expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap)
     spawnAndTouch(fresh, 16 * KiB);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
         << "after the next device's work";
+}
+
+/** The CATT row plan the fleet runner installs for the rowhammer
+ * verb: the top quarter of each bank's rows, past one guard row, is
+ * the attacker's. */
+os::RowPartition
+cattPlan(Device &device)
+{
+    const hw::Dram &dram = device.soc().dram();
+    os::RowPartition plan;
+    plan.rowBytes = dram.geometry().rowBytes;
+    plan.banks = dram.geometry().banks;
+    plan.victimRowLimit = dram.geometry().rowsPerBank(dram.size()) * 3 / 4;
+    plan.guardRows = 1;
+    plan.geomBase = DRAM_BASE;
+    return plan;
 }
 
 /** Warm @p device for the twins: crypto providers registered and a
@@ -158,9 +175,9 @@ warm(Device &device)
 }
 
 std::shared_ptr<const DeviceSnapshot>
-warmTemplate()
+warmTemplate(const SentryOptions &options = {})
 {
-    Device origin(config());
+    Device origin(config(), options);
     warm(origin);
     return origin.snapshot();
 }
@@ -742,6 +759,82 @@ TEST(RecycledFork, MatchesFreshAfterRawFlush)
     target.forkFrom(*snap);
     target.soc().l2().rawFlushAll();
     expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterPartitionedAllocations)
+{
+    // The rowhammer verb's frames: attacker requests erase from the
+    // front of the free list. Once they are freed back on top of it,
+    // victim and default requests skip them and erase from the middle.
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    os::PhysAllocator &alloc = target.kernel().allocator();
+    alloc.partitionRows(cattPlan(target));
+    std::vector<PhysAddr> attacker;
+    for (int i = 0; i < 4; ++i)
+        attacker.push_back(alloc.allocFrame(os::MemDomain::Attacker));
+    for (const PhysAddr frame : attacker)
+        alloc.freeFrame(frame);
+    const PhysAddr victim = alloc.allocFrame(os::MemDomain::Victim);
+    const PhysAddr fallback = alloc.allocFrame(os::MemDomain::Default);
+    EXPECT_TRUE(alloc.inVictimRows(victim));
+    EXPECT_TRUE(alloc.inVictimRows(fallback));
+    ASSERT_EQ(alloc.freeList().back(), attacker.back())
+        << "the victim frames came from below the freed attacker frames";
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterContiguousAllocation)
+{
+    // Amnesia's dm-crypt provider backs each cipher's engine state with
+    // contiguous DRAM frames.
+    SentryOptions amnesia;
+    amnesia.defense = DefenseKind::Amnesia;
+    const auto snap = warmTemplate(amnesia);
+    Device target(config(), amnesia);
+    target.forkFrom(*snap);
+    const std::size_t freeBefore = target.kernel().allocator().freeFrames();
+    const auto cipher =
+        target.kernel().cryptoApi().allocCipher("aes", SECRET);
+    ASSERT_NE(cipher, nullptr);
+    EXPECT_LT(target.kernel().allocator().freeFrames(), freeBefore);
+    expectRecycledForkMatchesFresh(target, *snap, amnesia);
+}
+
+TEST(RecycledFork, MatchesFreshAfterProcessExitAndZeroFreed)
+{
+    // A new process takes frames off the top of the free list and
+    // exits, handing them back in another order; then the template's
+    // process exits too and the zeroing thread scrubs every freed page.
+    const auto snap = warmTemplate();
+    Device target(config());
+    target.forkFrom(*snap);
+    os::Kernel &kernel = target.kernel();
+    spawnAndTouch(target, 16 * KiB);
+    kernel.destroyProcess(*kernel.processes().back());
+    kernel.destroyProcess(*kernel.processes().front());
+    EXPECT_GT(kernel.freedPendingBytes(), 2 * MiB);
+    (void)kernel.zeroFreedPages();
+    EXPECT_EQ(kernel.freedPendingBytes(), 0u);
+    expectRecycledForkMatchesFresh(target, *snap);
+}
+
+TEST(RecycledFork, MatchesFreshAfterSwitchingSnapshotsBack)
+{
+    // Fork A, then B, then A again: the held images follow each switch,
+    // so no re-fork restores against the other template's image. B has
+    // no process, so its free list is longer than A's by the warm heap.
+    const auto snapA = warmTemplate();
+    Device bare(config());
+    bare.sentry().registerCryptoProviders();
+    const auto snapB = bare.snapshot();
+    Device target(config());
+    target.forkFrom(*snapA);
+    spawnAndTouch(target, 16 * KiB);
+    target.forkFrom(*snapB);
+    spawnAndTouch(target, 8 * KiB);
+    expectRecycledForkMatchesFresh(target, *snapA);
 }
 
 TEST(SnapshotForkDeath, DefenseKindMismatchIsFatal)
