@@ -30,7 +30,9 @@
  * since that needle was last found absent. A new checker's first audit
  * scans everything, and so does any audit after a fork onto another
  * image or zeroAll, which stamp every page. A power loss stamps only
- * the pages its decay rewrites.
+ * the pages its decay changes, and a grep skips the never-written ones
+ * it deferred (hw/cow_bytes.hh) for a marker with a byte outside
+ * {0x00, 0xFF}.
  */
 
 #ifndef SENTRY_CORE_INVARIANT_CHECKER_HH

@@ -413,21 +413,37 @@ class Runner
             stepError(step, "background spawn of '" + step.name +
                                 "' needs background mode, which this "
                                 "platform cannot run (no cache locking)");
-        os::Kernel &kernel = device_->kernel();
-        os::Process &process = kernel.createProcess(step.name);
-        const os::Vma &heap =
-            kernel.addVma(process, "heap", os::VmaType::Heap,
-                          jitterBytes(step.bytes, PAGE_SIZE));
-
+        // Every size and the secret are drawn before anything is
+        // allocated, in the order the workload stream has always used.
+        const std::size_t heapBytes = jitterBytes(step.bytes, PAGE_SIZE);
         ProcInfo info;
-        info.process = &process;
-        info.heapBase = heap.base;
-        info.heapBytes = heap.size;
         info.sensitive = step.sensitive;
         info.background = step.background;
         info.secret.resize(16);
         for (auto &byte : info.secret)
             byte = static_cast<std::uint8_t>(workloadRng_.next64());
+        const std::size_t dmaBytes =
+            step.dmaBytes != 0 ? jitterBytes(step.dmaBytes, PAGE_SIZE) : 0;
+
+        // The kernel backs the kernel stack, the heap and the DMA
+        // region with frames at spawn; one that does not fit fails the
+        // device here instead of the allocator ending the process.
+        os::Kernel &kernel = device_->kernel();
+        const std::size_t frames = 1 + (heapBytes + dmaBytes) / PAGE_SIZE;
+        const std::size_t freeFrames = kernel.allocator().freeFrames();
+        if (frames > freeFrames)
+            stepError(step, "spawn of '" + step.name + "' needs " +
+                                std::to_string(frames) +
+                                " frames (kernel stack, heap and DMA "
+                                "region) but only " +
+                                std::to_string(freeFrames) + " are free");
+
+        os::Process &process = kernel.createProcess(step.name);
+        const os::Vma &heap =
+            kernel.addVma(process, "heap", os::VmaType::Heap, heapBytes);
+        info.process = &process;
+        info.heapBase = heap.base;
+        info.heapBytes = heap.size;
         // Plant the secret at the top of every heap page: the audits
         // and attack greps look for exactly these bytes.
         for (std::size_t off = 0; off < heap.size; off += PAGE_SIZE)
@@ -436,10 +452,9 @@ class Runner
 
         // A DMA-region VMA makes unlock pay the paper's eager-decrypt
         // cost (physically-addressed buffers cannot fault).
-        if (step.dmaBytes != 0) {
+        if (dmaBytes != 0) {
             const os::Vma &dma = kernel.addVma(
-                process, "dma", os::VmaType::DmaRegion,
-                jitterBytes(step.dmaBytes, PAGE_SIZE));
+                process, "dma", os::VmaType::DmaRegion, dmaBytes);
             for (std::size_t off = 0; off < dma.size; off += PAGE_SIZE)
                 kernel.writeVirt(process, dma.base + off,
                                  info.secret.data(), info.secret.size());

@@ -4,6 +4,7 @@
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
+#include "host/kernels.hh"
 
 namespace sentry::hw
 {
@@ -22,8 +23,74 @@ CowBytes::CowBytes(std::size_t size)
         panic("CowBytes: zero size");
     local_.reset(new std::uint8_t[nPages_ * PAGE_SIZE]);
     readPtr_.assign(nPages_, zeroPage());
-    private_.assign(nPages_, 0);
+    lastDeferred_.assign(nPages_, 0);
     stamp_.assign(nPages_, generation_);
+}
+
+std::uint8_t *
+CowBytes::privatize(std::size_t page, bool whole) const
+{
+    std::uint8_t *data = localPage(page);
+    if (pageIsDeferred(page)) {
+        // Already listed as Private: compute the page unless the
+        // caller is about to overwrite all of it.
+        if (!whole)
+            computeDeferred(page, data);
+    } else {
+        if (!whole)
+            std::memcpy(data, readPtr_[page], PAGE_SIZE);
+        privatized_.push_back(page);
+    }
+    readPtr_[page] = data;
+    return data;
+}
+
+void
+CowBytes::computeDeferred(std::size_t page, std::uint8_t *data) const
+{
+    // The entries link back from the newest; run them oldest first.
+    std::uint32_t chain[MAX_DEFERRED_DECAYS];
+    std::size_t count = 0;
+    for (std::uint32_t entry = lastDeferred_[page]; entry != 0;
+         entry = deferred_[entry - 1].previous)
+        chain[count++] = entry;
+    std::memset(data, 0, PAGE_SIZE);
+    const host::BytesKernel &kernel = host::kernels().bytes;
+    while (count > 0) {
+        const DeferredDecay &decay = deferred_[chain[--count] - 1];
+        kernel.decayPage(data, PAGE_SIZE, decay.state, decay.threshold,
+                         decay.ground);
+    }
+}
+
+void
+CowBytes::deferDecay(std::size_t page, const Rng::State &state,
+                     std::uint32_t threshold, std::uint8_t ground)
+{
+    if (pageBytes(page) != PAGE_SIZE ||
+        !(pageIsZero(page) || pageIsDeferred(page)))
+        panic("CowBytes::deferDecay: page %zu is not a full Zero or "
+              "deferred page",
+              page);
+    std::uint32_t previous = 0;
+    unsigned count = 1;
+    if (pageIsZero(page)) {
+        readPtr_[page] = nullptr;
+        privatized_.push_back(page);
+    } else {
+        previous = lastDeferred_[page];
+        count = deferred_[previous - 1].count + 1u;
+        if (count > MAX_DEFERRED_DECAYS) {
+            std::uint8_t *data = storePage(page, false);
+            host::kernels().bytes.decayPage(data, PAGE_SIZE, state,
+                                            threshold, ground);
+            return;
+        }
+    }
+    deferred_.push_back({state, threshold, ground,
+                         static_cast<std::uint8_t>(count), previous});
+    lastDeferred_[page] = static_cast<std::uint32_t>(deferred_.size());
+    stamp_[page] = ++generation_;
 }
 
 void
@@ -33,7 +100,7 @@ CowBytes::readSlow(std::size_t offset, std::uint8_t *out,
     while (len > 0) {
         const std::size_t inPage = offset % PAGE_SIZE;
         const std::size_t chunk = std::min(len, PAGE_SIZE - inPage);
-        std::memcpy(out, readPtr_[offset / PAGE_SIZE] + inPage, chunk);
+        std::memcpy(out, pageData(offset / PAGE_SIZE) + inPage, chunk);
         offset += chunk;
         out += chunk;
         len -= chunk;
@@ -47,7 +114,9 @@ CowBytes::writeSlow(std::size_t offset, const std::uint8_t *in,
     while (len > 0) {
         const std::size_t inPage = offset % PAGE_SIZE;
         const std::size_t chunk = std::min(len, PAGE_SIZE - inPage);
-        std::memcpy(privatePage(offset / PAGE_SIZE) + inPage, in, chunk);
+        std::memcpy(storePage(offset / PAGE_SIZE, chunk == PAGE_SIZE) +
+                        inPage,
+                    in, chunk);
         offset += chunk;
         in += chunk;
         len -= chunk;
@@ -72,15 +141,10 @@ CowBytes::fillPattern(std::span<const std::uint8_t> pattern)
 std::span<const std::uint8_t>
 CowBytes::contiguous() const
 {
-    if (privatized_.size() != nPages_) {
+    if (privatized_.size() != nPages_ || !deferred_.empty()) {
         for (std::size_t page = 0; page < nPages_; ++page) {
-            if (private_[page])
-                continue;
-            std::uint8_t *data = localPage(page);
-            std::memcpy(data, readPtr_[page], PAGE_SIZE);
-            readPtr_[page] = data;
-            private_[page] = 1;
-            privatized_.push_back(page);
+            if (readPtr_[page] != localPage(page))
+                privatize(page, false);
         }
     }
     return {local_.get(), size_};
@@ -107,12 +171,23 @@ CowBytes::contains(std::span<const std::uint8_t> needle,
     if (needle.empty() || needle.size() > size_)
         return false;
     // A page that reads as all zeros cannot hold a needle with a
-    // non-zero byte; the seams around it still can.
+    // non-zero byte, nor a deferred page (0x00 and 0xFF only) one with
+    // another byte; the seams around them still can.
+    const auto ground = [](std::uint8_t byte) {
+        return byte == 0x00 || byte == 0xff;
+    };
     const bool skipZero = !allZero(needle);
+    const bool skipDeferred = !std::ranges::all_of(needle, ground);
     // An occurrence crossing the seam at offset s starts in
     // [s - reach, s), so the window of reach bytes on each side of the
-    // seam holds all of them, for any needle length.
+    // seam holds all of them, for any needle length. For a needle no
+    // longer than a page, those windows lie inside the two pages, so
+    // one crossing the seam after a deferred page starts in it and one
+    // crossing the seam before a deferred page ends in it.
     const std::size_t reach = needle.size() - 1;
+    const bool fits = needle.size() <= PAGE_SIZE;
+    const bool skipAfterDeferred = fits && !ground(needle.front());
+    const bool skipBeforeDeferred = fits && !ground(needle.back());
     std::vector<std::uint8_t> window;
     for (std::size_t page = 0; page < nPages_; ++page) {
         // An occurrence touching a changed page lies inside it or
@@ -123,10 +198,13 @@ CowBytes::contains(std::span<const std::uint8_t> needle,
             continue;
         const std::size_t len = pageBytes(page);
         if (stamp_[page] > since && !(skipZero && pageIsZero(page)) &&
-            containsBytes({readPtr_[page], len}, needle))
+            !(skipDeferred && pageIsDeferred(page)) &&
+            containsBytes({pageData(page), len}, needle))
             return true;
         const std::size_t seam = page * PAGE_SIZE + len;
-        if (reach == 0 || seam == size_)
+        if (reach == 0 || seam == size_ ||
+            (skipAfterDeferred && pageIsDeferred(page)) ||
+            (skipBeforeDeferred && pageIsDeferred(page + 1)))
             continue;
         const std::size_t lo = seam - std::min(seam, reach);
         const std::size_t hi = std::min(size_, seam + reach);
@@ -159,7 +237,7 @@ CowBytes::countPattern(std::span<const std::uint8_t> pattern) const
         const std::size_t whole = (end - off) / len * len;
         if (whole != 0 && !(skipZero && pageIsZero(page)))
             hits += sentry::countPattern(
-                {readPtr_[page] + (off - begin), whole}, pattern);
+                {pageData(page) + (off - begin), whole}, pattern);
         off += whole;
         // At most one stride crosses the seam at `end`.
         if (off < end && off + len <= size_) {
@@ -175,10 +253,11 @@ std::size_t
 CowBytes::firstNonZero() const
 {
     for (std::size_t page = 0; page < nPages_; ++page) {
-        const std::size_t len = pageBytes(page);
-        if (pageIsZero(page) || allZero({readPtr_[page], len}))
+        if (pageIsZero(page))
             continue;
-        const std::uint8_t *bytes = readPtr_[page];
+        const std::uint8_t *bytes = pageData(page);
+        if (allZero({bytes, pageBytes(page)}))
+            continue;
         std::size_t i = 0;
         while (bytes[i] == 0)
             ++i;
@@ -194,22 +273,24 @@ CowBytes::freeze() const
     image->size_ = size_;
     image->pages_.resize(nPages_, nullptr);
 
-    // Private pages are copied out so this instance stays free to keep
-    // mutating them; Shared pages are aliased (parent_ keeps the older
-    // image alive); Zero pages stay nullptr.
+    // Private pages (deferred ones computed) are copied out so this
+    // instance stays free to keep mutating them; Shared pages are
+    // aliased (parent_ keeps the older image alive); Zero pages stay
+    // nullptr.
     if (!privatized_.empty())
         image->owned_.reset(new std::uint8_t[privatized_.size() * PAGE_SIZE]);
 
     std::size_t slot = 0;
     bool sharesBase = false;
     for (std::size_t page = 0; page < nPages_; ++page) {
-        if (private_[page]) {
+        const std::uint8_t *src = pageData(page);
+        if (src == localPage(page)) {
             std::uint8_t *dst = image->owned_.get() + slot * PAGE_SIZE;
-            std::memcpy(dst, readPtr_[page], PAGE_SIZE);
+            std::memcpy(dst, src, PAGE_SIZE);
             image->pages_[page] = dst;
             ++slot;
-        } else if (readPtr_[page] != zeroPage()) {
-            image->pages_[page] = readPtr_[page];
+        } else if (src != zeroPage()) {
+            image->pages_[page] = src;
             sharesBase = true;
         }
     }
@@ -230,7 +311,6 @@ CowBytes::adopt(const std::shared_ptr<const CowImage> &image)
     const auto rebind = [this, stamp](std::size_t page) {
         const std::uint8_t *src = base_->page(page);
         readPtr_[page] = src != nullptr ? src : zeroPage();
-        private_[page] = 0;
         stamp_[page] = stamp;
     };
     if (image == base_) {
@@ -244,6 +324,7 @@ CowBytes::adopt(const std::shared_ptr<const CowImage> &image)
             rebind(page);
     }
     privatized_.clear();
+    deferred_.clear();
 }
 
 void
@@ -251,12 +332,15 @@ CowBytes::zeroAll()
 {
     stamp_.assign(nPages_, ++generation_);
     for (std::size_t page = 0; page < nPages_; ++page) {
-        if (private_[page]) {
+        if (pageIsPrivate(page)) {
+            // A deferred page drops its decays and stays Private.
             std::memset(localPage(page), 0, PAGE_SIZE);
+            readPtr_[page] = localPage(page);
         } else {
             readPtr_[page] = zeroPage();
         }
     }
+    deferred_.clear();
     base_.reset();
 }
 

@@ -10,6 +10,20 @@
  *  - Shared:  read-only view into an immutable `CowImage` (a snapshot).
  *  - Private: this instance owns the page; writes landed here.
  *
+ * A Private page may be *deferred*: a full Zero page that a power loss
+ * decays toward ground 0xFF (RemanenceModel::decay) keeps the
+ * generator state, threshold and ground of that decay instead of its
+ * bytes, and each later power loss appends its own entry (up to
+ * eight; the next one computes the page and decays it at once). Its
+ * bytes are zeros run through those decays in order, so they are only
+ * ever 0x00 or 0xFF. The page is computed (host::BytesKernel::decayPage)
+ * when something reads it: read(), a write that covers part of it,
+ * contiguous(), freeze(), countPattern(), firstNonZero(), and
+ * contains() unless the needle rules the page out. A whole-page
+ * write, adopt() and zeroAll() drop the entries without computing
+ * them. A deferred page counts as Private everywhere else: it is
+ * stamped, listed for the re-adopt and in privatePages().
+ *
  * `freeze()` publishes the current contents as an immutable, ref-counted
  * `CowImage` without disturbing this instance. `adopt()` rebinds this
  * instance to an image: every page becomes Shared (or Zero) and the
@@ -25,23 +39,25 @@
  *
  * Write stamps: every store to a page records a new write generation
  * in that page's stamp — `write()`, the pages whose bytes a
- * `rewritePages()` callback takes (`fillPattern()` takes them all;
- * the remanence decay leaves a Zero page it would not change),
- * `adopt()`'s rebinding and `zeroAll()` are the stores, and there is
- * no other way to change the contents. `contains()` searches in
- * place, page by page plus the seams between neighbouring pages, and
- * visits only what was stamped after a caller-supplied generation: a
- * needle found absent at generation g can only have appeared since in
- * a page stamped after g. Generation 0 searches everything (the full
- * scan every incremental answer is checked against).
+ * `rewritePages()` callback takes or defers (`fillPattern()` takes
+ * them all; the remanence decay leaves a Zero page it would not
+ * change), `adopt()`'s rebinding and `zeroAll()` are the stores, and
+ * there is no other way to change the contents. Computing a deferred
+ * page is not a store: its contents changed when it was stamped.
+ * `contains()` searches in place, page by page plus the seams between
+ * neighbouring pages, and visits only what was stamped after a
+ * caller-supplied generation: a needle found absent at generation g
+ * can only have appeared since in a page stamped after g. Generation
+ * 0 searches everything (the full scan every incremental answer is
+ * checked against).
  *
  * Span-stability rule (the `raw()` contract for Dram/Iram): the
- * read-only span returned by `contiguous()` materializes every page
- * into private storage and stays valid — and follows later stores
- * through this object — until the next `adopt()` (i.e. until the
- * owning device is forked again). `freeze()` and `zeroAll()` never
- * invalidate it. Code that holds a span across `adopt()` reads stale
- * bytes; take a fresh span instead.
+ * read-only span returned by `contiguous()` materializes (and
+ * computes) every page into private storage and stays valid — and
+ * follows later stores through this object — until the next
+ * `adopt()` (i.e. until the owning device is forked again). `freeze()`
+ * and `zeroAll()` never invalidate it. Code that holds a span across
+ * `adopt()` reads stale bytes; take a fresh span instead.
  */
 
 #ifndef SENTRY_HW_COW_BYTES_HH
@@ -54,6 +70,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace sentry::hw
@@ -114,7 +131,7 @@ class CowBytes
         const std::size_t page = offset / PAGE_SIZE;
         const std::size_t inPage = offset % PAGE_SIZE;
         if (len <= PAGE_SIZE - inPage) {
-            std::memcpy(buf, readPtr_[page] + inPage, len);
+            std::memcpy(buf, pageData(page) + inPage, len);
             return;
         }
         readSlow(offset, static_cast<std::uint8_t *>(buf), len);
@@ -127,7 +144,7 @@ class CowBytes
         const std::size_t page = offset / PAGE_SIZE;
         const std::size_t inPage = offset % PAGE_SIZE;
         if (len <= PAGE_SIZE - inPage) {
-            std::memcpy(privatePage(page) + inPage, buf, len);
+            std::memcpy(storePage(page, len == PAGE_SIZE) + inPage, buf, len);
             return;
         }
         writeSlow(offset, static_cast<const std::uint8_t *>(buf), len);
@@ -147,11 +164,30 @@ class CowBytes
          * page). */
         bool isZero() const { return cells_.pageIsZero(page_); }
 
+        /** @return true while the page is deferred (see the file
+         * comment). */
+        bool isDeferred() const { return cells_.pageIsDeferred(page_); }
+
         /** Privatize and stamp the page, and return its bytes to store
-         * into. The span is only valid during the callback. */
+         * into (a deferred page is computed first). The span is only
+         * valid during the callback. */
         std::span<std::uint8_t> bytes() const
         {
-            return {cells_.privatePage(page_), size()};
+            return {cells_.storePage(page_, false), size()};
+        }
+
+        /**
+         * Stamp this full Zero or deferred page and append one decay to
+         * it instead of running it: host::BytesKernel::decayPage with
+         * @p state, @p threshold and @p ground, run when something
+         * reads the page. The page becomes (or stays) deferred, unless
+         * it already holds MAX_DEFERRED_DECAYS decays: then it is
+         * computed and this one runs at once.
+         */
+        void deferDecay(const Rng::State &state, std::uint32_t threshold,
+                        std::uint8_t ground) const
+        {
+            cells_.deferDecay(page_, state, threshold, ground);
         }
 
       private:
@@ -203,8 +239,13 @@ class CowBytes
     /**
      * Search for @p needle in place: inside each page stamped after
      * @p since, and across each seam whose window touches such a page.
-     * Zero pages are skipped when the needle has a non-zero byte.
-     * @p since = 0 searches the whole array; the answer always equals
+     * Zero pages are skipped when the needle has a non-zero byte, and
+     * deferred pages (which hold only 0x00 and 0xFF) when it has a byte
+     * outside those two. For a needle no longer than a page, a seam
+     * after a deferred page is skipped when the needle's first byte is
+     * outside them, and a seam before one when its last byte is; any
+     * other deferred page the search needs is computed. @p since = 0
+     * searches the whole array; the answer always equals
      * containsBytes() over the contents, provided the needle was absent
      * at generation @p since. An empty needle is never found.
      */
@@ -241,10 +282,17 @@ class CowBytes
     std::size_t privatePages() const { return privatized_.size(); }
 
     /** @return true if page @p index has been privatized (dirty since
-     * the last adopt()). */
+     * the last adopt()); a deferred page is. */
     bool pageIsPrivate(std::size_t index) const
     {
-        return private_[index] != 0;
+        return readPtr_[index] == localPage(index) || pageIsDeferred(index);
+    }
+
+    /** @return true if page @p index is deferred: Private, with power
+     * losses recorded that have not been computed yet. */
+    bool pageIsDeferred(std::size_t index) const
+    {
+        return readPtr_[index] == nullptr;
     }
 
     /** The shared all-zero page backing Zero-state reads. */
@@ -276,20 +324,50 @@ class CowBytes
         return readPtr_[page] == zeroPage();
     }
 
+    /** @return page @p page's bytes, computing a deferred page first. */
+    const std::uint8_t *pageData(std::size_t page) const
+    {
+        const std::uint8_t *data = readPtr_[page];
+        if (data == nullptr) [[unlikely]]
+            data = privatize(page, false);
+        return data;
+    }
+
     /** Copy-on-write: give page @p page its own storage, and stamp it
-     * with a new generation (the caller is about to store to it). */
-    std::uint8_t *privatePage(std::size_t page)
+     * with a new generation (the caller is about to store to it). When
+     * the caller stores a @p whole page, its old bytes are not copied
+     * or computed. */
+    std::uint8_t *storePage(std::size_t page, bool whole)
     {
         std::uint8_t *data = localPage(page);
-        if (!private_[page]) {
-            std::memcpy(data, readPtr_[page], PAGE_SIZE);
-            readPtr_[page] = data;
-            private_[page] = 1;
-            privatized_.push_back(page);
-        }
+        if (readPtr_[page] != data) [[unlikely]]
+            privatize(page, whole);
         stamp_[page] = ++generation_;
         return data;
     }
+
+    std::uint8_t *privatize(std::size_t page, bool whole) const;
+    void computeDeferred(std::size_t page, std::uint8_t *data) const;
+    void deferDecay(std::size_t page, const Rng::State &state,
+                    std::uint32_t threshold, std::uint8_t ground);
+
+    /** Decays one page may record; the next power loss computes the
+     * page and decays it at once, so the list stays bounded however
+     * many power losses a device goes through. */
+    static constexpr unsigned MAX_DEFERRED_DECAYS = 8;
+
+    /** One power loss recorded on a deferred page (see deferDecay()). */
+    struct DeferredDecay
+    {
+        Rng::State state;
+        std::uint32_t threshold;
+        std::uint8_t ground;
+        /** The page's entries up to and including this one. */
+        std::uint8_t count;
+        /** The page's earlier entry, as an index into deferred_ plus
+         * one; 0 for its first. */
+        std::uint32_t previous;
+    };
 
     std::size_t size_;
     std::size_t nPages_;
@@ -297,12 +375,23 @@ class CowBytes
      * uninitialized: the host OS lazily backs it, so an instance that
      * never privatizes a page costs no physical memory. */
     std::unique_ptr<std::uint8_t[]> local_;
-    /* Page state is mutable so that contiguous() can be const: reads
-     * observe identical bytes before and after materialization. */
+    /* Page state is mutable so that reads and contiguous() can be
+     * const: they observe identical bytes before and after a page is
+     * materialized or computed. A page is Zero when its pointer is
+     * zeroPage(), Private when it is its local page, deferred when it
+     * is null, and Shared otherwise. */
     mutable std::vector<const std::uint8_t *> readPtr_;
-    mutable std::vector<std::uint8_t> private_;
     /** Indices of the Private pages, in privatization order. */
     mutable std::vector<std::size_t> privatized_;
+    /** Every deferred page's decays, appended in power-loss order. Only
+     * a Zero page starts a list, so between two adopt() or zeroAll()
+     * calls, which clear it, a page adds at most MAX_DEFERRED_DECAYS
+     * entries; those of pages computed or dropped since stay until
+     * then. */
+    std::vector<DeferredDecay> deferred_;
+    /** Per page: its newest entry in deferred_ plus one; read only
+     * while the page is deferred. */
+    std::vector<std::uint32_t> lastDeferred_;
     std::shared_ptr<const CowImage> base_;
     /** Per-page generation of the last store; see the file comment. */
     std::vector<std::uint64_t> stamp_;

@@ -114,9 +114,10 @@ class Dram : public BusTarget
      * to the simulated clock and not visible on the bus.
      *
      * Invalidation rule: the span materializes the COW backing store
-     * (every page becomes Private) and stays valid until the next
-     * adoptImage() / Soc::forkFrom(). Never hold it across a fork; take
-     * a fresh span instead (see cow_bytes.hh for the full contract).
+     * (every page becomes Private and computed) and stays valid until
+     * the next adoptImage() / Soc::forkFrom(). Never hold it across a
+     * fork; take a fresh span instead (see cow_bytes.hh for the full
+     * contract).
      *
      * Every store to the cells goes through busWrite(), writeCells(),
      * fillCells(), powerLoss(), disturbAdjacentRows() or adoptImage(),
@@ -161,10 +162,12 @@ class Dram : public BusTarget
     }
 
     /** @return pages privatized since the last adoptImage() (the
-     * fork's dirty-page count). */
+     * fork's dirty-page count), deferred ones included. */
     std::size_t dirtyPages() const { return data_.privatePages(); }
 
-    /** Apply cell decay for a power loss of @p off_seconds. */
+    /** Apply cell decay for a power loss of @p off_seconds. A
+     * never-written page that decays toward 0xFF is deferred: its
+     * bytes are computed when something reads it (cow_bytes.hh). */
     void powerLoss(double off_seconds, double celsius, Rng &rng);
 
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */

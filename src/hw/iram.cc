@@ -66,6 +66,12 @@ Iram::powerLoss(double off_seconds, double celsius, Rng &rng)
 }
 
 void
+Iram::skipPowerLoss(double off_seconds, double celsius, Rng &rng) const
+{
+    remanence_.skipDecay(data_.size(), off_seconds, celsius, rng);
+}
+
+void
 Iram::zeroize()
 {
     data_.zeroAll();

@@ -95,6 +95,11 @@ class Iram
     /** Apply SRAM cell decay for a power loss. */
     void powerLoss(double off_seconds, double celsius, Rng &rng);
 
+    /** Advance @p rng as powerLoss() would and leave the cells alone:
+     * the power cycle's boot ROM zeroes them before anything reads
+     * them. */
+    void skipPowerLoss(double off_seconds, double celsius, Rng &rng) const;
+
     /** Zero the whole array (the boot-firmware behaviour). */
     void zeroize();
 

@@ -83,6 +83,24 @@ RemanenceModel::decay(std::span<std::uint8_t> memory, double off_seconds,
 }
 
 void
+RemanenceModel::skipDecay(std::size_t bytes, double off_seconds,
+                          double celsius, Rng &rng) const
+{
+    if (!keepThreshold(off_seconds, celsius))
+        return;
+    for (std::size_t index = 0; index < bytes; index += PAGE_SIZE) {
+        drawGround(rng);
+        const std::size_t len = std::min(PAGE_SIZE, bytes - index);
+        if (len == PAGE_SIZE) {
+            rng.jumpPage();
+            continue;
+        }
+        for (std::size_t word = 0; word < (len + 3) / 4; ++word)
+            rng.next64();
+    }
+}
+
+void
 RemanenceModel::decay(CowBytes &cells, double off_seconds, double celsius,
                       Rng &rng) const
 {
@@ -93,8 +111,16 @@ RemanenceModel::decay(CowBytes &cells, double off_seconds, double celsius,
     const host::BytesKernel &kernel = host::kernels().bytes;
     cells.rewritePages([&](const CowBytes::PageRewrite &page) {
         const std::uint8_t ground = drawGround(rng);
-        if (ground == 0x00 && page.isZero() && page.size() == PAGE_SIZE) {
+        const bool fullZero = page.isZero() && page.size() == PAGE_SIZE;
+        if (fullZero && ground == 0x00) {
             // Zero cells that decay toward 0x00 keep every byte.
+            rng.jumpPage();
+            return;
+        }
+        if (fullZero || page.isDeferred()) {
+            // Cells holding only 0x00 and 0xFF cannot hold a secret:
+            // record the decay and run it when something reads them.
+            page.deferDecay(rng.state(), *threshold, ground);
             rng.jumpPage();
             return;
         }

@@ -19,10 +19,13 @@
  * Draw layout: each 4 KiB region draws its ground, then one 64-bit
  * value per four bytes, so a full region takes 1025 draws. Memory
  * arrays decay through the CowBytes overload, which runs the active
- * host kernel (host::BytesKernel::decayPage) page by page and skips
- * the draws of a never-written page that would decay to itself; the
+ * host kernel (host::BytesKernel::decayPage) page by page. It jumps
+ * the stream past a never-written page that would decay to itself,
+ * and past a never-written (or deferred) page that would not, whose
+ * decay it records for CowBytes to run when the page is read; the
  * span overload runs the portable kernel and is the reference both are
- * checked against.
+ * checked against. skipDecay() only advances the stream, for cells
+ * that are cleared before anything reads them.
  */
 
 #ifndef SENTRY_HW_REMANENCE_HH
@@ -86,13 +89,22 @@ class RemanenceModel
 
     /**
      * decay() over a copy-on-write array, page by page: same bytes and
-     * same draws as the span overload over the array's contents. A full
-     * Zero page that draws ground 0x00 would keep every byte, so the
-     * stream jumps past its draws and the page stays Zero and
-     * unstamped; every other page is privatized, stamped and decayed.
+     * same draws as the span overload over the array's contents, and
+     * the same stamps. A full Zero page that draws ground 0x00 would
+     * keep every byte, so the stream jumps past its draws and the page
+     * stays Zero and unstamped. A full Zero page that draws 0xFF, and
+     * a deferred page, is stamped and deferred
+     * (CowBytes::PageRewrite::deferDecay) with the stream's state at
+     * its first word draw, and the stream jumps past the page. Every
+     * other page is privatized, stamped and decayed.
      */
     void decay(CowBytes &cells, double off_seconds, double celsius,
                Rng &rng) const;
+
+    /** Advance @p rng exactly as decay() over @p bytes cells would,
+     * without touching any cells. */
+    void skipDecay(std::size_t bytes, double off_seconds, double celsius,
+                   Rng &rng) const;
 
   private:
     /** @return the 16-bit lane value below which a byte survives, or

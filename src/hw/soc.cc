@@ -230,7 +230,9 @@ void
 Soc::powerCycle(double off_seconds, double celsius)
 {
     dram_.powerLoss(off_seconds, celsius, rng_);
-    iram_.powerLoss(off_seconds, celsius, rng_);
+    // The boot ROM zeroes iRAM before anything reads it, so its decay
+    // only advances the stream.
+    iram_.skipPowerLoss(off_seconds, celsius, rng_);
     cpu_.zeroRegisters();
     firmware_.coldBoot(dram_, iram_, l2_, rng_);
 }

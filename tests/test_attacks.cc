@@ -4,12 +4,14 @@
  * unprotected devices, DMA attacks with and without TrustZone/cache
  * protection, and bus-monitor payload capture — the behaviours behind
  * the paper's Tables 2 and 3 — plus the streamed DMA and bus-probe
- * greps checked against their materialized references.
+ * greps and the in-place cold-boot readout checked against their
+ * materialized references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 
 #include "attacks/cold_boot.hh"
@@ -523,4 +525,176 @@ TEST(BusProbeStreaming, InFlightMatchEqualsCapturedPayloads)
         found += crossed.found(i) ? 1 : 0;
     }
     EXPECT_EQ(found, needles.size() - 1); // all but the absent one
+}
+
+namespace
+{
+
+/** Snapshot a locked tegra3 device under @p kind whose memory holds
+ * the markers this appends to @p markers. */
+std::shared_ptr<const DeviceSnapshot>
+coldBootReadoutTemplate(DefenseKind kind,
+                        std::vector<SecretMarker> &markers)
+{
+    SentryOptions options;
+    options.placement = AesPlacement::LockedL2;
+    options.defense = kind;
+    Device device(hw::PlatformConfig::tegra3(4 * MiB), options);
+    device.sentry().registerCryptoProviders();
+    Kernel &kernel = device.kernel();
+    Rng rng(0xc01db007);
+    for (const bool sensitive : {true, false}) {
+        Process &app = kernel.createProcess(sensitive ? "wallet" : "leaky");
+        const Vma &heap =
+            kernel.addVma(app, "heap", VmaType::Heap, 16 * PAGE_SIZE);
+        const auto secret = randomBytes(rng, 16);
+        for (std::size_t off = 0; off < heap.size; off += PAGE_SIZE)
+            kernel.writeVirt(app, heap.base + off, secret.data(),
+                             secret.size());
+        if (sensitive)
+            device.sentry().markSensitive(app);
+        markers.push_back({app.name(), secret, sensitive});
+    }
+    kernel.lockScreen();
+
+    // Markers around pages that stay Zero until a power loss decays
+    // them toward 0xFF, which defers them: a tail of zeros in the Zero
+    // page after a written one, a head of zeros in the Zero page before
+    // one, 0x00/0xFF in the middle, and only 0x00 or 0xFF bytes. The
+    // in-place grep has to compute a deferred page for some of them
+    // and may skip it for the others.
+    hw::Dram &dram = device.soc().dram();
+    const std::size_t last = dram.size() / PAGE_SIZE - 1;
+    for (const std::size_t page : {last - 23, last - 13})
+        EXPECT_FALSE(dram.cells().pageIsPrivate(page)) << page;
+    const auto plant = [&](const std::string &owner, std::size_t offset,
+                           std::vector<std::uint8_t> bytes,
+                           std::size_t written_from,
+                           std::size_t written_to) {
+        dram.writeCells(offset + written_from, bytes.data() + written_from,
+                        written_to - written_from);
+        markers.push_back({owner, std::move(bytes), true});
+    };
+    auto tail = randomBytes(rng, 14);
+    tail.front() = 0x5a; // neither 0x00 nor 0xFF
+    tail.insert(tail.end(), {0x00, 0x00});
+    plant("zero-tail", (last - 23) * PAGE_SIZE - 14, tail, 0, 14);
+    std::vector<std::uint8_t> head = {0x00, 0x00, 0x00};
+    const auto headRest = randomBytes(rng, 13);
+    head.insert(head.end(), headRest.begin(), headRest.end());
+    plant("zero-head", (last - 12) * PAGE_SIZE - 3, head, 3, 16);
+    auto middle = randomBytes(rng, 16);
+    middle[7] = 0x00;
+    middle[8] = 0xff;
+    plant("ground-middle", (last - 5) * PAGE_SIZE + 100, middle, 0, 16);
+    const auto longer = randomBytes(rng, PAGE_SIZE + 100);
+    plant("longer-than-a-page", (last - 40) * PAGE_SIZE - 50, longer, 0,
+          longer.size());
+    markers.push_back({"all-0xff", std::vector<std::uint8_t>(16, 0xff),
+                       true});
+    markers.push_back({"all-0x00", std::vector<std::uint8_t>(16, 0x00),
+                       false});
+    markers.push_back({"ground-mix",
+                       {0xff, 0xff, 0xff, 0xff, 0x00, 0xff, 0xff, 0xff},
+                       true});
+    markers.push_back({"absent", randomBytes(rng, 16), true});
+    return device.snapshot();
+}
+
+} // namespace
+
+TEST(ColdBootReadout, InPlaceGrepMatchesTheComputedDumps)
+{
+    // Under each backend, every order of os_reboot, cold_boot and
+    // 2s_reset, each frozen or not. Two forks
+    // of one template run the same resets: `lazy` is grepped in place
+    // (checkDumps(soc), which skips the deferred pages it can rule out)
+    // and never materialized, so its deferred pages meet the later
+    // resets; `dumped` is grepped through checkDumps(dramRaw(),
+    // iramRaw()), which computes every page. After each reset both must
+    // score every marker the same (one checker per marker), and at the
+    // end the lazy device's computed memory must equal the dumped one's.
+    const ColdBootVariant VERBS[] = {ColdBootVariant::OsReboot,
+                                     ColdBootVariant::DeviceReflash,
+                                     ColdBootVariant::TwoSecondReset};
+    std::size_t deferredAtReadout = 0, groundOnlyFound = 0,
+                groundOnlyMissed = 0;
+    for (const DefenseKind kind : {DefenseKind::Sentry, DefenseKind::Amnesia,
+                                   DefenseKind::MemShield}) {
+        std::vector<SecretMarker> markers;
+        const auto snap = coldBootReadoutTemplate(kind, markers);
+        SentryOptions options;
+        options.placement = AesPlacement::LockedL2;
+        options.defense = kind;
+        Device lazy(hw::PlatformConfig::tegra3(4 * MiB), options);
+        Device dumped(hw::PlatformConfig::tegra3(4 * MiB), options);
+        std::array<int, 3> order = {0, 1, 2};
+        do {
+            for (unsigned frozen = 0; frozen < 8; ++frozen) {
+                lazy.forkFrom(*snap);
+                dumped.forkFrom(*snap);
+                std::vector<std::unique_ptr<InvariantChecker>> lazyChecks,
+                    dumpChecks;
+                for (const SecretMarker &marker : markers) {
+                    lazyChecks.push_back(std::make_unique<InvariantChecker>(
+                        lazy.kernel(), lazy.sentry()));
+                    lazyChecks.back()->addMarker(marker);
+                    dumpChecks.push_back(std::make_unique<InvariantChecker>(
+                        dumped.kernel(), dumped.sentry()));
+                    dumpChecks.back()->addMarker(marker);
+                }
+                for (int i = 0; i < 3; ++i) {
+                    const ColdBootAttack attack(
+                        VERBS[order[i]], (frozen >> i & 1) ? -18.0 : 22.0);
+                    attack.performReset(lazy.soc());
+                    attack.performReset(dumped.soc());
+                    const hw::CowBytes &cells = lazy.soc().dram().cells();
+                    for (std::size_t page = 0; page < cells.pageCount();
+                         ++page)
+                        deferredAtReadout += cells.pageIsDeferred(page);
+
+                    for (std::size_t m = 0; m < markers.size(); ++m) {
+                        // Grep first, compute the pages second.
+                        const DumpLeaks inPlace =
+                            lazyChecks[m]->checkDumps(lazy.soc());
+                        const DumpLeaks fromDumps = dumpChecks[m]->checkDumps(
+                            dumped.soc().dramRaw(), dumped.soc().iramRaw());
+                        const std::string where =
+                            std::string(defenseKindName(kind)) + " order " +
+                            std::to_string(order[0]) +
+                            std::to_string(order[1]) +
+                            std::to_string(order[2]) + " frozen " +
+                            std::to_string(frozen) + " reset " +
+                            std::to_string(i) + " " + markers[m].owner;
+                        EXPECT_EQ(inPlace.sensitiveProbed,
+                                  fromDumps.sensitiveProbed)
+                            << where;
+                        EXPECT_EQ(inPlace.sensitiveLeaked,
+                                  fromDumps.sensitiveLeaked)
+                            << where;
+                        EXPECT_EQ(inPlace.nonSensitiveLeaks,
+                                  fromDumps.nonSensitiveLeaks)
+                            << where;
+                        EXPECT_EQ(inPlace.firstLeakedOwner,
+                                  fromDumps.firstLeakedOwner)
+                            << where;
+                        if (markers[m].owner == "all-0xff" ||
+                            markers[m].owner == "ground-mix")
+                            (fromDumps.sensitiveLeaked != 0
+                                 ? groundOnlyFound
+                                 : groundOnlyMissed)++;
+                    }
+                }
+                EXPECT_TRUE(std::ranges::equal(lazy.soc().dramRaw(),
+                                               dumped.soc().dramRaw()));
+                EXPECT_TRUE(std::ranges::equal(lazy.soc().iramRaw(),
+                                               dumped.soc().iramRaw()));
+            }
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
+    // The readouts met deferred pages, and the markers of 0x00 and 0xFF
+    // bytes only were found after some resets and missed after others.
+    EXPECT_GT(deferredAtReadout, 0u);
+    EXPECT_GT(groundOnlyFound, 0u);
+    EXPECT_GT(groundOnlyMissed, 0u);
 }

@@ -1,17 +1,20 @@
 /**
  * @file
  * CowBytes / CowImage unit tests: the page-granular copy-on-write
- * array backing Dram and Iram for snapshot/fork.
+ * array backing Dram and Iram for snapshot/fork, its write stamps and
+ * in-place search, and its deferred power-loss pages.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/bytes.hh"
 #include "common/rng.hh"
 #include "hw/cow_bytes.hh"
+#include "hw/remanence.hh"
 
 using namespace sentry;
 using namespace sentry::hw;
@@ -661,15 +664,179 @@ TEST(CowBytesSearch, FirstNonZeroWalksPagesInPlace)
     EXPECT_EQ(bytes.privatePages(), 3u); // no page was materialized
 }
 
+namespace
+{
+
+/**
+ * What the stamping rules of cow_bytes.hh say about each page, kept
+ * beside a CowBytes that a test drives: the generation counter, each
+ * page's stamp, whether it is Private and whether it is Zero.
+ */
+struct StampModel
+{
+    explicit StampModel(const CowBytes &bytes)
+        : size(bytes.size()), stamp(bytes.pageCount(), 1),
+          isPrivate(bytes.pageCount(), false),
+          isZero(bytes.pageCount(), true)
+    {}
+
+    std::size_t pageBytes(std::size_t page) const
+    {
+        return std::min(PAGE_SIZE, size - page * PAGE_SIZE);
+    }
+
+    /** A store privatizes and stamps the page. */
+    void store(std::size_t page)
+    {
+        stamp[page] = ++generation;
+        isPrivate[page] = true;
+        isZero[page] = false;
+    }
+
+    void write(std::size_t off, std::size_t len)
+    {
+        for (std::size_t page = off / PAGE_SIZE;
+             page <= (off + len - 1) / PAGE_SIZE; ++page)
+            store(page);
+    }
+
+    void adopt(const std::shared_ptr<const CowImage> &image)
+    {
+        const bool same = image == held;
+        held = image;
+        ++generation;
+        for (std::size_t page = 0; page < stamp.size(); ++page) {
+            if (same && !isPrivate[page])
+                continue;
+            stamp[page] = generation;
+            isPrivate[page] = false;
+            isZero[page] = image->page(page) == nullptr;
+        }
+    }
+
+    void zeroAll()
+    {
+        ++generation;
+        for (std::size_t page = 0; page < stamp.size(); ++page) {
+            stamp[page] = generation;
+            isZero[page] = !isPrivate[page];
+        }
+        held.reset();
+    }
+
+    void materialize()
+    {
+        for (std::size_t page = 0; page < stamp.size(); ++page) {
+            isPrivate[page] = true;
+            isZero[page] = false;
+        }
+    }
+
+    /** A power loss drawing from @p grounds (a copy of the stream it
+     * starts from) stamps every page but a full Zero one whose ground
+     * is 0x00. */
+    void powerLoss(Rng grounds)
+    {
+        for (std::size_t page = 0; page < stamp.size(); ++page) {
+            const bool groundZero = grounds.chance(0.5);
+            const std::size_t len = pageBytes(page);
+            for (std::size_t word = 0; word < (len + 3) / 4; ++word)
+                grounds.next64();
+            if (!(isZero[page] && len == PAGE_SIZE && groundZero))
+                store(page);
+        }
+    }
+
+    void expectMatches(CowBytes &bytes, int op) const
+    {
+        ASSERT_EQ(bytes.generation(), generation) << "op " << op;
+        std::vector<bool> zero;
+        bytes.rewritePages([&](const CowBytes::PageRewrite &page) {
+            zero.push_back(page.isZero());
+        });
+        ASSERT_EQ(zero, isZero) << "op " << op;
+        std::size_t privatePages = 0;
+        for (std::size_t page = 0; page < stamp.size(); ++page) {
+            ASSERT_EQ(bytes.pageStamp(page), stamp[page])
+                << "op " << op << " page " << page;
+            ASSERT_EQ(bytes.pageIsPrivate(page), isPrivate[page])
+                << "op " << op << " page " << page;
+            privatePages += isPrivate[page];
+        }
+        ASSERT_EQ(bytes.privatePages(), privatePages) << "op " << op;
+    }
+
+    std::size_t size;
+    std::uint64_t generation = 1;
+    std::vector<std::uint64_t> stamp;
+    std::vector<bool> isPrivate, isZero;
+    std::shared_ptr<const CowImage> held;
+};
+
+bool
+groundByte(std::uint8_t byte)
+{
+    return byte == 0x00 || byte == 0xff;
+}
+
+constexpr std::size_t SEAM_PAGES = 8;
+constexpr std::size_t SEAM_DEFERRED[] = {1, 3, 4, 6};
+
+/**
+ * Pages 0 and 7 Shared, 1 deferred, 2 Zero, 3 and 4 deferred, 5
+ * Private, 6 deferred: a deferred page meets every kind of page across
+ * a seam. Page 4 carries two decays, the second toward 0x00.
+ */
+void
+buildDeferredSeams(CowBytes &cells,
+                   const std::shared_ptr<const CowImage> &image,
+                   const std::vector<std::uint8_t> &private_page)
+{
+    cells.adopt(image);
+    cells.write(5 * PAGE_SIZE, private_page.data(), PAGE_SIZE);
+    Rng stream(0x5ea3);
+    const auto defer = [&](std::uint32_t threshold, std::uint8_t ground,
+                           auto pick) {
+        cells.rewritePages([&](const CowBytes::PageRewrite &page) {
+            if (pick(page.offset() / PAGE_SIZE))
+                page.deferDecay(stream.state(), threshold, ground);
+            stream.jumpPage();
+        });
+    };
+    // About 40% of the bytes keep their zero, then most of page 4's
+    // 0xFF bytes fall back to 0x00.
+    defer(26000, 0xff, [](std::size_t page) {
+        return std::ranges::count(SEAM_DEFERRED, page) != 0;
+    });
+    defer(20000, 0x00, [](std::size_t page) { return page == 4; });
+}
+
+} // namespace
+
 TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
 {
     // A plain vector models the contents; every operation is applied to
-    // both. After each one, every needle's memoised incremental answer
+    // it and to two arrays: `bytes`, which is read only by the
+    // operations, so the pages a power loss defers stay deferred until
+    // something reads them, and `twin`, which is read in full after
+    // every operation, so its deferred pages are computed at once.
+    // Power losses decay the vector with the span reference. After each
+    // operation, both arrays must hold the vector's bytes (`bytes` in
+    // every page not deferred, `twin` in all), the stamps and Private
+    // pages of the stamping rules, and the generators' next draws must
+    // agree. In `twin`, every needle's memoised incremental answer
     // (searched from the generation it was last found absent at) must
-    // equal a grep of the model, and so must the full search.
+    // equal a grep of the vector after every operation, and so must the
+    // full search; `bytes` is searched the same way, but see below.
+    // With 6 000 operations the random, needle and zero-run stores alone
+    // number about 2 100.
     const std::size_t size = 6 * PAGE_SIZE + 123;
     CowBytes bytes(size);
+    CowBytes twin(size);
     std::vector<std::uint8_t> model(size, 0);
+    StampModel stamps(bytes);
+    const RemanenceModel dram(MemoryTech::Dram);
+    Rng bytesDecay(0xdeca7), twinDecay(0xdeca7), modelDecay(0xdeca7);
 
     Rng rng(0xc0ffee);
     const auto randomBytes = [&](std::size_t len) {
@@ -687,8 +854,21 @@ TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
         {0x98},                   // one byte
         std::vector<std::uint8_t>(12, 0),
         randomBytes(PAGE_SIZE + 40), // longer than a page
+        {0xff, 0x00, 0xff, 0xff, 0x00, 0x00, 0xff}, // ground bytes only
+        {0xff, 0x9a, 0x9b, 0x9c}, // 0xFF head
+        {0x9c, 0x9d, 0x00, 0xff}, // ground tail
+        {0x9e, 0x00, 0xff, 0x9f}, // ground middle
+        std::vector<std::uint8_t>(PAGE_SIZE + 8, 0),
     };
-    std::vector<std::uint64_t> absentAt(needles.size(), 0);
+    std::vector<std::uint64_t> absentAt(needles.size(), 0),
+        twinAbsentAt(needles.size(), 0);
+    // A needle that a search may compute a deferred page for: one whose
+    // first or last byte is 0x00 or 0xFF, or one longer than a page.
+    std::vector<bool> mayCompute;
+    for (const auto &needle : needles)
+        mayCompute.push_back(groundByte(needle.front()) ||
+                             groundByte(needle.back()) ||
+                             needle.size() > PAGE_SIZE);
 
     // Images to adopt, each with its model contents.
     std::vector<std::pair<std::shared_ptr<const CowImage>,
@@ -699,7 +879,9 @@ TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
     const auto store = [&](std::size_t off,
                            const std::vector<std::uint8_t> &data) {
         bytes.write(off, data.data(), data.size());
+        twin.write(off, data.data(), data.size());
         std::copy(data.begin(), data.end(), model.begin() + off);
+        stamps.write(off, data.size());
     };
     // An offset that puts [off, off + len) across a random seam about
     // half the time.
@@ -715,50 +897,134 @@ TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
         }
         return static_cast<std::size_t>(rng.below(size - len + 1));
     };
+    const struct
+    {
+        double seconds, celsius;
+    } losses[] = {{0.007, 22.0}, {2.0, 22.0}, {0.007, -18.0}, {2.0, -18.0}};
 
-    for (int op = 0; op < 3000; ++op) {
+    std::size_t deferredSeen = 0, redeferred = 0, skippedSearches = 0;
+    for (int op = 0; op < 6000; ++op) {
         const std::uint64_t kind = rng.below(100);
-        if (kind < 35) {
+        if (kind < 18) {
             const std::size_t len = 1 + rng.below(2 * PAGE_SIZE);
             store(offsetFor(len), randomBytes(len));
-        } else if (kind < 60) {
+        } else if (kind < 30) {
             const auto &needle = needles[rng.below(needles.size())];
             store(offsetFor(needle.size()), needle);
-        } else if (kind < 70) {
+        } else if (kind < 35) {
             // Remove: zero a run (which may also plant zero needles).
             const std::size_t len = 1 + rng.below(64);
             store(offsetFor(len), std::vector<std::uint8_t>(len, 0));
-        } else if (kind < 78) {
+        } else if (kind < 41) {
+            // Whole pages: a deferred one drops its decays uncomputed.
+            const std::size_t pages = 1 + rng.below(2);
+            const std::size_t first = rng.below(bytes.pageCount() - pages);
+            store(first * PAGE_SIZE, randomBytes(pages * PAGE_SIZE));
+        } else if (kind < 54) {
             const auto &[image, contents] =
                 images[rng.below(images.size())];
             bytes.adopt(image);
+            twin.adopt(image);
             model = contents;
-        } else if (kind < 83) {
+            stamps.adopt(image);
+        } else if (kind < 58) {
             if (images.size() < 6)
                 images.emplace_back(bytes.freeze(), model);
-        } else if (kind < 87) {
+        } else if (kind < 62) {
             bytes.zeroAll();
+            twin.zeroAll();
             std::fill(model.begin(), model.end(), 0);
-        } else if (kind < 93) {
+            stamps.zeroAll();
+        } else if (kind < 67) {
             // Stamped bulk write: a few bytes in every page, or only
             // in pages that are not Zero (the rest keep their stamps).
             const std::uint8_t salt = static_cast<std::uint8_t>(rng.next64());
             const bool skipZero = (salt & 1) != 0;
-            bytes.rewritePages([&](const CowBytes::PageRewrite &page) {
+            const auto rewrite = [&](const CowBytes::PageRewrite &page) {
                 if (skipZero && page.isZero())
                     return;
                 const std::size_t at = page.offset() % 97 % page.size();
                 page.bytes()[at] = salt;
-                model[page.offset() + at] = salt;
-            });
-        } else {
+            };
+            bytes.rewritePages(rewrite);
+            twin.rewritePages(rewrite);
+            for (std::size_t page = 0; page < bytes.pageCount(); ++page) {
+                if (skipZero && stamps.isZero[page])
+                    continue;
+                model[page * PAGE_SIZE +
+                      page * PAGE_SIZE % 97 % stamps.pageBytes(page)] = salt;
+                stamps.store(page);
+            }
+        } else if (kind < 71) {
             // Materialize: page states change, contents do not.
             const std::span<const std::uint8_t> span = bytes.contiguous();
             ASSERT_TRUE(std::equal(span.begin(), span.end(),
                                    model.begin()));
+            twin.contiguous();
+            stamps.materialize();
+        } else if (kind < 90) {
+            const auto &loss = losses[rng.below(std::size(losses))];
+            std::vector<std::size_t> wasDeferred;
+            for (std::size_t page = 0; page < bytes.pageCount(); ++page) {
+                if (bytes.pageIsDeferred(page))
+                    wasDeferred.push_back(page);
+            }
+            stamps.powerLoss(bytesDecay);
+            dram.decay(bytes, loss.seconds, loss.celsius, bytesDecay);
+            dram.decay(twin, loss.seconds, loss.celsius, twinDecay);
+            dram.decay(model, loss.seconds, loss.celsius, modelDecay);
+            for (std::size_t page : wasDeferred)
+                redeferred += bytes.pageIsDeferred(page);
+        } else {
+            // A read across pages computes the deferred ones it covers.
+            const std::size_t len = 1 + rng.below(2 * PAGE_SIZE);
+            const std::size_t off = offsetFor(len);
+            std::vector<std::uint8_t> got(len);
+            bytes.read(off, got.data(), len);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   model.begin() + off))
+                << "op " << op;
         }
 
+        for (std::size_t page = 0; page < bytes.pageCount(); ++page) {
+            if (bytes.pageIsDeferred(page)) {
+                ++deferredSeen;
+                continue;
+            }
+            const std::size_t off = page * PAGE_SIZE;
+            std::vector<std::uint8_t> got(stamps.pageBytes(page));
+            bytes.read(off, got.data(), got.size());
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   model.begin() + off))
+                << "op " << op << " page " << page;
+        }
+        ASSERT_EQ(readAll(twin), model) << "op " << op;
+        stamps.expectMatches(bytes, op);
+        stamps.expectMatches(twin, op);
+        Rng nextBytes = bytesDecay, nextTwin = twinDecay,
+            nextModel = modelDecay;
+        const std::uint64_t draw = nextModel.next64();
+        ASSERT_EQ(nextBytes.next64(), draw) << "op " << op;
+        ASSERT_EQ(nextTwin.next64(), draw) << "op " << op;
+
+        // `twin` was just read in full, so it holds no deferred page.
         for (std::size_t n = 0; n < needles.size(); ++n) {
+            const bool expected = containsBytes(model, needles[n]);
+            const bool found = twin.contains(needles[n], twinAbsentAt[n]);
+            ASSERT_EQ(found, expected) << "op " << op << " needle " << n;
+            ASSERT_EQ(twin.contains(needles[n]), expected)
+                << "op " << op << " needle " << n;
+            twinAbsentAt[n] = found ? 0 : twin.generation();
+        }
+        // In `bytes`, searches that may compute a deferred page run after
+        // one operation in three, so deferred pages also meet later power
+        // losses, whole-page writes, adopts and zeroAll.
+        const bool searchAll = rng.below(3) == 0;
+        for (std::size_t n = 0; n < needles.size(); ++n) {
+            if (mayCompute[n] && !searchAll) {
+                ++skippedSearches;
+                continue;
+            }
             const bool expected = containsBytes(model, needles[n]);
             const bool found = bytes.contains(needles[n], absentAt[n]);
             ASSERT_EQ(found, expected) << "op " << op << " needle " << n;
@@ -768,4 +1034,93 @@ TEST(CowBytesSearch, RandomOperationsKeepTheMemoisedAnswerExact)
         }
     }
     EXPECT_EQ(readAll(bytes), model);
+    // The operations did leave pages deferred across later operations,
+    // including power losses that appended to a deferred page.
+    EXPECT_GT(deferredSeen, 0u);
+    EXPECT_GT(redeferred, 0u);
+    EXPECT_GT(skippedSearches, 0u);
+}
+
+TEST(CowBytesSearch, SeamsAroundDeferredPages)
+{
+    // Every needle is searched in a freshly built array, so the pages
+    // one search computes cannot help the next, and compared with a
+    // grep of the computed bytes. A needle no longer than a page whose
+    // first and last bytes are neither 0x00 nor 0xFF must leave every
+    // deferred page uncomputed.
+    CowBytes source(SEAM_PAGES * PAGE_SIZE);
+    const auto shared0 = pattern(PAGE_SIZE, 0x31);
+    const auto shared7 = pattern(PAGE_SIZE, 0x57);
+    source.write(0, shared0.data(), PAGE_SIZE);
+    source.write(7 * PAGE_SIZE, shared7.data(), PAGE_SIZE);
+    const auto image = source.freeze();
+    const auto private5 = pattern(PAGE_SIZE, 0x95);
+
+    CowBytes computed(SEAM_PAGES * PAGE_SIZE);
+    buildDeferredSeams(computed, image, private5);
+    for (std::size_t page : SEAM_DEFERRED)
+        ASSERT_TRUE(computed.pageIsDeferred(page)) << page;
+    const std::vector<std::uint8_t> reference = readAll(computed);
+    for (std::size_t page : SEAM_DEFERRED) {
+        const auto first = reference.begin() + page * PAGE_SIZE;
+        const std::vector<std::uint8_t> cells(first, first + PAGE_SIZE);
+        EXPECT_TRUE(std::ranges::all_of(cells, groundByte)) << page;
+        EXPECT_NE(std::ranges::count(cells, 0xff), 0) << page;
+        EXPECT_NE(std::ranges::count(cells, 0x00), 0) << page;
+    }
+
+    std::vector<std::vector<std::uint8_t>> needles = {
+        {0x00}, {0xff}, {0x42, 0x00, 0xff, 0x43},
+        std::vector<std::uint8_t>(9, 0xff),
+    };
+    const auto slice = [&](std::size_t from, std::size_t to) {
+        return std::vector<std::uint8_t>(reference.begin() + from,
+                                         reference.begin() + to);
+    };
+    for (std::size_t seam = PAGE_SIZE; seam < reference.size();
+         seam += PAGE_SIZE) {
+        for (const auto &[before, after] :
+             {std::pair<std::size_t, std::size_t>{1, 1}, {3, 5}, {8, 8},
+              {16, 1}, {1, 16}, {PAGE_SIZE - 1, 1}}) {
+            const auto window = slice(seam - before, seam + after);
+            needles.push_back(window);
+            // The same window with a byte outside {0x00, 0xFF} at its
+            // start, its end and its middle.
+            for (const std::size_t at :
+                 {std::size_t{0}, window.size() - 1, window.size() / 2}) {
+                auto edited = window;
+                edited[at] = 0x42;
+                needles.push_back(edited);
+            }
+        }
+        // Longer than a page: centred on the seam, and covering the
+        // whole page before it.
+        if (seam >= PAGE_SIZE / 2 + 100 &&
+            seam + PAGE_SIZE / 2 + 100 <= reference.size())
+            needles.push_back(slice(seam - PAGE_SIZE / 2 - 100,
+                                    seam + PAGE_SIZE / 2 + 100));
+        if (seam >= PAGE_SIZE + 100 && seam + 100 <= reference.size())
+            needles.push_back(slice(seam - PAGE_SIZE - 100, seam + 100));
+    }
+
+    std::size_t found = 0;
+    for (std::size_t n = 0; n < needles.size(); ++n) {
+        const auto &needle = needles[n];
+        CowBytes cells(SEAM_PAGES * PAGE_SIZE);
+        buildDeferredSeams(cells, image, private5);
+        const bool expected = containsBytes(reference, needle);
+        ASSERT_EQ(cells.contains(needle), expected) << "needle " << n;
+        found += expected;
+        if (needle.size() <= PAGE_SIZE && !groundByte(needle.front()) &&
+            !groundByte(needle.back())) {
+            for (std::size_t page : SEAM_DEFERRED)
+                EXPECT_TRUE(cells.pageIsDeferred(page))
+                    << "needle " << n << " page " << page;
+        }
+        EXPECT_EQ(readAll(cells), reference) << "needle " << n;
+    }
+    // Both answers occur: the windows are found, and so is what the
+    // edits did not rule out.
+    EXPECT_GT(found, needles.size() / 4);
+    EXPECT_LT(found, needles.size());
 }

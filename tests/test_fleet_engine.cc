@@ -174,6 +174,47 @@ TEST_F(FleetEngine, BackgroundSpawnWithoutCacheLockingFailsGracefully)
     EXPECT_EQ(failedDevices->u, 4u);
 }
 
+TEST_F(FleetEngine, SpawnLargerThanFreeFramesFailsGracefully)
+{
+    // The kernel backs the kernel stack, heap and DMA region with
+    // frames at spawn. A spawn they do not fit fails its device with
+    // the step's line, under both spawn modes; an earlier spawn that
+    // fits still runs.
+    const struct
+    {
+        const char *text;
+        const char *error;
+        std::size_t stepsBefore;
+    } cases[] = {
+        {"spawn big sensitive heap 8MiB\ntouch big 4KiB\nlock\n",
+         "line 1: spawn of 'big' needs 2049 frames (kernel stack, heap "
+         "and DMA region) but only ",
+         0},
+        {"spawn a heap 1MiB\nspawn b heap 3MiB\nlock\n",
+         "line 2: spawn of 'b' needs 769 frames", 1},
+        {"spawn a heap 1MiB dma 2MiB\nlock\n",
+         "line 1: spawn of 'a' needs 769 frames", 0},
+    };
+    for (const auto &c : cases) {
+        for (const SpawnMode mode : {SpawnMode::ColdBoot,
+                                     SpawnMode::Snapshot}) {
+            const Scenario scenario = parseScenario(c.text, "oversized");
+            FleetOptions options = smallOptions(2);
+            options.dramBytes = 4 * MiB;
+            options.spawnMode = mode;
+            const FleetReport report = runFleet(scenario, options);
+            EXPECT_FALSE(report.allOk) << c.text;
+            ASSERT_EQ(report.results.size(), 2u);
+            for (const DeviceResult &result : report.results) {
+                EXPECT_FALSE(result.ok);
+                EXPECT_EQ(result.stepsExecuted, c.stepsBefore) << c.text;
+                EXPECT_EQ(result.error.rfind(c.error, 0), 0u)
+                    << result.error;
+            }
+        }
+    }
+}
+
 TEST_F(FleetEngine, InvalidOptionsThrow)
 {
     const Scenario scenario = builtinScenario("fleet-smoke");

@@ -267,3 +267,103 @@ TEST(Remanence, CowDecayMatchesSpanReference)
     EXPECT_GT(skipped, 0u);
     EXPECT_GT(rewrittenZero, 0u);
 }
+
+TEST(Remanence, DeferredPagesMatchSpanReferenceAcrossPowerLosses)
+{
+    // Zero pages (0, 3, 4 and the partial page 5), a Shared page (1)
+    // and a Private one (2) through twelve power losses, with and
+    // without a read in between. A full Zero page that draws 0xFF is
+    // deferred, and stays deferred through the later losses until the
+    // read, or until it holds eight decays and the ninth loss computes
+    // it; the bytes, the stamps and the next draw must equal the span
+    // decay of a plain copy after every loss.
+    constexpr std::size_t SIZE = 5 * PAGE_SIZE + 1031;
+    Rng fill(0x5eed);
+    std::vector<std::uint8_t> page1(PAGE_SIZE), page2(PAGE_SIZE);
+    for (auto &byte : page1)
+        byte = static_cast<std::uint8_t>(fill.next64());
+    for (auto &byte : page2)
+        byte = static_cast<std::uint8_t>(fill.next64());
+    CowBytes source(SIZE);
+    source.write(PAGE_SIZE, page1.data(), PAGE_SIZE);
+    const auto image = source.freeze();
+
+    const struct
+    {
+        double seconds, celsius;
+    } kinds[] = {{2.0, 22.0}, {0.007, -18.0}, {2.0, -18.0}};
+    std::size_t deferred = 0, redeferred = 0, computedByLoss = 0;
+    for (const MemoryTech tech : {MemoryTech::Dram, MemoryTech::Sram}) {
+        for (const bool readBetween : {false, true}) {
+            for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                CowBytes cells(SIZE);
+                cells.adopt(image);
+                cells.write(2 * PAGE_SIZE, page2.data(), PAGE_SIZE);
+                std::vector<std::uint8_t> reference(SIZE);
+                cells.read(0, reference.data(), SIZE);
+                const RemanenceModel model(tech);
+                Rng cowRng(seed), spanRng(seed);
+                std::vector<bool> wasDeferred(cells.pageCount(), false);
+                for (int n = 0; n < 12; ++n) {
+                    const auto &loss = kinds[n % 3];
+                    const std::uint64_t before = cells.generation();
+                    model.decay(cells, loss.seconds, loss.celsius, cowRng);
+                    model.decay(reference, loss.seconds, loss.celsius,
+                                spanRng);
+                    Rng nextCow = cowRng, nextSpan = spanRng;
+                    ASSERT_EQ(nextCow.next64(), nextSpan.next64());
+                    for (std::size_t page = 0; page < cells.pageCount();
+                         ++page) {
+                        const bool isDeferred = cells.pageIsDeferred(page);
+                        EXPECT_TRUE(!isDeferred || page == 0 ||
+                                    page == 3 || page == 4)
+                            << page;
+                        // Every page but a Zero one left alone is
+                        // stamped by the loss.
+                        EXPECT_EQ(cells.pageStamp(page) > before,
+                                  cells.pageIsPrivate(page))
+                            << page;
+                        deferred += isDeferred;
+                        redeferred += isDeferred && wasDeferred[page];
+                        computedByLoss += !isDeferred && wasDeferred[page];
+                        wasDeferred[page] = isDeferred;
+                    }
+                    if (readBetween) {
+                        std::vector<std::uint8_t> decayed(SIZE);
+                        cells.read(0, decayed.data(), SIZE);
+                        ASSERT_EQ(decayed, reference);
+                        std::fill(wasDeferred.begin(), wasDeferred.end(),
+                                  false);
+                    }
+                }
+                std::vector<std::uint8_t> decayed(SIZE);
+                cells.read(0, decayed.data(), SIZE);
+                EXPECT_EQ(decayed, reference);
+                for (std::size_t page = 0; page < cells.pageCount(); ++page)
+                    EXPECT_FALSE(cells.pageIsDeferred(page)) << page;
+            }
+        }
+    }
+    EXPECT_GT(deferred, 0u);
+    EXPECT_GT(redeferred, 0u);
+    EXPECT_GT(computedByLoss, 0u);
+}
+
+TEST(Remanence, SkipDecayAdvancesTheStreamAsDecay)
+{
+    for (const MemoryTech tech : {MemoryTech::Dram, MemoryTech::Sram}) {
+        const RemanenceModel model(tech);
+        for (const std::size_t size :
+             {PAGE_SIZE, 3 * PAGE_SIZE, 2 * PAGE_SIZE + 1031,
+              PAGE_SIZE + 2}) {
+            for (const double seconds : {0.0, 0.007, 2.0}) {
+                std::vector<std::uint8_t> memory(size, 0x5a);
+                Rng decayed(77), skipped(77);
+                model.decay(memory, seconds, -18.0, decayed);
+                model.skipDecay(size, seconds, -18.0, skipped);
+                EXPECT_EQ(decayed.next64(), skipped.next64())
+                    << size << " bytes, " << seconds << " s";
+            }
+        }
+    }
+}

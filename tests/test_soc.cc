@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.hh"
 #include "hw/platform.hh"
 #include "hw/soc.hh"
@@ -141,6 +143,34 @@ TEST(Soc, PowerCycleZeroesIramAndResetsCache)
     EXPECT_FALSE(containsBytes(soc.iramRaw(), secret));
     // The cache was reset without writeback: the dirty word is gone.
     EXPECT_EQ(soc.l2().peek(DRAM_BASE + 0x40), nullptr);
+}
+
+TEST(Soc, PowerCycleOnlyAdvancesTheStreamPastIram)
+{
+    // The boot ROM zeroes iRAM right after the power loss, so
+    // powerCycle() skips its decay: the cells, the stream and so the
+    // boot slice must equal a cycle that decays iRAM first.
+    const PlatformConfig config = PlatformConfig::tegra3(8 * MiB);
+    Soc skipping(config), decaying(config);
+    const auto secret = fromHex("5ec2e75ec2e75ec2");
+    for (Soc *soc : {&skipping, &decaying}) {
+        soc->iram().write(0x3000, secret.data(), secret.size());
+        soc->dram().writeCells(0x5000, secret.data(), secret.size());
+    }
+
+    skipping.powerCycle(2.0, -18.0);
+    decaying.dram().powerLoss(2.0, -18.0, decaying.rng());
+    decaying.iram().powerLoss(2.0, -18.0, decaying.rng());
+    decaying.cpu().zeroRegisters();
+    decaying.firmware().coldBoot(decaying.dram(), decaying.iram(),
+                                 decaying.l2(), decaying.rng());
+
+    // Only the page the write privatized is Private: the skipped decay
+    // privatized none.
+    EXPECT_EQ(skipping.iram().dirtyPages(), 1u);
+    EXPECT_EQ(skipping.rng().next64(), decaying.rng().next64());
+    EXPECT_TRUE(std::ranges::equal(skipping.dramRaw(), decaying.dramRaw()));
+    EXPECT_TRUE(std::ranges::equal(skipping.iramRaw(), decaying.iramRaw()));
 }
 
 TEST(Soc, WarmRebootPreservesIram)
