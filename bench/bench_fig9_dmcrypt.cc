@@ -164,76 +164,36 @@ runWorkload(bench::Session &session, FilebenchWorkload workload,
 }
 
 /**
- * Measure the batched kcryptd write path against the per-block loop:
- * identical on-disk bytes and simulated charges, host wall-clock free
- * to improve with the worker pool.
+ * Write 4 MiB through dm-crypt, one writeBlock() per block, with
+ * kcryptd on all four cores, and pin the simulated cycles and the
+ * on-disk ciphertext.
  */
 void
-kcryptdBatchSection(bench::Session &session)
+kcryptdSection(bench::Session &session)
 {
-    constexpr std::size_t BATCH_BLOCKS = 1024; // 4 MiB
+    constexpr std::size_t BLOCKS = 1024; // 4 MiB
     const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    std::vector<std::uint8_t> data(BATCH_BLOCKS * BLOCK_SIZE);
+    std::vector<std::uint8_t> data(BLOCKS * BLOCK_SIZE);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 29 + 3);
 
-    struct Pass
-    {
-        double hostSeconds = 0.0;
-        Cycles cycles = 0;
-        std::vector<std::uint8_t> disk;
-    };
-    const auto runPass = [&](unsigned workers, bool batched) {
-        hw::PlatformConfig config = hw::PlatformConfig::tegra3(64 * MiB);
-        core::Device device(config);
-        device.sentry().registerCryptoProviders();
-        RamBlockDevice disk(device.soc().clock(), PARTITION);
-        DmCrypt dm(disk, device.kernel().cryptoApi().allocCipher("aes", key),
-                   workers);
-        Pass pass;
-        const Cycles c0 = device.soc().clock().now();
-        const auto t0 = std::chrono::steady_clock::now();
-        if (batched) {
-            dm.writeBlocks(0, data);
-        } else {
-            for (std::size_t b = 0; b < BATCH_BLOCKS; ++b)
-                dm.writeBlock(b, std::span(data).subspan(b * BLOCK_SIZE,
-                                                         BLOCK_SIZE));
-        }
-        pass.hostSeconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        pass.cycles = device.soc().clock().now() - c0;
-        const auto raw = disk.raw();
-        pass.disk.assign(raw.begin(), raw.begin() + data.size());
-        return pass;
-    };
+    core::Device device(hw::PlatformConfig::tegra3(64 * MiB));
+    device.sentry().registerCryptoProviders();
+    RamBlockDevice disk(device.soc().clock(), PARTITION);
+    DmCrypt dm(disk, device.kernel().cryptoApi().allocCipher("aes", key),
+               4);
+    const Cycles c0 = device.soc().clock().now();
+    for (std::size_t b = 0; b < BLOCKS; ++b)
+        dm.writeBlock(b, std::span(data).subspan(b * BLOCK_SIZE, BLOCK_SIZE));
+    const Cycles cycles = device.soc().clock().now() - c0;
 
-    const Pass batch = runPass(4, /*batched=*/true);
-    const Pass loop = runPass(4, /*batched=*/false);
-    const bool identical =
-        batch.cycles == loop.cycles && batch.disk == loop.disk;
-
-    std::printf("\nkcryptd batch write (%zu MiB, 4 workers):\n",
-                data.size() / MiB);
-    std::printf("  batched writeBlocks: %8.3f s host\n", batch.hostSeconds);
-    std::printf("  per-block loop     : %8.3f s host\n", loop.hostSeconds);
-    std::printf("  host speedup       : %8.2fx  (simulation %s)\n",
-                loop.hostSeconds / batch.hostSeconds,
-                identical ? "bit-identical" : "DIVERGED");
-    if (!identical) {
-        std::fprintf(stderr, "fig9: kcryptd batch path diverged from the "
-                             "per-block reference\n");
-        std::exit(1);
-    }
-
-    session.metric("host_kcryptd_batch_seconds", batch.hostSeconds);
-    session.metric("host_kcryptd_loop_seconds", loop.hostSeconds);
+    std::printf("\nkcryptd write (%zu MiB, 4 workers): %llu cycles\n",
+                data.size() / MiB, static_cast<unsigned long long>(cycles));
     session.metric("sim_kcryptd_batch_cycles",
-                   static_cast<std::uint64_t>(batch.cycles));
+                   static_cast<std::uint64_t>(cycles));
     session.metric("sim_kcryptd_ciphertext_sha256",
-                   toHex(crypto::Sha256::hash(batch.disk)));
+                   toHex(crypto::Sha256::hash(
+                       disk.raw().first(data.size()))));
 }
 
 /**
@@ -312,7 +272,7 @@ main()
     runWorkload(session, FilebenchWorkload::RandRW, false);
     runWorkload(session, FilebenchWorkload::RandRW, true);
 
-    kcryptdBatchSection(session);
+    kcryptdSection(session);
     hostTierSection(session);
 
     std::printf("\nPaper shape: cached randread masks encryption "

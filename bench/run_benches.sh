@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf-smoke driver: build and run the benchmarks that exercise the
-# audited and bulk AES paths (bench_fig11_aes_throughput), the batched
-# kcryptd pipeline (bench_fig9_dmcrypt), the fleet scenario engine
+# audited and bulk AES paths (bench_fig11_aes_throughput), dm-crypt and
+# its kcryptd write path (bench_fig9_dmcrypt), the fleet scenario engine
 # (bench_fleet), the boot-once unlock path (bench_fig2_unlock), the
 # full security matrix with the adversary-v2 rows and the
 # 3-backend x 7-attack defense comparison
@@ -183,8 +183,8 @@ EOF
 
 # TSAN builds: run the fleet, snapshot, and defense concurrency tests
 # under the sanitizer (the scenario engine, the per-device stacks, the
-# kcryptd pools, the shared COW snapshots, and the multi-backend
-# differential harness all cross real threads).
+# shared COW snapshots, and the multi-backend differential harness all
+# cross real threads).
 if grep -q "^SENTRY_TSAN:BOOL=ON$" "$BUILD/CMakeCache.txt"; then
     echo "== fleet + snapshot + defense tests under ThreadSanitizer =="
     cmake --build "$BUILD" -j --target sentry_fleet_tests \

@@ -47,7 +47,7 @@ enum class TraceKind : unsigned
     PowerEvent,  //!< energy charged to the battery model
     DmaBurst,    //!< DMA engine moved a buffer
     CryptoOp,    //!< hardware crypto accelerator request
-    KcryptdOp,   //!< dm-crypt worker picked up one 512-byte block
+    KcryptdOp,   //!< dm-crypt worker picked up one block to encrypt
     NumKinds,
 };
 
@@ -163,7 +163,7 @@ struct CryptoOp
     bool encrypt;
 };
 
-/** A dm-crypt worker picked up one 512-byte block. */
+/** A dm-crypt worker picked up one block (one DmCrypt::writeBlock). */
 struct KcryptdOp
 {
     static constexpr TraceKind KIND = TraceKind::KcryptdOp;

@@ -10,14 +10,6 @@
 namespace sentry::crypto
 {
 
-HostAesCbc::HostAesCbc(const AesKeySchedule &schedule) : schedule_(schedule)
-{
-    // Force the one-time T-table initialisation on this thread so
-    // worker threads only ever read the tables (the portable kernel
-    // tier, and the verification pass of an accelerated tier, use them).
-    aesTables();
-}
-
 void
 HostAesCbc::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data) const
 {
@@ -34,17 +26,6 @@ HostAesCbc::cbcDecrypt(const Iv &iv, std::span<std::uint8_t> data) const
         fatal("cbcDecrypt requires a multiple of 16 bytes");
     host::kernels().aes.cbcDecrypt(schedule_, iv.data(), data.data(),
                                    data.size());
-}
-
-ScopedChargeDivisor::ScopedChargeDivisor(SimAesEngine &engine, double divisor)
-    : engine_(engine), previous_(engine.chargeDivisor())
-{
-    engine_.setChargeDivisor(divisor);
-}
-
-ScopedChargeDivisor::~ScopedChargeDivisor()
-{
-    engine_.setChargeDivisor(previous_);
 }
 
 const char *
@@ -130,7 +111,6 @@ SimAesEngine::restoreForkState(const ForkState &fs)
     schedule_ = fs.schedule;
     bytesProcessed_ = fs.bytesProcessed;
     scrubbed_ = fs.scrubbed;
-    chargeDivisor_ = fs.chargeDivisor;
 }
 
 SimAesEngine::SimAesEngine(hw::Soc &soc, PhysAddr state_base,
@@ -239,7 +219,7 @@ SimAesEngine::cryptBlock(const std::uint8_t in[16], std::uint8_t out[16],
 }
 
 void
-SimAesEngine::chargeBulk(std::size_t bytes)
+SimAesEngine::chargeBulk(std::size_t bytes, unsigned cores)
 {
     const hw::CpuCost &cost = soc_.config().cost;
     double cpb = kernelPath_ ? cost.aesCyclesPerByteKernel
@@ -247,7 +227,7 @@ SimAesEngine::chargeBulk(std::size_t bytes)
     if (onSoc())
         cpb *= cost.aesOnSocFactor;
     soc_.clock().advance(static_cast<Cycles>(
-        cpb * static_cast<double>(bytes) / chargeDivisor_));
+        cpb * static_cast<double>(bytes) / cores));
 
     const hw::EnergyParams &ep = soc_.energy().params();
     double perByte = ep.cpuAesPerByte;
@@ -266,12 +246,15 @@ constexpr std::size_t GUARD_CHUNK = 2 * KiB;
 } // namespace
 
 void
-SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data)
+SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data,
+                         unsigned cores)
 {
     if (scrubbed_)
         panic("SimAesEngine used after scrub()");
     if (data.size() % AES_BLOCK_SIZE != 0)
         fatal("cbcEncrypt requires a multiple of 16 bytes");
+    if (cores == 0)
+        fatal("cbcEncrypt needs at least one core");
     touchRegistersWithSecrets();
     // The CBC chaining block is public state kept in the region.
     soc_.memory().write(ivecOff_, iv.data(), iv.size());
@@ -286,10 +269,10 @@ SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data)
         if (onSoc()) {
             hw::OnSocIrqGuard guard(soc_.cpu());
             aes.cbcEncrypt(schedule_, chain.data(), chunk.data(), n);
-            chargeBulk(n);
+            chargeBulk(n, cores);
         } else {
             aes.cbcEncrypt(schedule_, chain.data(), chunk.data(), n);
-            chargeBulk(n);
+            chargeBulk(n, cores);
             soc_.cpu().pollPreemption();
         }
         std::memcpy(chain.data(), chunk.data() + n - AES_BLOCK_SIZE,
@@ -322,10 +305,10 @@ SimAesEngine::cbcDecrypt(const Iv &iv, std::span<std::uint8_t> data)
         if (onSoc()) {
             hw::OnSocIrqGuard guard(soc_.cpu());
             aes.cbcDecrypt(schedule_, chain.data(), chunk.data(), n);
-            chargeBulk(n);
+            chargeBulk(n, 1);
         } else {
             aes.cbcDecrypt(schedule_, chain.data(), chunk.data(), n);
-            chargeBulk(n);
+            chargeBulk(n, 1);
             soc_.cpu().pollPreemption();
         }
         chain = nextChain;
@@ -353,40 +336,6 @@ SimAesEngine::cbcDecryptPhys(PhysAddr addr, std::size_t len, const Iv &iv)
     soc_.memory().read(addr, staging.data(), len);
     cbcDecrypt(iv, staging);
     soc_.memory().write(addr, staging.data(), len);
-}
-
-void
-SimAesEngine::chargeParallelBulk(const Iv &iv, std::size_t bytes,
-                                 double workers)
-{
-    if (scrubbed_)
-        panic("SimAesEngine used after scrub()");
-    if (bytes % AES_BLOCK_SIZE != 0)
-        fatal("chargeParallelBulk requires a multiple of 16 bytes");
-    ScopedChargeDivisor scope(*this, workers);
-    touchRegistersWithSecrets();
-    soc_.memory().write(ivecOff_, iv.data(), iv.size());
-
-    std::size_t off = 0;
-    while (off < bytes) {
-        const std::size_t n = std::min(GUARD_CHUNK, bytes - off);
-        if (onSoc()) {
-            hw::OnSocIrqGuard guard(soc_.cpu());
-            chargeBulk(n);
-        } else {
-            chargeBulk(n);
-            soc_.cpu().pollPreemption();
-        }
-        off += n;
-    }
-}
-
-void
-SimAesEngine::setChargeDivisor(double divisor)
-{
-    if (divisor < 1.0)
-        fatal("charge divisor must be >= 1 (got %f)", divisor);
-    chargeDivisor_ = divisor;
 }
 
 void

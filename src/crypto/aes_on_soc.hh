@@ -66,22 +66,18 @@ enum class SecretResidency
     RegistersOnly,
 };
 
-class SimAesEngine;
-
 /**
- * A thread-confined host-side AES-CBC cipher cloned from a
- * SimAesEngine's key schedule.
- *
- * kcryptd worker threads must not touch the simulated machine (the Soc
- * is single-threaded state); each worker gets one of these clones and
- * performs only host computation with it. Ciphertext is bit-identical
- * to the engine's own bulk path because both run the same schedule
- * through the same native round engine.
+ * A host-side AES-CBC cipher over a key schedule, with no simulated
+ * machine behind it: the active host kernel tier's bulk CBC, which is
+ * also what SimAesEngine's bulk paths run. Ciphertext is bit-identical
+ * to the engine's bulk path under the same schedule.
  */
 class HostAesCbc
 {
   public:
-    explicit HostAesCbc(const AesKeySchedule &schedule);
+    explicit HostAesCbc(const AesKeySchedule &schedule)
+        : schedule_(schedule)
+    {}
 
     /** CBC-encrypt @p data (multiple of 16 bytes) in place. */
     void cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data) const;
@@ -91,25 +87,6 @@ class HostAesCbc
 
   private:
     AesKeySchedule schedule_;
-};
-
-/**
- * RAII scope for SimAesEngine::setChargeDivisor: restores the previous
- * divisor on scope exit, so an exception on the bulk path can no longer
- * leave the engine charging divided time forever.
- */
-class ScopedChargeDivisor
-{
-  public:
-    ScopedChargeDivisor(SimAesEngine &engine, double divisor);
-    ~ScopedChargeDivisor();
-
-    ScopedChargeDivisor(const ScopedChargeDivisor &) = delete;
-    ScopedChargeDivisor &operator=(const ScopedChargeDivisor &) = delete;
-
-  private:
-    SimAesEngine &engine_;
-    double previous_;
 };
 
 /**
@@ -142,8 +119,14 @@ class SimAesEngine : public BlockCipher
     void decryptBlock(const std::uint8_t in[16],
                       std::uint8_t out[16]) const override;
 
-    /** Bulk CBC encrypt of a host buffer (e.g. a dm-crypt sector). */
-    void cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data);
+    /**
+     * Bulk CBC encrypt of a host buffer (e.g. a dm-crypt sector), its
+     * time charge divided by @p cores: the work spreads over that many
+     * simulated cores (dm-crypt's kcryptd workers). Energy is not
+     * divided; the Joules are spent regardless of spreading.
+     */
+    void cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data,
+                    unsigned cores = 1);
 
     /** Bulk CBC decrypt of a host buffer. */
     void cbcDecrypt(const Iv &iv, std::span<std::uint8_t> data);
@@ -180,32 +163,8 @@ class SimAesEngine : public BlockCipher
      */
     void scrub();
 
-    /**
-     * Divide subsequent bulk-path time charges by @p divisor: models
-     * work spread across multiple cores (dm-crypt's kcryptd worker
-     * threads encrypt writes on all four cores in parallel). Energy is
-     * unaffected — the Joules are spent regardless of spreading.
-     */
-    void setChargeDivisor(double divisor);
-
-    /** @return the current bulk-charge divisor. */
-    double chargeDivisor() const { return chargeDivisor_; }
-
-    /** @return a host-side CBC clone for a kcryptd worker thread. */
-    HostAesCbc hostCipherClone() const { return HostAesCbc(schedule_); }
-
     /** @return the device this engine's state lives on. */
     hw::Soc &soc() const { return soc_; }
-
-    /**
-     * Replay the bulk path's *simulated* side effects (ivec write,
-     * register touches, irq-guarded chunks, time/energy charges at
-     * 1/@p workers wall-clock) for data whose host-side crypto already
-     * ran on kcryptd worker threads. Charges are identical to
-     * cbcEncrypt() of the same size under the same divisor.
-     */
-    void chargeParallelBulk(const Iv &iv, std::size_t bytes,
-                            double workers);
 
     /**
      * Host-side mutable engine state for snapshot/fork. The simulated
@@ -217,13 +176,11 @@ class SimAesEngine : public BlockCipher
         AesKeySchedule schedule;
         std::uint64_t bytesProcessed;
         bool scrubbed;
-        double chargeDivisor;
     };
 
     ForkState forkState() const
     {
-        return ForkState{schedule_, bytesProcessed_, scrubbed_,
-                         chargeDivisor_};
+        return ForkState{schedule_, bytesProcessed_, scrubbed_};
     }
 
     /** Restore host state captured by forkState(). */
@@ -237,7 +194,7 @@ class SimAesEngine : public BlockCipher
     void cryptBlock(const std::uint8_t in[16], std::uint8_t out[16],
                     bool encrypt) const;
     void materialiseState(std::span<const std::uint8_t> key);
-    void chargeBulk(std::size_t bytes);
+    void chargeBulk(std::size_t bytes, unsigned cores);
     void touchRegistersWithSecrets() const;
 
     hw::Soc &soc_;
@@ -249,7 +206,6 @@ class SimAesEngine : public BlockCipher
     AesKeySchedule schedule_; //!< host mirror (models CPU registers/L1)
     std::uint64_t bytesProcessed_ = 0;
     bool scrubbed_ = false;
-    double chargeDivisor_ = 1.0;
 
     // Component offsets resolved once for the audited path.
     PhysAddr inputOff_, keyOff_, encKeysOff_, decKeysOff_, teOff_, tdOff_,

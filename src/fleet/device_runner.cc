@@ -45,8 +45,9 @@ struct ProcInfo
     std::vector<std::uint8_t> secret; //!< plaintext marker in its heap
 };
 
-/** kcryptd workers per filebench step (bounds thread fan-out per
- *  device; simulated results are worker-count independent). */
+/** kcryptd workers per filebench step: the simulated cores dm-crypt
+ *  spreads write encryption over, so this count divides the simulated
+ *  write time (ciphertext and energy do not depend on it). */
 constexpr unsigned FILEBENCH_WORKERS = 2;
 
 /** Metric tags feeding samplePriority (arbitrary distinct constants). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
@@ -16,12 +17,37 @@ namespace sentry::fleet
 namespace
 {
 
-std::string
-formatDouble(double value)
+/** printf into a string as long as the text needs. */
+[[gnu::format(printf, 1, 2)]] std::string
+strprintf(const char *fmt, ...)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
+    std::va_list args, again;
+    va_start(args, fmt);
+    va_copy(again, args);
+    const int len = std::vsnprintf(nullptr, 0, fmt, args);
+    va_end(args);
+    std::string out(static_cast<std::size_t>(std::max(len, 0)), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
+/** @return @p text as a JSON string literal, quotes included. */
+std::string
+jsonString(const std::string &text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            out += strprintf("\\u%04x", static_cast<unsigned>(c));
+        } else {
+            out += c;
+        }
+    }
+    return out + '"';
 }
 
 /** Convert simulated seconds to microseconds for readable metrics. */
@@ -182,7 +208,7 @@ FleetMetric::ofDouble(std::string name, double value)
 std::string
 FleetMetric::jsonValue() const
 {
-    return isInt ? std::to_string(u) : formatDouble(d);
+    return isInt ? std::to_string(u) : strprintf("%.17g", d);
 }
 
 const FleetMetric *
@@ -207,43 +233,29 @@ percentile(std::vector<double> samples, double p)
 std::string
 FleetReport::summary() const
 {
-    std::string out;
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "fleet: %u device(s) x scenario '%s', %u thread(s), "
-                  "%u shard(s), seed 0x%llx\n",
-                  devices, scenario.c_str(), threads, shards,
-                  static_cast<unsigned long long>(seed));
-    out += line;
-    for (const DeviceResult &result : failures) {
-        std::snprintf(line, sizeof line, "  device %u FAILED: %s\n",
-                      result.index, result.error.c_str());
-        out += line;
-    }
-    if (failedDevices > failures.size()) {
-        std::snprintf(
-            line, sizeof line, "  ... and %llu more failure(s)\n",
-            static_cast<unsigned long long>(failedDevices -
-                                            failures.size()));
-        out += line;
-    }
-    std::snprintf(line, sizeof line,
-                  "  invariants: %s (%llu/%u devices green)\n",
-                  allOk ? "all green" : "VIOLATED",
-                  static_cast<unsigned long long>(devices - failedDevices),
-                  devices);
-    out += line;
-    for (const FleetMetric &metric : metrics) {
-        std::snprintf(line, sizeof line, "  %-36s %s\n",
-                      metric.name.c_str(), metric.jsonValue().c_str());
-        out += line;
-    }
-    std::snprintf(line, sizeof line,
-                  "  host: %.3f s, %.1f devices/s, %llu steal(s)\n",
-                  hostSeconds,
-                  hostSeconds > 0 ? devices / hostSeconds : 0.0,
-                  static_cast<unsigned long long>(steals));
-    out += line;
+    std::string out = strprintf(
+        "fleet: %u device(s) x scenario '%s', %u thread(s), %u shard(s), "
+        "seed 0x%llx\n",
+        devices, scenario.c_str(), threads, shards,
+        static_cast<unsigned long long>(seed));
+    for (const DeviceResult &result : failures)
+        out += strprintf("  device %u FAILED: %s\n", result.index,
+                          result.error.c_str());
+    if (failedDevices > failures.size())
+        out += strprintf("  ... and %llu more failure(s)\n",
+                          static_cast<unsigned long long>(
+                              failedDevices - failures.size()));
+    out += strprintf(
+        "  invariants: %s (%llu/%u devices green)\n",
+        allOk ? "all green" : "VIOLATED",
+        static_cast<unsigned long long>(devices - failedDevices), devices);
+    for (const FleetMetric &metric : metrics)
+        out += strprintf("  %-36s %s\n", metric.name.c_str(),
+                          metric.jsonValue().c_str());
+    out += strprintf("  host: %.3f s, %.1f devices/s, %llu steal(s)\n",
+                      hostSeconds,
+                      hostSeconds > 0 ? devices / hostSeconds : 0.0,
+                      static_cast<unsigned long long>(steals));
     return out;
 }
 
@@ -254,7 +266,7 @@ FleetReport::writeJson(const std::string &path) const
     if (f == nullptr)
         return false;
     std::fprintf(f, "{\n  \"bench\": \"fleet\",\n");
-    std::fprintf(f, "  \"scenario\": \"%s\",\n", scenario.c_str());
+    std::fprintf(f, "  \"scenario\": %s,\n", jsonString(scenario).c_str());
     std::fprintf(f, "  \"host_wall_seconds\": %.6f,\n", hostSeconds);
     std::fprintf(f, "  \"metrics\": {");
     bool first = true;
@@ -269,7 +281,7 @@ FleetReport::writeJson(const std::string &path) const
     emit("threads", std::to_string(threads));
     emit("host_steals", std::to_string(steals));
     emit("host_devices_per_sec",
-         formatDouble(hostSeconds > 0 ? devices / hostSeconds : 0.0));
+         strprintf("%.17g", hostSeconds > 0 ? devices / hostSeconds : 0.0));
     std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
     return true;

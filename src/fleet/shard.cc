@@ -154,8 +154,6 @@ ShardAccumulator::fold(const DeviceResult &result)
     l2Misses += result.l2Misses;
     busReads += result.busReads;
     busWrites += result.busWrites;
-    faultFirings += result.faultFirings;
-    faultBitFlips += result.faultBitFlips;
     defenseClaimBreaches += result.defenseClaimBreaches;
     defenseVulnerableHits += result.defenseVulnerableHits;
     defenseRekeys += result.defenseRekeys;
@@ -199,8 +197,6 @@ ShardAccumulator::merge(const ShardAccumulator &other)
     l2Misses += other.l2Misses;
     busReads += other.busReads;
     busWrites += other.busWrites;
-    faultFirings += other.faultFirings;
-    faultBitFlips += other.faultBitFlips;
     defenseClaimBreaches += other.defenseClaimBreaches;
     defenseVulnerableHits += other.defenseVulnerableHits;
     defenseRekeys += other.defenseRekeys;

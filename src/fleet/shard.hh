@@ -149,8 +149,6 @@ struct ShardAccumulator
     std::uint64_t l2Misses = 0;
     std::uint64_t busReads = 0;
     std::uint64_t busWrites = 0;
-    std::uint64_t faultFirings = 0;
-    std::uint64_t faultBitFlips = 0;
     // Defense-backend differential sums (all zero under the default
     // Sentry backend on a passing fleet).
     std::uint64_t defenseClaimBreaches = 0;

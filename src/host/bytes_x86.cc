@@ -63,7 +63,8 @@ avx2CountPattern(const std::uint8_t *buf, std::size_t len,
     return hits + scalarCountPattern(buf, len, pattern, 8, off);
 }
 
-/** First+last byte SIMD filter, memcmp on the survivors. */
+/** SIMD filter on two needle bytes (needleFilter: the first and last
+ *  that are not 0x00), memcmp on the survivors. */
 __attribute__((target("avx2"))) bool
 avx2ContainsBytes(const std::uint8_t *haystack, std::size_t hayLen,
                   const std::uint8_t *needle, std::size_t needleLen)
@@ -73,33 +74,35 @@ avx2ContainsBytes(const std::uint8_t *haystack, std::size_t hayLen,
     if (needleLen == 1) {
         return std::memchr(haystack, needle[0], hayLen) != nullptr;
     }
+    const NeedleFilter at = needleFilter(needle, needleLen);
     const __m256i first = _mm256_set1_epi8(
-        static_cast<char>(needle[0]));
+        static_cast<char>(needle[at.first]));
     const __m256i last = _mm256_set1_epi8(
-        static_cast<char>(needle[needleLen - 1]));
+        static_cast<char>(needle[at.last]));
     const std::size_t span = hayLen - needleLen + 1;
+    const std::uint8_t *heads = haystack + at.first;
+    const std::uint8_t *tails = haystack + at.last;
     std::size_t i = 0;
     for (; i + 32 <= span; i += 32) {
         const __m256i head = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(haystack + i));
+            reinterpret_cast<const __m256i *>(heads + i));
         const __m256i tail = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(haystack + i +
-                                              needleLen - 1));
+            reinterpret_cast<const __m256i *>(tails + i));
         std::uint32_t mask = static_cast<std::uint32_t>(
             _mm256_movemask_epi8(_mm256_and_si256(
                 _mm256_cmpeq_epi8(head, first),
                 _mm256_cmpeq_epi8(tail, last))));
-        while (mask != 0) {
+        // Candidates are rare: keep the scan's state in registers.
+        while (__builtin_expect(mask != 0, 0)) {
             const unsigned bit =
                 static_cast<unsigned>(__builtin_ctz(mask));
             mask &= mask - 1;
-            if (std::memcmp(haystack + i + bit + 1, needle + 1,
-                            needleLen - 2) == 0)
+            if (std::memcmp(haystack + i + bit, needle, needleLen) == 0)
                 return true;
         }
     }
     for (; i < span; ++i) {
-        if (haystack[i] == needle[0] &&
+        if (heads[i] == needle[at.first] &&
             std::memcmp(haystack + i, needle, needleLen) == 0)
             return true;
     }

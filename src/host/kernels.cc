@@ -89,14 +89,16 @@ portableContainsBytes(const std::uint8_t *haystack, std::size_t hayLen,
 {
     if (needleLen == 0 || needleLen > hayLen)
         return false;
-    const std::uint8_t *p = haystack;
-    const std::uint8_t *end = haystack + hayLen - needleLen + 1;
+    // memchr for the filter byte; a hit at p is a candidate at p - at.
+    const std::size_t at = detail::needleFilter(needle, needleLen).first;
+    const std::uint8_t *p = haystack + at;
+    const std::uint8_t *end = haystack + hayLen - needleLen + 1 + at;
     while (p < end) {
         const auto *hit = static_cast<const std::uint8_t *>(std::memchr(
-            p, needle[0], static_cast<std::size_t>(end - p)));
+            p, needle[at], static_cast<std::size_t>(end - p)));
         if (hit == nullptr)
             return false;
-        if (std::memcmp(hit, needle, needleLen) == 0)
+        if (std::memcmp(hit - at, needle, needleLen) == 0)
             return true;
         p = hit + 1;
     }
@@ -297,6 +299,30 @@ verifyBytesKernel(const BytesKernel &candidate)
             return false;
     }
 
+    // Needles with 0x00 ends in zeroed memory, absent and then planted
+    // at every alignment from the head and from the tail.
+    std::vector<std::uint8_t> zeroed(160 + 7, 0);
+    std::uint8_t zeroEnded[3][16];
+    for (auto &n : zeroEnded)
+        fillDeterministic(n, sizeof n, 0x2e40);
+    zeroEnded[0][0] = zeroEnded[1][15] = 0x00;
+    zeroEnded[2][0] = zeroEnded[2][1] = zeroEnded[2][15] = 0x00;
+    for (const auto &n : zeroEnded) {
+        for (std::size_t shift = 0; shift <= 32; ++shift) {
+            for (const std::size_t at :
+                 {shift, zeroed.size() - sizeof n - shift}) {
+                std::memcpy(zeroed.data() + at, n, sizeof n);
+                const bool found = candidate.containsBytes(
+                    zeroed.data(), zeroed.size(), n, sizeof n);
+                std::memset(zeroed.data() + at, 0, sizeof n);
+                if (!found || candidate.containsBytes(zeroed.data(),
+                                                      zeroed.size(), n,
+                                                      sizeof n))
+                    return false;
+            }
+        }
+    }
+
     std::vector<std::uint8_t> zeros(3000, 0);
     if (!candidate.allZero(zeros.data(), zeros.size()))
         return false;
@@ -397,8 +423,8 @@ hostInfoString()
         out += " (SENTRY_FORCE_PORTABLE)";
     out += "\naes kernel:     ";
     out += k.aes.tier;
-    out += "  (block + CBC: kcryptd workers, MemShield engine, native "
-           "audited tier)";
+    out += "  (block + CBC: dm-crypt, MemShield engine, native audited "
+           "tier)";
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
     out += "  (fleet audit scans, remanence pattern counts, power-loss "

@@ -4,8 +4,8 @@
  * path (DESIGN.md section 14).
  *
  * The simulator burns host CPU in four places that have nothing to do
- * with simulated semantics: bulk AES over host buffers (kcryptd
- * workers, the MemShield engine, SimAesEngine's bulk CBC paths),
+ * with simulated semantics: bulk AES over host buffers (dm-crypt's
+ * sectors, the MemShield engine, SimAesEngine's bulk CBC paths),
  * memory scans (fleet audits grep device DRAM after every scenario
  * step), remanence decay at every power loss, and cache-line copies in
  * the L2 access path. Each of those but the last calls through a

@@ -35,20 +35,6 @@ class BlockLayer
     virtual void writeBlock(std::uint64_t index,
                             std::span<const std::uint8_t> buf) = 0;
 
-    /**
-     * Scatter-gather write of @p data (a whole number of blocks) to
-     * block @p first_index onward. The default is a per-block loop;
-     * layers that can do better (e.g. dm-crypt's kcryptd batch) may
-     * override, but must stay equivalent to the loop.
-     */
-    virtual void
-    writeBlocks(std::uint64_t first_index, std::span<const std::uint8_t> data)
-    {
-        for (std::size_t off = 0; off < data.size(); off += BLOCK_SIZE)
-            writeBlock(first_index + off / BLOCK_SIZE,
-                       data.subspan(off, BLOCK_SIZE));
-    }
-
     /** @return number of blocks. */
     virtual std::uint64_t numBlocks() const = 0;
 };

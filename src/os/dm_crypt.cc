@@ -1,11 +1,5 @@
 #include "os/dm_crypt.hh"
 
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
-#include <thread>
-
-#include "common/logging.hh"
 #include "common/trace_engine.hh"
 
 namespace sentry::os
@@ -16,9 +10,7 @@ namespace
 
 /**
  * Fire one probe::KcryptdOp for a kcryptd block pickup and charge any
- * subscriber-requested worker stall to the simulated clock. Always
- * called from the issuing thread — the pool's host threads never see
- * the Soc.
+ * subscriber-requested worker stall to the simulated clock.
  */
 void
 chargeKcryptdStall(crypto::SimAesEngine &cipher)
@@ -34,116 +26,12 @@ chargeKcryptdStall(crypto::SimAesEngine &cipher)
 
 } // namespace
 
-/**
- * Persistent kcryptd worker pool.
- *
- * Workers only ever run host-side AES over their private HostAesCbc
- * clone — the simulated machine (Soc, clock, caches) is single-threaded
- * state and is never touched off the issuing thread. Blocks of a job
- * are striped across workers (worker w takes blocks w, w+N, ...); each
- * block is an independent CBC unit under its own plain64 IV, so the
- * ciphertext is bit-identical to encrypting the blocks one after
- * another on the issuing thread.
- */
-class DmCrypt::KcryptdPool
-{
-  public:
-    KcryptdPool(const crypto::SimAesEngine &engine, unsigned nworkers)
-    {
-        ciphers_.reserve(nworkers);
-        for (unsigned w = 0; w < nworkers; ++w)
-            ciphers_.push_back(engine.hostCipherClone());
-        threads_.reserve(nworkers);
-        for (unsigned w = 0; w < nworkers; ++w)
-            threads_.emplace_back([this, w, nworkers] {
-                run(w, nworkers);
-            });
-    }
-
-    ~KcryptdPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stop_ = true;
-        }
-        start_.notify_all();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    /** Encrypt @p nblocks blocks in place; block i gets the plain64 IV
-     *  of @p first_index + i. Blocks until the whole job is done. */
-    void
-    encryptBlocks(std::uint64_t first_index, std::uint8_t *data,
-                  std::size_t nblocks)
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            first_ = first_index;
-            data_ = data;
-            nblocks_ = nblocks;
-            remaining_ = static_cast<unsigned>(threads_.size());
-            ++seq_;
-        }
-        start_.notify_all();
-        std::unique_lock<std::mutex> lock(m_);
-        finished_.wait(lock, [this] { return remaining_ == 0; });
-    }
-
-  private:
-    void
-    run(unsigned worker, unsigned nworkers)
-    {
-        const crypto::HostAesCbc &cipher = ciphers_[worker];
-        std::uint64_t seen = 0;
-        for (;;) {
-            std::uint64_t first;
-            std::uint8_t *data;
-            std::size_t nblocks;
-            {
-                std::unique_lock<std::mutex> lock(m_);
-                start_.wait(lock,
-                            [this, seen] { return stop_ || seq_ != seen; });
-                if (stop_)
-                    return;
-                seen = seq_;
-                first = first_;
-                data = data_;
-                nblocks = nblocks_;
-            }
-            for (std::size_t b = worker; b < nblocks; b += nworkers) {
-                cipher.cbcEncrypt(
-                    blockIv(first + b),
-                    {data + b * BLOCK_SIZE, BLOCK_SIZE});
-            }
-            {
-                std::lock_guard<std::mutex> lock(m_);
-                if (--remaining_ == 0)
-                    finished_.notify_one();
-            }
-        }
-    }
-
-    std::vector<crypto::HostAesCbc> ciphers_; //!< one clone per worker
-    std::vector<std::thread> threads_;
-    std::mutex m_;
-    std::condition_variable start_, finished_;
-    bool stop_ = false;
-    std::uint64_t seq_ = 0; //!< job sequence number
-    std::uint64_t first_ = 0;
-    std::uint8_t *data_ = nullptr;
-    std::size_t nblocks_ = 0;
-    unsigned remaining_ = 0;
-};
-
 DmCrypt::DmCrypt(BlockLayer &lower,
                  std::unique_ptr<crypto::SimAesEngine> cipher,
                  unsigned async_workers)
     : lower_(lower), cipher_(std::move(cipher)),
       asyncWorkers_(async_workers == 0 ? 1 : async_workers)
 {}
-
-DmCrypt::~DmCrypt() = default;
 
 crypto::Iv
 DmCrypt::blockIv(std::uint64_t index)
@@ -167,43 +55,9 @@ DmCrypt::writeBlock(std::uint64_t index, std::span<const std::uint8_t> buf)
     staging_.assign(buf.begin(), buf.end());
     chargeKcryptdStall(*cipher_);
     // The write is queued to kcryptd workers: the encryption runs on
-    // asyncWorkers_ cores in parallel with the issuing thread. The
-    // scope restores the previous divisor even if the cipher throws.
-    crypto::ScopedChargeDivisor scope(*cipher_, asyncWorkers_);
-    cipher_->cbcEncrypt(blockIv(index), staging_);
+    // asyncWorkers_ cores in parallel with the issuing thread.
+    cipher_->cbcEncrypt(blockIv(index), staging_, asyncWorkers_);
     lower_.writeBlock(index, staging_);
-}
-
-void
-DmCrypt::writeBlocks(std::uint64_t first_index,
-                     std::span<const std::uint8_t> data)
-{
-    if (data.size() % BLOCK_SIZE != 0)
-        fatal("DmCrypt::writeBlocks requires whole blocks");
-    const std::size_t nblocks = data.size() / BLOCK_SIZE;
-    if (nblocks == 0)
-        return;
-    if (asyncWorkers_ <= 1 || nblocks == 1) {
-        // Nothing to fan out; keep the inline per-block path.
-        for (std::size_t b = 0; b < nblocks; ++b)
-            writeBlock(first_index + b,
-                       data.subspan(b * BLOCK_SIZE, BLOCK_SIZE));
-        return;
-    }
-
-    staging_.assign(data.begin(), data.end());
-    if (!pool_)
-        pool_ = std::make_unique<KcryptdPool>(*cipher_, asyncWorkers_);
-    pool_->encryptBlocks(first_index, staging_.data(), nblocks);
-    // Replay the simulated side of the work the pool just did: per
-    // block, the same register touches, ivec write, irq-guarded chunks
-    // and time/energy charges the per-block path would have made.
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        chargeKcryptdStall(*cipher_);
-        cipher_->chargeParallelBulk(blockIv(first_index + b), BLOCK_SIZE,
-                                    asyncWorkers_);
-    }
-    lower_.writeBlocks(first_index, staging_);
 }
 
 std::uint64_t

@@ -11,13 +11,10 @@
  * Per-block IVs use the plain64 convention (little-endian block number
  * in the first 8 IV bytes).
  *
- * Writes model kcryptd: they are encrypted by a pool of worker threads
- * (one simulated core each). Multi-block writes via writeBlocks() run
- * the host-side encryption on a real thread pool — each worker holds a
- * HostAesCbc clone of the engine's schedule and never touches the
- * simulated machine — while the issuing thread replays the simulated
- * charges, so simulated time/energy/traffic are identical to the
- * sequential charge-divisor path and ciphertext is bit-identical.
+ * Writes model kcryptd, dm-crypt's pool of encryption workers: each
+ * block's encryption is charged as if spread over the simulated cores
+ * the pool runs on. The host encrypts every block inline, one
+ * writeBlock() at a time.
  */
 
 #ifndef SENTRY_OS_DM_CRYPT_HH
@@ -41,51 +38,33 @@ class DmCrypt : public BlockLayer
     /**
      * @param lower  backing device (holds only ciphertext)
      * @param cipher keyed AES engine (from CryptoApi::allocCipher)
-     * @param async_workers kcryptd worker threads: writes are encrypted
-     *        asynchronously on this many cores, so their wall-clock
-     *        cost is divided accordingly (reads block the caller and
-     *        always pay the full inline cost)
+     * @param async_workers simulated cores kcryptd encrypts writes on:
+     *        a write's simulated crypto time is divided by this count
+     *        (reads block the caller and always pay the full inline
+     *        cost)
      */
     DmCrypt(BlockLayer &lower,
             std::unique_ptr<crypto::SimAesEngine> cipher,
             unsigned async_workers = 1);
-
-    ~DmCrypt() override; // joins the kcryptd pool
 
     void readBlock(std::uint64_t index,
                    std::span<std::uint8_t> buf) override;
     void writeBlock(std::uint64_t index,
                     std::span<const std::uint8_t> buf) override;
 
-    /**
-     * Scatter-gather write: encrypt @p data (a whole number of blocks,
-     * block @p first_index onward) on the kcryptd pool and hand the
-     * ciphertext to the lower layer in one batch. Equivalent to calling
-     * writeBlock() once per block — same ciphertext, same simulated
-     * charges — but the host-side AES runs on real threads.
-     */
-    void writeBlocks(std::uint64_t first_index,
-                     std::span<const std::uint8_t> data) override;
-
     std::uint64_t numBlocks() const override;
 
     /** @return the engine (diagnostics: placement, bytes processed). */
     const crypto::SimAesEngine &cipher() const { return *cipher_; }
 
-    /** @return the kcryptd worker count. */
-    unsigned asyncWorkers() const { return asyncWorkers_; }
-
     /** @return the plain64 IV for block @p index. */
     static crypto::Iv blockIv(std::uint64_t index);
 
   private:
-    class KcryptdPool; // real worker threads (host-side crypto only)
-
     BlockLayer &lower_;
     std::unique_ptr<crypto::SimAesEngine> cipher_;
     unsigned asyncWorkers_;
     std::vector<std::uint8_t> staging_; //!< reused write staging buffer
-    std::unique_ptr<KcryptdPool> pool_; //!< lazily started
 };
 
 } // namespace sentry::os

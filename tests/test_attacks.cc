@@ -598,6 +598,12 @@ coldBootReadoutTemplate(DefenseKind kind,
                        {0xff, 0xff, 0xff, 0xff, 0x00, 0xff, 0xff, 0xff},
                        true});
     markers.push_back({"absent", randomBytes(rng, 16), true});
+    // 0x00 at both ends, across the seam after a Zero page: the byte
+    // kernels filter its candidates on its inner bytes.
+    auto zeroEnds = randomBytes(rng, 16);
+    zeroEnds.front() = 0x00;
+    zeroEnds.back() = 0x00;
+    plant("zero-ends", (last - 30) * PAGE_SIZE - 1, zeroEnds, 1, 15);
     return device.snapshot();
 }
 

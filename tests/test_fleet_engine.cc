@@ -248,6 +248,32 @@ TEST_F(FleetEngine, ScenarioPlatformOverridesOptions)
     EXPECT_TRUE(report.allOk) << report.summary();
 }
 
+TEST_F(FleetEngine, SummaryKeepsLongFailureLinesWhole)
+{
+    // Every device fails at the spawn of a process with a 240-character
+    // name (no background mode on nexus4); each failure keeps its whole
+    // line, and the verdict still starts a line of its own.
+    const std::string name(240, 'p');
+    const Scenario scenario = parseScenario(
+        "platform nexus4\nspawn " + name +
+            " sensitive background heap 64KiB\nlock\n",
+        "long-name");
+    const FleetReport report = runFleet(scenario, smallOptions(2));
+    ASSERT_EQ(report.failures.size(), 2u);
+
+    const std::string summary = report.summary();
+    for (const DeviceResult &result : report.failures) {
+        EXPECT_NE(result.error.find(name), std::string::npos);
+        EXPECT_NE(summary.find("\n  device " + std::to_string(result.index) +
+                               " FAILED: " + result.error + "\n"),
+                  std::string::npos)
+            << summary;
+    }
+    EXPECT_NE(summary.find("\n  invariants: VIOLATED (0/2 devices green)\n"),
+              std::string::npos)
+        << summary;
+}
+
 TEST_F(FleetEngine, PercentileNearestRank)
 {
     EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);

@@ -194,6 +194,66 @@ TEST_F(HostKernelsTest, BytesKernelMatchesNaiveReference)
     }
 }
 
+TEST_F(HostKernelsTest, ZeroEndedNeedlesMatchNaiveReferenceOnBothTiers)
+{
+    // Needles whose first or last bytes are 0x00 in mostly zeroed
+    // memory (one random island): absent, then planted at every
+    // alignment from the head and from the tail, on both tiers.
+    std::vector<std::uint8_t> zeroed(4096 + 5, 0);
+    const auto island = patternBuf(40, 3);
+    std::memcpy(zeroed.data() + 2000, island.data(), island.size());
+
+    std::vector<std::vector<std::uint8_t>> needles;
+    for (const std::size_t len : {2, 3, 16, 33}) {
+        auto needle = patternBuf(len, static_cast<std::uint32_t>(len));
+        needle.front() = 0x00;
+        needles.push_back(needle); // zero head
+        needle.back() = 0x00;
+        needles.push_back(needle); // zero head and tail
+        needle.front() = 0x5a;
+        needles.push_back(needle); // zero tail
+    }
+    needles.emplace_back(16, 0x00);
+    needles.emplace_back(16, 0x00).at(7) = 0x42; // one non-zero byte
+
+    const auto naive = [&](const std::vector<std::uint8_t> &needle) {
+        for (std::size_t off = 0; off + needle.size() <= zeroed.size();
+             ++off) {
+            if (std::memcmp(zeroed.data() + off, needle.data(),
+                            needle.size()) == 0)
+                return true;
+        }
+        return false;
+    };
+    const host::BytesKernel *tiers[] = {&host::kernels().bytes,
+                                        &host::portableKernels().bytes};
+    const auto check = [&](const std::vector<std::uint8_t> &needle,
+                           const std::string &where) {
+        const bool want = naive(needle);
+        for (const host::BytesKernel *tier : tiers) {
+            EXPECT_EQ(tier->containsBytes(zeroed.data(), zeroed.size(),
+                                          needle.data(), needle.size()),
+                      want)
+                << tier->tier << " " << where;
+        }
+    };
+    for (std::size_t n = 0; n < needles.size(); ++n) {
+        const std::vector<std::uint8_t> &needle = needles[n];
+        check(needle, "needle " + std::to_string(n) + " absent");
+        for (std::size_t shift = 0; shift <= 32; ++shift) {
+            for (const std::size_t at :
+                 {shift, zeroed.size() - needle.size() - shift}) {
+                const std::vector<std::uint8_t> saved(
+                    zeroed.begin() + at, zeroed.begin() + at + needle.size());
+                std::memcpy(zeroed.data() + at, needle.data(), needle.size());
+                check(needle, "needle " + std::to_string(n) + " at " +
+                                  std::to_string(at));
+                std::memcpy(zeroed.data() + at, saved.data(), saved.size());
+            }
+        }
+    }
+}
+
 TEST_F(HostKernelsTest, DecayPageMatchesPortableAtEdgeThresholds)
 {
     // Thresholds at the ends and at the signed 16-bit boundary, toward
