@@ -227,8 +227,10 @@ main(int argc, char **argv)
             std::printf("device %u seed 0x%llx: %s\n", result.index,
                         static_cast<unsigned long long>(result.seed),
                         result.ok ? "ok" : result.error.c_str());
-            std::printf("  steps %u, audits %u, cycles %llu\n",
-                        result.stepsExecuted, result.auditsRun,
+            std::printf("  steps %llu, audits %llu, cycles %llu\n",
+                        static_cast<unsigned long long>(
+                            result.stepsExecuted),
+                        static_cast<unsigned long long>(result.auditsRun),
                         static_cast<unsigned long long>(result.simCycles));
             std::printf("  unlocks %llu, locks %llu, filebench %llu\n",
                         static_cast<unsigned long long>(

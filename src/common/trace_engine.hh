@@ -81,16 +81,6 @@ struct TraceCounters
     std::uint64_t kcryptdBlocks = 0;
     double kcryptdStallSeconds = 0.0;
 
-    /** @return DRAM + iRAM accesses of either direction. */
-    std::uint64_t
-    memOps() const
-    {
-        return dramReads + dramWrites + iramReads + iramWrites;
-    }
-
-    /** @return bus transactions of either direction (incl. duplicates). */
-    std::uint64_t busOps() const { return busReads + busWrites; }
-
     /** Fold one event into the totals (TraceEngine::emit calls these). */
     void
     count(const MemAccess &event)
@@ -143,32 +133,6 @@ struct TraceCounters
     {
         ++kcryptdBlocks;
         kcryptdStallSeconds += event.stallSeconds;
-    }
-
-    /** Sum another device's counters into this one (commutative for
-     * the integer fields; the two double fields are plain sums). */
-    TraceCounters &
-    operator+=(const TraceCounters &other)
-    {
-        dramReads += other.dramReads;
-        dramWrites += other.dramWrites;
-        iramReads += other.iramReads;
-        iramWrites += other.iramWrites;
-        busReads += other.busReads;
-        busWrites += other.busWrites;
-        busDuplicates += other.busDuplicates;
-        busReadBytes += other.busReadBytes;
-        busWriteBytes += other.busWriteBytes;
-        cacheWritebacks += other.cacheWritebacks;
-        powerEvents += other.powerEvents;
-        joules += other.joules;
-        dmaBursts += other.dmaBursts;
-        dmaBytes += other.dmaBytes;
-        cryptoOps += other.cryptoOps;
-        cryptoBytes += other.cryptoBytes;
-        kcryptdBlocks += other.kcryptdBlocks;
-        kcryptdStallSeconds += other.kcryptdStallSeconds;
-        return *this;
     }
 
     /** @return one-line "k:v k:v ..." rendering (stable field order). */

@@ -9,7 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fleet/device_runner.hh"
+#include "fleet/fleet.hh"
 
 namespace sentry::fault
 {
@@ -292,27 +292,19 @@ TrialOutcome
 runTrial(const FuzzTrialSpec &spec, const FuzzOptions &options)
 {
     fleet::FleetOptions fleetOptions;
-    fleetOptions.devices = 1;
-    fleetOptions.threads = 1;
     fleetOptions.seed = spec.seed;
     fleetOptions.platform = options.platform;
     fleetOptions.dramBytes = options.dramBytes;
-    fleetOptions.auditEveryStep = true;
     fleetOptions.faultSchedule = &spec.faults;
     fleetOptions.traceOutPath = options.traceOutPath;
-    // runDevice bypasses resolveFleetOptions, so the scenario's defense
-    // directive must be applied here for reproducers to replay the
-    // backend they were fuzzed under.
-    if (spec.scenario.hasDefense)
-        fleetOptions.defense = spec.scenario.defense;
-    if (spec.spawnSnapshot) {
+    if (spec.spawnSnapshot)
         fleetOptions.spawnMode = fleet::SpawnMode::Snapshot;
-        fleetOptions.templateSnapshot =
-            fleet::makeFleetTemplate(spec.scenario, fleetOptions);
-    }
 
-    const fleet::DeviceResult result =
-        fleet::runDevice(spec.scenario, fleetOptions, 0);
+    // Resolved as a fleet run resolves them, so a reproducer replays
+    // its scenario's platform, audit, and defense directives.
+    const fleet::DeviceResult result = fleet::runDevice(
+        spec.scenario,
+        fleet::resolveFleetOptions(spec.scenario, fleetOptions), 0);
 
     TrialOutcome outcome;
     outcome.ok = result.ok;

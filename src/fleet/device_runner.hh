@@ -118,9 +118,10 @@ struct DeviceResult
 
     bool ok = true;     //!< all invariants held, no semantic errors
     std::string error;  //!< first failure (empty when ok)
-    unsigned stepsExecuted = 0;
-    unsigned auditsRun = 0;
-    unsigned auditFailures = 0;
+    // 64-bit: shard totals of DEVICE_COUNTERS live in a DeviceResult.
+    std::uint64_t stepsExecuted = 0;
+    std::uint64_t auditsRun = 0;
+    std::uint64_t auditFailures = 0;
 
     /** Per successful unlock / per lock / per filebench step. Bounded
      * MergeStats (count() is the true event count; samples carry
@@ -128,12 +129,12 @@ struct DeviceResult
     MergeStat unlock{DEVICE_SAMPLE_CAP};
     MergeStat lock{DEVICE_SAMPLE_CAP};
     MergeStat filebench{DEVICE_SAMPLE_CAP};
-    unsigned failedUnlocks = 0;
+    std::uint64_t failedUnlocks = 0;
 
-    unsigned attacksRun = 0;
-    unsigned sensitiveSecretsProbed = 0; //!< sensitive greps attempted
-    unsigned sensitiveSecretsLeaked = 0; //!< ...that succeeded (bad)
-    unsigned nonSensitiveLeaks = 0;      //!< unprotected greps that hit
+    std::uint64_t attacksRun = 0;
+    std::uint64_t sensitiveSecretsProbed = 0; //!< sensitive greps attempted
+    std::uint64_t sensitiveSecretsLeaked = 0; //!< ...that succeeded (bad)
+    std::uint64_t nonSensitiveLeaks = 0;      //!< unprotected greps that hit
 
     std::uint64_t faultsServiced = 0;
     std::uint64_t bytesEncryptedOnLock = 0;

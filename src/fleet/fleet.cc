@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/stats.hh"
@@ -50,121 +51,6 @@ jsonString(const std::string &text)
     return out + '"';
 }
 
-/** Convert simulated seconds to microseconds for readable metrics. */
-double
-toUs(double seconds)
-{
-    return seconds * 1e6;
-}
-
-void
-addPercentiles(std::vector<FleetMetric> &metrics, const std::string &what,
-               const MergeStat &seconds)
-{
-    for (const auto &[tag, p] :
-         {std::pair{"p50", 50.0}, {"p95", 95.0}, {"p99", 99.0}}) {
-        metrics.push_back(
-            FleetMetric::ofDouble("sim_" + what + "_" + tag + "_us",
-                                  toUs(seconds.percentile(p))));
-    }
-}
-
-/**
- * Build the fixed-order metric list from the merged accumulator. The
- * names and order match what the per-device aggregation loop used to
- * emit; the `sim_shard_*` keys document the (deterministic) streaming
- * layout and are appended at the end.
- */
-std::vector<FleetMetric>
-buildMetrics(const ShardAccumulator &total, const ShardPlan &plan,
-             core::DefenseKind defense)
-{
-    std::vector<FleetMetric> m;
-    m.push_back(FleetMetric::ofInt("sim_devices", total.devices));
-    m.push_back(FleetMetric::ofInt("sim_steps_total", total.steps));
-    m.push_back(FleetMetric::ofInt("sim_audits_total", total.audits));
-    m.push_back(
-        FleetMetric::ofInt("sim_audit_failures", total.auditFailures));
-    m.push_back(
-        FleetMetric::ofInt("sim_devices_failed", total.failedDevices));
-    m.push_back(
-        FleetMetric::ofInt("sim_unlocks_total", total.unlock.count()));
-    m.push_back(
-        FleetMetric::ofInt("sim_failed_unlocks", total.failedUnlocks));
-    addPercentiles(m, "unlock", total.unlock);
-    addPercentiles(m, "lock", total.lock);
-    m.push_back(FleetMetric::ofInt("sim_attacks_total", total.attacks));
-    m.push_back(
-        FleetMetric::ofInt("sim_sensitive_probes", total.sensitiveProbes));
-    m.push_back(
-        FleetMetric::ofInt("sim_sensitive_leaks", total.sensitiveLeaks));
-    m.push_back(FleetMetric::ofInt("sim_nonsensitive_leaks",
-                                   total.nonSensitiveLeaks));
-    m.push_back(
-        FleetMetric::ofInt("sim_filebench_runs", total.filebench.count()));
-    m.push_back(FleetMetric::ofDouble("sim_filebench_mbps_mean",
-                                      total.filebench.mean()));
-    m.push_back(
-        FleetMetric::ofInt("sim_faults_total", total.faultsServiced));
-    m.push_back(FleetMetric::ofInt("sim_bytes_encrypted_on_lock",
-                                   total.bytesEncryptedOnLock));
-    m.push_back(FleetMetric::ofInt("sim_bytes_decrypted_on_demand",
-                                   total.bytesDecryptedOnDemand));
-    m.push_back(FleetMetric::ofInt("sim_bytes_decrypted_eager",
-                                   total.bytesDecryptedEager));
-    m.push_back(FleetMetric::ofInt("sim_cycles_total", total.cyclesTotal));
-    m.push_back(FleetMetric::ofInt("sim_cycles_max", total.cyclesMax));
-    m.push_back(FleetMetric::ofInt("sim_l2_hits_total", total.l2Hits));
-    m.push_back(FleetMetric::ofInt("sim_l2_misses_total", total.l2Misses));
-    m.push_back(FleetMetric::ofInt("sim_bus_reads_total", total.busReads));
-    m.push_back(
-        FleetMetric::ofInt("sim_bus_writes_total", total.busWrites));
-    m.push_back(
-        FleetMetric::ofInt("sim_trace_mem_ops_total", total.trace.memOps()));
-    m.push_back(
-        FleetMetric::ofInt("sim_trace_bus_ops_total", total.trace.busOps()));
-    m.push_back(FleetMetric::ofInt(
-        "sim_trace_bus_bytes_total",
-        total.trace.busReadBytes + total.trace.busWriteBytes));
-    m.push_back(FleetMetric::ofInt("sim_trace_writebacks_total",
-                                   total.trace.cacheWritebacks));
-    m.push_back(FleetMetric::ofInt("sim_trace_kcryptd_blocks_total",
-                                   total.trace.kcryptdBlocks));
-    m.push_back(FleetMetric::ofInt("sim_trace_dma_bytes_total",
-                                   total.trace.dmaBytes));
-    m.push_back(FleetMetric::ofInt("sim_trace_power_events_total",
-                                   total.trace.powerEvents));
-    m.push_back(FleetMetric::ofInt("sim_device_seed_hash", total.seedHash));
-    // Streaming-engine layout: all deterministic (retained counts are
-    // pure functions of the sample multiset — see MergeStat).
-    m.push_back(FleetMetric::ofInt("sim_shard_count", plan.shardCount));
-    m.push_back(FleetMetric::ofInt("sim_shard_size", plan.shardSize));
-    m.push_back(
-        FleetMetric::ofInt("sim_shard_sample_cap", MergeStat::DEFAULT_CAP));
-    m.push_back(FleetMetric::ofInt("sim_shard_samples_retained",
-                                   total.unlock.retained() +
-                                       total.lock.retained() +
-                                       total.filebench.retained()));
-    // Defense-backend differentials (defense_backend.hh): which design
-    // the fleet ran, its claim-vs-observation verdict counters, and the
-    // simulated latency/energy it cost beyond baseline Sentry.
-    m.push_back(FleetMetric::ofInt("sim_defense_kind",
-                                   static_cast<unsigned>(defense)));
-    m.push_back(FleetMetric::ofInt("sim_defense_claim_breaches",
-                                   total.defenseClaimBreaches));
-    m.push_back(FleetMetric::ofInt("sim_defense_vulnerable_hits",
-                                   total.defenseVulnerableHits));
-    m.push_back(
-        FleetMetric::ofInt("sim_defense_rekeys", total.defenseRekeys));
-    m.push_back(FleetMetric::ofInt("sim_defense_evictions",
-                                   total.defenseEvictions));
-    m.push_back(FleetMetric::ofDouble("sim_defense_extra_seconds",
-                                      total.defenseExtraSeconds));
-    m.push_back(FleetMetric::ofDouble("sim_defense_extra_joules",
-                                      total.defenseExtraJoules));
-    return m;
-}
-
 void
 validateOptions(const FleetOptions &options)
 {
@@ -184,6 +70,59 @@ validateOptions(const FleetOptions &options)
 }
 
 } // namespace
+
+std::vector<FleetMetric>
+buildMetrics(const ShardAccumulator &total, const ShardPlan &plan,
+             core::DefenseKind defense)
+{
+    std::vector<FleetMetric> m;
+    m.push_back(FleetMetric::ofInt("sim_devices", total.devices));
+    m.push_back(
+        FleetMetric::ofInt("sim_devices_failed", total.failedDevices));
+    const DeviceResult &totals = total.totals;
+    std::uint64_t retained = 0;
+    forEachCounter([&](const DeviceCounter &row, auto field) {
+        using Field = decltype(field);
+        if constexpr (std::is_same_v<Field, DeviceSamples>) {
+            const MergeStat &stat = totals.*field.stat;
+            retained += stat.retained();
+            if (row.metric != nullptr)
+                m.push_back(FleetMetric::ofInt(row.metric, stat.count()));
+            if (field.percentiles != nullptr) {
+                for (const auto &[tag, p] : {std::pair{"_p50_us", 50.0},
+                                             {"_p95_us", 95.0},
+                                             {"_p99_us", 99.0}})
+                    m.push_back(FleetMetric::ofDouble(
+                        field.percentiles + std::string(tag),
+                        stat.percentile(p) * 1e6));
+            }
+            if (field.mean != nullptr)
+                m.push_back(FleetMetric::ofDouble(field.mean, stat.mean()));
+        } else if constexpr (std::is_same_v<Field, TraceSum>) {
+            m.push_back(
+                FleetMetric::ofInt(row.metric, field.of(totals.trace)));
+        } else if constexpr (std::is_same_v<Field,
+                                            double DeviceResult::*>) {
+            m.push_back(FleetMetric::ofDouble(row.metric, totals.*field));
+        } else {
+            m.push_back(FleetMetric::ofInt(row.metric, totals.*field));
+        }
+    });
+    m.push_back(FleetMetric::ofInt("sim_cycles_max", total.cyclesMax));
+    m.push_back(FleetMetric::ofInt("sim_device_seed_hash", total.seedHash));
+    // Streaming-engine layout: all deterministic (retained counts are
+    // pure functions of the sample multiset — see MergeStat).
+    m.push_back(FleetMetric::ofInt("sim_shard_count", plan.shardCount));
+    m.push_back(FleetMetric::ofInt("sim_shard_size", plan.shardSize));
+    m.push_back(
+        FleetMetric::ofInt("sim_shard_sample_cap", MergeStat::DEFAULT_CAP));
+    m.push_back(FleetMetric::ofInt("sim_shard_samples_retained", retained));
+    // The defense backend the fleet ran (core/defense_backend.hh); its
+    // verdict counters and costs are DEVICE_COUNTERS rows.
+    m.push_back(FleetMetric::ofInt("sim_defense_kind",
+                                   static_cast<unsigned>(defense)));
+    return m;
+}
 
 FleetMetric
 FleetMetric::ofInt(std::string name, std::uint64_t value)
@@ -283,8 +222,7 @@ FleetReport::writeJson(const std::string &path) const
     emit("host_devices_per_sec",
          strprintf("%.17g", hostSeconds > 0 ? devices / hostSeconds : 0.0));
     std::fprintf(f, "\n  }\n}\n");
-    std::fclose(f);
-    return true;
+    return std::fclose(f) == 0;
 }
 
 FleetOptions

@@ -94,6 +94,16 @@ struct FleetReport
 };
 
 /**
+ * The fleet's metrics from the merged accumulator @p total, in a fixed
+ * order: the device counts, every DEVICE_COUNTERS row in table order,
+ * then the fleet-wide values and the `sim_shard_*` keys, which document
+ * the (deterministic) streaming layout of @p plan.
+ */
+std::vector<FleetMetric> buildMetrics(const ShardAccumulator &total,
+                                      const ShardPlan &plan,
+                                      core::DefenseKind defense);
+
+/**
  * Nearest-rank percentile of @p samples (p in [0,100]); 0 when empty.
  * Sorts a copy; deterministic for any sample order.
  */

@@ -72,6 +72,30 @@ splitNumberSuffix(const std::string &token, std::string &number,
     suffix = token.substr(i);
 }
 
+/** Parse the count of a `devices` or `shards` directive: base-10
+ * digits, no sign, 1..@p max; @p what names it in errors. */
+unsigned
+parseCount(const std::vector<std::string> &tokens, unsigned line,
+           const std::string &what, unsigned max)
+{
+    if (tokens.size() != 2)
+        throw ScenarioError(line, tokens[0] + " takes one count");
+    const std::string &token = tokens[1];
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
+    // strtoull accepts a sign (negating the value); a count may not.
+    if (!std::isdigit(static_cast<unsigned char>(token[0])) ||
+        errno != 0 || *end != '\0')
+        throw ScenarioError(line,
+                            "malformed " + what + " count '" + token + "'");
+    if (n < 1 || n > max)
+        throw ScenarioError(line, what + " count " + token +
+                                      " out of range (1.." +
+                                      std::to_string(max) + ")");
+    return static_cast<unsigned>(n);
+}
+
 } // namespace
 
 bool
@@ -225,39 +249,13 @@ parseScenario(const std::string &text, const std::string &name)
         step.line = lineNo;
 
         if (opcode == "devices") {
-            if (argc != 1)
-                throw ScenarioError(lineNo, "devices takes one count");
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(tokens[1].c_str(), &end, 10);
-            if (errno != 0 || end == nullptr || *end != '\0')
-                throw ScenarioError(lineNo, "malformed device count '" +
-                                                tokens[1] + "'");
-            if (n < 1 || n > MAX_DEVICES)
-                throw ScenarioError(
-                    lineNo, "device count " + tokens[1] +
-                                " out of range (1.." +
-                                std::to_string(MAX_DEVICES) + ")");
-            scenario.defaultDevices = static_cast<unsigned>(n);
+            scenario.defaultDevices =
+                parseCount(tokens, lineNo, "device", MAX_DEVICES);
             continue;
         }
         if (opcode == "shards") {
-            if (argc != 1)
-                throw ScenarioError(lineNo, "shards takes one count");
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(tokens[1].c_str(), &end, 10);
-            if (errno != 0 || end == nullptr || *end != '\0')
-                throw ScenarioError(lineNo, "malformed shard count '" +
-                                                tokens[1] + "'");
-            if (n < 1 || n > MAX_SHARDS)
-                throw ScenarioError(
-                    lineNo, "shard count " + tokens[1] +
-                                " out of range (1.." +
-                                std::to_string(MAX_SHARDS) + ")");
-            scenario.defaultShards = static_cast<unsigned>(n);
+            scenario.defaultShards =
+                parseCount(tokens, lineNo, "shard", MAX_SHARDS);
             continue;
         }
         if (opcode == "audits") {

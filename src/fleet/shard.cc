@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 namespace sentry::fleet
 {
@@ -129,39 +130,48 @@ WorkQueue::next(unsigned worker, unsigned &shard)
     }
 }
 
+namespace
+{
+
+/** Add @p part's DEVICE_COUNTERS values (a device's or a shard's
+ * totals) into @p totals. */
+void
+addCounters(DeviceResult &totals, const DeviceResult &part)
+{
+    forEachCounter([&](const DeviceCounter &, auto field) {
+        using Field = decltype(field);
+        if constexpr (std::is_same_v<Field, DeviceSamples>) {
+            (totals.*field.stat).merge(part.*field.stat);
+        } else if constexpr (std::is_same_v<Field, TraceSum>) {
+            // Unrolled, so the null slots fold away at compile time.
+#pragma GCC unroll 4
+            for (std::uint64_t TraceCounters::*member : field.fields) {
+                if (member != nullptr)
+                    totals.trace.*member += part.trace.*member;
+            }
+        } else {
+            totals.*field += part.*field;
+        }
+    });
+}
+
+} // namespace
+
+ShardAccumulator::ShardAccumulator()
+{
+    forEachCounter([&](const DeviceCounter &, auto field) {
+        if constexpr (std::is_same_v<decltype(field), DeviceSamples>)
+            totals.*field.stat = MergeStat(MergeStat::DEFAULT_CAP);
+    });
+}
+
 void
 ShardAccumulator::fold(const DeviceResult &result)
 {
     ++devices;
-    unlock.merge(result.unlock);
-    lock.merge(result.lock);
-    filebench.merge(result.filebench);
-    steps += result.stepsExecuted;
-    audits += result.auditsRun;
-    auditFailures += result.auditFailures;
-    attacks += result.attacksRun;
-    sensitiveProbes += result.sensitiveSecretsProbed;
-    sensitiveLeaks += result.sensitiveSecretsLeaked;
-    nonSensitiveLeaks += result.nonSensitiveLeaks;
-    failedUnlocks += result.failedUnlocks;
-    faultsServiced += result.faultsServiced;
-    bytesEncryptedOnLock += result.bytesEncryptedOnLock;
-    bytesDecryptedOnDemand += result.bytesDecryptedOnDemand;
-    bytesDecryptedEager += result.bytesDecryptedEager;
-    cyclesTotal += result.simCycles;
+    addCounters(totals, result);
     cyclesMax = std::max<std::uint64_t>(cyclesMax, result.simCycles);
-    l2Hits += result.l2Hits;
-    l2Misses += result.l2Misses;
-    busReads += result.busReads;
-    busWrites += result.busWrites;
-    defenseClaimBreaches += result.defenseClaimBreaches;
-    defenseVulnerableHits += result.defenseVulnerableHits;
-    defenseRekeys += result.defenseRekeys;
-    defenseEvictions += result.defenseEvictions;
-    defenseExtraSeconds += result.defenseExtraSeconds;
-    defenseExtraJoules += result.defenseExtraJoules;
     seedHash ^= result.seed * 0x2545f4914f6cdd1dULL;
-    trace += result.trace;
     if (!result.ok) {
         ++failedDevices;
         // Devices fold in index order, so pushing keeps `failures`
@@ -175,36 +185,10 @@ void
 ShardAccumulator::merge(const ShardAccumulator &other)
 {
     devices += other.devices;
-    unlock.merge(other.unlock);
-    lock.merge(other.lock);
-    filebench.merge(other.filebench);
-    steps += other.steps;
-    audits += other.audits;
-    auditFailures += other.auditFailures;
     failedDevices += other.failedDevices;
-    attacks += other.attacks;
-    sensitiveProbes += other.sensitiveProbes;
-    sensitiveLeaks += other.sensitiveLeaks;
-    nonSensitiveLeaks += other.nonSensitiveLeaks;
-    failedUnlocks += other.failedUnlocks;
-    faultsServiced += other.faultsServiced;
-    bytesEncryptedOnLock += other.bytesEncryptedOnLock;
-    bytesDecryptedOnDemand += other.bytesDecryptedOnDemand;
-    bytesDecryptedEager += other.bytesDecryptedEager;
-    cyclesTotal += other.cyclesTotal;
+    addCounters(totals, other.totals);
     cyclesMax = std::max(cyclesMax, other.cyclesMax);
-    l2Hits += other.l2Hits;
-    l2Misses += other.l2Misses;
-    busReads += other.busReads;
-    busWrites += other.busWrites;
-    defenseClaimBreaches += other.defenseClaimBreaches;
-    defenseVulnerableHits += other.defenseVulnerableHits;
-    defenseRekeys += other.defenseRekeys;
-    defenseEvictions += other.defenseEvictions;
-    defenseExtraSeconds += other.defenseExtraSeconds;
-    defenseExtraJoules += other.defenseExtraJoules;
     seedHash ^= other.seedHash;
-    trace += other.trace;
     // Index-merge two sorted failure lists and keep the K lowest
     // indices: bottom-K of a union equals bottom-K of the parts'
     // bottom-K sets, so failure detail is merge-order independent too.
@@ -271,26 +255,19 @@ deviceDigest(const DeviceResult &result)
     digestAppendU64(text, "seed", result.seed);
     digestAppendU64(text, "ok", result.ok ? 1 : 0);
     digestAppend(text, "error", result.error);
-    digestAppendU64(text, "steps", result.stepsExecuted);
-    digestAppendU64(text, "audits", result.auditsRun);
-    digestAppendU64(text, "audit_failures", result.auditFailures);
-    digestAppendStat(text, "unlock_s", result.unlock);
-    digestAppendStat(text, "lock_s", result.lock);
-    digestAppendStat(text, "filebench_mbps", result.filebench);
-    digestAppendU64(text, "failed_unlocks", result.failedUnlocks);
-    digestAppendU64(text, "attacks", result.attacksRun);
-    digestAppendU64(text, "probes", result.sensitiveSecretsProbed);
-    digestAppendU64(text, "leaks", result.sensitiveSecretsLeaked);
-    digestAppendU64(text, "nonsens_leaks", result.nonSensitiveLeaks);
-    digestAppendU64(text, "faults", result.faultsServiced);
-    digestAppendU64(text, "bytes_enc", result.bytesEncryptedOnLock);
-    digestAppendU64(text, "bytes_ondemand", result.bytesDecryptedOnDemand);
-    digestAppendU64(text, "bytes_eager", result.bytesDecryptedEager);
-    digestAppendU64(text, "cycles", result.simCycles);
-    digestAppendU64(text, "l2_hits", result.l2Hits);
-    digestAppendU64(text, "l2_misses", result.l2Misses);
-    digestAppendU64(text, "bus_reads", result.busReads);
-    digestAppendU64(text, "bus_writes", result.busWrites);
+    forEachCounter([&](const DeviceCounter &row, auto field) {
+        using Field = decltype(field);
+        if (row.digestKey == nullptr)
+            return;
+        if constexpr (std::is_same_v<Field, DeviceSamples>)
+            digestAppendStat(text, row.digestKey, result.*field.stat);
+        else if constexpr (std::is_same_v<Field, TraceSum>)
+            digestAppendU64(text, row.digestKey, field.of(result.trace));
+        else if constexpr (std::is_same_v<Field, double DeviceResult::*>)
+            digestAppendF(text, row.digestKey, result.*field);
+        else
+            digestAppendU64(text, row.digestKey, result.*field);
+    });
     digestAppend(text, "trace", result.trace.summary());
     digestAppendF(text, "joules", result.trace.joules);
     digestAppendF(text, "kcryptd_stall_s", result.trace.kcryptdStallSeconds);

@@ -25,9 +25,12 @@
 #ifndef SENTRY_FLEET_SHARD_HH
 #define SENTRY_FLEET_SHARD_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "fleet/device_runner.hh"
@@ -114,9 +117,139 @@ class WorkQueue
 };
 
 /**
+ * The samples a DEVICE_COUNTERS row aggregates. The row prints their
+ * count under its `metric`; these keys (each optional) print more.
+ */
+struct DeviceSamples
+{
+    MergeStat DeviceResult::*stat;
+    /** Stem of `<stem>_p50_us`, `_p95_us` and `_p99_us` (seconds). */
+    const char *percentiles;
+    const char *mean; //!< key of the samples' mean
+};
+
+using probe::TraceCounters;
+
+/** A trace total: the sum of up to four TraceCounters fields (unused
+ * slots stay null). */
+struct TraceSum
+{
+    std::array<std::uint64_t TraceCounters::*, 4> fields;
+
+    /** @return the sum of the fields in @p trace. */
+    constexpr std::uint64_t
+    of(const TraceCounters &trace) const
+    {
+        std::uint64_t sum = 0;
+        for (std::uint64_t TraceCounters::*field : fields) {
+            if (field != nullptr)
+                sum += trace.*field;
+        }
+        return sum;
+    }
+};
+
+/**
+ * One fleet-aggregated DeviceResult value: the field, the `sim_*` key
+ * of its fleet total (nullptr: none), and its deviceDigest key
+ * (nullptr: not digested). Integers and trace sums add in 64 bits,
+ * doubles add in fold order, samples merge their reservoirs.
+ */
+struct DeviceCounter
+{
+    const char *metric;
+    const char *digestKey;
+    std::variant<std::uint64_t DeviceResult::*, double DeviceResult::*,
+                 DeviceSamples, TraceSum>
+        field;
+};
+
+/**
+ * Every fleet-aggregated DeviceResult value, one row each. The shard
+ * fold and merge, the fleet metrics and deviceDigest walk this table;
+ * rows print their metrics in table order, and digested rows keep
+ * deviceDigest's key order. Adding a counter touches its DeviceResult
+ * field, one row, and the line in Runner::snapshot that sets it.
+ */
+inline constexpr std::array<DeviceCounter, 33> DEVICE_COUNTERS{{
+    {"sim_steps_total", "steps", &DeviceResult::stepsExecuted},
+    {"sim_audits_total", "audits", &DeviceResult::auditsRun},
+    {"sim_audit_failures", "audit_failures", &DeviceResult::auditFailures},
+    {"sim_unlocks_total", "unlock_s",
+     DeviceSamples{&DeviceResult::unlock, "sim_unlock", nullptr}},
+    {nullptr, "lock_s", DeviceSamples{&DeviceResult::lock, "sim_lock", nullptr}},
+    {"sim_filebench_runs", "filebench_mbps",
+     DeviceSamples{&DeviceResult::filebench, nullptr,
+                   "sim_filebench_mbps_mean"}},
+    {"sim_failed_unlocks", "failed_unlocks", &DeviceResult::failedUnlocks},
+    {"sim_attacks_total", "attacks", &DeviceResult::attacksRun},
+    {"sim_sensitive_probes", "probes", &DeviceResult::sensitiveSecretsProbed},
+    {"sim_sensitive_leaks", "leaks", &DeviceResult::sensitiveSecretsLeaked},
+    {"sim_nonsensitive_leaks", "nonsens_leaks",
+     &DeviceResult::nonSensitiveLeaks},
+    {"sim_faults_total", "faults", &DeviceResult::faultsServiced},
+    {"sim_bytes_encrypted_on_lock", "bytes_enc",
+     &DeviceResult::bytesEncryptedOnLock},
+    {"sim_bytes_decrypted_on_demand", "bytes_ondemand",
+     &DeviceResult::bytesDecryptedOnDemand},
+    {"sim_bytes_decrypted_eager", "bytes_eager",
+     &DeviceResult::bytesDecryptedEager},
+    {"sim_cycles_total", "cycles", &DeviceResult::simCycles},
+    {"sim_l2_hits_total", "l2_hits", &DeviceResult::l2Hits},
+    {"sim_l2_misses_total", "l2_misses", &DeviceResult::l2Misses},
+    {"sim_bus_reads_total", "bus_reads", &DeviceResult::busReads},
+    {"sim_bus_writes_total", "bus_writes", &DeviceResult::busWrites},
+    // deviceDigest renders the whole TraceCounters after the rows.
+    {"sim_trace_mem_ops_total", nullptr,
+     TraceSum{{&TraceCounters::dramReads, &TraceCounters::dramWrites,
+               &TraceCounters::iramReads, &TraceCounters::iramWrites}}},
+    {"sim_trace_bus_ops_total", nullptr,
+     TraceSum{{&TraceCounters::busReads, &TraceCounters::busWrites}}},
+    {"sim_trace_bus_bytes_total", nullptr,
+     TraceSum{{&TraceCounters::busReadBytes, &TraceCounters::busWriteBytes}}},
+    {"sim_trace_writebacks_total", nullptr,
+     TraceSum{{&TraceCounters::cacheWritebacks}}},
+    {"sim_trace_kcryptd_blocks_total", nullptr,
+     TraceSum{{&TraceCounters::kcryptdBlocks}}},
+    {"sim_trace_dma_bytes_total", nullptr,
+     TraceSum{{&TraceCounters::dmaBytes}}},
+    {"sim_trace_power_events_total", nullptr,
+     TraceSum{{&TraceCounters::powerEvents}}},
+    // Defense-backend differentials (core/defense_backend.hh), all zero
+    // under the Sentry backend on a passing fleet.
+    {"sim_defense_claim_breaches", nullptr,
+     &DeviceResult::defenseClaimBreaches},
+    {"sim_defense_vulnerable_hits", nullptr,
+     &DeviceResult::defenseVulnerableHits},
+    {"sim_defense_rekeys", nullptr, &DeviceResult::defenseRekeys},
+    {"sim_defense_evictions", nullptr, &DeviceResult::defenseEvictions},
+    {"sim_defense_extra_seconds", nullptr,
+     &DeviceResult::defenseExtraSeconds},
+    {"sim_defense_extra_joules", nullptr, &DeviceResult::defenseExtraJoules},
+}};
+
+/**
+ * Call @p visit(row, field) for each DEVICE_COUNTERS row in table
+ * order, @p field being the row's alternative. The walk unrolls at
+ * compile time, so each call inlines to its own row's loads and adds:
+ * the per-device fold does no per-row dispatch.
+ */
+template <typename Visit>
+void
+forEachCounter(Visit &&visit)
+{
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        (visit(DEVICE_COUNTERS[I],
+               std::get<DEVICE_COUNTERS[I].field.index()>(
+                   DEVICE_COUNTERS[I].field)),
+         ...);
+    }(std::make_index_sequence<DEVICE_COUNTERS.size()>{});
+}
+
+/**
  * Streaming fleet aggregation for one shard: fixed-size regardless of
- * how many devices fold into it. Sample stats are bounded MergeStat
- * reservoirs, counters are integer sums, and only the first
+ * how many devices fold into it. The DEVICE_COUNTERS totals are 64-bit
+ * sums and bounded MergeStat reservoirs, and only the first
  * MAX_FAILURE_DETAIL failed devices (lowest indices) keep their full
  * DeviceResult. merge() is written so that folding devices in index
  * order within shards and merging shards in index order reproduces
@@ -124,41 +257,15 @@ class WorkQueue
  */
 struct ShardAccumulator
 {
+    ShardAccumulator();
+
     std::uint64_t devices = 0;
-
-    MergeStat unlock{MergeStat::DEFAULT_CAP};
-    MergeStat lock{MergeStat::DEFAULT_CAP};
-    MergeStat filebench{MergeStat::DEFAULT_CAP};
-
-    std::uint64_t steps = 0;
-    std::uint64_t audits = 0;
-    std::uint64_t auditFailures = 0;
     std::uint64_t failedDevices = 0;
-    std::uint64_t attacks = 0;
-    std::uint64_t sensitiveProbes = 0;
-    std::uint64_t sensitiveLeaks = 0;
-    std::uint64_t nonSensitiveLeaks = 0;
-    std::uint64_t failedUnlocks = 0;
-    std::uint64_t faultsServiced = 0;
-    std::uint64_t bytesEncryptedOnLock = 0;
-    std::uint64_t bytesDecryptedOnDemand = 0;
-    std::uint64_t bytesDecryptedEager = 0;
-    std::uint64_t cyclesTotal = 0;
     std::uint64_t cyclesMax = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t busReads = 0;
-    std::uint64_t busWrites = 0;
-    // Defense-backend differential sums (all zero under the default
-    // Sentry backend on a passing fleet).
-    std::uint64_t defenseClaimBreaches = 0;
-    std::uint64_t defenseVulnerableHits = 0;
-    std::uint64_t defenseRekeys = 0;
-    std::uint64_t defenseEvictions = 0;
-    double defenseExtraSeconds = 0.0;
-    double defenseExtraJoules = 0.0;
     std::uint64_t seedHash = 0; //!< xor-fold of per-device seed mixes
-    probe::TraceCounters trace;
+    /** Each DEVICE_COUNTERS row's total, in the row's own field, with
+     * fleet-sized reservoirs; the other fields stay unused. */
+    DeviceResult totals;
 
     /** First-K failed devices by index, full detail. */
     std::vector<DeviceResult> failures;

@@ -212,6 +212,21 @@ TEST(FleetScenario, DeviceCountBoundsAreExact)
     EXPECT_EQ(parseFailure("devices 0" + tail).line(), 1u);
 }
 
+TEST(FleetScenario, CountDirectivesRefuseASign)
+{
+    // A count is base-10 digits, like a size: `heap +16KiB` is refused,
+    // and so are signed device and shard counts.
+    EXPECT_EQ(parseFailure("spawn a heap +16KiB\n").line(), 1u);
+    for (const std::string text :
+         {"devices +3\n", "devices -3\n", "shards +4\n", "shards -1\n"}) {
+        const ScenarioError e = parseFailure(text);
+        EXPECT_EQ(e.line(), 1u) << text;
+        EXPECT_NE(std::string(e.what()).find("malformed"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(FleetScenario, ShardAndAuditDirectivesParse)
 {
     const std::string tail = "\nlock\n";

@@ -2,9 +2,11 @@
  * @file
  * Worker/dispatcher engine coverage: MergeStat merge-order freedom and
  * reservoir accuracy, deterministic shard planning, WorkQueue
- * steal-half semantics (single-threaded unit + threaded hammer),
- * shard-count/thread-count invariance of the fleet's sim_ metrics, and
- * `--replay-device` digest parity with the full-fleet run.
+ * steal-half semantics (single-threaded unit + threaded hammer), the
+ * DEVICE_COUNTERS table (merge-order freedom of every row, one row
+ * moves only its own metrics, 64-bit totals), shard-count/thread-count
+ * invariance of the fleet's sim_ metrics, and `--replay-device` digest
+ * parity with the full-fleet run.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/logging.hh"
@@ -66,6 +70,48 @@ simFingerprintNoLayout(const FleetReport &report)
             continue;
         out += metric.name + "=" + metric.jsonValue() + "\n";
     }
+    return out;
+}
+
+/**
+ * Give @p row's field in @p result a value made from @p salt: a dyadic
+ * double for real rows, so every summation order is exact, and one
+ * sample (with its own priority) for sample rows.
+ */
+void
+setRow(DeviceResult &result, const DeviceCounter &row, std::uint64_t salt)
+{
+    std::visit(
+        [&](auto field) {
+            using Field = decltype(field);
+            if constexpr (std::is_same_v<Field, DeviceSamples>) {
+                MergeStat samples(DEVICE_SAMPLE_CAP);
+                samples.add(0.001 * static_cast<double>(salt),
+                            samplePriority(result.seed, salt, 0));
+                result.*field.stat = samples;
+            } else if constexpr (std::is_same_v<Field, TraceSum>) {
+                for (std::uint64_t TraceCounters::*member : field.fields) {
+                    if (member != nullptr)
+                        result.trace.*member = salt++;
+                }
+            } else if constexpr (std::is_same_v<Field,
+                                                double DeviceResult::*>) {
+                result.*field = 0.25 * static_cast<double>(salt);
+            } else {
+                result.*field = salt;
+            }
+        },
+        row.field);
+}
+
+/** buildMetrics of @p acc as one `name=value` line per metric. */
+std::string
+metricText(const ShardAccumulator &acc, const ShardPlan &plan)
+{
+    std::string out;
+    for (const FleetMetric &metric :
+         buildMetrics(acc, plan, core::DefenseKind::Sentry))
+        out += metric.name + "=" + metric.jsonValue() + "\n";
     return out;
 }
 
@@ -236,19 +282,17 @@ TEST_F(FleetShard, WorkQueueHammerClaimsEveryShardExactlyOnce)
 
 TEST_F(FleetShard, ShardAccumulatorMergeIsOrderIndependent)
 {
-    // Synthetic device results spread over 6 shards, merged in shuffled
-    // orders: every aggregate and the retained failure list must match
-    // the canonical in-order merge.
+    // Synthetic devices with a distinct value in every DEVICE_COUNTERS
+    // row (the three sample rows included), spread over 6 shards and
+    // merged in shuffled orders: the whole metric list and the retained
+    // failure list must match the canonical in-order merge.
     std::vector<DeviceResult> devices(60);
     for (unsigned i = 0; i < devices.size(); ++i) {
         DeviceResult &r = devices[i];
         r.index = i;
         r.seed = fleetDeviceSeed(7, i);
-        r.stepsExecuted = 3 + (i % 5);
-        r.simCycles = 1000 + i * 13;
-        r.l2Hits = i * 7;
-        r.unlock.add(0.001 * (i + 1),
-                     samplePriority(r.seed, 1, 0));
+        for (std::size_t k = 0; k < DEVICE_COUNTERS.size(); ++k)
+            setRow(r, DEVICE_COUNTERS[k], 1 + k * 1000 + i);
         if (i % 7 == 0) { // 9 failures — one past MAX_FAILURE_DETAIL
             r.ok = false;
             r.error = "synthetic failure " + std::to_string(i);
@@ -267,6 +311,8 @@ TEST_F(FleetShard, ShardAccumulatorMergeIsOrderIndependent)
     ShardAccumulator canonical;
     for (const ShardAccumulator &acc : shards)
         canonical.merge(acc);
+    const ShardPlan plan = planShards(60, 6);
+    const std::string want = metricText(canonical, plan);
 
     std::mt19937 shuffler(7);
     std::vector<unsigned> order(shards.size());
@@ -277,15 +323,7 @@ TEST_F(FleetShard, ShardAccumulatorMergeIsOrderIndependent)
         for (unsigned s : order)
             shuffled.merge(shards[s]);
 
-        EXPECT_EQ(shuffled.devices, canonical.devices);
-        EXPECT_EQ(shuffled.steps, canonical.steps);
-        EXPECT_EQ(shuffled.cyclesTotal, canonical.cyclesTotal);
-        EXPECT_EQ(shuffled.cyclesMax, canonical.cyclesMax);
-        EXPECT_EQ(shuffled.l2Hits, canonical.l2Hits);
-        EXPECT_EQ(shuffled.seedHash, canonical.seedHash);
-        EXPECT_EQ(shuffled.failedDevices, canonical.failedDevices);
-        EXPECT_EQ(shuffled.unlock.sortedValues(),
-                  canonical.unlock.sortedValues());
+        EXPECT_EQ(metricText(shuffled, plan), want);
         ASSERT_EQ(shuffled.failures.size(), canonical.failures.size());
         ASSERT_EQ(shuffled.failures.size(), MAX_FAILURE_DETAIL);
         for (std::size_t f = 0; f < shuffled.failures.size(); ++f)
@@ -296,6 +334,93 @@ TEST_F(FleetShard, ShardAccumulatorMergeIsOrderIndependent)
         EXPECT_EQ(shuffled.failures.back().index,
                   (MAX_FAILURE_DETAIL - 1) * 7);
     }
+}
+
+TEST_F(FleetShard, EachCounterRowMovesOnlyItsOwnMetrics)
+{
+    // Change one row's field at a time: only that row's metrics may
+    // move (and at least one must), and deviceDigest changes exactly
+    // when the row has a digest key.
+    const ShardPlan plan = planShards(1, 1);
+    DeviceResult base;
+    base.seed = fleetDeviceSeed(7, 0);
+    for (std::size_t k = 0; k < DEVICE_COUNTERS.size(); ++k)
+        setRow(base, DEVICE_COUNTERS[k], 1 + k * 1000);
+    ShardAccumulator baseAcc;
+    baseAcc.fold(base);
+    const std::vector<FleetMetric> want =
+        buildMetrics(baseAcc, plan, core::DefenseKind::Sentry);
+    std::set<std::string> names;
+    for (const FleetMetric &metric : want)
+        EXPECT_TRUE(names.insert(metric.name).second) << metric.name;
+
+    std::set<std::string> digestKeys;
+    for (std::size_t k = 0; k < DEVICE_COUNTERS.size(); ++k) {
+        const DeviceCounter &row = DEVICE_COUNTERS[k];
+        SCOPED_TRACE(k);
+        if (row.digestKey != nullptr) {
+            EXPECT_TRUE(digestKeys.insert(row.digestKey).second);
+        }
+        DeviceResult bumped = base;
+        setRow(bumped, row, 1 + k * 1000 + 500);
+        ShardAccumulator acc;
+        acc.fold(bumped);
+        const std::vector<FleetMetric> got =
+            buildMetrics(acc, plan, core::DefenseKind::Sentry);
+        ASSERT_EQ(got.size(), want.size());
+
+        std::set<std::string> own;
+        if (row.metric != nullptr)
+            own.insert(row.metric);
+        if (const auto *samples = std::get_if<DeviceSamples>(&row.field)) {
+            if (samples->percentiles != nullptr) {
+                for (const char *tag : {"_p50_us", "_p95_us", "_p99_us"})
+                    own.insert(std::string(samples->percentiles) + tag);
+            }
+            if (samples->mean != nullptr)
+                own.insert(samples->mean);
+        }
+        // The fleet's one max rule sits beside the table.
+        const auto *count =
+            std::get_if<std::uint64_t DeviceResult::*>(&row.field);
+        if (count != nullptr && *count == &DeviceResult::simCycles)
+            own.insert("sim_cycles_max");
+        std::set<std::string> moved;
+        for (std::size_t m = 0; m < got.size(); ++m) {
+            ASSERT_EQ(got[m].name, want[m].name);
+            if (got[m].jsonValue() != want[m].jsonValue())
+                moved.insert(got[m].name);
+        }
+        EXPECT_FALSE(moved.empty());
+        for (const std::string &name : moved)
+            EXPECT_TRUE(own.count(name)) << name << " moved";
+
+        // A trace row's fields reach the digest through its whole
+        // `trace` summary, which deviceDigest renders after the rows.
+        const bool digested = row.digestKey != nullptr ||
+                              std::holds_alternative<TraceSum>(row.field);
+        EXPECT_EQ(deviceDigest(bumped) != deviceDigest(base), digested);
+    }
+}
+
+TEST_F(FleetShard, CounterTotalsAreSixtyFourBit)
+{
+    // A million devices of a 5 000-step scenario sum more steps than 32
+    // bits hold; two devices of 3e9 steps stand in for them.
+    DeviceResult device;
+    device.stepsExecuted = 3'000'000'000ULL;
+    ShardAccumulator left, right;
+    left.fold(device);
+    right.fold(device);
+    left.merge(right);
+    const std::vector<FleetMetric> metrics =
+        buildMetrics(left, planShards(2, 1), core::DefenseKind::Sentry);
+    const auto steps = std::find_if(
+        metrics.begin(), metrics.end(), [](const FleetMetric &metric) {
+            return metric.name == "sim_steps_total";
+        });
+    ASSERT_NE(steps, metrics.end());
+    EXPECT_EQ(steps->u, 6'000'000'000ULL);
 }
 
 TEST_F(FleetShard, ShardCountAndThreadCountDoNotChangeSimMetrics)

@@ -2,9 +2,10 @@
  * @file
  * Fuzzer-core tests: trial generation and execution are bit-replayable
  * from the campaign seed, reproducer files round-trip through
- * format/parse, outcome classification matches the shrinker's
- * categories, and the pinned lockdown-glitch reproducer still fails
- * (and still shrinks) the way EXPERIMENTS.md records.
+ * format/parse, a replay honours the reproducer's platform directive,
+ * outcome classification matches the shrinker's categories, and the
+ * pinned lockdown-glitch reproducer still fails (and still shrinks)
+ * the way EXPERIMENTS.md records.
  */
 
 #include <gtest/gtest.h>
@@ -250,6 +251,29 @@ TEST(Fuzzer, ParseTrialFileRejectsMalformedInput)
                                           "lock\r\n");
     EXPECT_EQ(file.spec.seed, 0x2au);
     ASSERT_EQ(file.spec.scenario.steps.size(), 1u);
+}
+
+TEST(Fuzzer, ReplayHonoursTheReproducerPlatform)
+{
+    // A reproducer replays on the platform its scenario names, as a
+    // fleet run would: nexus4 has no cache locking, so Sentry refuses
+    // the background spawn there, while the default tegra3 runs it.
+    const TrialFile file =
+        parseTrialFile("seed 0x2a\n"
+                       "spawn snapshot\n"
+                       "[scenario]\n"
+                       "platform nexus4\n"
+                       "spawn mail sensitive background heap 64KiB\n"
+                       "lock\n");
+    const TrialOutcome outcome = runTrial(file.spec, quickOptions());
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_NE(outcome.error.find("background spawn of 'mail'"),
+              std::string::npos)
+        << outcome.error;
+
+    FuzzTrialSpec tegra3 = file.spec;
+    tegra3.scenario.hasPlatform = false;
+    EXPECT_TRUE(runTrial(tegra3, quickOptions()).ok);
 }
 
 TEST(Fuzzer, ClassifyOutcomeMapsErrorsToCategories)

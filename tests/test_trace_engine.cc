@@ -128,15 +128,13 @@ TEST(CounterSink, AccumulatesSocActivityUntilDetached)
     EXPECT_GE(c.dramReads, 1u); // L2 line fill reached the cell array
     EXPECT_GE(c.busReads, 1u);
     EXPECT_GT(c.busReadBytes, 0u);
-    EXPECT_GT(c.memOps(), 0u);
     EXPECT_NE(c.summary().find("busR:"), std::string::npos);
 
     const probe::TraceCounters frozen = c;
     sink.detach();
     EXPECT_FALSE(soc.trace().anyEnabled());
     soc.memory().write32(DRAM_BASE + 0x80, 1u);
-    EXPECT_EQ(sink.counters().memOps(), frozen.memOps());
-    EXPECT_EQ(sink.counters().busOps(), frozen.busOps());
+    EXPECT_EQ(sink.counters().summary(), frozen.summary());
 }
 
 TEST(ChromeTraceSink, RecordsTimelineAndWritesJson)
