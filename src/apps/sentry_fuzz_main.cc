@@ -28,95 +28,44 @@
  * written (checked before any trial runs).
  */
 
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "apps/command_line.hh"
 #include "common/logging.hh"
 #include "fault/fuzzer.hh"
-#include "fleet/scenario.hh"
-#include "fleet/shard.hh"
-#include "host/kernels.hh"
 
 using namespace sentry;
 
 namespace
 {
 
-void
-usage()
-{
-    std::printf(
-        "usage: sentry_fuzz [options]\n"
-        "  --seed HEX|DEC   campaign seed (default 0x5e47f0220000001)\n"
-        "  --trials N       trials to run (default 8)\n"
-        "  --jobs N         campaign worker threads (default 1; output\n"
-        "                   is identical for any job count)\n"
-        "  --steps N        approx. scenario steps per trial (default 18)\n"
-        "  --schedule FILE  replay a reproducer instead of fuzzing\n"
-        "  --repro-dir DIR  where to write reproducers (default '.')\n"
-        "  --no-shrink      keep failing trials unminimized\n"
-        "  --platform NAME  tegra3 or nexus4 (default tegra3)\n"
-        "  --defense NAME   pin every trial to one backend (sentry,\n"
-        "                   amnesia, or memshield; default: draw per\n"
-        "                   trial)\n"
-        "  --dram SIZE      per-trial DRAM, e.g. 16MiB\n"
-        "  --trace-out PATH write the last trial's timeline as\n"
-        "                   chrome://tracing JSON\n"
-        "  --snapshot       fork each trial device from a warmed COW\n"
-        "                   snapshot (fuzzes the fork path)\n"
-        "  --cold-boot      boot each trial device from scratch "
-        "(default)\n"
-        "  --host-info      print detected host CPU features and the\n"
-        "                   active kernel tier per hot path, then exit\n");
-}
-
-[[noreturn]] void
-usageError(const std::string &what)
-{
-    std::fprintf(stderr, "sentry_fuzz: %s\n", what.c_str());
-    usage();
-    std::exit(2);
-}
-
-const char *
-nextArg(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc)
-        usageError(std::string(flag) + " needs a value");
-    return argv[++i];
-}
-
-/** @return @p flag's value, a whole number of at most @p max. */
-std::uint64_t
-numberArg(int argc, char **argv, int &i, const char *flag,
-          std::uint64_t max = std::numeric_limits<unsigned>::max())
-{
-    const char *value = nextArg(argc, argv, i, flag);
-    try {
-        return fleet::parseUnsigned(value, max);
-    } catch (const std::exception &e) {
-        usageError(std::string(flag) + ": " + e.what());
-    }
-}
-
-/** Refuse @p flag's output @p path up front when it cannot be written. */
-void
-checkOutput(const char *flag, const std::string &path)
-{
-    try {
-        fleet::checkWritable(path);
-    } catch (const std::exception &e) {
-        usageError(std::string(flag) + ": " + e.what());
-    }
-}
+const char USAGE[] =
+    "usage: sentry_fuzz [options]\n"
+    "  --seed HEX|DEC   campaign seed (default 0x5e47f0220000001)\n"
+    "  --trials N       trials to run (default 8)\n"
+    "  --jobs N         campaign worker threads (default 1; output\n"
+    "                   is identical for any job count)\n"
+    "  --steps N        approx. scenario steps per trial (default 18)\n"
+    "  --schedule FILE  replay a reproducer instead of fuzzing\n"
+    "  --repro-dir DIR  where to write reproducers (default '.')\n"
+    "  --no-shrink      keep failing trials unminimized\n"
+    "  --platform NAME  tegra3 or nexus4 (default: the reproducer's,\n"
+    "                   else tegra3)\n"
+    "  --defense NAME   sentry, amnesia, or memshield (default: the\n"
+    "                   reproducer's, else drawn per trial)\n"
+    "  --dram SIZE      per-trial DRAM, 4MiB..1GiB (default 16MiB)\n"
+    "  --trace-out PATH write the last trial's timeline as\n"
+    "                   chrome://tracing JSON\n"
+    "  --snapshot       fork each trial device from a warmed COW\n"
+    "                   snapshot (fuzzes the fork path)\n"
+    "  --cold-boot      boot each trial device from scratch (default:\n"
+    "                   the reproducer's spawn line, else this)\n"
+    "  --host-info      print detected host CPU features and the\n"
+    "                   active kernel tier per hot path, then exit\n";
 
 std::string
 trialSummary(const fault::FuzzTrialSpec &spec)
@@ -148,6 +97,7 @@ replay(const std::string &path, const fault::FuzzOptions &options)
         return 2;
     }
 
+    fleet::applyPins(options.pins, file.spec.scenario, file.spec.spawn);
     const fault::TrialOutcome outcome =
         fault::runTrial(file.spec, options);
     std::printf("replay %s: seed 0x%llx (%s)\n", path.c_str(),
@@ -179,79 +129,39 @@ main(int argc, char **argv)
     std::string reproDir = ".";
     unsigned jobs = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--seed") == 0) {
-            options.seed = numberArg(argc, argv, i, arg, UINT64_MAX);
-        } else if (std::strcmp(arg, "--trials") == 0) {
-            options.trials =
-                static_cast<unsigned>(numberArg(argc, argv, i, arg));
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            jobs = static_cast<unsigned>(numberArg(argc, argv, i, arg));
-        } else if (std::strcmp(arg, "--steps") == 0) {
-            options.steps =
-                static_cast<unsigned>(numberArg(argc, argv, i, arg));
-        } else if (std::strcmp(arg, "--schedule") == 0) {
-            schedulePath = nextArg(argc, argv, i, arg);
-        } else if (std::strcmp(arg, "--repro-dir") == 0) {
-            reproDir = nextArg(argc, argv, i, arg);
-        } else if (std::strcmp(arg, "--no-shrink") == 0) {
+    apps::CommandLine cli("sentry_fuzz", USAGE, argc, argv);
+    cli.parse(options.device, options.pins, [&](std::string_view flag) {
+        if (flag == "--trials") {
+            options.trials = cli.count();
+        } else if (flag == "--jobs") {
+            jobs = cli.count();
+        } else if (flag == "--steps") {
+            options.steps = cli.count();
+        } else if (flag == "--schedule") {
+            schedulePath = cli.value();
+        } else if (flag == "--repro-dir") {
+            reproDir = cli.value();
+        } else if (flag == "--no-shrink") {
             options.shrink = false;
-        } else if (std::strcmp(arg, "--snapshot") == 0) {
-            options.spawnSnapshot = true;
-        } else if (std::strcmp(arg, "--cold-boot") == 0) {
-            options.spawnSnapshot = false;
-        } else if (std::strcmp(arg, "--trace-out") == 0) {
-            options.traceOutPath = nextArg(argc, argv, i, arg);
-        } else if (std::strcmp(arg, "--platform") == 0) {
-            const std::string name = nextArg(argc, argv, i, arg);
-            if (name == "tegra3")
-                options.platform = fleet::FleetPlatform::Tegra3;
-            else if (name == "nexus4")
-                options.platform = fleet::FleetPlatform::Nexus4;
-            else
-                usageError("unknown platform '" + name + "'");
-        } else if (std::strcmp(arg, "--defense") == 0) {
-            const std::string name = nextArg(argc, argv, i, arg);
-            const auto kind = core::parseDefenseKind(name);
-            if (!kind.has_value())
-                usageError("unknown defense backend '" + name + "'");
-            options.defense = *kind;
-        } else if (std::strcmp(arg, "--dram") == 0) {
-            try {
-                options.dramBytes =
-                    fleet::parseSize(nextArg(argc, argv, i, arg), 0);
-                fleet::checkDramBytes(options.dramBytes);
-            } catch (const std::exception &e) {
-                usageError(std::string("--dram: ") + e.what());
-            }
-        } else if (std::strcmp(arg, "--host-info") == 0) {
-            std::printf("%s", host::hostInfoString().c_str());
-            return 0;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            return 0;
         } else {
-            usageError(std::string("unknown option '") + arg + "'");
+            return false;
         }
-    }
+        return true;
+    });
     if (options.trials == 0 || options.steps == 0)
-        usageError("--trials and --steps must be positive");
+        cli.usageError("--trials and --steps must be positive");
     if (jobs == 0 || jobs > fleet::MAX_THREADS)
-        usageError("--jobs out of range (1.." +
-                   std::to_string(fleet::MAX_THREADS) + ")");
-    if (jobs > 1 && !options.traceOutPath.empty())
-        usageError("--trace-out needs --jobs 1 (a single trial's "
-                   "timeline cannot interleave workers)");
-    if (!options.traceOutPath.empty())
-        checkOutput("--trace-out", options.traceOutPath);
+        cli.usageError("--jobs out of range (1.." +
+                       std::to_string(fleet::MAX_THREADS) + ")");
+    if (jobs > 1 && !options.device.traceOutPath.empty())
+        cli.usageError("--trace-out needs --jobs 1 (a single trial's "
+                       "timeline cannot interleave workers)");
 
     if (!schedulePath.empty())
         return replay(schedulePath, options);
 
     std::printf("campaign seed 0x%llx: %u trials, ~%u steps each\n",
-                static_cast<unsigned long long>(options.seed),
+                static_cast<unsigned long long>(options.device.seed),
                 options.trials, options.steps);
 
     // Trials are independent (each builds its own device), so the
@@ -262,7 +172,7 @@ main(int argc, char **argv)
     // Plain bytes, not vector<bool>: workers write distinct elements
     // concurrently, which the bit-packed specialization cannot take.
     std::vector<unsigned char> failed(options.trials, 0);
-    const auto runTrialAt = [&](unsigned t) {
+    const auto runTrialAt = [&](unsigned t, fleet::DevicePool &) {
         std::string &out = reports[t];
         char head[64];
         const fault::FuzzTrialSpec spec =
@@ -293,7 +203,8 @@ main(int argc, char **argv)
         }
         char stem[64];
         std::snprintf(stem, sizeof stem, "/FUZZ_repro_%016llx_%u.fuzz",
-                      static_cast<unsigned long long>(options.seed), t);
+                      static_cast<unsigned long long>(options.device.seed),
+                      t);
         const std::string name = reproDir + stem;
         std::ofstream file(name, std::ios::binary | std::ios::trunc);
         if (file) {
@@ -305,24 +216,7 @@ main(int argc, char **argv)
         }
     };
 
-    const unsigned workers = std::min(jobs, options.trials);
-    if (workers <= 1) {
-        for (unsigned t = 0; t < options.trials; ++t)
-            runTrialAt(t);
-    } else {
-        fleet::WorkQueue queue(options.trials, workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                unsigned t = 0;
-                while (queue.next(w, t))
-                    runTrialAt(t);
-            });
-        }
-        for (std::thread &thread : pool)
-            thread.join();
-    }
+    fleet::fanOut(options.trials, jobs, runTrialAt);
 
     unsigned failures = 0;
     for (unsigned t = 0; t < options.trials; ++t) {

@@ -64,9 +64,6 @@ class SyntheticApp
     /** @return heap VMA base (tests poke specific pages). */
     VirtAddr heapBase() const { return heapBase_; }
 
-    /** @return DMA VMA base. */
-    VirtAddr dmaBase() const { return dmaBase_; }
-
   private:
     os::Kernel &kernel_;
     AppProfile profile_;

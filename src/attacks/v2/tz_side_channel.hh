@@ -56,8 +56,6 @@ class TzSecretService
     /** SMC: process nibble @p i, touching the mailbox accordingly. */
     void invoke(unsigned i);
 
-    PhysAddr mailboxBase() const { return sharedBase_; }
-
   private:
     hw::Soc &soc_;
     PhysAddr sharedBase_;

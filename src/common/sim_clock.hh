@@ -73,9 +73,6 @@ class SimStopwatch
         return clock_.toSeconds(clock_.now() - startCycles_);
     }
 
-    /** @return simulated cycles elapsed since construction or restart. */
-    Cycles elapsedCycles() const { return clock_.now() - startCycles_; }
-
     /** Restart the measurement window. */
     void restart() { startCycles_ = clock_.now(); }
 

@@ -89,9 +89,6 @@ class InvariantChecker
     /** Register a planted secret; feeds all subsequent checks. */
     void addMarker(SecretMarker marker);
 
-    /** Drop all registered markers. */
-    void clearMarkers() { markers_.clear(); }
-
     /** @return the registered markers. */
     const std::vector<SecretMarker> &markers() const { return markers_; }
 

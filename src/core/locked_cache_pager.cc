@@ -100,13 +100,6 @@ LockedCachePager::pageIn(os::Process &process, VirtAddr va, os::Pte &pte)
 }
 
 void
-LockedCachePager::evictAll()
-{
-    while (!residents_.empty())
-        evictOne();
-}
-
-void
 LockedCachePager::drainOnUnlock()
 {
     hw::Soc &soc = kernel_.soc();

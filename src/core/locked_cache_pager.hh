@@ -68,12 +68,6 @@ class LockedCachePager
     void pageIn(os::Process &process, VirtAddr va, os::Pte &pte);
 
     /**
-     * Page every resident page back out (encrypt + copy to DRAM home).
-     * Used when background mode ends with the device still locked.
-     */
-    void evictAll();
-
-    /**
      * Unlock-time drain: copy resident plaintext back to the DRAM homes
      * (the device is unlocked, DRAM plaintext is allowed again).
      */

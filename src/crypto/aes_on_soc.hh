@@ -150,9 +150,6 @@ class SimAesEngine : public BlockCipher
     /** @return where the state lives. */
     StatePlacement placement() const { return placement_; }
 
-    /** @return where the secret half of the state lives. */
-    SecretResidency secretResidency() const { return secrets_; }
-
     /** @return total plaintext+ciphertext bytes processed so far. */
     std::uint64_t bytesProcessed() const { return bytesProcessed_; }
 

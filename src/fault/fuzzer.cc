@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fleet/fleet.hh"
 
 namespace sentry::fault
 {
@@ -156,14 +155,13 @@ contains(const std::string &haystack, const char *needle)
 FuzzTrialSpec
 generateTrial(const FuzzOptions &options, unsigned index)
 {
-    Rng rng(options.seed ^
+    Rng rng(options.device.seed ^
             (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(index) + 1)));
 
     FuzzTrialSpec spec;
     spec.seed = rng.next64();
     if (spec.seed == 0)
         spec.seed = 0x5e47f022ULL;
-    spec.spawnSnapshot = options.spawnSnapshot;
 
     fleet::Scenario &scenario = spec.scenario;
     scenario.name = "fuzz-" + std::to_string(index);
@@ -277,28 +275,22 @@ generateTrial(const FuzzOptions &options, unsigned index)
         spec.faults.faults.push_back(fault);
     }
 
-    // Defense backend: pinned by --defense, else drawn. The draw is
-    // appended to the stream, so every earlier decision of a given
-    // campaign seed is unchanged from pre-backend campaigns.
-    scenario.hasDefense = true;
-    scenario.defense = options.defense.has_value()
-                           ? *options.defense
-                           : static_cast<core::DefenseKind>(
-                                 rng.below(core::DEFENSE_KIND_COUNT));
+    // Defense backend: drawn, unless a pin overwrites it below. The
+    // draw is the stream's last, so every earlier decision of a given
+    // campaign seed is the same whatever the pins.
+    scenario.defense = static_cast<core::DefenseKind>(
+        rng.below(core::DEFENSE_KIND_COUNT));
+    fleet::applyPins(options.pins, scenario, spec.spawn);
     return spec;
 }
 
 TrialOutcome
 runTrial(const FuzzTrialSpec &spec, const FuzzOptions &options)
 {
-    fleet::FleetOptions fleetOptions;
+    fleet::FleetOptions fleetOptions = options.device;
     fleetOptions.seed = spec.seed;
-    fleetOptions.platform = options.platform;
-    fleetOptions.dramBytes = options.dramBytes;
     fleetOptions.faultSchedule = &spec.faults;
-    fleetOptions.traceOutPath = options.traceOutPath;
-    if (spec.spawnSnapshot)
-        fleetOptions.spawnMode = fleet::SpawnMode::Snapshot;
+    fleetOptions.spawnMode = spec.spawn;
 
     // Resolved as a fleet run resolves them, so a reproducer replays
     // its scenario's platform, audit, and defense directives.
@@ -414,7 +406,7 @@ formatTrialFile(const FuzzTrialSpec &spec, const TrialOutcome *outcome)
     std::snprintf(seedHex, sizeof(seedHex), "0x%llx",
                   static_cast<unsigned long long>(spec.seed));
     out << "seed " << seedHex << '\n';
-    if (spec.spawnSnapshot)
+    if (spec.spawn == fleet::SpawnMode::Snapshot)
         out << "spawn snapshot\n";
     if (outcome != nullptr) {
         out << "expect " << (outcome->ok ? "ok" : "fail") << '\n';
@@ -480,7 +472,9 @@ parseTrialFile(const std::string &text)
                     throw std::runtime_error(
                         "spawn wants 'snapshot' or 'cold-boot', got '" +
                         value + "'");
-                file.spec.spawnSnapshot = value == "snapshot";
+                file.spec.spawn = value == "snapshot"
+                                      ? fleet::SpawnMode::Snapshot
+                                      : fleet::SpawnMode::ColdBoot;
             } else if (key == "expect") {
                 if (value != "ok" && value != "fail")
                     throw std::runtime_error(

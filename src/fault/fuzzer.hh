@@ -21,12 +21,11 @@
 #define SENTRY_FAULT_FUZZER_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/types.hh"
 #include "fault/fault.hh"
-#include "fleet/scenario.hh"
+#include "fleet/fleet.hh"
 
 namespace sentry::fault
 {
@@ -34,29 +33,20 @@ namespace sentry::fault
 /** Fuzzer knobs (all deterministic). */
 struct FuzzOptions
 {
-    std::uint64_t seed = 0x5e47f0220000001ULL; //!< campaign seed
     unsigned trials = 8;       //!< trials per campaign
     unsigned steps = 18;       //!< scenario steps per trial (approx.)
     bool shrink = true;        //!< shrink failures to minimal repros
     unsigned shrinkBudget = 96; //!< max extra runs spent shrinking
-    fleet::FleetPlatform platform = fleet::FleetPlatform::Tegra3;
-    std::size_t dramBytes = 16 * MiB; //!< per-trial simulated DRAM
     /**
-     * When non-empty, every trial writes its chrome://tracing timeline
-     * here (later trials overwrite earlier ones, so after a campaign
-     * the file holds the last run — replay a single reproducer to get
-     * the timeline of one specific trial).
+     * The one-device fleet each trial runs on. `seed` is the campaign
+     * seed: each trial derives its own, and runTrial also sets the
+     * trial's faults and spawn mode. A `traceOutPath` timeline is
+     * overwritten by each trial, so a campaign leaves the last one.
      */
-    std::string traceOutPath;
-    /** Spawn each trial device by forking a warmed snapshot instead of
-     * cold-booting it (fuzzes the fork path itself). */
-    bool spawnSnapshot = false;
-    /**
-     * Pin every trial to one defense backend (`--defense`); when unset
-     * the generator draws a backend per trial, so a campaign fuzzes all
-     * three designs under the same grammar.
-     */
-    std::optional<core::DefenseKind> defense;
+    fleet::FleetOptions device{.seed = 0x5e47f0220000001ULL};
+    /** Pins written into every generated trial (fleet::applyPins); with
+     * no pinned backend the generator draws one per trial. */
+    fleet::Pins pins;
 };
 
 /** One generated (or loaded) trial. */
@@ -66,7 +56,7 @@ struct FuzzTrialSpec
     fleet::Scenario scenario; //!< workload + attack interleaving
     FaultSchedule faults;     //!< scheduled hardware faults
     /** Recorded spawn mode, so a reproducer replays the same path. */
-    bool spawnSnapshot = false;
+    fleet::SpawnMode spawn = fleet::SpawnMode::ColdBoot;
 };
 
 /** Deterministic result of one trial run. */

@@ -89,7 +89,7 @@ struct FleetOptions
      * and writes it here as chrome://tracing JSON (one device only:
      * timelines of concurrent devices would interleave meaninglessly).
      */
-    std::string traceOutPath;
+    std::string traceOutPath{};
     /** Spawn path for every device (see SpawnMode). */
     SpawnMode spawnMode = SpawnMode::ColdBoot;
     /**
@@ -98,7 +98,7 @@ struct FleetOptions
      * callers may supply their own (e.g. one template reused across
      * many fleet runs). Immutable — safe to share between threads.
      */
-    std::shared_ptr<const core::DeviceSnapshot> templateSnapshot;
+    std::shared_ptr<const core::DeviceSnapshot> templateSnapshot{};
 };
 
 /**

@@ -6,7 +6,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -225,17 +224,26 @@ FleetReport::writeJson(const std::string &path) const
     return std::fclose(f) == 0;
 }
 
+void
+applyPins(const Pins &pins, Scenario &scenario, SpawnMode &spawn)
+{
+    if (pins.platform)
+        scenario.platform = pins.platform;
+    if (pins.defense)
+        scenario.defense = pins.defense;
+    if (pins.spawn)
+        spawn = *pins.spawn;
+}
+
 FleetOptions
 resolveFleetOptions(const Scenario &scenario, const FleetOptions &options)
 {
     validateOptions(options);
     FleetOptions effective = options;
-    if (scenario.hasPlatform)
-        effective.platform = scenario.platform;
-    if (scenario.hasAuditMode)
-        effective.auditEveryStep = scenario.auditEveryStep;
-    if (scenario.hasDefense)
-        effective.defense = scenario.defense;
+    effective.platform = scenario.platform.value_or(options.platform);
+    effective.auditEveryStep =
+        scenario.auditEveryStep.value_or(options.auditEveryStep);
+    effective.defense = scenario.defense.value_or(options.defense);
     if (effective.shards == 0)
         effective.shards = scenario.defaultShards;
     if (effective.spawnMode == SpawnMode::Snapshot &&
@@ -260,13 +268,9 @@ runFleet(const Scenario &scenario, const FleetOptions &options)
     std::vector<DeviceResult> results(
         effective.retainResults ? effective.devices : 0);
 
-    const unsigned workers =
-        std::min(effective.threads, plan.shardCount);
-    WorkQueue queue(plan.shardCount, workers);
-    const auto runShards = [&](unsigned worker) {
-        DevicePool pool;
-        unsigned shard = 0;
-        while (queue.next(worker, shard)) {
+    const std::uint64_t steals = fanOut(
+        plan.shardCount, effective.threads,
+        [&](unsigned shard, DevicePool &pool) {
             ShardAccumulator &acc = accumulators[shard];
             for (unsigned i = plan.begin(shard); i < plan.end(shard);
                  ++i) {
@@ -276,18 +280,7 @@ runFleet(const Scenario &scenario, const FleetOptions &options)
                 if (effective.retainResults)
                     results[i] = std::move(result);
             }
-        }
-    };
-    if (workers <= 1) {
-        runShards(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(runShards, w);
-        for (std::thread &t : pool)
-            t.join();
-    }
+        });
 
     // Canonical merge: shard-index order, independent of which worker
     // ran what when.
@@ -305,7 +298,7 @@ runFleet(const Scenario &scenario, const FleetOptions &options)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    report.steals = queue.steals();
+    report.steals = steals;
     report.allOk = total.failedDevices == 0;
     report.failedDevices = total.failedDevices;
     report.failures = std::move(total.failures);

@@ -28,6 +28,7 @@
 #define SENTRY_FLEET_FLEET_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,12 +110,29 @@ std::vector<FleetMetric> buildMetrics(const ShardAccumulator &total,
  */
 double percentile(std::vector<double> samples, double p);
 
+/** Device choices pinned on the command line; unset = not pinned. */
+struct Pins
+{
+    std::optional<FleetPlatform> platform;
+    std::optional<core::DefenseKind> defense;
+    std::optional<SpawnMode> spawn;
+};
+
+/**
+ * The precedence rule of sentry_fleet, a sentry_fuzz campaign and a
+ * `--schedule` replay: each pin overwrites @p scenario's directive, or
+ * @p spawn (FleetOptions::spawnMode or a reproducer's `spawn` line).
+ * resolveFleetOptions then applies the directives over the defaults:
+ * a flag beats a directive, which beats the default.
+ */
+void applyPins(const Pins &pins, Scenario &scenario, SpawnMode &spawn);
+
 /**
  * Resolve the options a fleet run actually executes with: scenario
- * directives (platform, shards, audits) applied over @p options, and a
- * template snapshot built when Snapshot mode has none. runFleet and
- * replayFleetDevice resolve identically — that is what makes a replay
- * bit-identical to the device's in-fleet run.
+ * directives (platform, shards, audits, defense) applied over
+ * @p options, and a template snapshot built when Snapshot mode has
+ * none. runFleet and replayFleetDevice resolve identically — that is
+ * what makes a replay bit-identical to the device's in-fleet run.
  * @throws std::invalid_argument on out-of-range options
  */
 FleetOptions resolveFleetOptions(const Scenario &scenario,

@@ -5,8 +5,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -108,20 +106,29 @@ Scenario::needsBackground() const
     return false;
 }
 
+std::optional<FleetPlatform>
+parsePlatform(std::string_view name)
+{
+    const auto it = std::ranges::find(PLATFORM_NAMES, name);
+    if (it == PLATFORM_NAMES.end())
+        return std::nullopt;
+    return static_cast<FleetPlatform>(it - PLATFORM_NAMES.begin());
+}
+
 std::size_t
-parseSize(const std::string &token, unsigned line)
+parseBytes(const std::string &token)
 {
     std::string number, suffix;
     splitNumberSuffix(token, number, suffix);
     if (number.empty() || number.find('.') != std::string::npos)
-        throw ScenarioError(line, "malformed size '" + token +
-                                      "' (want e.g. 4MiB, 512KiB, 4096)");
+        throw std::invalid_argument("malformed size '" + token +
+                                    "' (want e.g. 4MiB, 512KiB, 4096)");
     errno = 0;
     char *end = nullptr;
     const unsigned long long value =
         std::strtoull(number.c_str(), &end, 10);
     if (errno != 0 || end == nullptr || *end != '\0')
-        throw ScenarioError(line, "malformed size '" + token + "'");
+        throw std::invalid_argument("malformed size '" + token + "'");
     std::size_t unit = 1;
     if (suffix == "B" || suffix.empty())
         unit = 1;
@@ -132,16 +139,30 @@ parseSize(const std::string &token, unsigned line)
     else if (suffix == "GiB")
         unit = GiB;
     else
-        throw ScenarioError(line, "unknown size suffix '" + suffix +
-                                      "' in '" + token +
-                                      "' (use B, KiB, MiB, or GiB)");
+        throw std::invalid_argument("unknown size suffix '" + suffix +
+                                    "' in '" + token +
+                                    "' (use B, KiB, MiB, or GiB)");
     if (value == 0)
-        throw ScenarioError(line, "size must be non-zero: '" + token + "'");
+        throw std::invalid_argument("size must be non-zero: '" + token +
+                                    "'");
     const std::size_t bytes = static_cast<std::size_t>(value) * unit;
-    if (bytes / unit != value || bytes > MAX_STEP_BYTES)
-        throw ScenarioError(line, "size out of range: '" + token +
-                                      "' (max 256MiB)");
+    if (bytes / unit != value)
+        throw std::invalid_argument("size out of range: '" + token + "'");
     return bytes;
+}
+
+std::size_t
+parseSize(const std::string &token, unsigned line)
+{
+    try {
+        const std::size_t bytes = parseBytes(token);
+        if (bytes <= MAX_STEP_BYTES)
+            return bytes;
+    } catch (const std::invalid_argument &e) {
+        throw ScenarioError(line, e.what());
+    }
+    throw ScenarioError(line, "size out of range: '" + token +
+                                  "' (max 256MiB)");
 }
 
 void
@@ -153,39 +174,6 @@ checkDramBytes(std::size_t bytes)
     if (bytes % PAGE_SIZE != 0)
         throw std::invalid_argument(
             "per-device DRAM must be a whole number of 4KiB pages");
-}
-
-std::uint64_t
-parseUnsigned(const std::string &token, std::uint64_t max)
-{
-    // strtoull skips blanks and accepts a sign (negating the value), so
-    // the token must start with a digit and end where the number does.
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(token.c_str(), &end, 0);
-    const bool digitFirst =
-        !token.empty() && std::isdigit(static_cast<unsigned char>(token[0]));
-    if (!digitFirst || *end != '\0')
-        throw std::invalid_argument("malformed number '" + token + "'");
-    if (errno == ERANGE || value > max)
-        throw std::invalid_argument("'" + token + "' out of range (max " +
-                                    std::to_string(max) + ")");
-    return value;
-}
-
-void
-checkWritable(const std::string &path)
-{
-    std::error_code ec;
-    const bool existed = std::filesystem::exists(path, ec);
-    std::FILE *f = std::fopen(path.c_str(), "a");
-    if (f == nullptr)
-        throw std::invalid_argument("cannot write '" + path +
-                                    "': " + std::strerror(errno));
-    std::fclose(f);
-    if (!existed)
-        std::remove(path.c_str());
 }
 
 double
@@ -269,22 +257,19 @@ parseScenario(const std::string &text, const std::string &name)
                 throw ScenarioError(lineNo,
                                     "unknown audit mode '" + tokens[1] +
                                         "' (every_step or transitions)");
-            scenario.hasAuditMode = true;
             continue;
         }
         if (opcode == "defense") {
             if (argc != 1)
                 throw ScenarioError(lineNo, "defense takes one backend");
-            if (scenario.hasDefense)
+            if (scenario.defense)
                 throw ScenarioError(lineNo,
                                     "duplicate defense directive");
-            const auto kind = core::parseDefenseKind(tokens[1]);
-            if (!kind.has_value())
+            scenario.defense = core::parseDefenseKind(tokens[1]);
+            if (!scenario.defense)
                 throw ScenarioError(
                     lineNo, "unknown defense backend '" + tokens[1] +
                                 "' (sentry, amnesia, or memshield)");
-            scenario.defense = *kind;
-            scenario.hasDefense = true;
             continue;
         }
         if (opcode == "jitter") {
@@ -305,15 +290,12 @@ parseScenario(const std::string &text, const std::string &name)
         if (opcode == "platform") {
             if (argc != 1)
                 throw ScenarioError(lineNo, "platform takes one name");
-            if (tokens[1] == "tegra3")
-                scenario.platform = FleetPlatform::Tegra3;
-            else if (tokens[1] == "nexus4")
-                scenario.platform = FleetPlatform::Nexus4;
-            else
-                throw ScenarioError(lineNo, "unknown platform '" +
-                                                tokens[1] +
-                                                "' (tegra3 or nexus4)");
-            scenario.hasPlatform = true;
+            scenario.platform = parsePlatform(tokens[1]);
+            if (!scenario.platform)
+                throw ScenarioError(lineNo,
+                                    "unknown platform '" + tokens[1] +
+                                        "' (" + PLATFORM_NAMES[0] +
+                                        " or " + PLATFORM_NAMES[1] + ")");
             continue;
         }
         if (opcode == "spawn") {
@@ -531,12 +513,10 @@ formatScenario(const Scenario &scenario)
     std::ostringstream out;
     if (scenario.defaultDevices != 0)
         out << "devices " << scenario.defaultDevices << '\n';
-    if (scenario.hasPlatform) {
+    if (scenario.platform)
         out << "platform "
-            << (scenario.platform == FleetPlatform::Tegra3 ? "tegra3"
-                                                           : "nexus4")
+            << PLATFORM_NAMES[static_cast<std::size_t>(*scenario.platform)]
             << '\n';
-    }
     if (scenario.jitter > 0.0) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.9g", scenario.jitter * 100.0);
@@ -544,13 +524,13 @@ formatScenario(const Scenario &scenario)
     }
     if (scenario.defaultShards != 0)
         out << "shards " << scenario.defaultShards << '\n';
-    if (scenario.hasAuditMode) {
+    if (scenario.auditEveryStep) {
         out << "audits "
-            << (scenario.auditEveryStep ? "every_step" : "transitions")
+            << (*scenario.auditEveryStep ? "every_step" : "transitions")
             << '\n';
     }
-    if (scenario.hasDefense)
-        out << "defense " << core::defenseKindName(scenario.defense)
+    if (scenario.defense)
+        out << "defense " << core::defenseKindName(*scenario.defense)
             << '\n';
     for (const Step &step : scenario.steps)
         out << formatStep(step) << '\n';

@@ -55,6 +55,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/defense_backend.hh"
@@ -91,9 +92,16 @@ class ScenarioError : public std::runtime_error
 /** Simulated platform a scenario runs on. */
 enum class FleetPlatform
 {
-    Tegra3,
-    Nexus4,
+    Tegra3, //!< PL310 cache locking: Sentry's background mode runs
+    Nexus4, //!< no cache locking: iRAM placement, no background mode
 };
+
+/** DSL and command-line spelling of each FleetPlatform, in enum order. */
+inline constexpr std::array<const char *, 2> PLATFORM_NAMES{"tegra3",
+                                                            "nexus4"};
+
+/** @return the platform spelled @p name, or nullopt for none. */
+std::optional<FleetPlatform> parsePlatform(std::string_view name);
 
 /** Statement opcodes. */
 enum class Op
@@ -209,9 +217,8 @@ struct Scenario
     std::vector<Step> steps;
     /** `devices` directive value; 0 when the scenario didn't say. */
     unsigned defaultDevices = 0;
-    /** `platform` directive; engine default applies when unset. */
-    bool hasPlatform = false;
-    FleetPlatform platform = FleetPlatform::Tegra3;
+    /** `platform` directive; the engine default applies when unset. */
+    std::optional<FleetPlatform> platform;
     /**
      * `jitter` directive: fraction (0..0.9) by which each device
      * deterministically scales its sizes and durations, so a fleet
@@ -222,14 +229,12 @@ struct Scenario
     /** `shards` directive; 0 when the scenario didn't say (the engine
      * derives a device-count-only default — see planShards). */
     unsigned defaultShards = 0;
-    /** `audits` directive present? (engine default applies when not) */
-    bool hasAuditMode = false;
-    /** `audits` directive: true = every_step, false = transitions. */
-    bool auditEveryStep = true;
-    /** `defense` directive present? (engine default applies when not) */
-    bool hasDefense = false;
-    /** `defense` directive: which backend the devices run. */
-    core::DefenseKind defense = core::DefenseKind::Sentry;
+    /** `audits` directive: true = every_step, false = transitions;
+     * the engine default applies when unset. */
+    std::optional<bool> auditEveryStep;
+    /** `defense` directive: which backend the devices run; the engine
+     * default applies when unset. */
+    std::optional<core::DefenseKind> defense;
 
     /** @return true when any spawn asks for background execution. */
     bool needsBackground() const;
@@ -276,8 +281,15 @@ std::string formatStep(const Step &step);
 std::string formatScenario(const Scenario &scenario);
 
 /**
- * Parse a size token ("4MiB", "512KiB", "4096").
- * @throws ScenarioError (with @p line) when malformed or zero
+ * Parse a byte count ("4MiB", "512KiB", "4096"): an integer with an
+ * optional B/KiB/MiB/GiB suffix.
+ * @throws std::invalid_argument when malformed, zero or past size_t
+ */
+std::size_t parseBytes(const std::string &token);
+
+/**
+ * Parse a step's size token: parseBytes() capped at 256 MiB.
+ * @throws ScenarioError (with @p line) when malformed, zero or too big
  */
 std::size_t parseSize(const std::string &token, unsigned line);
 
@@ -287,22 +299,6 @@ std::size_t parseSize(const std::string &token, unsigned line);
  * @throws std::invalid_argument naming the rule @p bytes breaks
  */
 void checkDramBytes(std::size_t bytes);
-
-/**
- * Parse a whole unsigned command-line number: decimal, or hex with a 0x
- * prefix.
- * @throws std::invalid_argument when @p token is not one number from
- *         its first character to its last (a sign or trailing
- *         characters) or exceeds @p max
- */
-std::uint64_t parseUnsigned(const std::string &token, std::uint64_t max);
-
-/**
- * Check that an output file can be written at @p path, before a run
- * that would write it at the end. A file the check creates is removed.
- * @throws std::invalid_argument naming the path when it cannot
- */
-void checkWritable(const std::string &path);
 
 /**
  * Parse a duration token ("250ms", "2s", "100us").

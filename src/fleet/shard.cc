@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <type_traits>
 
 namespace sentry::fleet
@@ -128,6 +129,31 @@ WorkQueue::next(unsigned worker, unsigned &shard)
         ranges_[worker].span.store(pack(mid + 1, e));
         return true;
     }
+}
+
+std::uint64_t
+fanOut(unsigned items, unsigned threads,
+       const std::function<void(unsigned item, DevicePool &pool)> &work)
+{
+    const unsigned workers = std::min(threads, items);
+    WorkQueue queue(items, workers);
+    const auto drain = [&](unsigned worker) {
+        DevicePool pool;
+        unsigned item = 0;
+        while (queue.next(worker, item))
+            work(item, pool);
+    };
+    if (workers <= 1) {
+        drain(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(drain, w);
+        for (std::thread &thread : pool)
+            thread.join();
+    }
+    return queue.steals();
 }
 
 namespace

@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -98,11 +99,6 @@ class WorkQueue
         return steals_.load(std::memory_order_relaxed);
     }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(ranges_.size());
-    }
-
   private:
     /** One worker's remaining span, packed begin<<32 | end. */
     struct alignas(64) Range
@@ -115,6 +111,16 @@ class WorkQueue
     std::vector<Range> ranges_;
     std::atomic<std::uint64_t> steals_{0};
 };
+
+/**
+ * Run @p work(item, pool) for every item in [0, @p items) on
+ * min(@p threads, @p items) workers claiming items from one WorkQueue;
+ * @p pool is the worker's own. One worker runs on the calling thread.
+ * @return the queue's steal count
+ */
+std::uint64_t fanOut(
+    unsigned items, unsigned threads,
+    const std::function<void(unsigned item, DevicePool &pool)> &work);
 
 /**
  * The samples a DEVICE_COUNTERS row aggregates. The row prints their

@@ -423,14 +423,14 @@ hostInfoString()
         out += " (SENTRY_FORCE_PORTABLE)";
     out += "\naes kernel:     ";
     out += k.aes.tier;
-    out += "  (block + CBC: dm-crypt, MemShield engine, native audited "
-           "tier)";
+    out += "  (block + CBC: Sentry page crypto, dm-crypt, MemShield "
+           "engine)";
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
     out += "  (fleet audit scans, remanence pattern counts, power-loss "
            "decay)";
-    out += "\ntrace emission: batched per bus burst (sync subscribers "
-           "dispatch inline)";
+    out += "\ntrace emission: per event (subscribers dispatch inline, "
+           "counters fold at the emission site)";
     out += "\n";
     return out;
 }

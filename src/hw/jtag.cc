@@ -24,8 +24,7 @@ jtagPolicyName(JtagPolicy policy)
 
 JtagPort::JtagPort(JtagPolicy policy, std::string vendor_credential)
     : policy_(policy), credential_(std::move(vendor_credential)),
-      connectorPresent_(policy != JtagPolicy::Depopulated),
-      fuseBurned_(policy == JtagPolicy::FuseDisabled)
+      connectorPresent_(policy != JtagPolicy::Depopulated)
 {}
 
 void
@@ -34,16 +33,10 @@ JtagPort::resolderConnector()
     connectorPresent_ = true;
 }
 
-void
-JtagPort::burnDisableFuse()
-{
-    fuseBurned_ = true;
-}
-
 JtagStatus
 JtagPort::connect(const std::string &credential)
 {
-    if (fuseBurned_)
+    if (policy_ == JtagPolicy::FuseDisabled)
         return JtagStatus::Disabled;
     if (!connectorPresent_)
         return JtagStatus::NoConnector;

@@ -57,9 +57,6 @@ class JtagPort
     /** Solder a cable onto the depopulated pad (paper: Riff Box). */
     void resolderConnector();
 
-    /** Burn the disable fuse; irreversible. */
-    void burnDisableFuse();
-
     /**
      * Attempt to attach a debugger.
      * @param credential authentication string (Authenticated policy)
@@ -82,7 +79,6 @@ class JtagPort
     JtagPolicy policy_;
     std::string credential_;
     bool connectorPresent_;
-    bool fuseBurned_;
     bool connected_ = false;
 };
 

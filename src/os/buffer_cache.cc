@@ -77,11 +77,4 @@ BufferCache::write(std::uint64_t index, std::span<const std::uint8_t> buf,
         insert(index, buf);
 }
 
-void
-BufferCache::invalidateAll()
-{
-    lru_.clear();
-    map_.clear();
-}
-
 } // namespace sentry::os

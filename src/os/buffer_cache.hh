@@ -63,9 +63,6 @@ class BufferCache
     void write(std::uint64_t index, std::span<const std::uint8_t> buf,
                bool direct_io);
 
-    /** Drop every cached block. */
-    void invalidateAll();
-
     /** @return counters. */
     const BufferCacheStats &stats() const { return stats_; }
 

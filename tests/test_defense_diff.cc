@@ -207,7 +207,7 @@ TEST_F(DefenseDiff, DefaultSentryBitIdenticalToNoDirective)
         cellScenario(core::DefenseKind::Sentry, "dma");
     const Scenario bare =
         parseScenario(withoutDefenseLine(tagged), "defense-cell");
-    ASSERT_FALSE(bare.hasDefense);
+    ASSERT_FALSE(bare.defense);
 
     const DeviceResult withDirective = runCell(tagged);
     const DeviceResult withoutDirective = runCell(bare);
@@ -285,9 +285,9 @@ TEST_F(DefenseDiff, FuzzTrialsShareScheduleAcrossPinnedBackends)
     // draw of generateTrial, so the scenario body and fault schedule
     // of trial i are identical for every pinned backend.
     fault::FuzzOptions base;
-    base.seed = 0xd1ff5eedULL;
+    base.device.seed = 0xd1ff5eedULL;
     base.steps = 12;
-    base.dramBytes = 16 * MiB;
+    base.device.dramBytes = 16 * MiB;
 
     unsigned trialsWithAttacks = 0;
     for (unsigned index = 0; index < 6; ++index) {
@@ -295,10 +295,9 @@ TEST_F(DefenseDiff, FuzzTrialsShareScheduleAcrossPinnedBackends)
         std::vector<std::string> scheds;
         for (const core::DefenseKind kind : KINDS) {
             fault::FuzzOptions options = base;
-            options.defense = kind;
+            options.pins.defense = kind;
             const fault::FuzzTrialSpec spec =
                 fault::generateTrial(options, index);
-            EXPECT_TRUE(spec.scenario.hasDefense);
             EXPECT_EQ(spec.scenario.defense, kind);
             bodies.push_back(withoutDefenseLine(spec.scenario) + "#" +
                              std::to_string(spec.faults.faults.size()));

@@ -70,7 +70,6 @@ TEST(FleetScenario, ParsesFullGrammar)
         "zero_freed\n",
         "full");
     EXPECT_EQ(s.defaultDevices, 12u);
-    EXPECT_TRUE(s.hasPlatform);
     EXPECT_EQ(s.platform, FleetPlatform::Nexus4);
     EXPECT_DOUBLE_EQ(s.jitter, 0.25);
     EXPECT_TRUE(s.needsBackground());
@@ -241,16 +240,14 @@ TEST(FleetScenario, ShardAndAuditDirectivesParse)
 
     const Scenario unset = parseScenario("lock\n", "t");
     EXPECT_EQ(unset.defaultShards, 0u);
-    EXPECT_FALSE(unset.hasAuditMode);
+    EXPECT_FALSE(unset.auditEveryStep);
 
     const Scenario everyStep =
         parseScenario("audits every_step" + tail, "t");
-    EXPECT_TRUE(everyStep.hasAuditMode);
-    EXPECT_TRUE(everyStep.auditEveryStep);
+    EXPECT_EQ(everyStep.auditEveryStep, true);
     const Scenario transitions =
         parseScenario("audits transitions" + tail, "t");
-    EXPECT_TRUE(transitions.hasAuditMode);
-    EXPECT_FALSE(transitions.auditEveryStep);
+    EXPECT_EQ(transitions.auditEveryStep, false);
     EXPECT_EQ(parseFailure("audits sometimes" + tail).line(), 1u);
     EXPECT_EQ(parseFailure("audits" + tail).line(), 1u);
 }
@@ -264,16 +261,14 @@ TEST(FleetScenario, ShardAndAuditDirectivesRoundTrip)
     const Scenario second =
         parseScenario(formatScenario(first), first.name);
     EXPECT_EQ(second.defaultShards, 64u);
-    EXPECT_TRUE(second.hasAuditMode);
-    EXPECT_FALSE(second.auditEveryStep);
+    EXPECT_EQ(second.auditEveryStep, false);
 }
 
 TEST(FleetScenario, DefenseDirectiveParsesAndRoundTrips)
 {
     const std::string tail = "\nlock\n";
     const Scenario unset = parseScenario("lock\n", "t");
-    EXPECT_FALSE(unset.hasDefense);
-    EXPECT_EQ(unset.defense, core::DefenseKind::Sentry);
+    EXPECT_FALSE(unset.defense);
 
     const struct
     {
@@ -288,13 +283,11 @@ TEST(FleetScenario, DefenseDirectiveParsesAndRoundTrips)
         SCOPED_TRACE(backend.name);
         const Scenario first = parseScenario(
             std::string("defense ") + backend.name + tail, "t");
-        EXPECT_TRUE(first.hasDefense);
         EXPECT_EQ(first.defense, backend.kind);
         // formatScenario() must emit the directive back out so saved
         // fuzz repros keep their backend.
         const Scenario second =
             parseScenario(formatScenario(first), first.name);
-        EXPECT_TRUE(second.hasDefense);
         EXPECT_EQ(second.defense, backend.kind);
     }
 }
@@ -452,7 +445,6 @@ TEST(FleetScenario, FormatScenarioRoundTrips)
         parseScenario(formatScenario(first), first.name);
 
     EXPECT_EQ(second.defaultDevices, first.defaultDevices);
-    EXPECT_EQ(second.hasPlatform, first.hasPlatform);
     EXPECT_EQ(second.platform, first.platform);
     EXPECT_DOUBLE_EQ(second.jitter, first.jitter);
     ASSERT_EQ(second.steps.size(), first.steps.size());

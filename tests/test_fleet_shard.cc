@@ -545,8 +545,7 @@ TEST_F(FleetShard, FleetScalePresetRunsGreen)
     Scenario scenario = builtinScenario("fleet-scale");
     EXPECT_EQ(scenario.defaultDevices, 4096u);
     EXPECT_EQ(scenario.defaultShards, 256u);
-    EXPECT_TRUE(scenario.hasAuditMode);
-    EXPECT_FALSE(scenario.auditEveryStep);
+    EXPECT_EQ(scenario.auditEveryStep, false);
 
     FleetOptions options;
     options.devices = 64;

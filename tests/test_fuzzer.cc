@@ -2,10 +2,11 @@
  * @file
  * Fuzzer-core tests: trial generation and execution are bit-replayable
  * from the campaign seed, reproducer files round-trip through
- * format/parse, a replay honours the reproducer's platform directive,
- * outcome classification matches the shrinker's categories, and the
- * pinned lockdown-glitch reproducer still fails (and still shrinks)
- * the way EXPERIMENTS.md records.
+ * format/parse, a replay honours the reproducer's platform directive
+ * unless a pin (a command-line flag) beats it, a pinned campaign
+ * records its pins in every trial, outcome classification matches the
+ * shrinker's categories, and the pinned lockdown-glitch reproducer
+ * still fails (and still shrinks) the way EXPERIMENTS.md records.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +28,9 @@ FuzzOptions
 quickOptions()
 {
     FuzzOptions options;
-    options.seed = 0xfeedface;
+    options.device.seed = 0xfeedface;
     options.steps = 10;
-    options.dramBytes = 16 * MiB;
+    options.device.dramBytes = 16 * MiB;
     return options;
 }
 
@@ -104,7 +105,7 @@ TEST(Fuzzer, GeneratedAttackVerbsArePinned)
     };
     for (const auto &pin : pins) {
         FuzzOptions options;
-        options.seed = pin.seed;
+        options.device.seed = pin.seed;
         options.steps = pin.steps;
         const FuzzTrialSpec spec = generateTrial(options, pin.index);
         std::string attacks;
@@ -150,8 +151,8 @@ TEST(Fuzzer, ParallelJobsAreByteIdenticalPerBackend)
           core::DefenseKind::MemShield}) {
         SCOPED_TRACE(core::defenseKindName(kind));
         FuzzOptions options = quickOptions();
-        options.seed = 0xd1ff10b5ULL;
-        options.defense = kind;
+        options.device.seed = 0xd1ff10b5ULL;
+        options.pins.defense = kind;
         constexpr unsigned TRIALS = 6;
 
         std::vector<std::string> sequential(TRIALS);
@@ -189,12 +190,33 @@ TEST(Fuzzer, PinnedBackendCampaignKeepsItsBackend)
     // scenario text of each trial must carry the directive so saved
     // reproducers replay under the same design.
     FuzzOptions options = quickOptions();
-    options.defense = core::DefenseKind::MemShield;
+    options.pins.defense = core::DefenseKind::MemShield;
     for (unsigned i = 0; i < 4; ++i) {
         const FuzzTrialSpec spec = generateTrial(options, i);
-        EXPECT_TRUE(spec.scenario.hasDefense) << i;
         EXPECT_EQ(spec.scenario.defense, core::DefenseKind::MemShield)
             << i;
+    }
+}
+
+TEST(Fuzzer, PinnedPlatformCampaignRecordsItsPlatform)
+{
+    // `--platform X` pins every generated trial the way `--defense`
+    // does: the scenario carries the directive, so a saved reproducer
+    // replays on the same platform. Without the pin a trial names no
+    // platform, and the pin changes nothing else in the trial.
+    FuzzOptions pinned = quickOptions();
+    pinned.pins.platform = fleet::FleetPlatform::Nexus4;
+    for (unsigned i = 0; i < 4; ++i) {
+        const std::string text = formatTrialFile(generateTrial(pinned, i));
+        const std::string plain =
+            formatTrialFile(generateTrial(quickOptions(), i));
+        EXPECT_NE(text.find("\nplatform nexus4\n"), std::string::npos)
+            << text;
+        EXPECT_EQ(plain.find("platform"), std::string::npos) << plain;
+        std::string unpinned = text;
+        unpinned.erase(unpinned.find("platform nexus4\n"),
+                       std::string("platform nexus4\n").size());
+        EXPECT_EQ(unpinned, plain) << i;
     }
 }
 
@@ -272,8 +294,30 @@ TEST(Fuzzer, ReplayHonoursTheReproducerPlatform)
         << outcome.error;
 
     FuzzTrialSpec tegra3 = file.spec;
-    tegra3.scenario.hasPlatform = false;
+    tegra3.scenario.platform.reset();
     EXPECT_TRUE(runTrial(tegra3, quickOptions()).ok);
+}
+
+TEST(Fuzzer, ColdBootPinBeatsTheReproducerSpawnLine)
+{
+    // `--cold-boot` on a `spawn snapshot` reproducer: the pin replaces
+    // the header, so the trial is the same reproducer without the
+    // line, and a reproducer saved from it records no snapshot spawn.
+    const std::string body = "[scenario]\n"
+                             "spawn mail sensitive heap 64KiB\n"
+                             "lock\n"
+                             "attack dma\n";
+    TrialFile file = parseTrialFile("seed 0x2a\nspawn snapshot\n" + body);
+    ASSERT_EQ(file.spec.spawn, fleet::SpawnMode::Snapshot);
+    const TrialFile cold = parseTrialFile("seed 0x2a\n" + body);
+
+    FuzzOptions options = quickOptions();
+    options.pins.spawn = fleet::SpawnMode::ColdBoot;
+    fleet::applyPins(options.pins, file.spec.scenario, file.spec.spawn);
+    EXPECT_EQ(file.spec.spawn, fleet::SpawnMode::ColdBoot);
+    EXPECT_EQ(formatTrialFile(file.spec), formatTrialFile(cold.spec));
+    EXPECT_EQ(runTrial(file.spec, options).digest,
+              runTrial(cold.spec, options).digest);
 }
 
 TEST(Fuzzer, ClassifyOutcomeMapsErrorsToCategories)
