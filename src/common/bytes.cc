@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "host/kernels.hh"
 
 namespace sentry
 {
@@ -34,21 +33,56 @@ countPattern(std::span<const std::uint8_t> buf,
 {
     if (pattern.empty())
         panic("countPattern: empty pattern");
-    return host::kernels().bytes.countPattern(buf.data(), buf.size(),
-                                              pattern.data(),
-                                              pattern.size());
+    const std::size_t stride = pattern.size();
+    std::size_t hits = 0;
+    for (std::size_t off = 0; off + stride <= buf.size(); off += stride) {
+        if (std::memcmp(buf.data() + off, pattern.data(), stride) == 0)
+            ++hits;
+    }
+    return hits;
 }
+
+namespace
+{
+
+/**
+ * @return the index of the byte a containsBytes scan looks for: the
+ * needle's first byte that is not 0x00, or 0 when all are. Device
+ * memory is mostly zeroed, so looking for a 0x00 byte would make
+ * nearly every position there a memcmp candidate.
+ */
+std::size_t
+filterByte(std::span<const std::uint8_t> needle)
+{
+    std::size_t at = 0;
+    while (at < needle.size() && needle[at] == 0)
+        ++at;
+    return at == needle.size() ? 0 : at;
+}
+
+} // namespace
 
 bool
 containsBytes(std::span<const std::uint8_t> haystack,
               std::span<const std::uint8_t> needle)
 {
-    // The fleet audits scan every device's whole DRAM after every
-    // scenario step, so this path is hot and kernel-dispatched.
-    return host::kernels().bytes.containsBytes(haystack.data(),
-                                               haystack.size(),
-                                               needle.data(),
-                                               needle.size());
+    if (needle.empty() || needle.size() > haystack.size())
+        return false;
+    // memchr for the filter byte; a hit at p is a candidate at p - at.
+    const std::size_t at = filterByte(needle);
+    const std::uint8_t *p = haystack.data() + at;
+    const std::uint8_t *end =
+        haystack.data() + haystack.size() - needle.size() + 1 + at;
+    while (p < end) {
+        const auto *hit = static_cast<const std::uint8_t *>(std::memchr(
+            p, needle[at], static_cast<std::size_t>(end - p)));
+        if (hit == nullptr)
+            return false;
+        if (std::memcmp(hit - at, needle.data(), needle.size()) == 0)
+            return true;
+        p = hit + 1;
+    }
+    return false;
 }
 
 StreamMatcher::StreamMatcher(std::vector<std::vector<std::uint8_t>> needles)
@@ -114,7 +148,16 @@ StreamMatcher::feed(std::span<const std::uint8_t> chunk)
 bool
 allZero(std::span<const std::uint8_t> buf)
 {
-    return host::kernels().bytes.allZero(buf.data(), buf.size());
+    std::uint64_t acc = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= buf.size(); i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, buf.data() + i, 8);
+        acc |= word;
+    }
+    for (; i < buf.size(); ++i)
+        acc |= buf[i];
+    return acc == 0;
 }
 
 std::string

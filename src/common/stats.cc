@@ -166,4 +166,62 @@ MergeStat::sortedValues() const
     return values;
 }
 
+void
+ExactSum::add(double x)
+{
+    if (x == 0.0)
+        return;
+    // Two-sum x into each partial in turn: keep the rounding error
+    // (if any) as a partial and carry the rounded sum upward.
+    std::size_t kept = 0;
+    for (double y : partials_) {
+        if (std::fabs(x) < std::fabs(y))
+            std::swap(x, y);
+        const double hi = x + y;
+        const double lo = y - (hi - x);
+        if (lo != 0.0)
+            partials_[kept++] = lo;
+        x = hi;
+    }
+    partials_.resize(kept);
+    partials_.push_back(x);
+}
+
+void
+ExactSum::merge(const ExactSum &other)
+{
+    for (double partial : other.partials_)
+        add(partial);
+}
+
+double
+ExactSum::value() const
+{
+    std::size_t n = partials_.size();
+    if (n == 0)
+        return 0.0;
+    // Add from the top down until a sum is inexact.
+    double hi = partials_[--n];
+    double lo = 0.0;
+    while (n > 0) {
+        const double x = hi;
+        const double y = partials_[--n];
+        hi = x + y;
+        lo = y - (hi - x);
+        if (lo != 0.0)
+            break;
+    }
+    // hi + lo is exact. If lo is half an ulp of hi, hi took a tie;
+    // when the partials below lean the same way as lo, the sum is past
+    // the tie and rounds to hi + 2 lo instead.
+    if (n > 0 && ((lo < 0.0 && partials_[n - 1] < 0.0) ||
+                  (lo > 0.0 && partials_[n - 1] > 0.0))) {
+        const double y = lo * 2.0;
+        const double x = hi + y;
+        if (y == x - hi)
+            hi = x;
+    }
+    return hi;
+}
+
 } // namespace sentry

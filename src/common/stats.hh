@@ -154,6 +154,30 @@ class MergeStat
     std::vector<Weighted> keep_; //!< max-heap by (priority, value)
 };
 
+/**
+ * A sum of doubles rounded once: the running total is a list of
+ * non-overlapping partials whose sum is exact (Shewchuk's algorithm, as
+ * Python's math.fsum), and value() rounds that exact sum to the nearest
+ * double. The value therefore depends only on the multiset of addends,
+ * never on the order they were added or merged in, for any number of
+ * addends. Addends and their sum must be finite.
+ */
+class ExactSum
+{
+  public:
+    /** Add @p x exactly. */
+    void add(double x);
+
+    /** Add every addend of @p other exactly. */
+    void merge(const ExactSum &other);
+
+    /** @return the exact sum rounded to nearest, ties to even. */
+    double value() const;
+
+  private:
+    std::vector<double> partials_; //!< increasing magnitude
+};
+
 } // namespace sentry
 
 #endif // SENTRY_COMMON_STATS_HH

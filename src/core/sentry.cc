@@ -252,10 +252,9 @@ Sentry::onUnlock()
         if (!process->schedulable())
             kernel_.scheduler().makeSchedulable(process.get());
 
-        if (!options_.eagerDmaDecrypt)
-            continue;
         // DMA regions never fault (devices use physical addresses), so
-        // they must be whole before the device resumes.
+        // they are decrypted eagerly: they must be whole before the
+        // device resumes.
         for (const os::Vma &vma : process->addressSpace().vmas()) {
             if (vma.type != os::VmaType::DmaRegion)
                 continue;

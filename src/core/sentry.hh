@@ -80,8 +80,6 @@ struct SentryOptions
     bool backgroundMode = false;
     /** Locked ways dedicated to pager frames when backgroundMode. */
     unsigned pagerWays = 2;
-    /** Decrypt DMA regions eagerly at unlock (paper default: yes). */
-    bool eagerDmaDecrypt = true;
     /** Wait for the freed-page zero thread before locking. */
     bool waitForZeroThread = true;
     /** Clean the L2 after encrypt-on-lock so ciphertext reaches DRAM.

@@ -1,11 +1,11 @@
 #include "fault/fault.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "common/types.hh"
+#include "fleet/scenario.hh"
 
 namespace sentry::fault
 {
@@ -24,28 +24,6 @@ constexpr double MAX_SECONDS = 3600.0;
 
 /** DMA bursts above this are typos (and would dominate runtime). */
 constexpr std::size_t MAX_BURST_BYTES = 16 * MiB;
-
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::string current;
-    for (char c : line) {
-        if (c == '#')
-            break;
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!current.empty()) {
-                tokens.push_back(current);
-                current.clear();
-            }
-        } else {
-            current.push_back(c);
-        }
-    }
-    if (!current.empty())
-        tokens.push_back(current);
-    return tokens;
-}
 
 std::uint64_t
 parseU64(const std::string &token, unsigned line, const char *what)
@@ -126,7 +104,7 @@ parseFaultSchedule(const std::string &text)
         ++lineNo;
         if (!raw.empty() && raw.back() == '\r')
             raw.pop_back();
-        const std::vector<std::string> tokens = tokenize(raw);
+        const std::vector<std::string> tokens = fleet::tokenize(raw);
         if (tokens.empty())
             continue;
         if (tokens[0] != "fault")

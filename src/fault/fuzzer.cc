@@ -150,6 +150,48 @@ contains(const std::string &haystack, const char *needle)
     return haystack.find(needle) != std::string::npos;
 }
 
+/**
+ * Apply one header line of a reproducer (`seed`, `spawn`, `expect`, a
+ * comment or a blank) to @p file.
+ * @return true when the line sets the seed
+ * @throws std::runtime_error naming @p lineNo on a malformed line
+ */
+bool
+parseHeaderLine(const std::string &line, unsigned lineNo, TrialFile &file)
+{
+    const std::vector<std::string> tokens = fleet::tokenize(line);
+    if (tokens.empty())
+        return false;
+    const std::string &key = tokens[0];
+    const std::string value = tokens.size() > 1 ? tokens[1] : "";
+    const auto error = [lineNo](const std::string &what) {
+        return std::runtime_error("line " + std::to_string(lineNo) + ": " +
+                                  what);
+    };
+    if (key == "seed") {
+        char *end = nullptr;
+        file.spec.seed = std::strtoull(value.c_str(), &end, 0);
+        if (end == nullptr || *end != '\0' || value.empty())
+            throw error("malformed seed '" + value + "'");
+        return true;
+    }
+    if (key == "spawn") {
+        if (value != "snapshot" && value != "cold-boot")
+            throw error("spawn wants 'snapshot' or 'cold-boot', got '" +
+                        value + "'");
+        file.spec.spawn = value == "snapshot" ? fleet::SpawnMode::Snapshot
+                                              : fleet::SpawnMode::ColdBoot;
+    } else if (key == "expect") {
+        if (value != "ok" && value != "fail")
+            throw error("expect wants 'ok' or 'fail', got '" + value + "'");
+        file.hasExpectation = true;
+        file.expectFail = value == "fail";
+    } else {
+        throw error("unknown reproducer key '" + key + "'");
+    }
+    return false;
+}
+
 } // namespace
 
 FuzzTrialSpec
@@ -428,75 +470,27 @@ parseTrialFile(const std::string &text)
 {
     TrialFile file;
     bool haveSeed = false;
+    // Each section's parser sees every line of the file, those outside
+    // its section blank, so its errors and steps carry the file's line
+    // numbers.
     std::string scenarioText, faultText;
-    enum class Section
-    {
-        Header,
-        Scenario,
-        Faults,
-    } section = Section::Header;
+    std::string *section = nullptr; // header lines belong to neither
 
     std::istringstream stream(text);
     std::string raw;
-    while (std::getline(stream, raw)) {
+    for (unsigned lineNo = 1; std::getline(stream, raw); ++lineNo) {
         if (!raw.empty() && raw.back() == '\r')
             raw.pop_back();
-        std::string trimmed = raw;
-        const std::size_t firstNonSpace = trimmed.find_first_not_of(" \t");
-        if (firstNonSpace == std::string::npos)
-            continue;
-        if (trimmed[firstNonSpace] == '#')
-            continue;
-        if (trimmed == "[scenario]") {
-            section = Section::Scenario;
-            continue;
-        }
-        if (trimmed == "[faults]") {
-            section = Section::Faults;
-            continue;
-        }
-        switch (section) {
-          case Section::Header: {
-            std::istringstream line(trimmed);
-            std::string key, value;
-            line >> key >> value;
-            if (key == "seed") {
-                char *end = nullptr;
-                file.spec.seed = std::strtoull(value.c_str(), &end, 0);
-                if (end == nullptr || *end != '\0' || value.empty())
-                    throw std::runtime_error("malformed seed '" + value +
-                                             "'");
-                haveSeed = true;
-            } else if (key == "spawn") {
-                if (value != "snapshot" && value != "cold-boot")
-                    throw std::runtime_error(
-                        "spawn wants 'snapshot' or 'cold-boot', got '" +
-                        value + "'");
-                file.spec.spawn = value == "snapshot"
-                                      ? fleet::SpawnMode::Snapshot
-                                      : fleet::SpawnMode::ColdBoot;
-            } else if (key == "expect") {
-                if (value != "ok" && value != "fail")
-                    throw std::runtime_error(
-                        "expect wants 'ok' or 'fail', got '" + value +
-                        "'");
-                file.hasExpectation = true;
-                file.expectFail = value == "fail";
-            } else {
-                throw std::runtime_error("unknown reproducer key '" +
-                                         key + "'");
-            }
-            break;
-          }
-          case Section::Scenario:
-            scenarioText += raw;
-            scenarioText += '\n';
-            break;
-          case Section::Faults:
-            faultText += raw;
-            faultText += '\n';
-            break;
-        }
+        if (raw == "[scenario]")
+            section = &scenarioText;
+        else if (raw == "[faults]")
+            section = &faultText;
+        else if (section != nullptr)
+            *section += raw;
+        else
+            haveSeed |= parseHeaderLine(raw, lineNo, file);
+        scenarioText += '\n';
+        faultText += '\n';
     }
     if (!haveSeed)
         throw std::runtime_error("reproducer has no 'seed' line");

@@ -100,9 +100,9 @@ buildMetrics(const ShardAccumulator &total, const ShardPlan &plan,
         } else if constexpr (std::is_same_v<Field, TraceSum>) {
             m.push_back(
                 FleetMetric::ofInt(row.metric, field.of(totals.trace)));
-        } else if constexpr (std::is_same_v<Field,
-                                            double DeviceResult::*>) {
-            m.push_back(FleetMetric::ofDouble(row.metric, totals.*field));
+        } else if constexpr (std::is_same_v<Field, ExactDouble>) {
+            m.push_back(FleetMetric::ofDouble(
+                row.metric, (total.exact.*field.total).value()));
         } else {
             m.push_back(FleetMetric::ofInt(row.metric, totals.*field));
         }

@@ -21,28 +21,6 @@ constexpr std::size_t MAX_STEP_BYTES = 256 * MiB;
 /** Sleep/suspend durations above this would stall a fleet run. */
 constexpr double MAX_STEP_SECONDS = 3600.0;
 
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::string current;
-    for (char c : line) {
-        if (c == '#')
-            break;
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!current.empty()) {
-                tokens.push_back(current);
-                current.clear();
-            }
-        } else {
-            current.push_back(c);
-        }
-    }
-    if (!current.empty())
-        tokens.push_back(current);
-    return tokens;
-}
-
 bool
 validProcessName(const std::string &name)
 {
@@ -95,6 +73,28 @@ parseCount(const std::vector<std::string> &tokens, unsigned line,
 }
 
 } // namespace
+
+std::vector<std::string>
+tokenize(const std::string &line)
+{
+    std::vector<std::string> tokens;
+    std::string current;
+    for (char c : line) {
+        if (c == '#')
+            break;
+        if (std::isspace(static_cast<unsigned char>(c))) {
+            if (!current.empty()) {
+                tokens.push_back(current);
+                current.clear();
+            }
+        } else {
+            current.push_back(c);
+        }
+    }
+    if (!current.empty())
+        tokens.push_back(current);
+    return tokens;
+}
 
 bool
 Scenario::needsBackground() const

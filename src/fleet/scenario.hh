@@ -281,6 +281,12 @@ std::string formatStep(const Step &step);
 std::string formatScenario(const Scenario &scenario);
 
 /**
+ * Split one line of a line-oriented DSL (scenarios, fault schedules)
+ * into whitespace-separated tokens, dropping a `#` comment.
+ */
+std::vector<std::string> tokenize(const std::string &line);
+
+/**
  * Parse a byte count ("4MiB", "512KiB", "4096"): an integer with an
  * optional B/KiB/MiB/GiB suffix.
  * @throws std::invalid_argument when malformed, zero or past size_t

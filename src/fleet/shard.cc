@@ -160,9 +160,11 @@ namespace
 {
 
 /** Add @p part's DEVICE_COUNTERS values (a device's or a shard's
- * totals) into @p totals. */
+ * totals) into @p totals; @p addExact(row) adds an ExactDouble row. */
+template <typename AddExact>
 void
-addCounters(DeviceResult &totals, const DeviceResult &part)
+addCounters(DeviceResult &totals, const DeviceResult &part,
+            AddExact &&addExact)
 {
     forEachCounter([&](const DeviceCounter &, auto field) {
         using Field = decltype(field);
@@ -175,6 +177,8 @@ addCounters(DeviceResult &totals, const DeviceResult &part)
                 if (member != nullptr)
                     totals.trace.*member += part.trace.*member;
             }
+        } else if constexpr (std::is_same_v<Field, ExactDouble>) {
+            addExact(field);
         } else {
             totals.*field += part.*field;
         }
@@ -195,7 +199,9 @@ void
 ShardAccumulator::fold(const DeviceResult &result)
 {
     ++devices;
-    addCounters(totals, result);
+    addCounters(totals, result, [&](const ExactDouble &row) {
+        (exact.*row.total).add(result.*row.field);
+    });
     cyclesMax = std::max<std::uint64_t>(cyclesMax, result.simCycles);
     seedHash ^= result.seed * 0x2545f4914f6cdd1dULL;
     if (!result.ok) {
@@ -212,7 +218,9 @@ ShardAccumulator::merge(const ShardAccumulator &other)
 {
     devices += other.devices;
     failedDevices += other.failedDevices;
-    addCounters(totals, other.totals);
+    addCounters(totals, other.totals, [&](const ExactDouble &row) {
+        (exact.*row.total).merge(other.exact.*row.total);
+    });
     cyclesMax = std::max(cyclesMax, other.cyclesMax);
     seedHash ^= other.seedHash;
     // Index-merge two sorted failure lists and keep the K lowest
@@ -289,8 +297,8 @@ deviceDigest(const DeviceResult &result)
             digestAppendStat(text, row.digestKey, result.*field.stat);
         else if constexpr (std::is_same_v<Field, TraceSum>)
             digestAppendU64(text, row.digestKey, field.of(result.trace));
-        else if constexpr (std::is_same_v<Field, double DeviceResult::*>)
-            digestAppendF(text, row.digestKey, result.*field);
+        else if constexpr (std::is_same_v<Field, ExactDouble>)
+            digestAppendF(text, row.digestKey, result.*field.field);
         else
             digestAppendU64(text, row.digestKey, result.*field);
     });

@@ -17,9 +17,9 @@
  * accumulators in shard-index order once all workers join. The merge
  * tree therefore depends only on (devices, shard count) — identical
  * for any thread count and any steal schedule — and every merged
- * quantity is either associative (integer sums, max, xor) or computed
- * from an order-independent retained set (MergeStat), so `sim_*`
- * metrics replay bit-identically.
+ * quantity is either associative (integer sums, exact double sums, max,
+ * xor) or computed from an order-independent retained set (MergeStat),
+ * so `sim_*` metrics replay bit-identically.
  */
 
 #ifndef SENTRY_FLEET_SHARD_HH
@@ -155,18 +155,33 @@ struct TraceSum
     }
 };
 
+/** The fleet totals of the DEVICE_COUNTERS rows that sum doubles. */
+struct ExactTotals
+{
+    ExactSum defenseExtraSeconds;
+    ExactSum defenseExtraJoules;
+};
+
+/** A double a DEVICE_COUNTERS row sums, and where its total lives. */
+struct ExactDouble
+{
+    double DeviceResult::*field;
+    ExactSum ExactTotals::*total;
+};
+
 /**
  * One fleet-aggregated DeviceResult value: the field, the `sim_*` key
  * of its fleet total (nullptr: none), and its deviceDigest key
  * (nullptr: not digested). Integers and trace sums add in 64 bits,
- * doubles add in fold order, samples merge their reservoirs.
+ * doubles add exactly and round once when the metrics are built,
+ * samples merge their reservoirs.
  */
 struct DeviceCounter
 {
     const char *metric;
     const char *digestKey;
-    std::variant<std::uint64_t DeviceResult::*, double DeviceResult::*,
-                 DeviceSamples, TraceSum>
+    std::variant<std::uint64_t DeviceResult::*, ExactDouble, DeviceSamples,
+                 TraceSum>
         field;
 };
 
@@ -175,7 +190,8 @@ struct DeviceCounter
  * fold and merge, the fleet metrics and deviceDigest walk this table;
  * rows print their metrics in table order, and digested rows keep
  * deviceDigest's key order. Adding a counter touches its DeviceResult
- * field, one row, and the line in Runner::snapshot that sets it.
+ * field, one row, and the line in Runner::snapshot that sets it (and,
+ * for a double, its ExactTotals field).
  */
 inline constexpr std::array<DeviceCounter, 33> DEVICE_COUNTERS{{
     {"sim_steps_total", "steps", &DeviceResult::stepsExecuted},
@@ -230,8 +246,11 @@ inline constexpr std::array<DeviceCounter, 33> DEVICE_COUNTERS{{
     {"sim_defense_rekeys", nullptr, &DeviceResult::defenseRekeys},
     {"sim_defense_evictions", nullptr, &DeviceResult::defenseEvictions},
     {"sim_defense_extra_seconds", nullptr,
-     &DeviceResult::defenseExtraSeconds},
-    {"sim_defense_extra_joules", nullptr, &DeviceResult::defenseExtraJoules},
+     ExactDouble{&DeviceResult::defenseExtraSeconds,
+                 &ExactTotals::defenseExtraSeconds}},
+    {"sim_defense_extra_joules", nullptr,
+     ExactDouble{&DeviceResult::defenseExtraJoules,
+                 &ExactTotals::defenseExtraJoules}},
 }};
 
 /**
@@ -253,13 +272,12 @@ forEachCounter(Visit &&visit)
 }
 
 /**
- * Streaming fleet aggregation for one shard: fixed-size regardless of
- * how many devices fold into it. The DEVICE_COUNTERS totals are 64-bit
- * sums and bounded MergeStat reservoirs, and only the first
- * MAX_FAILURE_DETAIL failed devices (lowest indices) keep their full
- * DeviceResult. merge() is written so that folding devices in index
- * order within shards and merging shards in index order reproduces
- * the legacy whole-fleet aggregation bit for bit.
+ * Streaming fleet aggregation for one shard: bounded in size however
+ * many devices fold into it. The DEVICE_COUNTERS totals are 64-bit
+ * sums, exact double sums and bounded MergeStat reservoirs, and only
+ * the first MAX_FAILURE_DETAIL failed devices (lowest indices) keep
+ * their full DeviceResult. fold() and merge() commute and associate,
+ * so no shard plan or merge order changes a total.
  */
 struct ShardAccumulator
 {
@@ -270,8 +288,10 @@ struct ShardAccumulator
     std::uint64_t cyclesMax = 0;
     std::uint64_t seedHash = 0; //!< xor-fold of per-device seed mixes
     /** Each DEVICE_COUNTERS row's total, in the row's own field, with
-     * fleet-sized reservoirs; the other fields stay unused. */
+     * fleet-sized reservoirs; the other fields stay unused, and the
+     * rows that sum doubles keep their totals in `exact`. */
     DeviceResult totals;
+    ExactTotals exact;
 
     /** First-K failed devices by index, full detail. */
     std::vector<DeviceResult> failures;

@@ -1,13 +1,11 @@
 /**
  * @file
- * AVX2 byte kernel tier for x86-64.
- *
- * The fleet audits dump and grep every device's whole DRAM after every
- * scenario step, and the Table 2 remanence methodology counts aligned
- * 8-byte pattern strides over full memory images — these scans dominate
- * bench_fleet's host wall once AES is hardware-accelerated. Every power
- * loss decays each written page, which the serial draw stream would
- * otherwise bound at one 64-bit draw per four bytes.
+ * AVX2 power-loss decay tier for x86-64, the one byte kernel with an
+ * accelerated tier. Every power loss decays each written page, which
+ * the serial draw stream would otherwise bound at one 64-bit draw per
+ * four bytes; here four generator lanes decay a page's quarters at
+ * once. (The byte scans of common/bytes.hh have one portable body: no
+ * workload gained from an AVX2 tier of theirs.)
  */
 
 #include "host/kernels_detail.hh"
@@ -23,117 +21,6 @@ namespace sentry::host::detail
 
 namespace
 {
-
-/** Portable stride loop shared with odd pattern sizes and tails. */
-std::size_t
-scalarCountPattern(const std::uint8_t *buf, std::size_t len,
-                   const std::uint8_t *pattern, std::size_t patternLen,
-                   std::size_t startOffset)
-{
-    std::size_t hits = 0;
-    for (std::size_t off = startOffset; off + patternLen <= len;
-         off += patternLen) {
-        if (std::memcmp(buf + off, pattern, patternLen) == 0)
-            ++hits;
-    }
-    return hits;
-}
-
-/** Aligned-stride counting: the 8-byte pattern case compares four
- *  strides per 256-bit lane (the strides tile the buffer exactly). */
-__attribute__((target("avx2"))) std::size_t
-avx2CountPattern(const std::uint8_t *buf, std::size_t len,
-                 const std::uint8_t *pattern, std::size_t patternLen)
-{
-    if (patternLen != 8)
-        return scalarCountPattern(buf, len, pattern, patternLen, 0);
-    std::uint64_t pat;
-    std::memcpy(&pat, pattern, 8);
-    const __m256i vpat =
-        _mm256_set1_epi64x(static_cast<long long>(pat));
-    std::size_t hits = 0;
-    std::size_t off = 0;
-    for (; off + 32 <= len; off += 32) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(buf + off));
-        const __m256i eq = _mm256_cmpeq_epi64(v, vpat);
-        hits += static_cast<unsigned>(__builtin_popcount(
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq))));
-    }
-    return hits + scalarCountPattern(buf, len, pattern, 8, off);
-}
-
-/** SIMD filter on two needle bytes (needleFilter: the first and last
- *  that are not 0x00), memcmp on the survivors. */
-__attribute__((target("avx2"))) bool
-avx2ContainsBytes(const std::uint8_t *haystack, std::size_t hayLen,
-                  const std::uint8_t *needle, std::size_t needleLen)
-{
-    if (needleLen == 0 || needleLen > hayLen)
-        return false;
-    if (needleLen == 1) {
-        return std::memchr(haystack, needle[0], hayLen) != nullptr;
-    }
-    const NeedleFilter at = needleFilter(needle, needleLen);
-    const __m256i first = _mm256_set1_epi8(
-        static_cast<char>(needle[at.first]));
-    const __m256i last = _mm256_set1_epi8(
-        static_cast<char>(needle[at.last]));
-    const std::size_t span = hayLen - needleLen + 1;
-    const std::uint8_t *heads = haystack + at.first;
-    const std::uint8_t *tails = haystack + at.last;
-    std::size_t i = 0;
-    for (; i + 32 <= span; i += 32) {
-        const __m256i head = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(heads + i));
-        const __m256i tail = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tails + i));
-        std::uint32_t mask = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(_mm256_and_si256(
-                _mm256_cmpeq_epi8(head, first),
-                _mm256_cmpeq_epi8(tail, last))));
-        // Candidates are rare: keep the scan's state in registers.
-        while (__builtin_expect(mask != 0, 0)) {
-            const unsigned bit =
-                static_cast<unsigned>(__builtin_ctz(mask));
-            mask &= mask - 1;
-            if (std::memcmp(haystack + i + bit, needle, needleLen) == 0)
-                return true;
-        }
-    }
-    for (; i < span; ++i) {
-        if (heads[i] == needle[at.first] &&
-            std::memcmp(haystack + i, needle, needleLen) == 0)
-            return true;
-    }
-    return false;
-}
-
-__attribute__((target("avx2"))) bool
-avx2AllZero(const std::uint8_t *buf, std::size_t len)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 128 <= len; i += 128) {
-        auto *p = reinterpret_cast<const __m256i *>(buf + i);
-        const __m256i a = _mm256_or_si256(_mm256_loadu_si256(p),
-                                          _mm256_loadu_si256(p + 1));
-        const __m256i b = _mm256_or_si256(_mm256_loadu_si256(p + 2),
-                                          _mm256_loadu_si256(p + 3));
-        acc = _mm256_or_si256(acc, _mm256_or_si256(a, b));
-    }
-    for (; i + 32 <= len; i += 32) {
-        acc = _mm256_or_si256(acc,
-                              _mm256_loadu_si256(reinterpret_cast<
-                                                 const __m256i *>(buf + i)));
-    }
-    if (!_mm256_testz_si256(acc, acc))
-        return false;
-    std::uint8_t tail = 0;
-    for (; i < len; ++i)
-        tail |= buf[i];
-    return tail == 0;
-}
 
 template <int K>
 __attribute__((target("avx2"))) inline __m256i
@@ -262,8 +149,7 @@ x86BytesKernel(BytesKernel &out, const CpuFeatures &features)
 {
     if (!features.avx2)
         return false;
-    out = BytesKernel{"avx2", avx2CountPattern, avx2ContainsBytes,
-                      avx2AllZero, avx2DecayPage};
+    out = BytesKernel{"avx2", avx2DecayPage};
     return true;
 }
 

@@ -17,9 +17,8 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// Portable tier: exactly the code the scattered fast paths ran before
-// the registry existed (T-table AES via the native round engine, the
-// stride/memchr scan loops). It is both the fallback and the reference
+// Portable tier: T-table AES via the native round engine and the
+// word-wise decay blend. It is both the fallback and the reference
 // every accelerated tier is verified against.
 // ---------------------------------------------------------------------
 
@@ -71,55 +70,6 @@ portableCbcDecrypt(const crypto::AesKeySchedule &schedule,
     }
 }
 
-std::size_t
-portableCountPattern(const std::uint8_t *buf, std::size_t len,
-                     const std::uint8_t *pattern, std::size_t patternLen)
-{
-    std::size_t hits = 0;
-    for (std::size_t off = 0; off + patternLen <= len; off += patternLen) {
-        if (std::memcmp(buf + off, pattern, patternLen) == 0)
-            ++hits;
-    }
-    return hits;
-}
-
-bool
-portableContainsBytes(const std::uint8_t *haystack, std::size_t hayLen,
-                      const std::uint8_t *needle, std::size_t needleLen)
-{
-    if (needleLen == 0 || needleLen > hayLen)
-        return false;
-    // memchr for the filter byte; a hit at p is a candidate at p - at.
-    const std::size_t at = detail::needleFilter(needle, needleLen).first;
-    const std::uint8_t *p = haystack + at;
-    const std::uint8_t *end = haystack + hayLen - needleLen + 1 + at;
-    while (p < end) {
-        const auto *hit = static_cast<const std::uint8_t *>(std::memchr(
-            p, needle[at], static_cast<std::size_t>(end - p)));
-        if (hit == nullptr)
-            return false;
-        if (std::memcmp(hit - at, needle, needleLen) == 0)
-            return true;
-        p = hit + 1;
-    }
-    return false;
-}
-
-bool
-portableAllZero(const std::uint8_t *buf, std::size_t len)
-{
-    std::uint64_t acc = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, buf + i, 8);
-        acc |= w;
-    }
-    for (; i < len; ++i)
-        acc |= buf[i];
-    return acc == 0;
-}
-
 Rng::State
 portableDecayPage(std::uint8_t *cells, std::size_t len, Rng::State state,
                   std::uint32_t threshold, std::uint8_t ground)
@@ -165,13 +115,7 @@ constexpr AesKernel PORTABLE_AES = {
     portableCbcEncrypt, portableCbcDecrypt,
 };
 
-constexpr BytesKernel PORTABLE_BYTES = {
-    "portable",
-    portableCountPattern,
-    portableContainsBytes,
-    portableAllZero,
-    portableDecayPage,
-};
+constexpr BytesKernel PORTABLE_BYTES = {"portable", portableDecayPage};
 
 // ---------------------------------------------------------------------
 // Verification on first use: an accelerated tier is adopted only after
@@ -255,85 +199,6 @@ verifyAesKernel(const AesKernel &candidate)
 bool
 verifyBytesKernel(const BytesKernel &candidate)
 {
-    std::vector<std::uint8_t> hay(4096 + 13);
-    fillDeterministic(hay.data(), hay.size(), 0x5ca1ab1e);
-
-    const std::uint8_t pat8[8] = {0xde, 0xc0, 0xde, 0xd0, 0x0d, 0x1e, 0xe7, 0x5e};
-    // Plant stride-aligned copies, including one straddling the last
-    // full stride, plus an unaligned copy countPattern must NOT count.
-    std::memcpy(hay.data() + 8 * 3, pat8, 8);
-    std::memcpy(hay.data() + 8 * 200, pat8, 8);
-    std::memcpy(hay.data() + 8 * 511, pat8, 8);
-    std::memcpy(hay.data() + 8 * 100 + 3, pat8, 8);
-
-    for (std::size_t len : {hay.size(), std::size_t{64}, std::size_t{7},
-                            std::size_t{0}}) {
-        if (candidate.countPattern(hay.data(), len, pat8, 8) !=
-            PORTABLE_BYTES.countPattern(hay.data(), len, pat8, 8))
-            return false;
-    }
-    const std::uint8_t pat3[3] = {0xaa, 0xbb, 0xcc};
-    if (candidate.countPattern(hay.data(), hay.size(), pat3, 3) !=
-        PORTABLE_BYTES.countPattern(hay.data(), hay.size(), pat3, 3))
-        return false;
-
-    // containsBytes: present (middle, head, tail), absent, and
-    // single-byte needles.
-    std::uint8_t needle[21];
-    std::memcpy(needle, hay.data() + 1234, sizeof(needle));
-    const std::uint8_t absent[5] = {0x00, 0x01, 0x02, 0x03, 0x04};
-    struct
-    {
-        const std::uint8_t *n;
-        std::size_t len;
-    } probes[] = {
-        {needle, sizeof(needle)}, {hay.data(), 16},
-        {hay.data() + hay.size() - 9, 9}, {absent, sizeof(absent)},
-        {needle, 1},              {needle, 2},
-    };
-    for (const auto &probe : probes) {
-        if (candidate.containsBytes(hay.data(), hay.size(), probe.n,
-                                    probe.len) !=
-            PORTABLE_BYTES.containsBytes(hay.data(), hay.size(), probe.n,
-                                         probe.len))
-            return false;
-    }
-
-    // Needles with 0x00 ends in zeroed memory, absent and then planted
-    // at every alignment from the head and from the tail.
-    std::vector<std::uint8_t> zeroed(160 + 7, 0);
-    std::uint8_t zeroEnded[3][16];
-    for (auto &n : zeroEnded)
-        fillDeterministic(n, sizeof n, 0x2e40);
-    zeroEnded[0][0] = zeroEnded[1][15] = 0x00;
-    zeroEnded[2][0] = zeroEnded[2][1] = zeroEnded[2][15] = 0x00;
-    for (const auto &n : zeroEnded) {
-        for (std::size_t shift = 0; shift <= 32; ++shift) {
-            for (const std::size_t at :
-                 {shift, zeroed.size() - sizeof n - shift}) {
-                std::memcpy(zeroed.data() + at, n, sizeof n);
-                const bool found = candidate.containsBytes(
-                    zeroed.data(), zeroed.size(), n, sizeof n);
-                std::memset(zeroed.data() + at, 0, sizeof n);
-                if (!found || candidate.containsBytes(zeroed.data(),
-                                                      zeroed.size(), n,
-                                                      sizeof n))
-                    return false;
-            }
-        }
-    }
-
-    std::vector<std::uint8_t> zeros(3000, 0);
-    if (!candidate.allZero(zeros.data(), zeros.size()))
-        return false;
-    for (const std::size_t flip : {std::size_t{0}, std::size_t{1234},
-                                   zeros.size() - 1}) {
-        zeros[flip] = 1;
-        if (candidate.allZero(zeros.data(), zeros.size()))
-            return false;
-        zeros[flip] = 0;
-    }
-
     // decayPage on a full page at the edge thresholds (nothing kept,
     // the signed-compare boundary, everything but lane 0xffff kept),
     // toward both grounds: same bytes and same final state.
@@ -427,8 +292,7 @@ hostInfoString()
            "engine)";
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
-    out += "  (fleet audit scans, remanence pattern counts, power-loss "
-           "decay)";
+    out += "  (power-loss decay)";
     out += "\ntrace emission: per event (subscribers dispatch inline, "
            "counters fold at the emission site)";
     out += "\n";

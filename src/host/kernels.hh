@@ -3,18 +3,18 @@
  * The host kernel registry: one dispatch point for every host-side hot
  * path (DESIGN.md section 14).
  *
- * The simulator burns host CPU in four places that have nothing to do
- * with simulated semantics: bulk AES over host buffers (dm-crypt's
- * sectors, the MemShield engine, SimAesEngine's bulk CBC paths),
- * memory scans (fleet audits grep device DRAM after every scenario
- * step), remanence decay at every power loss, and cache-line copies in
- * the L2 access path. Each of those but the last calls through a
- * `Kernels` entry selected once at startup:
+ * The simulator burns host CPU in three places that have nothing to do
+ * with simulated semantics and gain from host instructions: bulk AES
+ * over host buffers (dm-crypt's sectors, the MemShield engine,
+ * SimAesEngine's bulk CBC paths), remanence decay at every power loss,
+ * and cache-line copies in the L2 access path. Each of those but the
+ * last calls through a `Kernels` entry selected once at startup (the
+ * byte scans of common/bytes.hh have one portable body: no workload
+ * gained from an AVX2 tier of theirs):
  *
  *   - feature detection (host/cpu_features.hh) picks the best candidate
  *     tier the machine supports (AES-NI/VAES on x86-64, the ARMv8
- *     crypto extension on aarch64, AVX2 for the byte scans and the
- *     decay);
+ *     crypto extension on aarch64, AVX2 for the decay);
  *   - the candidate is *content-verified on first use*: it must
  *     reproduce the portable tier bit for bit on known-answer vectors
  *     and pseudorandom buffers, or the registry silently falls back to
@@ -65,21 +65,11 @@ struct AesKernel
                        std::size_t len);
 };
 
-/** Byte-buffer kernels behind common/bytes.hh, the auditors and the
- * remanence model. */
+/** The remanence model's power-loss decay over host memory. */
 struct BytesKernel
 {
     const char *tier; //!< "portable", "avx2"
 
-    /** Count non-overlapping pattern-stride-aligned occurrences. */
-    std::size_t (*countPattern)(const std::uint8_t *buf, std::size_t len,
-                                const std::uint8_t *pattern,
-                                std::size_t patternLen);
-    /** Byte-granular substring search. */
-    bool (*containsBytes)(const std::uint8_t *haystack, std::size_t hayLen,
-                          const std::uint8_t *needle, std::size_t needleLen);
-    /** @return true when every byte of @p buf is zero. */
-    bool (*allZero)(const std::uint8_t *buf, std::size_t len);
     /**
      * Decay one remanence region of @p len bytes (at most a page) in
      * place, drawing from the xoshiro256** stream at @p state: one draw

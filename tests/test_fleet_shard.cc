@@ -74,9 +74,10 @@ simFingerprintNoLayout(const FleetReport &report)
 }
 
 /**
- * Give @p row's field in @p result a value made from @p salt: a dyadic
- * double for real rows, so every summation order is exact, and one
- * sample (with its own priority) for sample rows.
+ * Give @p row's field in @p result a value made from @p salt: a double
+ * that is not dyadic for real rows, so the order of a plain summation
+ * would show in the last digit, and one sample (with its own priority)
+ * for sample rows.
  */
 void
 setRow(DeviceResult &result, const DeviceCounter &row, std::uint64_t salt)
@@ -94,9 +95,8 @@ setRow(DeviceResult &result, const DeviceCounter &row, std::uint64_t salt)
                     if (member != nullptr)
                         result.trace.*member = salt++;
                 }
-            } else if constexpr (std::is_same_v<Field,
-                                                double DeviceResult::*>) {
-                result.*field = 0.25 * static_cast<double>(salt);
+            } else if constexpr (std::is_same_v<Field, ExactDouble>) {
+                result.*field.field = 0.001 * static_cast<double>(salt);
             } else {
                 result.*field = salt;
             }
@@ -189,6 +189,44 @@ TEST_F(FleetShard, MergeStatReservoirPercentileErrorIsBounded)
     }
     // The mean keeps using the exact running sum past the cap.
     EXPECT_NEAR(reservoir.mean(), exact.mean(), 1e-9);
+}
+
+TEST_F(FleetShard, ExactSumRoundsTheExactSumOnce)
+{
+    // math.fsum's answers: a plain left fold gets each of these wrong.
+    const auto sum = [](std::initializer_list<double> addends) {
+        ExactSum exact;
+        for (double x : addends)
+            exact.add(x);
+        return exact.value();
+    };
+    EXPECT_EQ(sum({0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1}), 1.0);
+    EXPECT_EQ(sum({1e16, 1.0, -1e16}), 1.0);
+    EXPECT_EQ(sum({-1e16, 1e16, 1.0}), 1.0);
+    // 1e16 + 1 is a tie that rounds to even; the 1e-16 breaks it up.
+    EXPECT_EQ(sum({1e16, 1.0, 1e-16}), 10000000000000002.0);
+    EXPECT_EQ(sum({1e-16, 1e16, 1.0}), 10000000000000002.0);
+    EXPECT_EQ(sum({}), 0.0);
+
+    // Any split into parts and any merge order give the same value.
+    std::vector<double> addends;
+    for (int i = 1; i <= 600; ++i)
+        addends.push_back(0.001 * i * (i % 3 == 0 ? -1 : 1));
+    ExactSum whole;
+    for (double x : addends)
+        whole.add(x);
+    std::mt19937 shuffler(11);
+    for (int round = 0; round < 5; ++round) {
+        std::shuffle(addends.begin(), addends.end(), shuffler);
+        std::vector<ExactSum> parts(7);
+        for (std::size_t i = 0; i < addends.size(); ++i)
+            parts[(i * 5 + round) % parts.size()].add(addends[i]);
+        std::shuffle(parts.begin(), parts.end(), shuffler);
+        ExactSum merged;
+        for (const ExactSum &part : parts)
+            merged.merge(part);
+        EXPECT_EQ(merged.value(), whole.value()) << round;
+    }
 }
 
 TEST_F(FleetShard, PlanShardsIsDeviceCountPureAndCoversAllIndices)
@@ -425,27 +463,40 @@ TEST_F(FleetShard, CounterTotalsAreSixtyFourBit)
 
 TEST_F(FleetShard, ShardCountAndThreadCountDoNotChangeSimMetrics)
 {
-    // The jittered preset makes per-device randomness load-bearing;
-    // vary the shard plan and worker count across runs — everything
-    // except the sim_shard_* layout keys must stay byte-identical.
-    const Scenario scenario = builtinScenario("interactive-day");
-    FleetOptions options;
-    options.devices = 12;
-    options.dramBytes = 8 * MiB;
+    // The jittered preset makes per-device randomness load-bearing, and
+    // the attack campaign under Amnesia and MemShield sums the backends'
+    // double-valued costs; vary the shard plan and worker count across
+    // runs — everything except the sim_shard_* layout keys must stay
+    // byte-identical.
+    const std::pair<const char *, core::DefenseKind> runs[] = {
+        {"interactive-day", core::DefenseKind::Sentry},
+        {"attack-campaign", core::DefenseKind::Sentry},
+        {"attack-campaign", core::DefenseKind::Amnesia},
+        {"attack-campaign", core::DefenseKind::MemShield},
+    };
+    for (const auto &[preset, defense] : runs) {
+        SCOPED_TRACE(std::string(preset) + " " +
+                     core::defenseKindName(defense));
+        const Scenario scenario = builtinScenario(preset);
+        FleetOptions options;
+        options.devices = 12;
+        options.dramBytes = 8 * MiB;
+        options.defense = defense;
 
-    options.threads = 1;
-    options.shards = 1;
-    const FleetReport reference = runFleet(scenario, options);
-    ASSERT_TRUE(reference.allOk) << reference.summary();
-    const std::string want = simFingerprintNoLayout(reference);
+        options.threads = 1;
+        options.shards = 1;
+        const FleetReport reference = runFleet(scenario, options);
+        ASSERT_TRUE(reference.allOk) << reference.summary();
+        const std::string want = simFingerprintNoLayout(reference);
 
-    for (const auto &[threads, shards] :
-         {std::pair{1u, 12u}, {3u, 5u}, {4u, 12u}, {2u, 0u}}) {
-        options.threads = threads;
-        options.shards = shards;
-        const FleetReport got = runFleet(scenario, options);
-        EXPECT_EQ(simFingerprintNoLayout(got), want)
-            << threads << " threads, " << shards << " shards";
+        for (const auto &[threads, shards] :
+             {std::pair{1u, 12u}, {3u, 5u}, {4u, 12u}, {2u, 0u}}) {
+            options.threads = threads;
+            options.shards = shards;
+            const FleetReport got = runFleet(scenario, options);
+            EXPECT_EQ(simFingerprintNoLayout(got), want)
+                << threads << " threads, " << shards << " shards";
+        }
     }
 }
 

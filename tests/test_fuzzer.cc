@@ -275,6 +275,50 @@ TEST(Fuzzer, ParseTrialFileRejectsMalformedInput)
     ASSERT_EQ(file.spec.scenario.steps.size(), 1u);
 }
 
+TEST(Fuzzer, ReproducerErrorsNameTheFileLine)
+{
+    // Comments, blank lines and the header come before each section's
+    // lines, yet every error names the line of the file it is on. The
+    // head is 8 lines: the spawn is line 6 and the lock line 8.
+    const std::string head = "# reproducer\n"
+                             "seed 0x2a\n"
+                             "\n"
+                             "[scenario]\n"
+                             "# the device\n"
+                             "spawn mail sensitive heap 64KiB\n"
+                             "\n"
+                             "lock\n";
+    try {
+        parseTrialFile(head + "attack nosuchverb\n");
+        ADD_FAILURE() << "unknown verb accepted";
+    } catch (const fleet::ScenarioError &e) {
+        EXPECT_EQ(e.line(), 9u) << e.what();
+    }
+    try {
+        parseTrialFile(head +
+                       "attack cold_boot\n[faults]\n\nfault bogus after 1\n");
+        ADD_FAILURE() << "unknown fault kind accepted";
+    } catch (const FaultParseError &e) {
+        EXPECT_EQ(e.line(), 12u) << e.what();
+    }
+    try {
+        parseTrialFile("# reproducer\nseed 0x2a\nexpect maybe\n");
+        ADD_FAILURE() << "bad verdict accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("line 3: ", 0), 0u)
+            << e.what();
+    }
+
+    // A replay's step errors name the file's line too.
+    const TrialFile file = parseTrialFile(head + "touch mail\n");
+    ASSERT_EQ(file.spec.scenario.steps.size(), 3u);
+    EXPECT_EQ(file.spec.scenario.steps[0].line, 6u);
+    EXPECT_EQ(file.spec.scenario.steps[1].line, 8u);
+    const TrialOutcome outcome = runTrial(file.spec, quickOptions());
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.rfind("line 9: ", 0), 0u) << outcome.error;
+}
+
 TEST(Fuzzer, ReplayHonoursTheReproducerPlatform)
 {
     // A reproducer replays on the platform its scenario names, as a
@@ -302,14 +346,15 @@ TEST(Fuzzer, ColdBootPinBeatsTheReproducerSpawnLine)
 {
     // `--cold-boot` on a `spawn snapshot` reproducer: the pin replaces
     // the header, so the trial is the same reproducer without the
-    // line, and a reproducer saved from it records no snapshot spawn.
+    // line (blank, so the steps keep their file lines), and a
+    // reproducer saved from it records no snapshot spawn.
     const std::string body = "[scenario]\n"
                              "spawn mail sensitive heap 64KiB\n"
                              "lock\n"
                              "attack dma\n";
     TrialFile file = parseTrialFile("seed 0x2a\nspawn snapshot\n" + body);
     ASSERT_EQ(file.spec.spawn, fleet::SpawnMode::Snapshot);
-    const TrialFile cold = parseTrialFile("seed 0x2a\n" + body);
+    const TrialFile cold = parseTrialFile("seed 0x2a\n\n" + body);
 
     FuzzOptions options = quickOptions();
     options.pins.spawn = fleet::SpawnMode::ColdBoot;

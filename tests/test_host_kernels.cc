@@ -3,17 +3,20 @@
  * Host kernel registry (host/kernels.hh): the accelerated tiers must be
  * interchangeable with the portable tier bit for bit. These tests pin
  * that contract at three levels — raw kernel calls (FIPS-197 KATs, CBC
- * at awkward lengths, byte-scan parity against naive loops), the crypto
- * front doors that route through the registry, and a whole fleet run
- * whose `sim_` fingerprint must not move when the portable tier is
+ * at awkward lengths, the power-loss decay at edge thresholds), the
+ * crypto front doors that route through the registry, and a whole fleet
+ * run whose `sim_` fingerprint must not move when the portable tier is
  * pinned. On a machine without any accelerated tier the active registry
  * *is* the portable one and every parity check degenerates to identity,
- * which is exactly the guarantee SENTRY_FORCE_PORTABLE relies on.
+ * which is exactly the guarantee SENTRY_FORCE_PORTABLE relies on. The
+ * byte scans of common/bytes.hh have one body, checked here against
+ * naive loops.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,7 +130,7 @@ TEST_F(HostKernelsTest, CbcParityWithPortableAtAwkwardLengths)
     }
 }
 
-TEST_F(HostKernelsTest, BytesKernelMatchesNaiveReference)
+TEST_F(HostKernelsTest, ByteScansMatchNaiveReference)
 {
     auto hay = patternBuf(8192 + 11, 42);
     const std::uint8_t pat[8] = {0xde, 0xad, 0xbe, 0xef,
@@ -138,67 +141,65 @@ TEST_F(HostKernelsTest, BytesKernelMatchesNaiveReference)
     std::memcpy(hay.data() + 8 * 1023, pat, 8);
     std::memcpy(hay.data() + 8 * 33 + 5, pat, 8);
 
-    const host::BytesKernel &active = host::kernels().bytes;
-
     // countPattern vs a naive stride loop.
     std::size_t naive = 0;
     for (std::size_t off = 0; off + 8 <= hay.size(); off += 8)
         naive += std::memcmp(hay.data() + off, pat, 8) == 0 ? 1 : 0;
-    EXPECT_EQ(active.countPattern(hay.data(), hay.size(), pat, 8), naive);
+    EXPECT_EQ(countPattern(hay, pat), naive);
     EXPECT_GE(naive, std::size_t{3});
 
     // containsBytes vs a naive byte-granular scan, for needles planted
     // at the head, middle, tail, unaligned, and absent.
     const auto absent = patternBuf(24, 999);
-    const struct
-    {
-        const std::uint8_t *n;
-        std::size_t len;
-    } probes[] = {
+    const std::span<const std::uint8_t> probes[] = {
         {hay.data(), 16},
         {hay.data() + 4321, 21},
         {hay.data() + hay.size() - 9, 9},
         {hay.data() + 8 * 33 + 5, 8},
-        {absent.data(), absent.size()},
+        absent,
     };
-    for (const auto &probe : probes) {
+    for (const std::span<const std::uint8_t> probe : probes) {
         bool naiveHit = false;
-        for (std::size_t off = 0; off + probe.len <= hay.size(); ++off) {
-            if (std::memcmp(hay.data() + off, probe.n, probe.len) == 0) {
+        for (std::size_t off = 0; off + probe.size() <= hay.size(); ++off) {
+            if (std::memcmp(hay.data() + off, probe.data(), probe.size()) ==
+                0) {
                 naiveHit = true;
                 break;
             }
         }
-        EXPECT_EQ(active.containsBytes(hay.data(), hay.size(), probe.n,
-                                       probe.len),
-                  naiveHit);
+        EXPECT_EQ(containsBytes(hay, probe), naiveHit);
     }
 
-    // allZero at sizes around the vector width, with the dirty byte at
+    // allZero at sizes around the word width, with the dirty byte at
     // the head, the interior, and the very last position.
     for (const std::size_t len : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{31}, std::size_t{32},
-                                  std::size_t{33}, std::size_t{4096},
+                                  std::size_t{7}, std::size_t{8},
+                                  std::size_t{9}, std::size_t{4096},
                                   std::size_t{4099}}) {
         std::vector<std::uint8_t> zeros(len, 0);
-        EXPECT_TRUE(active.allZero(zeros.data(), zeros.size())) << len;
+        EXPECT_TRUE(allZero(zeros)) << len;
         if (len == 0)
             continue;
         for (const std::size_t flip :
              {std::size_t{0}, len / 2, len - 1}) {
             zeros[flip] = 0x80;
-            EXPECT_FALSE(active.allZero(zeros.data(), zeros.size()))
-                << len << " flip " << flip;
+            EXPECT_FALSE(allZero(zeros)) << len << " flip " << flip;
             zeros[flip] = 0;
         }
     }
+
+    // fillPattern's doubling copy must tile exactly like the naive loop.
+    std::vector<std::uint8_t> filled(1000);
+    fillPattern(filled, pat);
+    for (std::size_t i = 0; i < filled.size(); ++i)
+        ASSERT_EQ(filled[i], pat[i % sizeof pat]) << i;
 }
 
-TEST_F(HostKernelsTest, ZeroEndedNeedlesMatchNaiveReferenceOnBothTiers)
+TEST_F(HostKernelsTest, ZeroEndedNeedlesMatchNaiveReference)
 {
     // Needles whose first or last bytes are 0x00 in mostly zeroed
     // memory (one random island): absent, then planted at every
-    // alignment from the head and from the tail, on both tiers.
+    // alignment from the head and from the tail.
     std::vector<std::uint8_t> zeroed(4096 + 5, 0);
     const auto island = patternBuf(40, 3);
     std::memcpy(zeroed.data() + 2000, island.data(), island.size());
@@ -225,17 +226,9 @@ TEST_F(HostKernelsTest, ZeroEndedNeedlesMatchNaiveReferenceOnBothTiers)
         }
         return false;
     };
-    const host::BytesKernel *tiers[] = {&host::kernels().bytes,
-                                        &host::portableKernels().bytes};
     const auto check = [&](const std::vector<std::uint8_t> &needle,
                            const std::string &where) {
-        const bool want = naive(needle);
-        for (const host::BytesKernel *tier : tiers) {
-            EXPECT_EQ(tier->containsBytes(zeroed.data(), zeroed.size(),
-                                          needle.data(), needle.size()),
-                      want)
-                << tier->tier << " " << where;
-        }
+        EXPECT_EQ(containsBytes(zeroed, needle), naive(needle)) << where;
     };
     for (std::size_t n = 0; n < needles.size(); ++n) {
         const std::vector<std::uint8_t> &needle = needles[n];
@@ -281,32 +274,6 @@ TEST_F(HostKernelsTest, DecayPageMatchesPortableAtEdgeThresholds)
             }
         }
     }
-}
-
-TEST_F(HostKernelsTest, BytesFrontDoorsRouteThroughTheRegistry)
-{
-    auto buf = patternBuf(4096, 5);
-    const auto pat = patternBuf(8, 77);
-    std::memcpy(buf.data() + 8 * 17, pat.data(), 8);
-
-    const std::size_t activeCount = countPattern(buf, pat);
-    const bool activeContains = containsBytes(buf, pat);
-
-    host::setActiveKernelsForTest(&host::portableKernels());
-    EXPECT_EQ(countPattern(buf, pat), activeCount);
-    EXPECT_EQ(containsBytes(buf, pat), activeContains);
-    host::setActiveKernelsForTest(nullptr);
-
-    std::vector<std::uint8_t> zeros(2048, 0);
-    EXPECT_TRUE(allZero(zeros));
-    zeros[2047] = 1;
-    EXPECT_FALSE(allZero(zeros));
-
-    // fillPattern's doubling copy must tile exactly like the naive loop.
-    std::vector<std::uint8_t> filled(1000);
-    fillPattern(filled, pat);
-    for (std::size_t i = 0; i < filled.size(); ++i)
-        ASSERT_EQ(filled[i], pat[i % pat.size()]) << i;
 }
 
 TEST_F(HostKernelsTest, HostAesCbcMatchesPinnedPortable)
@@ -387,8 +354,8 @@ TEST_F(HostKernelsTest, RegistryReportsCoherentTiers)
         EXPECT_STREQ(active.aes.tier, "portable");
         EXPECT_STREQ(active.bytes.tier, "portable");
     } else if (host::cpuFeatures().avx2) {
-        // The AVX2 scans and decay pass their own verification: a
-        // rejected tier would fall back to portable without a word.
+        // The AVX2 decay passes its own verification: a rejected tier
+        // would fall back to portable without a word.
         EXPECT_STREQ(active.bytes.tier, "avx2");
     }
 
