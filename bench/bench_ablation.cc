@@ -19,7 +19,6 @@
 #include "bench_util.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -92,7 +91,7 @@ main()
             // Cold-boot view: cache contents vanish, DRAM remains.
             device.soc().powerCycle(0.0);
             const bool leak =
-                DramScanner(device.soc()).dramContains(SECRET);
+                device.soc().dram().cells().contains(SECRET);
             std::printf("   clean=%-5s plaintext recoverable after "
                         "reset: %s\n",
                         clean ? "on" : "off",
@@ -122,7 +121,7 @@ main()
             device.kernel().lockScreen();
             device.soc().l2().cleanAllMasked();
             const bool leak =
-                DramScanner(device.soc()).dramContains(SECRET);
+                device.soc().dram().cells().contains(SECRET);
             std::printf("   wait=%-5s freed plaintext in locked DRAM: "
                         "%s\n",
                         wait ? "on" : "off",

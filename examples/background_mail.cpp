@@ -18,7 +18,6 @@
 #include "apps/background_app.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 
@@ -53,7 +52,7 @@ main()
     Rng rng(7);
     const apps::BackgroundRunResult run = mail.run(100, rng);
 
-    core::DramScanner scanner(device.soc());
+    const hw::CowBytes &dram = device.soc().dram().cells();
     device.soc().l2().cleanAllMasked();
     std::printf("while locked:\n");
     std::printf("  kernel time          : %.3f s of %.3f s total\n",
@@ -64,7 +63,7 @@ main()
                 static_cast<unsigned long long>(
                     device.sentry().pager()->stats().evictions));
     std::printf("  mail text in DRAM?   : %s\n",
-                scanner.dramContains(message) ? "YES (bug!)" : "no");
+                dram.contains(message) ? "YES (bug!)" : "no");
 
     kernel.unlockScreen("0000");
     std::uint8_t back[9];

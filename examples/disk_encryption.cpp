@@ -19,7 +19,6 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 #include "os/buffer_cache.hh"
 #include "os/dm_crypt.hh"
 #include "os/filebench.hh"
@@ -61,9 +60,9 @@ main()
                 containsBytes(disk.raw(), needle) ? "YES (bug!)" : "no");
 
     device.soc().l2().cleanAllMasked();
-    core::DramScanner scanner(device.soc());
+    const hw::CowBytes &dram = device.soc().dram().cells();
     std::printf("root key in DRAM?         %s\n",
-                scanner.dramContains({key.data(), key.size()})
+                dram.contains({key.data(), key.size()})
                     ? "YES (bug!)"
                     : "no");
 

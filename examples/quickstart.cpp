@@ -15,7 +15,6 @@
 #include "attacks/cold_boot.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 
@@ -39,15 +38,15 @@ main()
     // The app has been running: its data has been written back to DRAM.
     device.soc().l2().cleanAllMasked();
 
-    core::DramScanner scanner(device.soc());
+    const hw::CowBytes &dram = device.soc().dram().cells();
     std::printf("before lock: secret in DRAM?  %s\n",
-                scanner.dramContains(secret) ? "YES" : "no");
+                dram.contains(secret) ? "YES" : "no");
 
     // 4. Lock the screen. Sentry encrypts every page of the app with
     //    the volatile root key (which lives only in iRAM).
     kernel.lockScreen();
     std::printf("after lock:  secret in DRAM?  %s\n",
-                scanner.dramContains(secret) ? "YES" : "no");
+                dram.contains(secret) ? "YES" : "no");
     std::printf("             bytes encrypted: %llu\n",
                 static_cast<unsigned long long>(
                     device.sentry().stats().bytesEncryptedOnLock));

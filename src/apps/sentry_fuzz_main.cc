@@ -195,12 +195,18 @@ main(int argc, char **argv)
         out += "  error: " + outcome.error + "\n";
 
         fault::FuzzTrialSpec repro = spec;
-        fault::TrialOutcome reproOutcome = outcome;
         if (options.shrink) {
             repro = fault::shrinkTrial(spec, options);
-            reproOutcome = fault::runTrial(repro, options);
             out += "  shrunk to " + trialSummary(repro) + "\n";
         }
+        // Record the run of the reproducer as it parses back, so its
+        // "# error:" line names the file lines a --schedule replay
+        // reports. Every failing trial's header has the same lines, so
+        // formatting with the campaign's outcome places the steps.
+        const fault::TrialOutcome reproOutcome = fault::runTrial(
+            fault::parseTrialFile(fault::formatTrialFile(repro, &outcome))
+                .spec,
+            options);
         char stem[64];
         std::snprintf(stem, sizeof stem, "/FUZZ_repro_%016llx_%u.fuzz",
                       static_cast<unsigned long long>(options.device.seed),

@@ -1,7 +1,6 @@
 #include "attacks/cold_boot.hh"
 
 #include "common/logging.hh"
-#include "core/dram_scanner.hh"
 
 namespace sentry::attacks
 {
@@ -52,9 +51,8 @@ ColdBootAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
     result.target = target;
 
     // The attacker-controlled boot dumps every physical byte.
-    const core::DramScanner scanner(soc);
-    const bool inDram = scanner.dramContains(secret);
-    const bool inIram = scanner.iramContains(secret);
+    const bool inDram = soc.dram().cells().contains(secret);
+    const bool inIram = soc.iram().cells().contains(secret);
     result.secretRecovered = inDram || inIram;
     if (inDram)
         result.notes.push_back("secret found in DRAM dump");
@@ -67,9 +65,10 @@ RemanenceMeasurement
 ColdBootAttack::measureRemanence(hw::Soc &soc,
                                  std::span<const std::uint8_t> pattern) const
 {
-    const core::DramScanner scanner(soc);
-    const std::size_t dramBefore = scanner.dramPatternCount(pattern);
-    const std::size_t iramBefore = scanner.iramPatternCount(pattern);
+    const hw::CowBytes &dram = soc.dram().cells();
+    const hw::CowBytes &iram = soc.iram().cells();
+    const std::size_t dramBefore = dram.countPattern(pattern);
+    const std::size_t iramBefore = iram.countPattern(pattern);
     if (dramBefore == 0 || iramBefore == 0)
         fatal("remanence measurement requires pre-filled memories");
 
@@ -77,10 +76,10 @@ ColdBootAttack::measureRemanence(hw::Soc &soc,
 
     RemanenceMeasurement measurement;
     measurement.dramFraction =
-        static_cast<double>(scanner.dramPatternCount(pattern)) /
+        static_cast<double>(dram.countPattern(pattern)) /
         static_cast<double>(dramBefore);
     measurement.iramFraction =
-        static_cast<double>(scanner.iramPatternCount(pattern)) /
+        static_cast<double>(iram.countPattern(pattern)) /
         static_cast<double>(iramBefore);
     return measurement;
 }

@@ -4,7 +4,6 @@
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
-#include "core/dram_scanner.hh"
 #include "hw/soc.hh"
 
 namespace sentry::core
@@ -37,34 +36,115 @@ tallyLeaks(const std::vector<SecretMarker> &markers, Found found)
     return leaks;
 }
 
+/**
+ * @return true if @p needle is in @p cells. The search skips the pages
+ * unchanged since @p absent_at, the generation at which the needle was
+ * last found absent (0 searches everything), and updates it.
+ */
+bool
+dramHolds(const hw::CowBytes &cells, std::span<const std::uint8_t> needle,
+          std::uint64_t &absent_at)
+{
+    const bool found = cells.contains(needle, absent_at);
+    absent_at = found ? 0 : cells.generation();
+    return found;
+}
+
+/** @return the present pages of sensitive processes that are neither
+ * ciphertext in DRAM nor cleartext pinned on the SoC. */
+std::size_t
+decryptedDramPages(const os::Kernel &kernel)
+{
+    std::size_t violations = 0;
+    for (const auto &process : kernel.processes()) {
+        if (!process->sensitive())
+            continue;
+        for (const os::Vma &vma : process->addressSpace().vmas()) {
+            if (vma.share == os::SharePolicy::SharedWithNonSensitive)
+                continue;
+            for (std::size_t page = 0; page < vma.pages(); ++page) {
+                const os::Pte *pte =
+                    process->pageTable().find(vma.base + page * PAGE_SIZE);
+                if (pte != nullptr && pte->present && !pte->encrypted &&
+                    !pte->onSoc)
+                    ++violations;
+            }
+        }
+    }
+    return violations;
+}
+
 } // namespace
 
 void
 InvariantChecker::addMarker(SecretMarker marker)
 {
     markers_.push_back(std::move(marker));
+    markerAbsentAt_.push_back(0);
 }
 
 CheckOutcome
 InvariantChecker::checkLive()
 {
-    std::vector<std::vector<std::uint8_t>> plaintextMarkers;
-    for (const SecretMarker &marker : markers_) {
-        if (marker.sensitive)
-            plaintextMarkers.push_back(marker.bytes);
-    }
-    SecurityAudit audit(kernel_, sentry_);
-    const AuditReport report = audit.run(plaintextMarkers, &memo_);
+    // Make DRAM reflect reality before scanning: push dirty lines out
+    // of the unlocked ways (locked ways are exempt by design).
+    kernel_.soc().l2().cleanAllMasked();
+
+    // Every check runs, so each needle's entry advances in every audit;
+    // the first failure is the outcome.
     CheckOutcome outcome;
-    if (!report.allPassed()) {
-        outcome.ok = false;
-        for (const AuditFinding &finding : report.findings) {
-            if (!finding.passed) {
-                outcome.detail = finding.check + " — " + finding.detail;
-                break;
-            }
+    const auto fail = [&outcome](const char *check,
+                                 const std::string &detail) {
+        if (outcome.ok)
+            outcome = {false, std::string(check) + " — " + detail};
+    };
+    const hw::CowBytes &dram = kernel_.soc().dram().cells();
+    const os::PowerState state = kernel_.powerState();
+    const bool locked = state == os::PowerState::Locked ||
+                        state == os::PowerState::Suspended ||
+                        state == os::PowerState::DeepLock;
+
+    if (!sentry_.keysDestroyed()) {
+        const RootKey key = sentry_.keys().volatileKey();
+        if (key != key_) {
+            key_ = key;
+            keyAbsentAt_ = 0;
         }
+        const bool inDram = dramHolds(dram, key, keyAbsentAt_);
+        const bool onSoc = kernel_.soc().iram().cells().contains(key);
+        if (inDram)
+            fail("key-residency", "volatile key found in DRAM");
+        else if (!onSoc)
+            fail("key-residency", "volatile key missing from on-SoC storage");
     }
+
+    if (locked) {
+        if (const std::size_t pages = decryptedDramPages(kernel_))
+            fail("page-states", std::to_string(pages) +
+                                    " decrypted DRAM-resident page(s) "
+                                    "while locked");
+    }
+
+    const hw::L2Cache &l2 = kernel_.soc().l2();
+    if ((l2.lockdownReg() & ~l2.flushWayMask()) != 0)
+        fail("flush-mask", "locked ways not covered by the flush mask: a "
+                           "kernel cache flush would leak them");
+
+    if (locked) {
+        std::size_t hits = 0;
+        for (std::size_t i = 0; i < markers_.size(); ++i) {
+            if (markers_[i].sensitive &&
+                dramHolds(dram, markers_[i].bytes, markerAbsentAt_[i]))
+                ++hits;
+        }
+        if (hits != 0)
+            fail("plaintext-markers",
+                 std::to_string(hits) + " marker(s) in DRAM");
+    }
+
+    if (locked && kernel_.freedPendingBytes() != 0)
+        fail("freed-pages", std::to_string(kernel_.freedPendingBytes()) +
+                                " unscrubbed freed bytes while locked");
     return outcome;
 }
 
@@ -81,10 +161,11 @@ InvariantChecker::checkDumps(std::span<const std::uint8_t> dram_dump,
 DumpLeaks
 InvariantChecker::checkDumps(const hw::Soc &soc) const
 {
-    const DramScanner scanner(soc);
+    const hw::CowBytes &dram = soc.dram().cells();
+    const hw::CowBytes &iram = soc.iram().cells();
     return tallyLeaks(markers_, [&](std::size_t i) {
-        return scanner.dramContains(markers_[i].bytes) ||
-               scanner.iramContains(markers_[i].bytes);
+        return dram.contains(markers_[i].bytes) ||
+               iram.contains(markers_[i].bytes);
     });
 }
 
@@ -113,7 +194,7 @@ InvariantChecker::checkDumps(const StreamMatcher &dram_image,
 CheckOutcome
 InvariantChecker::checkIramZeroed(const hw::Soc &soc) const
 {
-    const std::size_t i = DramScanner(soc).iramFirstNonZero();
+    const std::size_t i = soc.iram().cells().firstNonZero();
     if (i == soc.iram().size())
         return CheckOutcome{};
     char buf[96];

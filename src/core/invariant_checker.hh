@@ -6,10 +6,13 @@
  * same properties after every step; this class is that single
  * implementation so the two can never drift apart:
  *
- *   - live-device invariants (checkLive): everything SecurityAudit
- *     verifies — key residency, page states, flush-mask coverage,
- *     absence of the registered plaintext markers from DRAM, freed-page
- *     scrubbing — using the markers registered with addMarker();
+ *   - live-device invariants (checkLive): the volatile root key is on
+ *     the SoC and absent from DRAM; while locked or suspended no
+ *     sensitive process has a decrypted DRAM-resident page (on-SoC
+ *     pager residents are fine); the PL310 flush-way mask covers every
+ *     locked way (the section 4.5 OS change is in force); the
+ *     registered sensitive markers are absent from DRAM; freed pages
+ *     are scrubbed;
  *   - attacker's-view invariants (checkDumps): a memory image obtained
  *     by an attack (DMA dump, cold-boot readout) must not contain any
  *     sensitive marker; the Soc overload greps the device's memory in
@@ -22,17 +25,18 @@
  *
  * The checker owns the marker list (one entry per planted app secret);
  * callers register markers at spawn time and the same list feeds every
- * check.
+ * check. Device memory is grepped in place through hw::CowBytes
+ * (contains, firstNonZero), never materialized.
  *
- * checkLive is incremental: the checker keeps one ScanMemo per needle
- * (the volatile key and each sensitive marker) and hands them to
- * SecurityAudit::run, so each audit greps only the DRAM pages written
- * since that needle was last found absent. A new checker's first audit
- * scans everything, and so does any audit after a fork onto another
- * image or zeroAll, which stamp every page. A power loss stamps only
- * the pages its decay changes, and a grep skips the never-written ones
- * it deferred (hw/cow_bytes.hh) for a marker with a byte outside
- * {0x00, 0xFF}.
+ * checkLive is incremental: the checker keeps, per needle (the
+ * volatile key and each sensitive marker), the DRAM write generation
+ * at which it was last found absent, and greps only the pages written
+ * since. The key's entry starts over when the key bytes change. A new
+ * checker's first audit scans everything (the full-scan reference),
+ * and so does any audit after a fork onto another image or zeroAll,
+ * which stamp every page. A power loss stamps only the pages its decay
+ * changes, and a grep skips the never-written ones it deferred
+ * (hw/cow_bytes.hh) for a marker with a byte outside {0x00, 0xFF}.
  */
 
 #ifndef SENTRY_CORE_INVARIANT_CHECKER_HH
@@ -44,7 +48,8 @@
 #include <vector>
 
 #include "common/bytes.hh"
-#include "core/security_audit.hh"
+#include "core/sentry.hh"
+#include "os/kernel.hh"
 
 namespace sentry::hw
 {
@@ -93,9 +98,10 @@ class InvariantChecker
     const std::vector<SecretMarker> &markers() const { return markers_; }
 
     /**
-     * Run the full live-device invariant set (SecurityAudit with the
-     * sensitive markers and this checker's memo). @return the first
-     * violation, if any.
+     * Clean the unlocked L2 ways to DRAM, then run the live-device
+     * checks in order: key-residency, page-states, flush-mask,
+     * plaintext-markers (the sensitive markers), freed-pages.
+     * @return the first violation, as "check — detail", if any.
      */
     CheckOutcome checkLive();
 
@@ -108,7 +114,7 @@ class InvariantChecker
                          std::span<const std::uint8_t> iram_dump) const;
 
     /** As above, for the memory @p soc holds right now (a cold-boot
-     * readout), searched in place through DramScanner. */
+     * readout), searched in place. */
     DumpLeaks checkDumps(const hw::Soc &soc) const;
 
     /** @return a matcher holding every registered marker, in order:
@@ -127,7 +133,11 @@ class InvariantChecker
     os::Kernel &kernel_;
     Sentry &sentry_;
     std::vector<SecretMarker> markers_;
-    AuditMemo memo_;
+    /* checkLive's incremental state: the DRAM write generation at which
+     * a needle was last found absent, 0 when not known absent. */
+    RootKey key_{};                 //!< the key keyAbsentAt_ refers to
+    std::uint64_t keyAbsentAt_ = 0;
+    std::vector<std::uint64_t> markerAbsentAt_; //!< by marker position
 };
 
 } // namespace sentry::core

@@ -33,30 +33,19 @@ PinnedMemory::create(hw::Soc &soc, std::size_t pool_bytes,
         auto ways = std::make_unique<LockedWayManager>(soc, window);
         if (!ways->available())
             return nullptr;
-
-        OnSocRegion pool{};
-        std::unique_ptr<OnSocAllocator> alloc;
-        std::size_t locked = 0;
-        while (locked < pool_bytes) {
-            const auto region = ways->lockWay();
-            if (!region)
-                fatal("not enough lockable ways for a %zu-byte pool",
-                      pool_bytes);
-            if (!alloc) {
-                pool = *region;
-                alloc = std::make_unique<OnSocAllocator>(region->base,
-                                                         region->size);
-            } else {
-                panic("multi-way pinned pools are not implemented; "
-                      "ask for <= %zu bytes", ways->waySize());
-            }
-            locked += region->size;
-        }
+        if (pool_bytes > ways->waySize())
+            panic("multi-way pinned pools are not implemented; "
+                  "ask for <= %zu bytes", ways->waySize());
+        const auto region = ways->lockWay();
+        if (!region)
+            fatal("not enough lockable ways for a %zu-byte pool",
+                  pool_bytes);
 
         auto pinned = std::unique_ptr<PinnedMemory>(
-            new PinnedMemory(soc, PinBacking::LockedL2, pool,
+            new PinnedMemory(soc, PinBacking::LockedL2, *region,
                              /*dma_protected=*/true, std::move(ways)));
-        pinned->alloc_ = std::move(alloc);
+        pinned->alloc_ =
+            std::make_unique<OnSocAllocator>(region->base, region->size);
         return pinned;
     }
 

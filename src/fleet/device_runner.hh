@@ -10,7 +10,7 @@
  * the fleet seed and the device index, making every run bit-replayable.
  *
  * After every step the runner asserts Sentry's invariants with
- * core::SecurityAudit (volatile key on-SoC only, no decrypted sensitive
+ * core::InvariantChecker (volatile key on-SoC only, no decrypted sensitive
  * page in DRAM while locked, flush-way mask covers locked ways, no
  * plaintext markers in DRAM, freed pages scrubbed). Attack steps assert
  * the paper's Table 3 result instead: a locked device must not leak a

@@ -48,9 +48,6 @@ class CryptoAccelerator
     /** Load a key into the engine's internal key registers. */
     void setKey(std::span<const std::uint8_t> key);
 
-    /** @return true once a key has been loaded. */
-    bool hasKey() const { return cipher_ != nullptr; }
-
     /**
      * Device power management: the engine drops to 1/downscaleFactor of
      * its rate while the device is locked/suspending.

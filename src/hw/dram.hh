@@ -127,7 +127,7 @@ class Dram : public BusTarget
      */
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
 
-    /** The cell array itself, for in-place searches (DramScanner). */
+    /** The cell array itself, for in-place searches. */
     const CowBytes &cells() const { return data_; }
 
     /**

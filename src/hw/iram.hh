@@ -58,7 +58,7 @@ class Iram
      */
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
 
-    /** The cell array itself, for in-place searches (DramScanner). */
+    /** The cell array itself, for in-place searches. */
     const CowBytes &cells() const { return data_; }
 
     /**

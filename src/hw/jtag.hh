@@ -63,9 +63,6 @@ class JtagPort
      */
     JtagStatus connect(const std::string &credential = "");
 
-    /** @return true while a debugger is attached. */
-    bool connected() const { return connected_; }
-
     /**
      * Halt the cores and dump memory through the debug access port.
      * Sees everything: DRAM, iRAM, even locked cache lines. This is why

@@ -64,9 +64,6 @@ class MemCryptoEngine
     /** Drop the loaded key (deep-lock scrub). */
     void clearKey() { cipher_ = nullptr; }
 
-    /** @return true once a key has been loaded. */
-    bool hasKey() const { return cipher_ != nullptr; }
-
     /** CBC-encrypt @p data in place (one bulk request). */
     void cbcEncrypt(const crypto::Iv &iv, std::span<std::uint8_t> data);
 

@@ -154,7 +154,7 @@ class Soc
     /**
      * Const materialized view of the DRAM cell array, for tests and
      * benchmarks: it copies every page not yet private (4-16 MiB). No
-     * library path calls it; searches go through core::DramScanner and
+     * library path calls it; searches go through dram().cells() and
      * sizes through dram().size() or dramEnd().
      */
     std::span<const std::uint8_t> dramRaw() const { return dram_.raw(); }

@@ -2,7 +2,9 @@
 # jobs) in a fresh WORK_DIR and compare it with GOLDEN_DIR: the exit
 # status must be EXPECT_STATUS, stdout must equal GOLDEN_DIR/stdout.out
 # byte for byte, and the reproducers written must be exactly the
-# FUZZ_repro_*.fuzz files in GOLDEN_DIR, byte for byte.
+# FUZZ_repro_*.fuzz files in GOLDEN_DIR, byte for byte. Then replay each
+# reproducer with --schedule: its recorded verdict must reproduce, and
+# the replay's "error:" line must be the file's "# error:" comment.
 #   cmake -DPROGRAM=<sentry_fuzz> -DSEED=<n> -DEXPECT_STATUS=<n>
 #         -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir> -P check_fuzz_campaign.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -34,5 +36,29 @@ foreach(name IN LISTS want)
                     RESULT_VARIABLE differ)
     if(differ)
         message(FATAL_ERROR "${WORK_DIR}/${name} differs from the golden")
+    endif()
+endforeach()
+
+foreach(name IN LISTS got)
+    execute_process(COMMAND "${PROGRAM}" --schedule "${WORK_DIR}/${name}"
+                    OUTPUT_VARIABLE replay RESULT_VARIABLE status)
+    if(NOT status EQUAL 0 OR
+       NOT replay MATCHES "\n  recorded verdict [A-Z]+: reproduced\n")
+        message(FATAL_ERROR "replaying ${WORK_DIR}/${name} did not "
+                            "reproduce its recorded verdict:\n${replay}")
+    endif()
+    file(READ "${WORK_DIR}/${name}" text)
+    set(recorded "")
+    if(text MATCHES "\n# error: ([^\n]*)\n")
+        set(recorded "${CMAKE_MATCH_1}")
+    endif()
+    set(replayed "")
+    if(replay MATCHES "\n  error: ([^\n]*)\n")
+        set(replayed "${CMAKE_MATCH_1}")
+    endif()
+    if(NOT recorded STREQUAL replayed)
+        message(FATAL_ERROR "${WORK_DIR}/${name} records the error "
+                            "'${recorded}', its replay reports "
+                            "'${replayed}'")
     endif()
 endforeach()

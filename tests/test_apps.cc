@@ -12,7 +12,6 @@
 #include "apps/synthetic_app.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::apps;
@@ -43,7 +42,7 @@ TEST(SyntheticApp, ResumeTouchesTheResumeSet)
     device.sentry().markSensitive(app.process());
 
     device.kernel().lockScreen();
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(secret));
+    EXPECT_FALSE(device.soc().dram().cells().contains(secret));
     device.kernel().unlockScreen("0000");
 
     device.sentry().resetStats();

@@ -11,7 +11,6 @@
 #include "attacks/cold_boot.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -69,7 +68,7 @@ TEST_F(DeepLockFixture, DataIsUnrecoverableEvenWithTheRightPin)
     bruteForce();
     // Deep lock: the correct PIN is no longer accepted at all.
     EXPECT_FALSE(device.kernel().unlockScreen("4242"));
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
 }
 
 TEST_F(DeepLockFixture, EncryptedPagesReadBackAsZeroesAfterScrub)
@@ -115,5 +114,5 @@ TEST_F(DeepLockOptOutFixture, OptOutKeepsKeysIntact)
     EXPECT_FALSE(device.sentry().keysDestroyed());
     // Memory stays encrypted (still safe against memory attacks), the
     // keys just survive for forensic recovery by the owner.
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
 }

@@ -22,7 +22,6 @@
 #include "common/bytes.hh"
 #include "common/rng.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -101,11 +100,11 @@ class FuzzTest : public testing::TestWithParam<std::uint64_t>
         if (state != PowerState::Locked && state != PowerState::Suspended)
             return;
         device_.soc().l2().cleanAllMasked();
-        DramScanner scanner(device_.soc());
-        ASSERT_FALSE(scanner.dramContains(MARKER))
+        const hw::CowBytes &dram = device_.soc().dram().cells();
+        ASSERT_FALSE(dram.contains(MARKER))
             << "plaintext marker in DRAM while locked";
         const RootKey key = device_.sentry().keys().volatileKey();
-        ASSERT_FALSE(scanner.dramContains({key.data(), key.size()}))
+        ASSERT_FALSE(dram.contains({key.data(), key.size()}))
             << "volatile key in DRAM";
     }
 

@@ -14,7 +14,6 @@
 #include "attacks/dma_attack.hh"
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 #include "os/buffer_cache.hh"
 #include "os/dm_crypt.hh"
 
@@ -56,7 +55,7 @@ TEST(Integration, TegraFullStack_LockBackgroundUnlockAttack)
 
     // Lock: DRAM is clean of the secret.
     device.kernel().lockScreen();
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
     EXPECT_FALSE(fg.schedulable());
     EXPECT_TRUE(mail.schedulable());
 
@@ -68,8 +67,8 @@ TEST(Integration, TegraFullStack_LockBackgroundUnlockAttack)
     device.kernel().writeVirt(mail, mailHeap.base + 4096, newMail.data(),
                               newMail.size());
     device.soc().l2().cleanAllMasked();
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(newMail));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(newMail));
 
     // DMA attack while locked: nothing.
     DmaAttack dma;
@@ -119,7 +118,7 @@ TEST(Integration, NexusSecureOnSuspendWithoutCacheLocking)
     device.sentry().markSensitive(twitter.process());
 
     device.kernel().lockScreen();
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
     EXPECT_FALSE(twitter.process().schedulable());
 
     device.kernel().unlockScreen("0000");
@@ -149,8 +148,8 @@ TEST(Integration, DmCryptUnderSentryKeepsDiskAndDramClean)
     // The disk holds ciphertext; DRAM holds neither key nor schedule.
     EXPECT_FALSE(containsBytes(disk.raw(), SECRET));
     device.soc().l2().cleanAllMasked();
-    EXPECT_FALSE(DramScanner(device.soc())
-                     .dramContains({key.data(), key.size()}));
+    EXPECT_FALSE(
+        device.soc().dram().cells().contains({key.data(), key.size()}));
 
     std::vector<std::uint8_t> back(BLOCK_SIZE);
     cache.read(17, back, true); // direct I/O: through the crypto path

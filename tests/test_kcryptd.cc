@@ -14,7 +14,7 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/security_audit.hh"
+#include "core/invariant_checker.hh"
 #include "os/block_device.hh"
 #include "os/dm_crypt.hh"
 
@@ -143,7 +143,7 @@ TEST_F(KcryptdFixture, NoPlaintextOnDiskOrInDram)
     EXPECT_FALSE(containsBytes(device.soc().dram().raw(), marker));
 
     // The programmatic audit agrees (markers checked among the rest).
-    const std::vector<std::vector<std::uint8_t>> markers{marker};
-    SecurityAudit audit(device.kernel(), device.sentry());
-    EXPECT_TRUE(audit.run(markers).allPassed());
+    InvariantChecker checker(device.kernel(), device.sentry());
+    checker.addMarker({"dm-crypt", marker, true});
+    EXPECT_TRUE(checker.checkLive().ok);
 }

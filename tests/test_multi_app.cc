@@ -9,7 +9,6 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -54,10 +53,10 @@ TEST(MultiApp, OnlySensitiveAppsAreEncrypted)
     device.sentry().markSensitive(bank);
 
     device.kernel().lockScreen();
-    DramScanner scanner(device.soc());
-    EXPECT_FALSE(scanner.dramContains(secretFor(1)));
-    EXPECT_TRUE(scanner.dramContains(secretFor(2))); // game: unprotected
-    EXPECT_FALSE(scanner.dramContains(secretFor(3)));
+    const hw::CowBytes &dram = device.soc().dram().cells();
+    EXPECT_FALSE(dram.contains(secretFor(1)));
+    EXPECT_TRUE(dram.contains(secretFor(2))); // game: unprotected
+    EXPECT_FALSE(dram.contains(secretFor(3)));
 
     EXPECT_FALSE(mail.schedulable());
     EXPECT_TRUE(game.schedulable());
@@ -121,9 +120,9 @@ TEST(MultiApp, TwoBackgroundAppsShareThePagerPool)
 
     // The invariant holds with the pool shared across processes.
     device.soc().l2().cleanAllMasked();
-    DramScanner scanner(device.soc());
-    EXPECT_FALSE(scanner.dramContains(secretFor(6)));
-    EXPECT_FALSE(scanner.dramContains(secretFor(7)));
+    const hw::CowBytes &dram = device.soc().dram().cells();
+    EXPECT_FALSE(dram.contains(secretFor(6)));
+    EXPECT_FALSE(dram.contains(secretFor(7)));
 
     device.kernel().unlockScreen("0000");
     device.kernel().readVirt(mail, mailHeap + 32, buf, 16);
@@ -140,15 +139,15 @@ TEST(MultiApp, AppChurnAcrossLockCycles)
         device.sentry().markSensitive(app);
 
         device.kernel().lockScreen();
-        DramScanner scanner(device.soc());
-        EXPECT_FALSE(scanner.dramContains(secretFor(10 + cycle)));
+        const hw::CowBytes &dram = device.soc().dram().cells();
+        EXPECT_FALSE(dram.contains(secretFor(10 + cycle)));
         device.kernel().unlockScreen("0000");
 
         device.kernel().destroyProcess(app);
         device.kernel().zeroFreedPages();
         device.soc().l2().cleanAllMasked();
         // Dead app's data (decrypted or not) is gone for good.
-        EXPECT_FALSE(scanner.dramContains(secretFor(10 + cycle)));
+        EXPECT_FALSE(dram.contains(secretFor(10 + cycle)));
     }
 }
 

@@ -10,7 +10,6 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -58,7 +57,7 @@ struct PagerFixture : testing::Test
     secretInDram()
     {
         device.soc().l2().cleanAllMasked();
-        return DramScanner(device.soc()).dramContains(SECRET);
+        return device.soc().dram().cells().contains(SECRET);
     }
 
     Device device;

@@ -149,3 +149,13 @@ TEST(PinnedMemory, ExhaustionReturnsInvalidRegion)
     EXPECT_TRUE(pool->alloc(1024).valid());
     EXPECT_FALSE(pool->alloc(16).valid());
 }
+
+TEST(PinnedMemory, LockedL2PoolIsAtMostOneWay)
+{
+    hw::Soc soc(hw::PlatformConfig::tegra3(32 * MiB));
+    const std::size_t way = soc.l2().waySizeBytes();
+    EXPECT_NE(PinnedMemory::create(soc, way, PinBacking::LockedL2), nullptr);
+    EXPECT_DEATH(PinnedMemory::create(soc, way + 1, PinBacking::LockedL2),
+                 "multi-way pinned pools are not implemented; ask for <= "
+                 "[0-9]+ bytes");
+}

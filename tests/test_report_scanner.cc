@@ -1,10 +1,11 @@
 /**
  * @file
- * Edge-path coverage for the attack-report formatter and the
- * DramScanner forensics helper: oversized report fields (the snprintf
- * truncation path), empty/oversized needles, pristine (all-zero) DRAM,
- * full-remanence and fully-decayed power loss, and overlapping pattern
- * placements versus the aligned Table 2 grep.
+ * Edge-path coverage for the attack-report formatter and the in-place
+ * DRAM grep (hw::CowBytes contains / countPattern, as the invariant
+ * checker and the cold-boot attack call them): oversized report fields
+ * (the snprintf truncation path), empty/oversized needles, pristine
+ * (all-zero) DRAM, full-remanence and fully-decayed power loss, and
+ * overlapping pattern placements versus the aligned Table 2 grep.
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +15,11 @@
 
 #include "attacks/v2/attack.hh"
 #include "common/bytes.hh"
-#include "core/dram_scanner.hh"
 #include "hw/platform.hh"
 #include "hw/soc.hh"
 
 using namespace sentry;
 using namespace sentry::attacks;
-using namespace sentry::core;
 using namespace sentry::hw;
 
 namespace
@@ -79,44 +78,43 @@ TEST(AttackReport, OversizedFieldsAreTruncatedNotOverflowed)
     EXPECT_EQ(line.substr(0, 10), std::string(10, 'a'));
 }
 
-TEST(DramScanner, EmptyAndOversizedNeedles)
+TEST(DramGrep, EmptyAndOversizedNeedles)
 {
     Soc soc(PlatformConfig::tegra3(4 * MiB));
-    DramScanner scanner(soc);
+    const CowBytes &dram = soc.dram().cells();
 
     // An empty needle matches nothing (not everything).
-    EXPECT_FALSE(scanner.dramContains({}));
-    EXPECT_FALSE(scanner.iramContains({}));
+    EXPECT_FALSE(dram.contains({}));
+    EXPECT_FALSE(soc.iram().cells().contains({}));
 
     // A needle longer than the array cannot match.
-    const std::vector<std::uint8_t> huge(soc.dramRaw().size() + 1, 0);
-    EXPECT_FALSE(scanner.dramContains(huge));
+    const std::vector<std::uint8_t> huge(soc.dram().size() + 1, 0);
+    EXPECT_FALSE(dram.contains(huge));
 }
 
-TEST(DramScanner, PristineDramOnlyMatchesZeros)
+TEST(DramGrep, PristineDramOnlyMatchesZeros)
 {
     // Fresh DRAM cells are all-zero: any non-zero needle misses, while
     // a zero needle trivially hits.
     Soc soc(PlatformConfig::tegra3(4 * MiB));
-    DramScanner scanner(soc);
+    const CowBytes &dram = soc.dram().cells();
 
-    EXPECT_FALSE(scanner.dramContains(bytesOf("SENTRY-SECRET")));
+    EXPECT_FALSE(dram.contains(bytesOf("SENTRY-SECRET")));
     const std::vector<std::uint8_t> zeros(64, 0);
-    EXPECT_TRUE(scanner.dramContains(zeros));
-    EXPECT_EQ(scanner.dramPatternCount(zeros),
-              soc.dramRaw().size() / zeros.size());
+    EXPECT_TRUE(dram.contains(zeros));
+    EXPECT_EQ(dram.countPattern(zeros), soc.dram().size() / zeros.size());
 }
 
-TEST(DramScanner, SecretAtTheVeryEndOfDramIsFound)
+TEST(DramGrep, SecretAtTheVeryEndOfDramIsFound)
 {
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto secret = bytesOf("edge-of-memory");
     soc.dram().writeCells(soc.dram().size() - secret.size(), secret.data(),
                           secret.size());
-    EXPECT_TRUE(DramScanner(soc).dramContains(secret));
+    EXPECT_TRUE(soc.dram().cells().contains(secret));
 }
 
-TEST(DramScanner, FullRemanenceSurvivesZeroSecondPowerLoss)
+TEST(DramGrep, FullRemanenceSurvivesZeroSecondPowerLoss)
 {
     // off_seconds == 0 is the full-remanence edge: every cell survives,
     // so the aligned pattern count is exactly preserved.
@@ -124,30 +122,29 @@ TEST(DramScanner, FullRemanenceSurvivesZeroSecondPowerLoss)
     const auto pattern = fromHex("a5c3e1f00f1e3c5a");
     soc.dram().fillCells(pattern);
 
-    DramScanner scanner(soc);
-    const std::size_t before = scanner.dramPatternCount(pattern);
-    ASSERT_EQ(before, soc.dramRaw().size() / pattern.size());
+    const CowBytes &dram = soc.dram().cells();
+    const std::size_t before = dram.countPattern(pattern);
+    ASSERT_EQ(before, soc.dram().size() / pattern.size());
 
     soc.dram().powerLoss(0.0, 22.0, soc.rng());
-    EXPECT_EQ(scanner.dramPatternCount(pattern), before);
+    EXPECT_EQ(dram.countPattern(pattern), before);
 }
 
-TEST(DramScanner, LongPowerLossDecaysAlmostEverything)
+TEST(DramGrep, LongPowerLossDecaysAlmostEverything)
 {
     Soc soc(PlatformConfig::tegra3(4 * MiB));
     const auto pattern = fromHex("a5c3e1f00f1e3c5a");
     soc.dram().fillCells(pattern);
-    const std::size_t before =
-        DramScanner(soc).dramPatternCount(pattern);
+    const CowBytes &dram = soc.dram().cells();
+    const std::size_t before = dram.countPattern(pattern);
 
     // 60 s without power at room temperature: Table 2's trend says
     // essentially no 8-byte unit survives intact.
     soc.dram().powerLoss(60.0, 22.0, soc.rng());
-    const std::size_t after = DramScanner(soc).dramPatternCount(pattern);
-    EXPECT_LT(after, before / 1000 + 1);
+    EXPECT_LT(dram.countPattern(pattern), before / 1000 + 1);
 }
 
-TEST(DramScanner, OverlappingCopiesCountOncePerAlignedSlot)
+TEST(DramGrep, OverlappingCopiesCountOncePerAlignedSlot)
 {
     // Two copies that overlap an alignment boundary: the byte-granular
     // search sees both, the aligned Table 2 grep counts only the slot
@@ -161,12 +158,12 @@ TEST(DramScanner, OverlappingCopiesCountOncePerAlignedSlot)
                           pattern.size());
     soc.dram().writeCells(260, pattern.data(), pattern.size());
 
-    DramScanner scanner(soc);
-    EXPECT_TRUE(scanner.dramContains(pattern));
-    EXPECT_EQ(scanner.dramPatternCount(pattern), 1u);
+    const CowBytes &dram = soc.dram().cells();
+    EXPECT_TRUE(dram.contains(pattern));
+    EXPECT_EQ(dram.countPattern(pattern), 1u);
 }
 
-TEST(DramScanner, SelfOverlappingPatternCountsDisjointSlots)
+TEST(DramGrep, SelfOverlappingPatternCountsDisjointSlots)
 {
     // A periodic needle ("abab") inside a longer run: aligned,
     // non-overlapping stride counting must not double-count shifted
@@ -177,29 +174,4 @@ TEST(DramScanner, SelfOverlappingPatternCountsDisjointSlots)
     EXPECT_EQ(countPattern(buf, ab), 2u);
     EXPECT_TRUE(containsBytes(buf, bytesOf("baba")));
     EXPECT_EQ(countPattern(buf, bytesOf("baba")), 0u);
-}
-
-TEST(DramScanner, MemoisedSearchFollowsItsNeedle)
-{
-    // A memo answers for the needle it was filled with: handed a
-    // different needle it starts over, so a needle already sitting in
-    // pages the memo had passed over is still found.
-    Soc soc(PlatformConfig::tegra3(4 * MiB));
-    const auto first = bytesOf("first-needle");
-    const auto second = bytesOf("second-needle");
-    soc.dram().writeCells(PAGE_SIZE - 4, second.data(), second.size());
-
-    DramScanner scanner(soc);
-    ScanMemo memo;
-    EXPECT_FALSE(scanner.dramContains(first, &memo));
-    EXPECT_EQ(memo.absentAt, soc.dram().cells().generation());
-    EXPECT_FALSE(scanner.dramContains(first, &memo)); // nothing changed
-    EXPECT_TRUE(scanner.dramContains(second, &memo));
-    EXPECT_EQ(memo.absentAt, 0u); // a hit is not memoised
-
-    // Written after the memo's generation, across a seam: found.
-    EXPECT_FALSE(scanner.dramContains(first, &memo));
-    soc.dram().writeCells(3 * PAGE_SIZE - 5, first.data(), first.size());
-    EXPECT_TRUE(scanner.dramContains(first, &memo));
-    EXPECT_TRUE(scanner.dramContains(first));
 }

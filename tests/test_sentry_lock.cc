@@ -10,7 +10,6 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -44,7 +43,7 @@ struct SentryFixture : testing::Test
     bool
     secretInDram()
     {
-        return DramScanner(device.soc()).dramContains(SECRET);
+        return device.soc().dram().cells().contains(SECRET);
     }
 
     Device device;
@@ -227,9 +226,9 @@ TEST_F(SentryFixture, VolatileKeyNeverInDram)
     device.kernel().lockScreen();
     device.soc().l2().cleanAllMasked();
 
-    DramScanner scanner(device.soc());
-    EXPECT_FALSE(scanner.dramContains(key));
-    EXPECT_TRUE(scanner.iramContains(key));
+    const hw::CowBytes &dram = device.soc().dram().cells();
+    EXPECT_FALSE(dram.contains(key));
+    EXPECT_TRUE(device.soc().iram().cells().contains(key));
 }
 
 TEST_F(SentryFixture, LockEpochChangesCiphertext)
@@ -293,7 +292,7 @@ TEST(SentryPlacements, AllPlacementsProtectDramFromPlaintext)
 
         device.kernel().lockScreen();
         device.soc().l2().cleanAllMasked();
-        EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET))
+        EXPECT_FALSE(device.soc().dram().cells().contains(SECRET))
             << aesPlacementName(placement);
     }
 }

@@ -25,9 +25,7 @@
 #include "common/bytes.hh"
 #include "common/trace_engine.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 #include "core/invariant_checker.hh"
-#include "core/security_audit.hh"
 #include "crypto/sha256.hh"
 #include "fork_capture.hh"
 
@@ -293,7 +291,7 @@ TEST(SnapshotFork, LockedSecretStaysEncryptedAcrossFork)
     fork.forkFrom(*snap);
     // The fork inherits the locked state: no cleartext in DRAM until
     // the PIN unlocks it.
-    EXPECT_FALSE(DramScanner(fork.soc()).dramContains(SECRET));
+    EXPECT_FALSE(fork.soc().dram().cells().contains(SECRET));
     os::Process *process = fork.kernel().processes().front().get();
     apps::SyntheticApp app(fork.kernel(), *process);
     fork.kernel().unlockScreen("0000");
@@ -733,7 +731,7 @@ TEST(RecycledFork, MatchesFreshAfterAuditClean)
     Device target(config());
     target.forkFrom(*snap);
     spawnAndTouch(target, 16 * KiB);
-    (void)SecurityAudit(target.kernel(), target.sentry()).run();
+    (void)InvariantChecker(target.kernel(), target.sentry()).checkLive();
     expectRecycledForkMatchesFresh(target, *snap);
 }
 

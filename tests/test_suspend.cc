@@ -11,7 +11,6 @@
 
 #include "common/bytes.hh"
 #include "core/device.hh"
-#include "core/dram_scanner.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -47,7 +46,7 @@ TEST_F(SuspendFixture, SuspendEncryptsBeforeHalting)
 {
     device.kernel().suspendToRam();
     EXPECT_EQ(device.kernel().powerState(), PowerState::Suspended);
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
     EXPECT_GT(device.sentry().stats().bytesEncryptedOnLock, 0u);
 }
 
@@ -59,7 +58,7 @@ TEST_F(SuspendFixture, WakeIsNotUnlock)
               PowerState::Locked);
     // ...but memory is still encrypted. This is the scenario where
     // PIN-lock alone fails and Sentry holds.
-    EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
     EXPECT_EQ(device.kernel().wakeCount(), 1u);
 }
 
@@ -82,7 +81,7 @@ TEST_F(SuspendFixture, RepeatedWakeEventsWhileSuspendedStaySafe)
     for (auto reason : {WakeReason::IncomingCall, WakeReason::TimerAlarm,
                         WakeReason::Notification}) {
         device.kernel().wakeUp(reason);
-        EXPECT_FALSE(DramScanner(device.soc()).dramContains(SECRET));
+        EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
         device.kernel().suspendToRam(60.0);
     }
     EXPECT_EQ(device.kernel().wakeCount(), 3u);
