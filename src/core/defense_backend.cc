@@ -59,20 +59,6 @@ amnesiaWorkingKey(const RootKey &master)
     return defenseWorkingKey(master, "amnesia-working-key");
 }
 
-DefenseForkState
-DefenseBackend::forkState() const
-{
-    DefenseForkState fs;
-    fs.costs = costs_;
-    return fs;
-}
-
-void
-DefenseBackend::restoreForkState(const DefenseForkState &fs)
-{
-    costs_ = fs.costs;
-}
-
 namespace
 {
 
@@ -210,20 +196,15 @@ class AmnesiaBackend final : public DefenseBackend
     DefenseForkState
     forkState() const override
     {
-        DefenseForkState fs = DefenseBackend::forkState();
-        fs.engine = engine_->forkState();
-        fs.workingKey = workingKey_;
-        return fs;
+        return {engine_->forkState(), workingKey_, costs_};
     }
 
     void
     restoreForkState(const DefenseForkState &fs) override
     {
-        DefenseBackend::restoreForkState(fs);
-        if (!fs.engine.has_value() || !fs.workingKey.has_value())
-            fatal("amnesia fork state lacks engine state");
-        engine_->restoreForkState(*fs.engine);
-        workingKey_ = *fs.workingKey;
+        engine_->restoreForkState(fs.engine.value());
+        workingKey_ = fs.workingKey.value();
+        costs_ = fs.costs;
     }
 
   private:
@@ -307,18 +288,14 @@ class MemShieldBackend final : public DefenseBackend
     DefenseForkState
     forkState() const override
     {
-        DefenseForkState fs = DefenseBackend::forkState();
-        fs.engine = pagerEngine_->forkState();
-        return fs;
+        return {pagerEngine_->forkState(), {}, costs_};
     }
 
     void
     restoreForkState(const DefenseForkState &fs) override
     {
-        DefenseBackend::restoreForkState(fs);
-        if (!fs.engine.has_value())
-            fatal("memshield fork state lacks pager-engine state");
-        pagerEngine_->restoreForkState(*fs.engine);
+        pagerEngine_->restoreForkState(fs.engine.value());
+        costs_ = fs.costs;
     }
 
   private:

@@ -89,6 +89,8 @@ struct DefenseCosts
     std::uint64_t evictions = 0; //!< MemShield working-set re-encrypts
     double extraSeconds = 0.0;   //!< simulated time charged by the backend
     double extraJoules = 0.0;    //!< simulated energy charged by the backend
+
+    bool operator==(const DefenseCosts &) const = default;
 };
 
 /**
@@ -107,11 +109,13 @@ struct DefenseForkState
 {
     /** Backend-owned engine state; absent for the Sentry backend (its
      * engine forks through SentrySnapshot::engine). */
-    std::optional<crypto::SimAesEngine::ForkState> engine;
+    std::optional<crypto::SimAesEngine::State> engine;
     /** Amnesia's working key, derived once from the template's master
      * and rewritten at every lock epoch; absent for other backends. */
     std::optional<std::array<std::uint8_t, 16>> workingKey;
     DefenseCosts costs;
+
+    bool operator==(const DefenseForkState &) const = default;
 };
 
 /** One memory-protection design, pluggable under core::Sentry. */
@@ -157,8 +161,12 @@ class DefenseBackend
     DefenseCosts &costs() { return costs_; }
     const DefenseCosts &costs() const { return costs_; }
 
-    virtual DefenseForkState forkState() const;
-    virtual void restoreForkState(const DefenseForkState &fs);
+    /** Snapshot/fork: the costs, and a backend's own engine and key. */
+    virtual DefenseForkState forkState() const { return {{}, {}, costs_}; }
+    virtual void restoreForkState(const DefenseForkState &fs)
+    {
+        costs_ = fs.costs;
+    }
 
   protected:
     DefenseCosts costs_;

@@ -40,6 +40,8 @@ struct PagerStats
     std::uint64_t evictions = 0;
     std::uint64_t bytesDecrypted = 0;
     std::uint64_t bytesEncrypted = 0;
+
+    bool operator==(const PagerStats &) const = default;
 };
 
 /** Pages sensitive background processes through locked-cache frames. */
@@ -85,10 +87,14 @@ class LockedCachePager
             int pid = 0;
             VirtAddr va = 0;
             PhysAddr frame = 0;
+
+            bool operator==(const ResidentImage &) const = default;
         };
         std::vector<PhysAddr> freeFrames;
         std::vector<ResidentImage> residents;
         PagerStats stats;
+
+        bool operator==(const ForkState &) const = default;
     };
 
     ForkState forkState() const;

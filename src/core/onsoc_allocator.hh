@@ -26,6 +26,8 @@ struct OnSocRegion
     std::size_t size = 0;
 
     bool valid() const { return size > 0; }
+
+    bool operator==(const OnSocRegion &) const = default;
 };
 
 /** First-fit allocator over one contiguous on-SoC window. */
@@ -56,11 +58,15 @@ class OnSocAllocator
     /** @return total managed bytes. */
     std::size_t capacity() const { return size_; }
 
+    bool operator==(const OnSocAllocator &) const = default;
+
   private:
     struct Chunk
     {
         PhysAddr base;
         std::size_t size;
+
+        bool operator==(const Chunk &) const = default;
     };
 
     PhysAddr base_;

@@ -49,7 +49,7 @@ toStatePlacement(AesPlacement placement)
 
 Sentry::Sentry(os::Kernel &kernel, SentryOptions options)
     : kernel_(kernel), options_(options), placement_(options.placement),
-      iramAlloc_(OnSocAllocator::forIram(kernel.soc().iram().size())),
+      state_{OnSocAllocator::forIram(kernel.soc().iram().size())},
       wayManager_(kernel.soc(),
                   lockedWindowBase(kernel.soc(),
                                    kernel.soc().l2().waySizeBytes(),
@@ -74,7 +74,7 @@ Sentry::Sentry(os::Kernel &kernel, SentryOptions options)
     }
 
     // Root keys live in iRAM in every configuration.
-    keys_ = std::make_unique<KeyManager>(soc, iramAlloc_.alloc(32));
+    keys_ = std::make_unique<KeyManager>(soc, state_.iramAlloc.alloc(32));
     keys_->generateVolatileKey();
 
     // Sentry protects iRAM from DMA whenever TrustZone permits.
@@ -91,15 +91,15 @@ Sentry::Sentry(os::Kernel &kernel, SentryOptions options)
     PhysAddr stateBase = 0;
     switch (placement_) {
       case AesPlacement::Iram:
-        stateBase = iramAlloc_.alloc(layout.totalBytes()).base;
+        stateBase = state_.iramAlloc.alloc(layout.totalBytes()).base;
         break;
       case AesPlacement::LockedL2: {
-        engineWay_ = wayManager_.lockWay();
-        if (!engineWay_)
+        const std::optional<OnSocRegion> way = wayManager_.lockWay();
+        if (!way)
             fatal("failed to lock a cache way for AES state");
-        engineWayAlloc_ = std::make_unique<OnSocAllocator>(
-            engineWay_->base, engineWay_->size);
-        stateBase = engineWayAlloc_->alloc(layout.totalBytes()).base;
+        OnSocAllocator &wayAlloc =
+            state_.engineWayAlloc.emplace(way->base, way->size);
+        stateBase = wayAlloc.alloc(layout.totalBytes()).base;
         break;
       }
       case AesPlacement::KernelGeneric: {
@@ -119,7 +119,7 @@ Sentry::Sentry(os::Kernel &kernel, SentryOptions options)
     // reproduces the pre-backend behaviour bit for bit; Amnesia and
     // MemShield build their own key/engine machinery on top.
     backend_ = makeDefenseBackend(options_.defense, kernel_, *engine_,
-                                  volatileKey, iramAlloc_);
+                                  volatileKey, state_.iramAlloc);
 
     // Background paging: lock pagerWays ways as frame pool.
     if (options_.backgroundMode) {
@@ -157,7 +157,7 @@ Sentry::markBackground(os::Process &process)
         fatal("background protection requires markSensitive first");
     if (!options_.backgroundMode)
         fatal("background mode is not enabled in this configuration");
-    backgroundPids_.insert(process.pid());
+    state_.backgroundPids.insert(process.pid());
 }
 
 crypto::Iv
@@ -171,7 +171,7 @@ Sentry::pageIv(const os::Process &process, VirtAddr va) const
     for (int i = 0; i < 8; ++i)
         iv[4 + i] = static_cast<std::uint8_t>(page >> (8 * i));
     for (int i = 0; i < 4; ++i)
-        iv[12 + i] = static_cast<std::uint8_t>(lockEpoch_ >> (8 * i));
+        iv[12 + i] = static_cast<std::uint8_t>(state_.lockEpoch >> (8 * i));
     return iv;
 }
 
@@ -199,7 +199,7 @@ Sentry::encryptProcess(os::Process &process)
             backend_->encryptPage(pte->frame, pageIv(process, va));
             pte->encrypted = true;
             pte->young = false;
-            stats_.bytesEncryptedOnLock += PAGE_SIZE;
+            state_.stats.bytesEncryptedOnLock += PAGE_SIZE;
         }
     }
 }
@@ -215,13 +215,13 @@ Sentry::onLock()
     if (options_.waitForZeroThread)
         kernel_.zeroFreedPages();
 
-    ++lockEpoch_;
-    backend_->onLockEpoch(lockEpoch_);
+    ++state_.lockEpoch;
+    backend_->onLockEpoch(state_.lockEpoch);
     for (const auto &process : kernel_.processes()) {
         if (!process->sensitive())
             continue;
         encryptProcess(*process);
-        if (!backgroundPids_.contains(process->pid()))
+        if (!state_.backgroundPids.contains(process->pid()))
             kernel_.scheduler().makeUnschedulable(process.get());
     }
 
@@ -231,10 +231,10 @@ Sentry::onLock()
         kernel_.soc().l2().cleanAllMasked();
 
     // The encrypt sweep re-encrypted every working-set resident.
-    workingSet_.clear();
+    state_.workingSet.clear();
 
-    ++stats_.lockCount;
-    stats_.lastLockSeconds = watch.elapsedSeconds();
+    ++state_.stats.lockCount;
+    state_.stats.lastLockSeconds = watch.elapsedSeconds();
 }
 
 void
@@ -266,26 +266,27 @@ Sentry::onUnlock()
                 backend_->decryptPage(pte->frame, pageIv(*process, va));
                 pte->encrypted = false;
                 pte->young = true;
-                stats_.bytesDecryptedEager += PAGE_SIZE;
+                state_.stats.bytesDecryptedEager += PAGE_SIZE;
             }
         }
     }
 
-    stats_.lastUnlockSeconds = watch.elapsedSeconds();
+    state_.stats.lastUnlockSeconds = watch.elapsedSeconds();
 }
 
 void
 Sentry::onDeepLock()
 {
-    if (!options_.scrubKeysOnDeepLock || keysDestroyed_)
+    if (state_.keysDestroyed)
         return;
     // Brute-force response: destroy the volatile root key and every
     // trace of the AES state. The encrypted pages in DRAM are now
-    // noise; nothing on or off the SoC can decrypt them.
+    // noise; nothing on or off the SoC can decrypt them (remote-wipe
+    // semantics: the data is re-fetchable after re-provisioning).
     engine_->scrub();
     keys_->scrub();
     backend_->scrubSecrets();
-    keysDestroyed_ = true;
+    state_.keysDestroyed = true;
 }
 
 bool
@@ -294,15 +295,15 @@ Sentry::handleFault(os::Process &process, VirtAddr va, os::Pte &pte)
     if (!pte.encrypted)
         return false; // plain young-bit maintenance
 
-    ++stats_.faultsServiced;
+    ++state_.stats.faultsServiced;
 
-    if (keysDestroyed_) {
+    if (state_.keysDestroyed) {
         // Deep lock destroyed the keys: the page content is gone for
         // good. Hand back a zeroed page (remote-wipe semantics).
         kernel_.soc().memory().fill(pte.frame, 0, PAGE_SIZE);
         pte.encrypted = false;
         pte.young = true;
-        stats_.bytesWipedAfterDeepLock += PAGE_SIZE;
+        state_.stats.bytesWipedAfterDeepLock += PAGE_SIZE;
         return true;
     }
 
@@ -310,7 +311,8 @@ Sentry::handleFault(os::Process &process, VirtAddr va, os::Pte &pte)
         kernel_.powerState() == os::PowerState::Locked ||
         kernel_.powerState() == os::PowerState::Suspended;
     const bool lockedBackground =
-        deviceLocked && pager_ && backgroundPids_.contains(process.pid());
+        deviceLocked && pager_ &&
+        state_.backgroundPids.contains(process.pid());
     if (lockedBackground) {
         pager_->pageIn(process, va, pte);
         return true;
@@ -321,7 +323,7 @@ Sentry::handleFault(os::Process &process, VirtAddr va, os::Pte &pte)
     backend_->decryptPage(pte.frame, pageIv(process, page));
     pte.encrypted = false;
     pte.young = true;
-    stats_.bytesDecryptedOnDemand += PAGE_SIZE;
+    state_.stats.bytesDecryptedOnDemand += PAGE_SIZE;
     noteWorkingSetPage(process, page);
     return true;
 }
@@ -332,16 +334,16 @@ Sentry::noteWorkingSetPage(os::Process &process, VirtAddr page)
     const std::size_t cap = backend_->plaintextWorkingSetCap();
     if (cap == 0)
         return; // unbounded plaintext (Sentry/Amnesia while unlocked)
-    workingSet_.emplace_back(process.pid(), page);
-    while (workingSet_.size() > cap)
+    state_.workingSet.emplace_back(process.pid(), page);
+    while (state_.workingSet.size() > cap)
         evictWorkingSetPage();
 }
 
 void
 Sentry::evictWorkingSetPage()
 {
-    const auto [pid, va] = workingSet_.front();
-    workingSet_.pop_front();
+    const auto [pid, va] = state_.workingSet.front();
+    state_.workingSet.pop_front();
     for (const auto &process : kernel_.processes()) {
         if (process->pid() != pid)
             continue;
@@ -393,19 +395,19 @@ Sentry::registerCryptoProviders()
              crypto::StatePlacement statePlacement =
                  crypto::StatePlacement::Iram;
              if (placement_ == AesPlacement::LockedL2 &&
-                 engineWayAlloc_ != nullptr) {
+                 state_.engineWayAlloc) {
                  // Each cipher gets its own slice of the locked way;
                  // overflow to iRAM when the way fills up.
                  const OnSocRegion region =
-                     engineWayAlloc_->tryAlloc(layout.totalBytes());
+                     state_.engineWayAlloc->tryAlloc(layout.totalBytes());
                  if (region.valid()) {
                      base = region.base;
                      statePlacement = crypto::StatePlacement::LockedL2;
                  } else {
-                     base = iramAlloc_.alloc(layout.totalBytes()).base;
+                     base = state_.iramAlloc.alloc(layout.totalBytes()).base;
                  }
              } else {
-                 base = iramAlloc_.alloc(layout.totalBytes()).base;
+                 base = state_.iramAlloc.alloc(layout.totalBytes()).base;
              }
              return std::make_unique<crypto::SimAesEngine>(
                  soc, base, key, statePlacement, /*kernel_path=*/true);
@@ -441,26 +443,15 @@ Sentry::snapshot() const
     return SentrySnapshot{
         placement_,
         options_.backgroundMode,
-        iramAlloc_,
+        options_.defense,
+        state_,
         wayManager_.lockedMask(),
-        engineWay_,
-        engineWayAlloc_ != nullptr
-            ? std::optional<OnSocAllocator>(*engineWayAlloc_)
-            : std::nullopt,
         keys_->hasPersistentKey(),
         engine_->forkState(),
-        pager_ != nullptr
-            ? std::optional<LockedCachePager::ForkState>(
-                  pager_->forkState())
-            : std::nullopt,
-        backgroundPids_,
-        lockEpoch_,
-        keysDestroyed_,
-        stats_,
-        !kernel_.cryptoApi().implementations().empty(),
-        options_.defense,
+        pager_ != nullptr ? std::optional(pager_->forkState())
+                          : std::nullopt,
         backend_->forkState(),
-        {workingSet_.begin(), workingSet_.end()}};
+        !kernel_.cryptoApi().implementations().empty()};
 }
 
 void
@@ -473,34 +464,19 @@ Sentry::forkFrom(const SentrySnapshot &snap)
               aesPlacementName(placement_));
     if (snap.backgroundMode != options_.backgroundMode)
         fatal("Sentry::forkFrom: background-mode mismatch");
-    if (!snap.engine.has_value())
-        fatal("Sentry::forkFrom: snapshot lacks engine state");
-    if ((pager_ != nullptr) != snap.pager.has_value())
-        fatal("Sentry::forkFrom: pager presence mismatch");
     if (snap.defenseKind != options_.defense)
         fatal("Sentry::forkFrom: snapshot defense backend %s does not "
               "match target backend %s",
               defenseKindName(snap.defenseKind),
               defenseKindName(options_.defense));
 
-    iramAlloc_ = snap.iramAlloc;
+    state_ = snap.state;
     wayManager_.restoreLockedMask(snap.lockedWayMask);
-    engineWay_ = snap.engineWay;
-    engineWayAlloc_ =
-        snap.engineWayAlloc.has_value()
-            ? std::make_unique<OnSocAllocator>(*snap.engineWayAlloc)
-            : nullptr;
     keys_->restorePersistentFlag(snap.hasPersistentKey);
-    engine_->restoreForkState(*snap.engine);
+    engine_->restoreForkState(snap.engine);
     if (pager_ != nullptr)
-        pager_->restoreForkState(*snap.pager);
-    backgroundPids_ = snap.backgroundPids;
-    lockEpoch_ = snap.lockEpoch;
-    keysDestroyed_ = snap.keysDestroyed;
-    stats_ = snap.stats;
+        pager_->restoreForkState(snap.pager.value());
     backend_->restoreForkState(snap.defense);
-    workingSet_.assign(snap.plaintextWorkingSet.begin(),
-                       snap.plaintextWorkingSet.end());
 
     // A fresh fork target has an empty crypto registry; give it the
     // same providers the snapshotted device had. (Re-forking the same

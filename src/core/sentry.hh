@@ -42,9 +42,7 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "core/defense_backend.hh"
 #include "core/key_manager.hh"
@@ -85,13 +83,6 @@ struct SentryOptions
     /** Clean the L2 after encrypt-on-lock so ciphertext reaches DRAM.
      *  Disabling this is an ablation that leaks plaintext. */
     bool cleanCacheAfterLock = true;
-    /**
-     * When five bad PINs push the device into deep lock, scrub the
-     * volatile root key and the AES state from the SoC: the encrypted
-     * pages become permanently undecryptable (remote-wipe semantics;
-     * the data is re-fetchable from the cloud after re-provisioning).
-     */
-    bool scrubKeysOnDeepLock = true;
 };
 
 /** Operation counters and last-operation timings. */
@@ -106,38 +97,11 @@ struct SentryStats
     std::uint64_t bytesWipedAfterDeepLock = 0;
     double lastLockSeconds = 0.0;
     double lastUnlockSeconds = 0.0;
+
+    bool operator==(const SentryStats &) const = default;
 };
 
-/**
- * Checkpoint of Sentry's mutable state, produced by Sentry::snapshot().
- *
- * Everything here is host-side bookkeeping: key bytes, AES state
- * regions and encrypted pages travel inside the SocSnapshot's COW
- * memory images. Hooks installed into the kernel, and the crypto
- * provider factories, are wiring — forkFrom() re-registers providers
- * on a fresh target instead of copying them.
- */
-struct SentrySnapshot
-{
-    AesPlacement placement;
-    bool backgroundMode;
-    OnSocAllocator iramAlloc;
-    std::uint32_t lockedWayMask;
-    std::optional<OnSocRegion> engineWay;
-    std::optional<OnSocAllocator> engineWayAlloc;
-    bool hasPersistentKey;
-    std::optional<crypto::SimAesEngine::ForkState> engine;
-    std::optional<LockedCachePager::ForkState> pager;
-    std::set<int> backgroundPids;
-    std::uint32_t lockEpoch;
-    bool keysDestroyed;
-    SentryStats stats;
-    bool providersRegistered;
-    DefenseKind defenseKind;
-    DefenseForkState defense;
-    /** MemShield plaintext residents as (pid, page VA). */
-    std::vector<std::pair<int, std::uint64_t>> plaintextWorkingSet;
-};
+struct SentrySnapshot;
 
 /** The Sentry manager. */
 class Sentry
@@ -183,10 +147,10 @@ class Sentry
     DefenseKind defenseKind() const { return options_.defense; }
 
     /** @return counters. */
-    const SentryStats &stats() const { return stats_; }
+    const SentryStats &stats() const { return state_.stats; }
 
     /** Zero the counters. */
-    void resetStats() { stats_ = SentryStats{}; }
+    void resetStats() { state_.stats = SentryStats{}; }
 
     /**
      * Register "aes-generic" (priority 100) and the AES On SoC
@@ -206,7 +170,7 @@ class Sentry
     double encryptAllMemoryStrawman();
 
     /** @return true after a deep-lock key scrub destroyed the keys. */
-    bool keysDestroyed() const { return keysDestroyed_; }
+    bool keysDestroyed() const { return state_.keysDestroyed; }
 
     // Exposed for tests and benches; normally invoked via kernel hooks.
     void onLock();
@@ -215,6 +179,29 @@ class Sentry
     bool handleFault(os::Process &process, VirtAddr va, os::Pte &pte);
 
     // ---- snapshot / fork -----------------------------------------------
+
+    /**
+     * Sentry's own bookkeeping: a fork copies it whole. Outside it: the
+     * kernel, its hooks and the crypto providers (wiring); the options
+     * and the effective placement (construction-time constants); and
+     * the key manager, way manager, engine, backend and pager, each
+     * forked through its own state.
+     */
+    struct State
+    {
+        OnSocAllocator iramAlloc;
+        /** Suballocator over the way backing LockedL2 (engine and
+         * crypto-API ciphers). */
+        std::optional<OnSocAllocator> engineWayAlloc{};
+        std::set<int> backgroundPids{};
+        std::uint32_t lockEpoch = 0;
+        bool keysDestroyed = false;
+        SentryStats stats{};
+        /** MemShield plaintext residents, oldest first (pid, page VA). */
+        std::deque<std::pair<int, VirtAddr>> workingSet{};
+
+        bool operator==(const State &) const = default;
+    };
 
     /** Capture Sentry's host-side state (see SentrySnapshot). */
     SentrySnapshot snapshot() const;
@@ -238,22 +225,39 @@ class Sentry
     SentryOptions options_;
     AesPlacement placement_;
 
-    OnSocAllocator iramAlloc_;
+    State state_;
     LockedWayManager wayManager_;
-    std::optional<OnSocRegion> engineWay_; //!< way backing LockedL2 state
-    /** Suballocator over engineWay_ (engine + crypto-API ciphers). */
-    std::unique_ptr<OnSocAllocator> engineWayAlloc_;
     std::unique_ptr<KeyManager> keys_;
     std::unique_ptr<crypto::SimAesEngine> engine_;
     std::unique_ptr<DefenseBackend> backend_;
     std::unique_ptr<LockedCachePager> pager_;
-    /** MemShield plaintext residents, oldest first (pid, page VA). */
-    std::deque<std::pair<int, VirtAddr>> workingSet_;
+};
 
-    std::set<int> backgroundPids_;
-    std::uint32_t lockEpoch_ = 0;
-    bool keysDestroyed_ = false;
-    SentryStats stats_;
+/**
+ * Checkpoint of Sentry's mutable state, produced by Sentry::snapshot().
+ *
+ * Everything here is host-side bookkeeping: key bytes, AES state
+ * regions and encrypted pages travel inside the SocSnapshot's COW
+ * memory images. Hooks installed into the kernel, and the crypto
+ * provider factories, are wiring — forkFrom() re-registers providers
+ * on a fresh target instead of copying them.
+ */
+struct SentrySnapshot
+{
+    /** The options a target must share (forkFrom() checks them). */
+    AesPlacement placement;
+    bool backgroundMode;
+    DefenseKind defenseKind;
+
+    Sentry::State state;
+    std::uint32_t lockedWayMask;
+    bool hasPersistentKey;
+    crypto::SimAesEngine::State engine;
+    std::optional<LockedCachePager::ForkState> pager;
+    DefenseForkState defense;
+    bool providersRegistered;
+
+    bool operator==(const SentrySnapshot &) const = default;
 };
 
 } // namespace sentry::core

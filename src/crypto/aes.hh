@@ -60,9 +60,11 @@ class AesKeySchedule
     /** Scrub the schedule from memory. */
     void scrub();
 
+    bool operator==(const AesKeySchedule &) const = default;
+
   private:
-    std::uint32_t enc_[AES_MAX_KEY_WORDS];
-    std::uint32_t dec_[AES_MAX_KEY_WORDS];
+    std::uint32_t enc_[AES_MAX_KEY_WORDS] = {};
+    std::uint32_t dec_[AES_MAX_KEY_WORDS] = {};
     unsigned rounds_;
     unsigned keyBytes_;
 };

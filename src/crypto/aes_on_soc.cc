@@ -86,7 +86,7 @@ class SimAesEngine::SimEnv
     encKey(unsigned i) const
     {
         if (engine_.secrets_ == SecretResidency::RegistersOnly)
-            return engine_.schedule_.encWords()[i]; // register read
+            return engine_.state_.schedule.encWords()[i]; // register read
         return mem_.read32(engine_.encKeysOff_ + 4 * i);
     }
 
@@ -94,24 +94,16 @@ class SimAesEngine::SimEnv
     decKey(unsigned i) const
     {
         if (engine_.secrets_ == SecretResidency::RegistersOnly)
-            return engine_.schedule_.decWords()[i]; // register read
+            return engine_.state_.schedule.decWords()[i]; // register read
         return mem_.read32(engine_.decKeysOff_ + 4 * i);
     }
 
-    unsigned rounds() const { return engine_.schedule_.rounds(); }
+    unsigned rounds() const { return engine_.state_.schedule.rounds(); }
 
   private:
     hw::MemorySystem &mem_;
     const SimAesEngine &engine_;
 };
-
-void
-SimAesEngine::restoreForkState(const ForkState &fs)
-{
-    schedule_ = fs.schedule;
-    bytesProcessed_ = fs.bytesProcessed;
-    scrubbed_ = fs.scrubbed;
-}
 
 SimAesEngine::SimAesEngine(hw::Soc &soc, PhysAddr state_base,
                            std::span<const std::uint8_t> key,
@@ -121,7 +113,7 @@ SimAesEngine::SimAesEngine(hw::Soc &soc, PhysAddr state_base,
       kernelPath_(kernel_path), secrets_(secrets),
       layout_(AesStateLayout::forKeyBytes(
           static_cast<unsigned>(key.size()))),
-      schedule_(key)
+      state_{AesKeySchedule(key)}
 {
     inputOff_ = stateBase_ + layout_.find("Input block").offset;
     keyOff_ = stateBase_ + layout_.find("Key").offset;
@@ -153,8 +145,8 @@ SimAesEngine::materialiseState(std::span<const std::uint8_t> key)
     // ever written to the memory system.
     if (secrets_ == SecretResidency::OnRegion) {
         mem.write(keyOff_, key.data(), key.size());
-        writeWords(encKeysOff_, schedule_.encWords());
-        writeWords(decKeysOff_, schedule_.decWords());
+        writeWords(encKeysOff_, state_.schedule.encWords());
+        writeWords(decKeysOff_, state_.schedule.decWords());
     }
 
     for (unsigned t = 0; t < 4; ++t) {
@@ -171,7 +163,7 @@ SimAesEngine::touchRegistersWithSecrets() const
 {
     // Model what real crypto code does: live round-key words and the
     // working block sit in CPU registers during computation.
-    const auto words = schedule_.encWords();
+    const auto words = state_.schedule.encWords();
     soc_.cpu().loadRegisters(words.subspan(0, std::min<std::size_t>(
                                                   8, words.size())));
 }
@@ -194,7 +186,7 @@ void
 SimAesEngine::cryptBlock(const std::uint8_t in[16], std::uint8_t out[16],
                          bool encrypt) const
 {
-    if (scrubbed_)
+    if (state_.scrubbed)
         panic("SimAesEngine used after scrub()");
     hw::MemorySystem &mem = soc_.memory();
 
@@ -235,7 +227,7 @@ SimAesEngine::chargeBulk(std::size_t bytes, unsigned cores)
         perByte += ep.kernelAesExtraPerByte;
     soc_.energy().charge(hw::EnergyCategory::CpuAes,
                          perByte * static_cast<double>(bytes));
-    bytesProcessed_ += bytes;
+    state_.bytesProcessed += bytes;
 }
 
 namespace
@@ -249,7 +241,7 @@ void
 SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data,
                          unsigned cores)
 {
-    if (scrubbed_)
+    if (state_.scrubbed)
         panic("SimAesEngine used after scrub()");
     if (data.size() % AES_BLOCK_SIZE != 0)
         fatal("cbcEncrypt requires a multiple of 16 bytes");
@@ -268,10 +260,10 @@ SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data,
         const auto chunk = data.subspan(off, n);
         if (onSoc()) {
             hw::OnSocIrqGuard guard(soc_.cpu());
-            aes.cbcEncrypt(schedule_, chain.data(), chunk.data(), n);
+            aes.cbcEncrypt(state_.schedule, chain.data(), chunk.data(), n);
             chargeBulk(n, cores);
         } else {
-            aes.cbcEncrypt(schedule_, chain.data(), chunk.data(), n);
+            aes.cbcEncrypt(state_.schedule, chain.data(), chunk.data(), n);
             chargeBulk(n, cores);
             soc_.cpu().pollPreemption();
         }
@@ -284,7 +276,7 @@ SimAesEngine::cbcEncrypt(const Iv &iv, std::span<std::uint8_t> data,
 void
 SimAesEngine::cbcDecrypt(const Iv &iv, std::span<std::uint8_t> data)
 {
-    if (scrubbed_)
+    if (state_.scrubbed)
         panic("SimAesEngine used after scrub()");
     if (data.size() % AES_BLOCK_SIZE != 0)
         fatal("cbcDecrypt requires a multiple of 16 bytes");
@@ -304,10 +296,10 @@ SimAesEngine::cbcDecrypt(const Iv &iv, std::span<std::uint8_t> data)
                     chunk.data() + n - AES_BLOCK_SIZE, AES_BLOCK_SIZE);
         if (onSoc()) {
             hw::OnSocIrqGuard guard(soc_.cpu());
-            aes.cbcDecrypt(schedule_, chain.data(), chunk.data(), n);
+            aes.cbcDecrypt(state_.schedule, chain.data(), chunk.data(), n);
             chargeBulk(n, 1);
         } else {
-            aes.cbcDecrypt(schedule_, chain.data(), chunk.data(), n);
+            aes.cbcDecrypt(state_.schedule, chain.data(), chunk.data(), n);
             chargeBulk(n, 1);
             soc_.cpu().pollPreemption();
         }
@@ -348,8 +340,8 @@ SimAesEngine::scrub()
         if (c.sensitivity != Sensitivity::Public)
             mem.fill(stateBase_ + c.offset, 0xff, c.bytes);
     }
-    schedule_.scrub();
-    scrubbed_ = true;
+    state_.schedule.scrub();
+    state_.scrubbed = true;
 }
 
 } // namespace sentry::crypto

@@ -151,7 +151,7 @@ class SimAesEngine : public BlockCipher
     StatePlacement placement() const { return placement_; }
 
     /** @return total plaintext+ciphertext bytes processed so far. */
-    std::uint64_t bytesProcessed() const { return bytesProcessed_; }
+    std::uint64_t bytesProcessed() const { return state_.bytesProcessed; }
 
     /**
      * Erase all sensitive state from the region (the paper's "write
@@ -164,24 +164,23 @@ class SimAesEngine : public BlockCipher
     hw::Soc &soc() const { return soc_; }
 
     /**
-     * Host-side mutable engine state for snapshot/fork. The simulated
-     * state region's *contents* travel in the SocSnapshot's COW memory
-     * images; this carries only the host mirror and accounting.
+     * The engine's host-side simulated state: a fork copies it whole.
+     * The state region's *contents* travel in the SocSnapshot's COW
+     * memory images. Outside the struct: the Soc (wiring) and the
+     * placement, kernel path, secret residency, layout and component
+     * offsets (construction-time constants).
      */
-    struct ForkState
+    struct State
     {
-        AesKeySchedule schedule;
-        std::uint64_t bytesProcessed;
-        bool scrubbed;
+        AesKeySchedule schedule; //!< host mirror (CPU registers/L1)
+        std::uint64_t bytesProcessed = 0;
+        bool scrubbed = false;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        return ForkState{schedule_, bytesProcessed_, scrubbed_};
-    }
-
-    /** Restore host state captured by forkState(). */
-    void restoreForkState(const ForkState &fs);
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     class SimEnv; // audited state-access environment
@@ -200,9 +199,7 @@ class SimAesEngine : public BlockCipher
     bool kernelPath_;
     SecretResidency secrets_ = SecretResidency::OnRegion;
     AesStateLayout layout_;
-    AesKeySchedule schedule_; //!< host mirror (models CPU registers/L1)
-    std::uint64_t bytesProcessed_ = 0;
-    bool scrubbed_ = false;
+    State state_;
 
     // Component offsets resolved once for the audited path.
     PhysAddr inputOff_, keyOff_, encKeysOff_, decKeysOff_, teOff_, tdOff_,

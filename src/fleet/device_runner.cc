@@ -157,9 +157,10 @@ class Runner
                     "snapshot spawn mode without a template snapshot "
                     "(see makeFleetTemplate)");
             // Reuse the worker's parked device when one is available
-            // (forkFrom undoes everything the previous device changed,
-            // so the construction-time config of the recycled stack is
-            // irrelevant); construct one only on the first run.
+            // (forkFrom undoes everything the previous device changed;
+            // construction-time constants such as the TrustZone fuse
+            // stay those of the index the stack was built for);
+            // construct one only on the first run.
             if (pool_ != nullptr && pool_->device)
                 device_ = std::move(pool_->device);
             else

@@ -213,8 +213,10 @@ std::uint64_t samplePriority(std::uint64_t device_seed, std::uint64_t salt,
  * (touched L2 sets, privatized DRAM/iRAM pages); the first fork of a
  * fresh Device, a different template, or a bulk L2 operation in the
  * previous device takes the full restore. Either way the recycled
- * device is bit-identical to a freshly constructed one (the
- * RecycledFork and replay-digest tests cover this). Cold-boot mode
+ * device's forked state is bit-identical to a freshly constructed
+ * one's (the RecycledFork and replay-digest tests cover this); its
+ * construction-time constants, such as the TrustZone fuse, stay those
+ * of the index it was built for. Cold-boot mode
  * ignores the pool: construction *is* the boot being measured there.
  */
 struct DevicePool

@@ -52,6 +52,8 @@ struct BusStats
 
     /** @return total transactions of either direction. */
     std::uint64_t transactions() const { return reads + writes; }
+
+    bool operator==(const BusStats &) const = default;
 };
 
 /** Address-routing bus firing BusTransfer trace points. */

@@ -25,46 +25,46 @@ Cpu::setMemoryPort(
 void
 Cpu::loadRegisters(std::span<const std::uint32_t> words)
 {
-    if (words.size() > regs_.size())
+    if (words.size() > state_.regs.size())
         panic("loadRegisters: %zu words exceed the register file",
               words.size());
     for (std::size_t i = 0; i < words.size(); ++i)
-        regs_[i] = words[i];
+        state_.regs[i] = words[i];
 }
 
 void
 Cpu::zeroRegisters()
 {
-    regs_.fill(0);
+    state_.regs.fill(0);
 }
 
 void
 Cpu::disableIrq()
 {
-    if (!irqEnabled_)
+    if (!state_.irqEnabled)
         return;
-    irqEnabled_ = false;
-    irqOffStart_ = clock_.now();
+    state_.irqEnabled = false;
+    state_.irqOffStart = clock_.now();
 }
 
 double
 Cpu::enableIrq()
 {
-    if (irqEnabled_)
+    if (state_.irqEnabled)
         return 0.0;
-    irqEnabled_ = true;
-    const double window = clock_.toSeconds(clock_.now() - irqOffStart_);
-    if (window > maxIrqOffSeconds_)
-        maxIrqOffSeconds_ = window;
+    state_.irqEnabled = true;
+    const double window = clock_.toSeconds(clock_.now() - state_.irqOffStart);
+    if (window > state_.maxIrqOffSeconds)
+        state_.maxIrqOffSeconds = window;
     return window;
 }
 
 bool
 Cpu::pollPreemption()
 {
-    if (!preemptPending_ || !irqEnabled_)
+    if (!state_.preemptPending || !state_.irqEnabled)
         return false;
-    preemptPending_ = false;
+    state_.preemptPending = false;
     contextSwitchSpill();
     return true;
 }
@@ -74,16 +74,16 @@ Cpu::contextSwitchSpill()
 {
     if (!writeMem_)
         panic("CPU memory port not wired");
-    if (stackPhys_ == 0)
+    if (state_.stackPhys == 0)
         panic("context switch with no kernel stack configured");
 
     // The register save area is written to the stack exactly as the
     // kernel's switch path would: 16 words, descending.
     std::uint8_t frame[sizeof(RegisterFile)];
-    std::memcpy(frame, regs_.data(), sizeof(frame));
-    writeMem_(stackPhys_ - sizeof(frame), frame, sizeof(frame));
+    std::memcpy(frame, state_.regs.data(), sizeof(frame));
+    writeMem_(state_.stackPhys - sizeof(frame), frame, sizeof(frame));
     clock_.advance(contextSwitchCycles);
-    ++spillCount_;
+    ++state_.spillCount;
 }
 
 OnSocIrqGuard::OnSocIrqGuard(Cpu &cpu) : cpu_(cpu)

@@ -42,11 +42,14 @@ class Cpu
             write_fn);
 
     /** Set the physical address of the current kernel stack top. */
-    void setCurrentStack(PhysAddr stack_phys) { stackPhys_ = stack_phys; }
+    void setCurrentStack(PhysAddr stack_phys)
+    {
+        state_.stackPhys = stack_phys;
+    }
 
     /** @return the architectural register file. */
-    RegisterFile &regs() { return regs_; }
-    const RegisterFile &regs() const { return regs_; }
+    RegisterFile &regs() { return state_.regs; }
+    const RegisterFile &regs() const { return state_.regs; }
 
     /** Load words into r0.. (software moving secrets into registers). */
     void loadRegisters(std::span<const std::uint32_t> words);
@@ -55,7 +58,7 @@ class Cpu
     void zeroRegisters();
 
     /** @return true when interrupts are enabled. */
-    bool irqEnabled() const { return irqEnabled_; }
+    bool irqEnabled() const { return state_.irqEnabled; }
 
     /** Mask interrupts; records the start of the irq-off window. */
     void disableIrq();
@@ -64,13 +67,13 @@ class Cpu
     double enableIrq();
 
     /** @return the longest irq-off window seen, in seconds. */
-    double maxIrqOffSeconds() const { return maxIrqOffSeconds_; }
+    double maxIrqOffSeconds() const { return state_.maxIrqOffSeconds; }
 
     /** An interrupt (timer tick, device) wants to preempt. */
-    void requestPreemption() { preemptPending_ = true; }
+    void requestPreemption() { state_.preemptPending = true; }
 
     /** @return true if a preemption request is pending delivery. */
-    bool preemptionPending() const { return preemptPending_; }
+    bool preemptionPending() const { return state_.preemptPending; }
 
     /**
      * Deliver a pending preemption if interrupts allow it: the context
@@ -85,11 +88,12 @@ class Cpu
     void contextSwitchSpill();
 
     /** @return number of context-switch spills performed. */
-    std::uint64_t spillCount() const { return spillCount_; }
+    std::uint64_t spillCount() const { return state_.spillCount; }
 
-    /** Architectural + accounting state for snapshot/fork. The memory
-     * port and clock are wiring and stay with the device. */
-    struct ForkState
+    /** Everything the core simulates, architectural and accounting: a
+     * fork copies it whole. Outside it: the clock and the memory port
+     * (wiring). */
+    struct State
     {
         RegisterFile regs{};
         bool irqEnabled = true;
@@ -98,35 +102,16 @@ class Cpu
         double maxIrqOffSeconds = 0.0;
         PhysAddr stackPhys = 0;
         std::uint64_t spillCount = 0;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        return ForkState{regs_,        irqEnabled_, preemptPending_,
-                         irqOffStart_, maxIrqOffSeconds_, stackPhys_,
-                         spillCount_};
-    }
-
-    void restoreForkState(const ForkState &fs)
-    {
-        regs_ = fs.regs;
-        irqEnabled_ = fs.irqEnabled;
-        preemptPending_ = fs.preemptPending;
-        irqOffStart_ = fs.irqOffStart;
-        maxIrqOffSeconds_ = fs.maxIrqOffSeconds;
-        stackPhys_ = fs.stackPhys;
-        spillCount_ = fs.spillCount;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     SimClock &clock_;
-    RegisterFile regs_{};
-    bool irqEnabled_ = true;
-    bool preemptPending_ = false;
-    Cycles irqOffStart_ = 0;
-    double maxIrqOffSeconds_ = 0.0;
-    PhysAddr stackPhys_ = 0;
-    std::uint64_t spillCount_ = 0;
+    State state_;
     std::function<void(PhysAddr, const std::uint8_t *, std::size_t)>
         writeMem_;
 };

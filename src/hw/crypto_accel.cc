@@ -13,14 +13,14 @@ CryptoAccelerator::CryptoAccelerator(SimClock &clock, EnergyModel &energy,
 void
 CryptoAccelerator::setKey(std::span<const std::uint8_t> key)
 {
-    cipher_ = std::make_unique<crypto::Aes>(key);
+    state_.cipher = std::make_shared<const crypto::Aes>(key);
 }
 
 double
 CryptoAccelerator::currentRate() const
 {
     const double rate = params_.fullRateBytesPerSec;
-    return downscaled_ ? rate / params_.downscaleFactor : rate;
+    return state_.downscaled ? rate / params_.downscaleFactor : rate;
 }
 
 void
@@ -28,7 +28,7 @@ CryptoAccelerator::chargeRequest(std::size_t bytes, bool encrypt)
 {
     // The whole engine (including its request setup path) runs at the
     // reduced clock while down-scaled.
-    const double setup = downscaled_
+    const double setup = state_.downscaled
                              ? params_.setupSeconds *
                                    params_.downscaleFactor
                              : params_.setupSeconds;
@@ -48,9 +48,9 @@ void
 CryptoAccelerator::cbcEncrypt(const crypto::Iv &iv,
                               std::span<std::uint8_t> data)
 {
-    if (!cipher_)
+    if (!state_.cipher)
         fatal("crypto accelerator used before a key was loaded");
-    crypto::AesBlockCipher block(*cipher_);
+    crypto::AesBlockCipher block(*state_.cipher);
     crypto::cbcEncrypt(block, iv, data);
     chargeRequest(data.size(), true);
 }
@@ -59,9 +59,9 @@ void
 CryptoAccelerator::cbcDecrypt(const crypto::Iv &iv,
                               std::span<std::uint8_t> data)
 {
-    if (!cipher_)
+    if (!state_.cipher)
         fatal("crypto accelerator used before a key was loaded");
-    crypto::AesBlockCipher block(*cipher_);
+    crypto::AesBlockCipher block(*state_.cipher);
     crypto::cbcDecrypt(block, iv, data);
     chargeRequest(data.size(), false);
 }

@@ -52,10 +52,10 @@ class CryptoAccelerator
      * Device power management: the engine drops to 1/downscaleFactor of
      * its rate while the device is locked/suspending.
      */
-    void setDownscaled(bool downscaled) { downscaled_ = downscaled; }
+    void setDownscaled(bool downscaled) { state_.downscaled = downscaled; }
 
     /** @return true while frequency-down-scaled. */
-    bool downscaled() const { return downscaled_; }
+    bool downscaled() const { return state_.downscaled; }
 
     /** CBC-encrypt @p data in place (one DMA-style request). */
     void cbcEncrypt(const crypto::Iv &iv, std::span<std::uint8_t> data);
@@ -69,30 +69,20 @@ class CryptoAccelerator
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Engine-internal register state for snapshot/fork. The loaded key
-     * schedule is shared immutably between snapshot holders. */
-    struct ForkState
+    /** The engine's registers: a fork copies them whole, the immutable
+     * key schedule by pointer (so == compares which one is loaded).
+     * Outside: the params (a construction-time constant) and the clock,
+     * energy model and trace engine (wiring). */
+    struct State
     {
         bool downscaled = false;
-        std::shared_ptr<const crypto::Aes> cipher;
+        std::shared_ptr<const crypto::Aes> cipher; //!< null: no key
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        ForkState fs;
-        fs.downscaled = downscaled_;
-        if (cipher_ != nullptr)
-            fs.cipher = std::make_shared<const crypto::Aes>(*cipher_);
-        return fs;
-    }
-
-    void restoreForkState(const ForkState &fs)
-    {
-        downscaled_ = fs.downscaled;
-        cipher_ = fs.cipher != nullptr
-                      ? std::make_unique<crypto::Aes>(*fs.cipher)
-                      : nullptr;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     void chargeRequest(std::size_t bytes, bool encrypt);
@@ -100,8 +90,7 @@ class CryptoAccelerator
     SimClock &clock_;
     EnergyModel &energy_;
     CryptoAccelParams params_;
-    bool downscaled_ = false;
-    std::unique_ptr<crypto::Aes> cipher_;
+    State state_;
     probe::TraceEngine *trace_ = nullptr;
 };
 

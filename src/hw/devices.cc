@@ -11,7 +11,7 @@ UartDevice::dmaWrite(PhysAddr offset, const std::uint8_t *buf,
                      std::size_t len)
 {
     (void)offset; // the whole window aliases the loopback FIFO
-    loopback_.insert(loopback_.end(), buf, buf + len);
+    state_.loopback.insert(state_.loopback.end(), buf, buf + len);
     return DmaStatus::Ok;
 }
 
@@ -20,18 +20,18 @@ UartDevice::dmaRead(PhysAddr offset, std::uint8_t *buf, std::size_t len)
 {
     (void)offset;
     // The debug port loops written data back out of the serial channel.
-    const std::size_t avail = std::min(len, loopback_.size());
-    std::memcpy(buf, loopback_.data(), avail);
+    std::vector<std::uint8_t> &fifo = state_.loopback;
+    const std::size_t avail = std::min(len, fifo.size());
+    std::memcpy(buf, fifo.data(), avail);
     std::memset(buf + avail, 0, len - avail);
-    loopback_.erase(loopback_.begin(),
-                    loopback_.begin() + static_cast<long>(avail));
+    fifo.erase(fifo.begin(), fifo.begin() + static_cast<long>(avail));
     return DmaStatus::Ok;
 }
 
 std::vector<std::uint8_t>
 UartDevice::drainLoopback()
 {
-    return std::exchange(loopback_, {});
+    return std::exchange(state_.loopback, {});
 }
 
 DmaStatus
@@ -42,7 +42,7 @@ NicDevice::dmaWrite(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
         return DmaStatus::BadAddress;
     }
     (void)buf; // transmitted data leaves the system
-    bytesTransmitted_ += len;
+    state_.bytesTransmitted += len;
     return DmaStatus::Ok;
 }
 
@@ -53,17 +53,18 @@ NicDevice::dmaRead(PhysAddr offset, std::uint8_t *buf, std::size_t len)
         // The transmit FIFO cannot be DMA-ed back in (paper 4.2).
         return DmaStatus::DeviceNotReadable;
     }
-    const std::size_t avail = std::min(len, rxFifo_.size());
-    std::memcpy(buf, rxFifo_.data(), avail);
+    std::vector<std::uint8_t> &fifo = state_.rxFifo;
+    const std::size_t avail = std::min(len, fifo.size());
+    std::memcpy(buf, fifo.data(), avail);
     std::memset(buf + avail, 0, len - avail);
-    rxFifo_.erase(rxFifo_.begin(), rxFifo_.begin() + static_cast<long>(avail));
+    fifo.erase(fifo.begin(), fifo.begin() + static_cast<long>(avail));
     return DmaStatus::Ok;
 }
 
 void
 NicDevice::receiveFrame(std::vector<std::uint8_t> frame)
 {
-    rxFifo_.insert(rxFifo_.end(), frame.begin(), frame.end());
+    state_.rxFifo.insert(state_.rxFifo.end(), frame.begin(), frame.end());
 }
 
 } // namespace sentry::hw

@@ -51,17 +51,19 @@ class UartDevice : public DmaDevice
      */
     std::vector<std::uint8_t> drainLoopback();
 
-    /** FIFO contents for snapshot/fork. */
-    struct ForkState
+    /** The looped-back bytes: a fork copies them whole. */
+    struct State
     {
         std::vector<std::uint8_t> loopback;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const { return ForkState{loopback_}; }
-    void restoreForkState(const ForkState &fs) { loopback_ = fs.loopback; }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
-    std::vector<std::uint8_t> loopback_;
+    State state_;
 };
 
 /** Network controller: write-only TX FIFO, fillable RX FIFO. */
@@ -77,28 +79,22 @@ class NicDevice : public DmaDevice
     void receiveFrame(std::vector<std::uint8_t> frame);
 
     /** @return bytes transmitted so far (the data itself is gone). */
-    std::uint64_t bytesTransmitted() const { return bytesTransmitted_; }
+    std::uint64_t bytesTransmitted() const { return state_.bytesTransmitted; }
 
-    /** FIFO contents and accounting for snapshot/fork. */
-    struct ForkState
+    /** The RX FIFO and the TX accounting: a fork copies them whole. */
+    struct State
     {
         std::vector<std::uint8_t> rxFifo;
         std::uint64_t bytesTransmitted = 0;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        return ForkState{rxFifo_, bytesTransmitted_};
-    }
-    void restoreForkState(const ForkState &fs)
-    {
-        rxFifo_ = fs.rxFifo;
-        bytesTransmitted_ = fs.bytesTransmitted;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
-    std::vector<std::uint8_t> rxFifo_;
-    std::uint64_t bytesTransmitted_ = 0;
+    State state_;
 };
 
 } // namespace sentry::hw

@@ -60,7 +60,7 @@ DmaController::readMemory(PhysAddr addr, std::uint8_t *buf, std::size_t len)
     }
 
     clock_.advance(len * dmaCyclesPerByte);
-    bytesTransferred_ += len;
+    state_.bytesTransferred += len;
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::DmaBurst)) {
         probe::DmaBurst event{addr, len, false};
         trace_->emit(event);
@@ -84,7 +84,7 @@ DmaController::writeMemory(PhysAddr addr, const std::uint8_t *buf,
     }
 
     clock_.advance(len * dmaCyclesPerByte);
-    bytesTransferred_ += len;
+    state_.bytesTransferred += len;
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::DmaBurst)) {
         probe::DmaBurst event{addr, len, true};
         trace_->emit(event);

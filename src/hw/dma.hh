@@ -89,23 +89,23 @@ class DmaController
     DmaStatus transfer(PhysAddr src, PhysAddr dst, std::size_t len);
 
     /** @return total bytes moved by this controller. */
-    std::uint64_t bytesTransferred() const { return bytesTransferred_; }
+    std::uint64_t bytesTransferred() const { return state_.bytesTransferred; }
 
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Transfer accounting for snapshot/fork (device mappings are
-     * construction-time wiring). */
-    struct ForkState
+    /** The transfer accounting: a fork copies it whole. Outside it:
+     * the device mappings, clock, bus, iRAM, TrustZone and trace
+     * engine (wiring). */
+    struct State
     {
         std::uint64_t bytesTransferred = 0;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const { return ForkState{bytesTransferred_}; }
-    void restoreForkState(const ForkState &fs)
-    {
-        bytesTransferred_ = fs.bytesTransferred;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     struct DeviceMapping
@@ -124,7 +124,7 @@ class DmaController
     Iram &iram_;
     TrustZone &tz_;
     std::vector<DeviceMapping> devices_;
-    std::uint64_t bytesTransferred_ = 0;
+    State state_;
     probe::TraceEngine *trace_ = nullptr;
 };
 

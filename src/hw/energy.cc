@@ -37,7 +37,7 @@ EnergyModel::charge(EnergyCategory category, double joules)
 {
     if (joules < 0)
         panic("negative energy charge (%f J)", joules);
-    consumed_[static_cast<std::size_t>(category)] += joules;
+    state_.consumed[static_cast<std::size_t>(category)] += joules;
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::PowerEvent)) {
         probe::PowerEvent event{energyCategoryName(category), joules};
         trace_->emit(event);
@@ -47,14 +47,14 @@ EnergyModel::charge(EnergyCategory category, double joules)
 double
 EnergyModel::consumed(EnergyCategory category) const
 {
-    return consumed_[static_cast<std::size_t>(category)];
+    return state_.consumed[static_cast<std::size_t>(category)];
 }
 
 double
 EnergyModel::totalConsumed() const
 {
     double total = 0.0;
-    for (double j : consumed_)
+    for (double j : state_.consumed)
         total += j;
     return total;
 }
@@ -70,7 +70,7 @@ EnergyModel::batteryFractionUsed() const
 void
 EnergyModel::reset()
 {
-    consumed_.fill(0.0);
+    state_.consumed.fill(0.0);
 }
 
 } // namespace sentry::hw

@@ -89,24 +89,25 @@ class EnergyModel
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Accumulator state for snapshot/fork (params and battery capacity
-     * are config constants). */
-    struct ForkState
+    /** The accumulators: a fork copies them whole. Outside them: the
+     * cost params and battery capacity (construction-time constants)
+     * and the trace engine (wiring). */
+    struct State
     {
         std::array<double, static_cast<std::size_t>(
                                EnergyCategory::NumCategories)>
             consumed{};
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const { return ForkState{consumed_}; }
-    void restoreForkState(const ForkState &fs) { consumed_ = fs.consumed; }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     EnergyParams params_;
     double batteryJoules_;
-    std::array<double, static_cast<std::size_t>(
-                           EnergyCategory::NumCategories)>
-        consumed_{};
+    State state_;
     probe::TraceEngine *trace_ = nullptr;
 };
 

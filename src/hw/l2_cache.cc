@@ -306,14 +306,9 @@ L2Cache::wayHasDirtyLines(unsigned way) const
 L2Cache::ForkState
 L2Cache::forkState() const
 {
-    ForkState fs;
-    fs.image = std::make_shared<const ForkImage>(
-        ForkImage{tags_, valid_, dirty_, data_, rr_});
-    fs.mru = mru_;
-    fs.lockdownMask = lockdownMask_;
-    fs.flushWayMask = flushWayMask_;
-    fs.stats = stats_;
-    return fs;
+    return ForkState{std::make_shared<const ForkImage>(
+                         ForkImage{tags_, valid_, dirty_, data_, rr_}),
+                     lockdownMask_, flushWayMask_, stats_};
 }
 
 void
@@ -323,8 +318,7 @@ L2Cache::restoreForkState(const ForkState &fs)
     if (image.tags.size() != tags_.size() ||
         image.valid.size() != valid_.size() ||
         image.dirty.size() != dirty_.size() ||
-        image.data.size() != data_.size() || image.rr.size() != rr_.size() ||
-        fs.mru.size() != mru_.size())
+        image.data.size() != data_.size() || image.rr.size() != rr_.size())
         fatal("L2Cache::restoreForkState: geometry mismatch");
     if (fs.image == restored_) {
         // Same image: only the sets touched since can differ from it.
@@ -351,7 +345,6 @@ L2Cache::restoreForkState(const ForkState &fs)
         restored_ = fs.image;
     }
     std::fill(touched_.begin(), touched_.end(), 0);
-    std::copy(fs.mru.begin(), fs.mru.end(), mru_.begin());
     lockdownMask_ = fs.lockdownMask;
     flushWayMask_ = fs.flushWayMask;
     stats_ = fs.stats;

@@ -206,14 +206,17 @@ class L2Cache
         std::vector<std::uint32_t> dirty;
         std::vector<std::uint8_t> data;
         std::vector<std::uint32_t> rr;
+
+        bool operator==(const ForkImage &) const = default;
     };
 
-    /** Complete mutable controller state for snapshot/fork. */
+    /** Complete simulated controller state for snapshot/fork. The
+     * per-set MRU hints are host lookup state, not part of it: a
+     * restore keeps the hints the controller has. */
     struct ForkState
     {
         /** Immutable once captured, so any number of forks share it. */
         std::shared_ptr<const ForkImage> image;
-        std::vector<std::uint8_t> mru;
         std::uint32_t lockdownMask = 0;
         std::uint32_t flushWayMask = 0;
         L2Stats stats;
@@ -231,8 +234,8 @@ class L2Cache
      * touched since (a fill, write, writeback or invalidate marks its
      * set before changing it, and so do the flushes for each set whose
      * lines they invalidate); a different image, or one restored after
-     * the firmware reset, is copied back whole. The replacement hints
-     * and the scalars are always copied whole.
+     * the firmware reset, is copied back whole. The scalars are always
+     * copied whole.
      */
     void restoreForkState(const ForkState &fs);
 
@@ -308,7 +311,8 @@ class L2Cache
     // Per-set most-recently-hit way: checked before the valid-way scan
     // so the pinned-AES-state access pattern (same handful of lines,
     // millions of times) short-circuits in one compare. Pure lookup
-    // acceleration — never changes which way findWay() reports.
+    // acceleration — never changes which way findWay() reports — so a
+    // fork leaves it alone: a stale hint only costs the scan.
     mutable std::vector<std::uint8_t> mru_;
     std::uint32_t lockdownMask_ = 0;
     std::uint32_t flushWayMask_ = 0;

@@ -14,7 +14,7 @@ MemCryptoEngine::MemCryptoEngine(SimClock &clock, EnergyModel &energy,
 void
 MemCryptoEngine::setKey(std::span<const std::uint8_t> key)
 {
-    cipher_ = std::make_unique<crypto::Aes>(key);
+    state_.cipher = std::make_shared<const crypto::Aes>(key);
 }
 
 void
@@ -28,10 +28,10 @@ MemCryptoEngine::chargeRequest(std::size_t bytes, bool encrypt)
         params_.joulesPerByte * static_cast<double>(bytes);
     clock_.advanceSeconds(seconds);
     energy_.charge(EnergyCategory::CryptoAccel, joules);
-    ++stats_.requests;
-    stats_.bytesProcessed += bytes;
-    stats_.secondsCharged += seconds;
-    stats_.joulesCharged += joules;
+    ++state_.stats.requests;
+    state_.stats.bytesProcessed += bytes;
+    state_.stats.secondsCharged += seconds;
+    state_.stats.joulesCharged += joules;
     if (trace_ != nullptr && trace_->enabled(probe::TraceKind::CryptoOp)) {
         probe::CryptoOp event{bytes, encrypt};
         trace_->emit(event);
@@ -42,11 +42,11 @@ void
 MemCryptoEngine::cbcEncrypt(const crypto::Iv &iv,
                             std::span<std::uint8_t> data)
 {
-    if (!cipher_)
+    if (!state_.cipher)
         fatal("memory-crypto engine used before a key was loaded");
     if (data.size() % AES_BLOCK_SIZE != 0)
         fatal("cbcEncrypt requires a multiple of 16 bytes");
-    host::kernels().aes.cbcEncrypt(cipher_->schedule(), iv.data(),
+    host::kernels().aes.cbcEncrypt(state_.cipher->schedule(), iv.data(),
                                    data.data(), data.size());
     chargeRequest(data.size(), true);
 }
@@ -55,11 +55,11 @@ void
 MemCryptoEngine::cbcDecrypt(const crypto::Iv &iv,
                             std::span<std::uint8_t> data)
 {
-    if (!cipher_)
+    if (!state_.cipher)
         fatal("memory-crypto engine used before a key was loaded");
     if (data.size() % AES_BLOCK_SIZE != 0)
         fatal("cbcDecrypt requires a multiple of 16 bytes");
-    host::kernels().aes.cbcDecrypt(cipher_->schedule(), iv.data(),
+    host::kernels().aes.cbcDecrypt(state_.cipher->schedule(), iv.data(),
                                    data.data(), data.size());
     chargeRequest(data.size(), false);
 }

@@ -49,6 +49,8 @@ struct MemCryptoStats
     std::uint64_t bytesProcessed = 0;
     double secondsCharged = 0.0;
     double joulesCharged = 0.0;
+
+    bool operator==(const MemCryptoStats &) const = default;
 };
 
 /** The GPU-like bulk AES engine. */
@@ -62,7 +64,7 @@ class MemCryptoEngine
     void setKey(std::span<const std::uint8_t> key);
 
     /** Drop the loaded key (deep-lock scrub). */
-    void clearKey() { cipher_ = nullptr; }
+    void clearKey() { state_.cipher = nullptr; }
 
     /** CBC-encrypt @p data in place (one bulk request). */
     void cbcEncrypt(const crypto::Iv &iv, std::span<std::uint8_t> data);
@@ -71,35 +73,25 @@ class MemCryptoEngine
     void cbcDecrypt(const crypto::Iv &iv, std::span<std::uint8_t> data);
 
     /** @return accumulated work/cost counters. */
-    const MemCryptoStats &stats() const { return stats_; }
+    const MemCryptoStats &stats() const { return state_.stats; }
 
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Engine-internal register state for snapshot/fork. The loaded key
-     * schedule is shared immutably between snapshot holders. */
-    struct ForkState
+    /** The engine's registers and cost ledger: a fork copies them
+     * whole, the immutable key schedule by pointer (so == compares which
+     * one is loaded). Outside: the params (a construction-time constant)
+     * and the clock, energy model and trace engine (wiring). */
+    struct State
     {
-        std::shared_ptr<const crypto::Aes> cipher;
+        std::shared_ptr<const crypto::Aes> cipher; //!< null: unkeyed
         MemCryptoStats stats;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        ForkState fs;
-        if (cipher_ != nullptr)
-            fs.cipher = std::make_shared<const crypto::Aes>(*cipher_);
-        fs.stats = stats_;
-        return fs;
-    }
-
-    void restoreForkState(const ForkState &fs)
-    {
-        cipher_ = fs.cipher != nullptr
-                      ? std::make_unique<crypto::Aes>(*fs.cipher)
-                      : nullptr;
-        stats_ = fs.stats;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
     void chargeRequest(std::size_t bytes, bool encrypt);
@@ -107,8 +99,7 @@ class MemCryptoEngine
     SimClock &clock_;
     EnergyModel &energy_;
     MemCryptoParams params_;
-    std::unique_ptr<crypto::Aes> cipher_;
-    MemCryptoStats stats_;
+    State state_;
     probe::TraceEngine *trace_ = nullptr;
 };
 

@@ -170,28 +170,30 @@ Soc::Soc(const PlatformConfig &config)
 SocSnapshot
 Soc::snapshot() const
 {
-    SocSnapshot snap;
-    snap.platformName = config_.name;
-    snap.dramSize = dram_.size();
-    snap.iramSize = iram_.size();
-    snap.l2Size = l2_.size();
-    snap.l2Ways = l2_.ways();
-    snap.dram = dram_.snapshotImage();
-    snap.iram = iram_.snapshotImage();
-    snap.clockNow = clock_.now();
-    snap.rng = rng_;
-    snap.energy = energy_.forkState();
-    snap.bus = bus_.stats();
-    snap.trustzone = tz_.forkState();
-    snap.l2 = l2_.forkState();
-    snap.dma = dma_.forkState();
-    snap.uart = uart_.forkState();
-    snap.nic = nic_.forkState();
-    snap.cpu = cpu_.forkState();
-    if (accel_ != nullptr)
-        snap.accel = accel_->forkState();
-    snap.memCrypto = memCrypto_->forkState();
-    return snap;
+    return SocSnapshot{
+        .platformName = config_.name,
+        .dramSize = dram_.size(),
+        .iramSize = iram_.size(),
+        .l2Size = l2_.size(),
+        .l2Ways = l2_.ways(),
+        .dram = dram_.snapshotImage(),
+        .iram = iram_.snapshotImage(),
+        .l2 = l2_.forkState(),
+        .state = {
+            .clockNow = clock_.now(),
+            .rng = rng_.state(),
+            .bus = bus_.stats(),
+            .energy = energy_.forkState(),
+            .trustzone = tz_.forkState(),
+            .dma = dma_.forkState(),
+            .uart = uart_.forkState(),
+            .nic = nic_.forkState(),
+            .cpu = cpu_.forkState(),
+            .accel = accel_ != nullptr ? accel_->forkState()
+                                       : CryptoAccelerator::State{},
+            .memCrypto = memCrypto_->forkState(),
+        },
+    };
 }
 
 void
@@ -203,27 +205,27 @@ Soc::forkFrom(const SocSnapshot &snap)
         fatal("Soc::forkFrom: snapshot of platform '%s' does not match "
               "target '%s' geometry",
               snap.platformName.c_str(), config_.name.c_str());
-    if ((snap.accel.cipher != nullptr || snap.accel.downscaled) &&
-        accel_ == nullptr)
+    const SocState &state = snap.state;
+    if (state.accel != CryptoAccelerator::State{} && accel_ == nullptr)
         fatal("Soc::forkFrom: snapshot has crypto-accelerator state but "
               "the target platform has none");
 
     dram_.adoptImage(snap.dram);
     iram_.adoptImage(snap.iram);
     clock_.reset();
-    clock_.advance(snap.clockNow);
-    rng_ = snap.rng;
-    energy_.restoreForkState(snap.energy);
-    bus_.restoreStats(snap.bus);
-    tz_.restoreForkState(snap.trustzone);
+    clock_.advance(state.clockNow);
+    rng_.setState(state.rng);
+    energy_.restoreForkState(state.energy);
+    bus_.restoreStats(state.bus);
+    tz_.restoreForkState(state.trustzone);
     l2_.restoreForkState(snap.l2);
-    dma_.restoreForkState(snap.dma);
-    uart_.restoreForkState(snap.uart);
-    nic_.restoreForkState(snap.nic);
-    cpu_.restoreForkState(snap.cpu);
+    dma_.restoreForkState(state.dma);
+    uart_.restoreForkState(state.uart);
+    nic_.restoreForkState(state.nic);
+    cpu_.restoreForkState(state.cpu);
     if (accel_ != nullptr)
-        accel_->restoreForkState(snap.accel);
-    memCrypto_->restoreForkState(snap.memCrypto);
+        accel_->restoreForkState(state.accel);
+    memCrypto_->restoreForkState(state.memCrypto);
 }
 
 void

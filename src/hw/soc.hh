@@ -78,13 +78,34 @@ class MemorySystem
 };
 
 /**
+ * The Soc's small simulated state: the clock, the RNG stream, the bus
+ * counters and each component's State, copied by value. The memories
+ * and the L2 array fork by their own delta restores and stay outside.
+ */
+struct SocState
+{
+    Cycles clockNow = 0;
+    Rng::State rng{};
+    BusStats bus;
+    EnergyModel::State energy;
+    TrustZone::State trustzone;
+    DmaController::State dma;
+    UartDevice::State uart;
+    NicDevice::State nic;
+    Cpu::State cpu;
+    CryptoAccelerator::State accel; //!< default when absent
+    MemCryptoEngine::State memCrypto;
+
+    bool operator==(const SocState &) const = default;
+};
+
+/**
  * Immutable checkpoint of a whole Soc, produced by Soc::snapshot().
  *
  * The big cell arrays (DRAM, iRAM) are ref-counted COW images — forks
  * share their pages read-only and privatize on first write — and the
  * L2 array is one immutable image copied into each fork's controller.
- * The small per-device state (CPU, TrustZone, clock, RNG streams,
- * accelerator registers, traffic counters) is deep-copied by value.
+ * The small per-device state is one SocState, copied by value.
  * Wiring (trace engines, bus mappings, memory ports) is never part of
  * a snapshot: it belongs to each device's own construction.
  *
@@ -104,19 +125,8 @@ struct SocSnapshot
 
     std::shared_ptr<const CowImage> dram;
     std::shared_ptr<const CowImage> iram;
-
-    Cycles clockNow = 0;
-    Rng rng;
-    EnergyModel::ForkState energy;
-    BusStats bus;
-    TrustZone::ForkState trustzone;
     L2Cache::ForkState l2;
-    DmaController::ForkState dma;
-    UartDevice::ForkState uart;
-    NicDevice::ForkState nic;
-    Cpu::ForkState cpu;
-    CryptoAccelerator::ForkState accel; //!< cipher null when absent
-    MemCryptoEngine::ForkState memCrypto; //!< cipher null when unkeyed
+    SocState state;
 };
 
 /** The simulated device. */

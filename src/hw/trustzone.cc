@@ -1,5 +1,7 @@
 #include "hw/trustzone.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -25,21 +27,21 @@ TrustZone::enterSecureWorld()
 {
     if (!secureAvailable_)
         return false;
-    world_ = World::Secure;
-    ++smcEntries_;
+    state_.world = World::Secure;
+    ++state_.smcEntries;
     return true;
 }
 
 void
 TrustZone::exitSecureWorld()
 {
-    world_ = World::Normal;
+    state_.world = World::Normal;
 }
 
 bool
 TrustZone::readFuse(std::array<std::uint8_t, 32> &out) const
 {
-    if (world_ != World::Secure)
+    if (state_.world != World::Secure)
         return false;
     out = fuse_.secret();
     return true;
@@ -48,43 +50,41 @@ TrustZone::readFuse(std::array<std::uint8_t, 32> &out) const
 bool
 TrustZone::protectRegionFromDma(PhysAddr base, std::size_t size)
 {
-    if (world_ != World::Secure)
+    if (state_.world != World::Secure)
         return false;
-    dmaProtected_.push_back({base, size});
+    state_.dmaProtected.push_back({base, size});
     return true;
 }
 
 bool
 TrustZone::unprotectRegionFromDma(PhysAddr base, std::size_t size)
 {
-    if (world_ != World::Secure)
+    if (state_.world != World::Secure)
         return false;
-    for (auto it = dmaProtected_.begin(); it != dmaProtected_.end(); ++it) {
-        if (it->base == base && it->size == size) {
-            dmaProtected_.erase(it);
-            return true;
-        }
-    }
-    return false;
+    auto &regions = state_.dmaProtected;
+    const auto it =
+        std::find(regions.begin(), regions.end(), std::pair{base, size});
+    if (it == regions.end())
+        return false;
+    regions.erase(it);
+    return true;
 }
 
 bool
 TrustZone::bindSharedBuffer(PhysAddr base, std::size_t size)
 {
-    if (world_ != World::Secure)
+    if (state_.world != World::Secure)
         return false;
-    sharedBase_ = base;
-    sharedSize_ = size;
+    state_.sharedBase = base;
+    state_.sharedSize = size;
     return true;
 }
 
 bool
 TrustZone::dmaDenied(PhysAddr addr, std::size_t len) const
 {
-    for (const auto &region : dmaProtected_) {
-        const bool overlaps = addr < region.base + region.size &&
-                              region.base < addr + len;
-        if (overlaps)
+    for (const auto &[base, size] : state_.dmaProtected) {
+        if (addr < base + size && base < addr + len)
             return true;
     }
     return false;

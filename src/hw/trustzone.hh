@@ -65,7 +65,7 @@ class TrustZone
     TrustZone(bool secure_world_available, std::uint64_t fuse_seed);
 
     /** @return the current processor world. */
-    World world() const { return world_; }
+    World world() const { return state_.world; }
 
     /** @return true if secure-world entry is possible on this device. */
     bool secureWorldAvailable() const { return secureAvailable_; }
@@ -102,7 +102,10 @@ class TrustZone
      * @return true if the current world may program the PL310 lockdown
      *         registers (secure world only).
      */
-    bool lockdownConfigAllowed() const { return world_ == World::Secure; }
+    bool lockdownConfigAllowed() const
+    {
+        return state_.world == World::Secure;
+    }
 
     /**
      * Register the world-shared mailbox buffer a secure service uses to
@@ -114,69 +117,43 @@ class TrustZone
     bool bindSharedBuffer(PhysAddr base, std::size_t size);
 
     /** @return true once bindSharedBuffer succeeded. */
-    bool hasSharedBuffer() const { return sharedSize_ != 0; }
+    bool hasSharedBuffer() const { return state_.sharedSize != 0; }
 
     /** @return the shared mailbox base (0 when unbound). */
-    PhysAddr sharedBufferBase() const { return sharedBase_; }
+    PhysAddr sharedBufferBase() const { return state_.sharedBase; }
 
     /** @return the shared mailbox size (0 when unbound). */
-    std::size_t sharedBufferSize() const { return sharedSize_; }
+    std::size_t sharedBufferSize() const { return state_.sharedSize; }
 
     /** @return successful secure-world entries so far (SMC count). */
-    std::uint64_t smcEntries() const { return smcEntries_; }
+    std::uint64_t smcEntries() const { return state_.smcEntries; }
 
     /**
-     * Mutable security state for snapshot/fork. The fuse secret and
-     * secure-world availability are provisioning-time constants derived
-     * from the device's own config, so they stay with the target device
-     * (a fork with the same seed matches the source exactly).
+     * The controller's simulated security state: a fork copies it
+     * whole. Outside it are the construction-time constants, the fuse
+     * secret and secure-world availability, derived from the device's
+     * own config. A fork keeps the target's: a recycled fleet device
+     * holds the fuse of the index its target was built for.
      */
-    struct ForkState
+    struct State
     {
         World world = World::Normal;
+        /** DMA-protected ranges as (base, size). */
         std::vector<std::pair<PhysAddr, std::size_t>> dmaProtected;
         PhysAddr sharedBase = 0;
         std::size_t sharedSize = 0;
         std::uint64_t smcEntries = 0;
+
+        bool operator==(const State &) const = default;
     };
 
-    ForkState forkState() const
-    {
-        ForkState fs;
-        fs.world = world_;
-        for (const Region &region : dmaProtected_)
-            fs.dmaProtected.emplace_back(region.base, region.size);
-        fs.sharedBase = sharedBase_;
-        fs.sharedSize = sharedSize_;
-        fs.smcEntries = smcEntries_;
-        return fs;
-    }
-
-    void restoreForkState(const ForkState &fs)
-    {
-        world_ = fs.world;
-        dmaProtected_.clear();
-        for (const auto &[base, size] : fs.dmaProtected)
-            dmaProtected_.push_back(Region{base, size});
-        sharedBase_ = fs.sharedBase;
-        sharedSize_ = fs.sharedSize;
-        smcEntries_ = fs.smcEntries;
-    }
+    State forkState() const { return state_; }
+    void restoreForkState(const State &state) { state_ = state; }
 
   private:
-    struct Region
-    {
-        PhysAddr base;
-        std::size_t size;
-    };
-
     bool secureAvailable_;
-    World world_ = World::Normal;
     SecureFuse fuse_;
-    std::vector<Region> dmaProtected_;
-    PhysAddr sharedBase_ = 0;
-    std::size_t sharedSize_ = 0;
-    std::uint64_t smcEntries_ = 0;
+    State state_;
 };
 
 /** RAII secure-world section; fatal if the device's firmware is locked. */

@@ -31,7 +31,7 @@ Kernel::KernelTimer::~KernelTimer()
 {
     --kernel_.kernelTimerDepth_;
     if (outermost_) {
-        kernel_.kernelCycles_ +=
+        kernel_.state_.kernelCycles +=
             kernel_.soc_.clock().now() - kernel_.kernelTimerStart_;
     }
 }
@@ -39,7 +39,7 @@ Kernel::KernelTimer::~KernelTimer()
 Process &
 Kernel::createProcess(const std::string &name)
 {
-    auto process = std::make_unique<Process>(nextPid_++, name);
+    auto process = std::make_unique<Process>(state_.nextPid++, name);
     const PhysAddr stackFrame = allocator_.allocFrame();
     process->setKernelStackTop(stackFrame + KERNEL_STACK_BYTES);
     scheduler_.admit(process.get());
@@ -60,11 +60,11 @@ Kernel::destroyProcess(Process &process)
         // Pages resident on-SoC return their DRAM home; the locked-cache
         // frame itself belongs to the pager, not the allocator.
         const PhysAddr frame = pte.onSoc ? pte.dramHome : pte.frame;
-        freedDirtyFrames_.push_back(frame);
+        state_.freedDirtyFrames.push_back(frame);
         allocator_.freeFrame(frame);
     });
-    freedDirtyFrames_.push_back(process.kernelStackTop() -
-                                KERNEL_STACK_BYTES);
+    state_.freedDirtyFrames.push_back(process.kernelStackTop() -
+                                      KERNEL_STACK_BYTES);
     allocator_.freeFrame(process.kernelStackTop() - KERNEL_STACK_BYTES);
 
     for (auto it = processes_.begin(); it != processes_.end(); ++it) {
@@ -102,7 +102,7 @@ Kernel::resolve(Process &process, VirtAddr va, bool write)
     if (!pte->young) {
         // Trap: enter the kernel fault path.
         KernelTimer timer(*this);
-        ++faultCount_;
+        ++state_.faultCount;
         soc_.clock().advance(soc_.config().cost.pageFaultCycles);
         soc_.energy().charge(hw::EnergyCategory::PageFault,
                              soc_.energy().params().pageFaultEach);
@@ -170,20 +170,20 @@ Kernel::touchRange(Process &process, VirtAddr va, std::size_t len,
 std::size_t
 Kernel::freedPendingBytes() const
 {
-    return freedDirtyFrames_.size() * PAGE_SIZE;
+    return state_.freedDirtyFrames.size() * PAGE_SIZE;
 }
 
 double
 Kernel::zeroFreedPages()
 {
-    if (freedDirtyFrames_.empty())
+    if (state_.freedDirtyFrames.empty())
         return 0.0;
 
     KernelTimer timer(*this);
     const std::size_t bytes = freedPendingBytes();
-    for (const PhysAddr frame : freedDirtyFrames_)
+    for (const PhysAddr frame : state_.freedDirtyFrames)
         soc_.memory().fill(frame, 0, PAGE_SIZE);
-    freedDirtyFrames_.clear();
+    state_.freedDirtyFrames.clear();
 
     const double seconds = static_cast<double>(bytes) /
                            soc_.config().cost.zeroingBytesPerSec;
@@ -198,17 +198,9 @@ KernelSnapshot
 Kernel::snapshot() const
 {
     KernelSnapshot snap{{},
-                        nextPid_,
                         std::make_shared<const PhysAllocator>(allocator_),
                         scheduler_.forkState(),
-                        faultCount_,
-                        freedDirtyFrames_,
-                        powerState_,
-                        pin_,
-                        badPinAttempts_,
-                        suspendedSeconds_,
-                        wakeCount_,
-                        kernelCycles_};
+                        state_};
     snap.processes.reserve(processes_.size());
     for (const auto &process : processes_) {
         snap.processes.push_back(KernelSnapshot::ProcessImage{
@@ -247,15 +239,7 @@ Kernel::forkFrom(const KernelSnapshot &snap)
     if (!sameImage)
         restoredAllocator_ = snap.allocator;
 
-    nextPid_ = snap.nextPid;
-    faultCount_ = snap.faultCount;
-    freedDirtyFrames_ = snap.freedDirtyFrames;
-    powerState_ = snap.powerState;
-    pin_ = snap.pin;
-    badPinAttempts_ = snap.badPinAttempts;
-    suspendedSeconds_ = snap.suspendedSeconds;
-    wakeCount_ = snap.wakeCount;
-    kernelCycles_ = snap.kernelCycles;
+    state_ = snap.state;
     // Timer scopes never straddle a fork; reset the transient depth.
     kernelTimerDepth_ = 0;
     kernelTimerStart_ = 0;
@@ -264,22 +248,22 @@ Kernel::forkFrom(const KernelSnapshot &snap)
 void
 Kernel::lockScreen()
 {
-    if (powerState_ != PowerState::Awake)
+    if (state_.powerState != PowerState::Awake)
         return;
     if (onLock_)
         onLock_();
-    powerState_ = PowerState::Locked;
+    state_.powerState = PowerState::Locked;
 }
 
 void
 Kernel::suspendToRam(double seconds)
 {
     lockScreen(); // encrypt-on-lock runs before the CPU halts
-    if (powerState_ == PowerState::Locked)
-        powerState_ = PowerState::Suspended;
+    if (state_.powerState == PowerState::Locked)
+        state_.powerState = PowerState::Suspended;
     if (seconds > 0) {
         soc_.clock().advanceSeconds(seconds);
-        suspendedSeconds_ += seconds;
+        state_.suspendedSeconds += seconds;
     }
 }
 
@@ -287,31 +271,31 @@ PowerState
 Kernel::wakeUp(WakeReason reason)
 {
     (void)reason; // all wake sources resume to the same locked state
-    ++wakeCount_;
-    if (powerState_ == PowerState::Suspended)
-        powerState_ = PowerState::Locked;
-    return powerState_;
+    ++state_.wakeCount;
+    if (state_.powerState == PowerState::Suspended)
+        state_.powerState = PowerState::Locked;
+    return state_.powerState;
 }
 
 bool
 Kernel::unlockScreen(const std::string &pin)
 {
-    if (powerState_ == PowerState::Awake)
+    if (state_.powerState == PowerState::Awake)
         return true;
-    if (powerState_ == PowerState::DeepLock)
+    if (state_.powerState == PowerState::DeepLock)
         return false; // PIN no longer accepted
-    if (powerState_ == PowerState::Suspended)
+    if (state_.powerState == PowerState::Suspended)
         wakeUp(WakeReason::UserInteraction);
-    if (pin != pin_) {
-        if (++badPinAttempts_ >= 5) {
-            powerState_ = PowerState::DeepLock;
+    if (pin != state_.pin) {
+        if (++state_.badPinAttempts >= 5) {
+            state_.powerState = PowerState::DeepLock;
             if (onDeepLock_)
                 onDeepLock_();
         }
         return false;
     }
-    badPinAttempts_ = 0;
-    powerState_ = PowerState::Awake;
+    state_.badPinAttempts = 0;
+    state_.powerState = PowerState::Awake;
     if (onUnlock_)
         onUnlock_();
     return true;

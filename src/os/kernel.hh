@@ -45,44 +45,7 @@ enum class WakeReason
     Notification,
 };
 
-/**
- * Checkpoint of all kernel state, produced by Kernel::snapshot().
- *
- * Process objects are captured as rebuildable images (page tables and
- * address spaces copied by value, scheduler membership by pid); hooks
- * (fault handler, lock hooks) and the crypto registry are wiring and
- * stay with each device. The allocator is an immutable image that
- * every fork of the snapshot shares. Page *contents* live in the
- * SocSnapshot's COW DRAM image, not here.
- */
-struct KernelSnapshot
-{
-    struct ProcessImage
-    {
-        int pid = 0;
-        std::string name;
-        PageTable pageTable;
-        AddressSpace addressSpace;
-        bool sensitive = false;
-        bool schedulable = true;
-        PhysAddr kernelStackTop = 0;
-
-        bool operator==(const ProcessImage &) const = default;
-    };
-
-    std::vector<ProcessImage> processes;
-    int nextPid = 1;
-    std::shared_ptr<const PhysAllocator> allocator;
-    Scheduler::ForkState queues;
-    std::uint64_t faultCount = 0;
-    std::vector<PhysAddr> freedDirtyFrames;
-    PowerState powerState = PowerState::Awake;
-    std::string pin;
-    unsigned badPinAttempts = 0;
-    double suspendedSeconds = 0.0;
-    std::uint64_t wakeCount = 0;
-    Cycles kernelCycles = 0;
-};
+struct KernelSnapshot;
 
 /** The operating system kernel. */
 class Kernel
@@ -149,7 +112,7 @@ class Kernel
     }
 
     /** @return young-bit faults delivered so far. */
-    std::uint64_t faultCount() const { return faultCount_; }
+    std::uint64_t faultCount() const { return state_.faultCount; }
 
     // ---- freed pages ---------------------------------------------------
 
@@ -165,10 +128,10 @@ class Kernel
 
     // ---- screen lock ---------------------------------------------------
 
-    PowerState powerState() const { return powerState_; }
+    PowerState powerState() const { return state_.powerState; }
 
     /** Set the unlock PIN. */
-    void setPin(std::string pin) { pin_ = std::move(pin); }
+    void setPin(std::string pin) { state_.pin = std::move(pin); }
 
     /** Lock the screen; runs the registered on-lock hook. */
     void lockScreen();
@@ -188,10 +151,10 @@ class Kernel
     PowerState wakeUp(WakeReason reason);
 
     /** @return total simulated seconds spent suspended. */
-    double suspendedSeconds() const { return suspendedSeconds_; }
+    double suspendedSeconds() const { return state_.suspendedSeconds; }
 
     /** @return wake events delivered so far. */
-    std::uint64_t wakeCount() const { return wakeCount_; }
+    std::uint64_t wakeCount() const { return state_.wakeCount; }
 
     /**
      * Attempt an unlock. Five consecutive failures enter DeepLock.
@@ -212,12 +175,35 @@ class Kernel
     // ---- kernel-time accounting ----------------------------------------
 
     /** @return cycles attributed to kernel work since the last reset. */
-    Cycles kernelCycles() const { return kernelCycles_; }
+    Cycles kernelCycles() const { return state_.kernelCycles; }
 
     /** Zero the kernel-time accumulator. */
-    void resetKernelCycles() { kernelCycles_ = 0; }
+    void resetKernelCycles() { state_.kernelCycles = 0; }
 
     // ---- snapshot / fork -----------------------------------------------
+
+    /**
+     * The kernel's scalar simulated state: a fork copies it whole.
+     * Outside it: the Soc, the hooks and the crypto registry (wiring);
+     * the allocator, the scheduler and the process list, which restore
+     * through their own code (by delta, and by rebinding pids); the
+     * restored-allocator pointer (a host cache); and the kernel-timer
+     * depth and start (transient scopes, never open across a fork).
+     */
+    struct State
+    {
+        int nextPid = 1;
+        std::uint64_t faultCount = 0;
+        std::vector<PhysAddr> freedDirtyFrames;
+        PowerState powerState = PowerState::Awake;
+        std::string pin = "0000";
+        unsigned badPinAttempts = 0;
+        double suspendedSeconds = 0.0;
+        std::uint64_t wakeCount = 0;
+        Cycles kernelCycles = 0;
+
+        bool operator==(const State &) const = default;
+    };
 
     /** Capture all kernel state (processes as rebuildable images). */
     KernelSnapshot snapshot() const;
@@ -260,26 +246,46 @@ class Kernel
     crypto::CryptoApi cryptoApi_;
 
     std::vector<std::unique_ptr<Process>> processes_;
-    int nextPid_ = 1;
+    State state_;
 
     FaultHandler faultHandler_;
-    std::uint64_t faultCount_ = 0;
-
-    std::vector<PhysAddr> freedDirtyFrames_;
-
-    PowerState powerState_ = PowerState::Awake;
-    std::string pin_ = "0000";
-    unsigned badPinAttempts_ = 0;
-
     std::function<void()> onLock_;
     std::function<void()> onUnlock_;
     std::function<void()> onDeepLock_;
-    double suspendedSeconds_ = 0.0;
-    std::uint64_t wakeCount_ = 0;
 
-    Cycles kernelCycles_ = 0;
     unsigned kernelTimerDepth_ = 0;
     Cycles kernelTimerStart_ = 0;
+};
+
+/**
+ * Checkpoint of all kernel state, produced by Kernel::snapshot().
+ *
+ * Process objects are captured as rebuildable images (page tables and
+ * address spaces copied by value, scheduler membership by pid); hooks
+ * (fault handler, lock hooks) and the crypto registry are wiring and
+ * stay with each device. The allocator is an immutable image that
+ * every fork of the snapshot shares; the scalars are Kernel::State.
+ * Page *contents* live in the SocSnapshot's COW DRAM image, not here.
+ */
+struct KernelSnapshot
+{
+    struct ProcessImage
+    {
+        int pid = 0;
+        std::string name;
+        PageTable pageTable;
+        AddressSpace addressSpace;
+        bool sensitive = false;
+        bool schedulable = true;
+        PhysAddr kernelStackTop = 0;
+
+        bool operator==(const ProcessImage &) const = default;
+    };
+
+    std::vector<ProcessImage> processes;
+    std::shared_ptr<const PhysAllocator> allocator;
+    Scheduler::ForkState queues;
+    Kernel::State state;
 };
 
 } // namespace sentry::os

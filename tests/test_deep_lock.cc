@@ -23,8 +23,7 @@ const auto SECRET = fromHex("deadbea70000feedfeed0000deadbea7");
 
 struct DeepLockFixture : testing::Test
 {
-    explicit DeepLockFixture(SentryOptions options = {})
-        : device(hw::PlatformConfig::tegra3(64 * MiB), options)
+    DeepLockFixture() : device(hw::PlatformConfig::tegra3(64 * MiB))
     {
         device.kernel().setPin("4242");
         app = &device.kernel().createProcess("wallet");
@@ -91,28 +90,4 @@ TEST_F(DeepLockFixture, ColdBootAfterDeepLockFindsNothing)
     EXPECT_FALSE(
         attack.run(device.soc(), SECRET, "deep-locked wallet")
             .secretRecovered);
-}
-
-namespace
-{
-struct DeepLockOptOutFixture : DeepLockFixture
-{
-    static SentryOptions
-    optOut()
-    {
-        SentryOptions options;
-        options.scrubKeysOnDeepLock = false;
-        return options;
-    }
-    DeepLockOptOutFixture() : DeepLockFixture(optOut()) {}
-};
-} // namespace
-
-TEST_F(DeepLockOptOutFixture, OptOutKeepsKeysIntact)
-{
-    bruteForce();
-    EXPECT_FALSE(device.sentry().keysDestroyed());
-    // Memory stays encrypted (still safe against memory attacks), the
-    // keys just survive for forensic recovery by the owner.
-    EXPECT_FALSE(device.soc().dram().cells().contains(SECRET));
 }

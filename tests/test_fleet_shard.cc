@@ -6,7 +6,7 @@
  * DEVICE_COUNTERS table (merge-order freedom of every row, one row
  * moves only its own metrics, 64-bit totals), shard-count/thread-count
  * invariance of the fleet's sim_ metrics, and `--replay-device` digest
- * parity with the full-fleet run.
+ * parity with the full-fleet run (recycled gauntlet devices included).
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "fleet/fleet.hh"
 #include "fleet/scenario.hh"
 #include "fleet/shard.hh"
+#include "gauntlet.hh"
 
 using namespace sentry;
 using namespace sentry::fleet;
@@ -532,33 +533,77 @@ TEST_F(FleetShard, StreamingRunMatchesRetainedRun)
 
 TEST_F(FleetShard, ReplayDeviceMatchesInFleetDigest)
 {
-    // Four times more devices than threads: all but each worker's first
-    // index run on a recycled device, re-forked from the template in
-    // proportion to what its previous device changed, while every
-    // replay forks a freshly constructed device.
+    // More devices than threads: all but each worker's first index run
+    // on a recycled device, re-forked from the template in proportion
+    // to what its previous device changed, while every replay forks a
+    // freshly constructed device. The gauntlet runs on one worker, so
+    // each recycled target ran all ten verbs (secure-world entries,
+    // cold-boot resets, each backend's engine and key state).
+    struct Case
+    {
+        std::string name;
+        Scenario scenario;
+        FleetOptions options;
+    };
+    std::vector<Case> cases;
     for (const char *preset :
          {"interactive-day", "fleet-scale", "attack-campaign"}) {
-        SCOPED_TRACE(preset);
-        const Scenario scenario = builtinScenario(preset);
         FleetOptions options;
         options.devices = 8;
         options.threads = 2;
         options.dramBytes = 8 * MiB;
         options.spawnMode = SpawnMode::Snapshot;
+        cases.push_back({preset, builtinScenario(preset), options});
+    }
+    const Scenario gauntlet = test::tenVerbGauntlet();
+    for (const FleetPlatform platform :
+         {FleetPlatform::Tegra3, FleetPlatform::Nexus4}) {
+        for (const core::DefenseKind defense :
+             {core::DefenseKind::Sentry, core::DefenseKind::Amnesia,
+              core::DefenseKind::MemShield}) {
+            FleetOptions options;
+            options.devices = 8;
+            options.threads = 1;
+            options.platform = platform;
+            options.defense = defense;
+            options.dramBytes = 4 * MiB;
+            options.spawnMode = SpawnMode::Snapshot;
+            cases.push_back(
+                {std::string("gauntlet ") +
+                     PLATFORM_NAMES[static_cast<std::size_t>(platform)] +
+                     " " + core::defenseKindName(defense),
+                 gauntlet, options});
+        }
+    }
 
-        const FleetReport fleet = runFleet(scenario, options);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const FleetReport fleet = runFleet(c.scenario, c.options);
         ASSERT_TRUE(fleet.allOk) << fleet.summary();
         ASSERT_EQ(fleet.results.size(), 8u);
 
         for (unsigned index = 0; index < 8; ++index) {
+            SCOPED_TRACE("device " + std::to_string(index));
             const DeviceResult replayed =
-                replayFleetDevice(scenario, options, index);
-            EXPECT_EQ(deviceDigest(replayed),
-                      deviceDigest(fleet.results[index]))
-                << "device " << index;
-            EXPECT_EQ(replayed.seed, fleet.results[index].seed);
+                replayFleetDevice(c.scenario, c.options, index);
+            const DeviceResult &ran = fleet.results[index];
+            EXPECT_EQ(deviceDigest(replayed), deviceDigest(ran));
+            EXPECT_EQ(replayed.seed, ran.seed);
+            // What deviceDigest leaves out: the attack and schedule
+            // digests and the defense ledger.
+            EXPECT_EQ(replayed.attackDigest, ran.attackDigest);
+            EXPECT_EQ(replayed.scheduleDigest, ran.scheduleDigest);
+            EXPECT_EQ(replayed.defenseKind, ran.defenseKind);
+            EXPECT_EQ(replayed.defenseClaimBreaches,
+                      ran.defenseClaimBreaches);
+            EXPECT_EQ(replayed.defenseVulnerableHits,
+                      ran.defenseVulnerableHits);
+            EXPECT_EQ(replayed.defenseRekeys, ran.defenseRekeys);
+            EXPECT_EQ(replayed.defenseEvictions, ran.defenseEvictions);
+            EXPECT_EQ(replayed.defenseExtraSeconds, ran.defenseExtraSeconds);
+            EXPECT_EQ(replayed.defenseExtraJoules, ran.defenseExtraJoules);
         }
-        EXPECT_THROW(replayFleetDevice(scenario, options, 8),
+        EXPECT_THROW(replayFleetDevice(c.scenario, c.options, 8),
                      std::invalid_argument);
     }
 }

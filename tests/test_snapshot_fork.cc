@@ -27,7 +27,10 @@
 #include "core/device.hh"
 #include "core/invariant_checker.hh"
 #include "crypto/sha256.hh"
+#include "fleet/device_runner.hh"
+#include "fleet/fleet.hh"
 #include "fork_capture.hh"
+#include "gauntlet.hh"
 
 using namespace sentry;
 using namespace sentry::core;
@@ -121,17 +124,23 @@ spawnAndTouch(Device &device, std::size_t heap_bytes)
 
 /**
  * The delta-restore twin. @p target has run since its last fork, so
- * its L2 and memories hold changes the next fork must undo. Re-fork it
- * from @p snap next to a freshly constructed device forked from the
- * same snapshot (the full restore path): the two must match right
- * after the fork, and again after both run a fleet-scale device's work.
+ * its L2, memories and component states hold changes the next fork
+ * must undo. Re-fork it from @p snap next to a freshly constructed
+ * device forked from the same snapshot (the full restore path). The
+ * fresh device has the target's platform but another seed, as a
+ * replay of another fleet index does, so state a fork fails to copy
+ * keeps each device's own construction-time value. The two must match
+ * right after the fork, again after both run a fleet-scale device's
+ * work, and again after both lock (page crypto with the forked keys).
  */
 void
 expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap,
                                const SentryOptions &options = {})
 {
     target.forkFrom(snap);
-    Device fresh(config(), options);
+    hw::PlatformConfig freshConfig = target.soc().config();
+    freshConfig.seed ^= 0x5eed;
+    Device fresh(freshConfig, options);
     fresh.forkFrom(snap);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
         << "right after the fork";
@@ -139,6 +148,10 @@ expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap,
     spawnAndTouch(fresh, 16 * KiB);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
         << "after the next device's work";
+    target.kernel().lockScreen();
+    fresh.kernel().lockScreen();
+    EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
+        << "after locking";
 }
 
 /** The CATT row plan the fleet runner installs for the rowhammer
@@ -833,6 +846,46 @@ TEST(RecycledFork, MatchesFreshAfterSwitchingSnapshotsBack)
     target.forkFrom(*snapB);
     spawnAndTouch(target, 8 * KiB);
     expectRecycledForkMatchesFresh(target, *snapA);
+}
+
+TEST(RecycledFork, MatchesFreshAfterTheGauntlet)
+{
+    // The fleet runner's recycled device after bench_fleet's ten-verb
+    // gauntlet, with a background app paging through the locked cache
+    // while locked: secure-world entries, the pager, cold-boot resets
+    // and each backend's engine and key state all moved since its fork.
+    const fleet::Scenario scenario = test::tenVerbGauntlet(true);
+    for (const DefenseKind defense :
+         {DefenseKind::Sentry, DefenseKind::Amnesia,
+          DefenseKind::MemShield}) {
+        SCOPED_TRACE(defenseKindName(defense));
+        fleet::FleetOptions fleetOptions;
+        fleetOptions.defense = defense;
+        fleetOptions.dramBytes = 4 * MiB;
+        fleetOptions.spawnMode = fleet::SpawnMode::Snapshot;
+        fleetOptions = fleet::resolveFleetOptions(scenario, fleetOptions);
+        fleet::DevicePool pool;
+        (void)fleet::runDevice(scenario, fleetOptions, 0, &pool);
+        ASSERT_NE(pool.device, nullptr);
+        Device &target = *pool.device;
+        const DeviceSnapshot &snap = *fleetOptions.templateSnapshot;
+
+        SentryOptions options;
+        options.placement = AesPlacement::LockedL2;
+        options.backgroundMode = true;
+        options.defense = defense;
+        Device fresh(target.soc().config(), options);
+        fresh.forkFrom(snap);
+        const SentrySnapshot ran = target.sentry().snapshot();
+        const SentrySnapshot forked = fresh.sentry().snapshot();
+        EXPECT_NE(target.soc().trustzone().forkState(),
+                  fresh.soc().trustzone().forkState());
+        EXPECT_NE(ran.pager, forked.pager);
+        // The page cipher ran: Sentry's own engine or the backend's.
+        EXPECT_TRUE(ran.engine != forked.engine ||
+                    ran.defense != forked.defense);
+        expectRecycledForkMatchesFresh(target, snap, options);
+    }
 }
 
 TEST(SnapshotForkDeath, DefenseKindMismatchIsFatal)
