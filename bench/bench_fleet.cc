@@ -241,8 +241,8 @@ scaleSection(bench::Session &session)
 
     std::printf("\npopulation scale (fleet-scale scenario, snapshot "
                 "spawn, streaming aggregation):\n");
-    std::printf("%9s %9s %12s %16s %10s\n", "devices", "shards",
-                "host s", "per-device ns", "steals");
+    std::printf("%9s %9s %12s %16s\n", "devices", "shards", "host s",
+                "per-device ns");
     double perDeviceNs1k = 0.0, perDeviceNs100k = 0.0;
     for (unsigned devices : SCALE_POINTS) {
         fleet::FleetOptions options = baseOptions(devices, hostThreads);
@@ -263,9 +263,8 @@ scaleSection(bench::Session &session)
             perDeviceNs1k = perDeviceNs;
         if (devices == 100000)
             perDeviceNs100k = perDeviceNs;
-        std::printf("%9u %9u %12.3f %16.0f %10llu\n", devices,
-                    report.shards, report.hostSeconds, perDeviceNs,
-                    static_cast<unsigned long long>(report.steals));
+        std::printf("%9u %9u %12.3f %16.0f\n", devices, report.shards,
+                    report.hostSeconds, perDeviceNs);
         session.metric("host_per_device_ns_" + std::to_string(devices),
                        perDeviceNs);
         // Deterministic per-point spot checks (cheap drift tripwires

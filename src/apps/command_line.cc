@@ -1,6 +1,5 @@
 #include "apps/command_line.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -84,14 +83,11 @@ CommandLine::number(std::uint64_t max)
 {
     const std::string flag = argv_[at_];
     const std::string text = value();
-    // strtoull skips blanks and accepts a sign (negating the value), so
-    // the text must start with a digit and end where the number does.
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+    std::uint64_t n = 0;
+    const fleet::NumberParse parsed = fleet::parseUnsigned(text, 0, max, n);
+    if (parsed == fleet::NumberParse::Malformed)
         usageError(flag + ": malformed number '" + text + "'");
-    if (errno == ERANGE || n > max)
+    if (parsed == fleet::NumberParse::OutOfRange)
         usageError(flag + ": '" + text + "' out of range (max " +
                    std::to_string(max) + ")");
     return n;

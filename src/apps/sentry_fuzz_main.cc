@@ -165,9 +165,9 @@ main(int argc, char **argv)
                 options.trials, options.steps);
 
     // Trials are independent (each builds its own device), so the
-    // campaign fans out over the fleet work-stealing queue — one
-    // "shard" per trial. Output is buffered per trial and printed in
-    // trial order, so any job count emits identical bytes.
+    // campaign fans out over the fleet's workers, which claim one trial
+    // at a time. Output is buffered per trial and printed in trial
+    // order, so any job count emits identical bytes.
     std::vector<std::string> reports(options.trials);
     // Plain bytes, not vector<bool>: workers write distinct elements
     // concurrently, which the bit-packed specialization cannot take.

@@ -33,7 +33,8 @@
  *                                                 mid-flush)
  *
  * `after` counts from 1 (the first matching operation can fire).
- * Omitting `every` makes the fault one-shot.
+ * Omitting `every` makes the fault one-shot. A kind takes only the
+ * magnitude key its grammar line shows.
  */
 
 #ifndef SENTRY_FAULT_FAULT_HH

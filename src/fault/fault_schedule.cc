@@ -1,8 +1,11 @@
 #include "fault/fault.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "common/types.hh"
 #include "fleet/scenario.hh"
@@ -25,14 +28,40 @@ constexpr double MAX_SECONDS = 3600.0;
 /** DMA bursts above this are typos (and would dominate runtime). */
 constexpr std::size_t MAX_BURST_BYTES = 16 * MiB;
 
+/** One fault kind's DSL spelling, the one magnitude key it takes, and
+ * whether it is one-shot (refuses `every`). */
+struct FaultKindRow
+{
+    const char *name;
+    std::string_view magnitude;
+    bool oneShot;
+};
+
+/** Every FaultKind, in enumerator order. */
+constexpr FaultKindRow FAULT_KINDS[] = {
+    {"dram_bit_flip", "count", false},
+    {"iram_bit_flip", "count", false},
+    {"bus_dup_write", "count", false},
+    {"bus_delay", "cycles", false},
+    {"lockdown_glitch", "count", false},
+    {"kcryptd_stall", "seconds", false},
+    {"power_glitch", "seconds", true},
+    {"dma_burst", "bytes", false},
+};
+static_assert(std::size(FAULT_KINDS) == FAULT_KIND_COUNT);
+
+const FaultKindRow &
+rowOf(FaultKind kind)
+{
+    return FAULT_KINDS[static_cast<unsigned>(kind)];
+}
+
 std::uint64_t
 parseU64(const std::string &token, unsigned line, const char *what)
 {
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || token.empty() ||
-        token[0] == '-')
+    std::uint64_t value = 0;
+    if (fleet::parseUnsigned(token, 10, UINT64_MAX, value) !=
+        fleet::NumberParse::Ok)
         throw FaultParseError(line, std::string("malformed ") + what +
                                         " '" + token + "'");
     return value;
@@ -56,14 +85,12 @@ parseSeconds(const std::string &token, unsigned line)
 bool
 kindFromName(const std::string &name, FaultKind &kind)
 {
-    for (unsigned i = 0; i < FAULT_KIND_COUNT; ++i) {
-        const FaultKind candidate = static_cast<FaultKind>(i);
-        if (name == faultKindName(candidate)) {
-            kind = candidate;
-            return true;
-        }
-    }
-    return false;
+    const auto row =
+        std::ranges::find(FAULT_KINDS, name, &FaultKindRow::name);
+    if (row == std::end(FAULT_KINDS))
+        return false;
+    kind = static_cast<FaultKind>(row - std::begin(FAULT_KINDS));
+    return true;
 }
 
 } // namespace
@@ -71,25 +98,7 @@ kindFromName(const std::string &name, FaultKind &kind)
 const char *
 faultKindName(FaultKind kind)
 {
-    switch (kind) {
-      case FaultKind::DramBitFlip:
-        return "dram_bit_flip";
-      case FaultKind::IramBitFlip:
-        return "iram_bit_flip";
-      case FaultKind::BusDuplicateWrite:
-        return "bus_dup_write";
-      case FaultKind::BusDelay:
-        return "bus_delay";
-      case FaultKind::LockdownGlitch:
-        return "lockdown_glitch";
-      case FaultKind::KcryptdStall:
-        return "kcryptd_stall";
-      case FaultKind::PowerGlitch:
-        return "power_glitch";
-      case FaultKind::DmaBurst:
-        return "dma_burst";
-    }
-    return "?";
+    return rowOf(kind).name;
 }
 
 FaultSchedule
@@ -127,6 +136,7 @@ parseFaultSchedule(const std::string &text)
             throw FaultParseError(lineNo,
                                   "'after' counts from 1, got 0");
 
+        const FaultKindRow &row = rowOf(spec.kind);
         for (std::size_t i = 4; i < tokens.size(); i += 2) {
             const std::string &key = tokens[i];
             if (i + 1 >= tokens.size())
@@ -139,10 +149,16 @@ parseFaultSchedule(const std::string &text)
                     throw FaultParseError(
                         lineNo, "'every' must be >= 1 (omit it for "
                                 "a one-shot fault)");
-                if (spec.kind == FaultKind::PowerGlitch)
-                    throw FaultParseError(
-                        lineNo, "power_glitch is one-shot ('every' "
-                                "not allowed)");
+                if (row.oneShot)
+                    throw FaultParseError(lineNo,
+                                          std::string(row.name) +
+                                              " is one-shot ('every' "
+                                              "not allowed)");
+            } else if (key != row.magnitude) {
+                throw FaultParseError(
+                    lineNo, std::string(row.name) + " takes no '" + key +
+                                "' parameter (its magnitude is '" +
+                                std::string(row.magnitude) + "')");
             } else if (key == "count") {
                 const std::uint64_t n = parseU64(value, lineNo, "count");
                 if (n == 0 || n > MAX_COUNT)
@@ -158,17 +174,13 @@ parseFaultSchedule(const std::string &text)
                         lineNo, "cycles out of range: '" + value + "'");
             } else if (key == "seconds") {
                 spec.seconds = parseSeconds(value, lineNo);
-            } else if (key == "bytes") {
+            } else { // bytes
                 const std::uint64_t n = parseU64(value, lineNo, "bytes");
                 if (n == 0 || n > MAX_BURST_BYTES)
                     throw FaultParseError(
                         lineNo, "bytes out of range: '" + value +
                                     "' (max 16MiB)");
                 spec.bytes = static_cast<std::size_t>(n);
-            } else {
-                throw FaultParseError(lineNo,
-                                      "unknown fault parameter '" + key +
-                                          "'");
             }
         }
         schedule.faults.push_back(spec);
@@ -183,26 +195,18 @@ formatFaultSpec(const FaultSpec &spec)
     out << "fault " << faultKindName(spec.kind) << " after " << spec.after;
     if (spec.every != 0)
         out << " every " << spec.every;
-    switch (spec.kind) {
-      case FaultKind::DramBitFlip:
-      case FaultKind::IramBitFlip:
-      case FaultKind::BusDuplicateWrite:
-      case FaultKind::LockdownGlitch:
-        out << " count " << spec.count;
-        break;
-      case FaultKind::BusDelay:
-        out << " cycles " << spec.cycles;
-        break;
-      case FaultKind::KcryptdStall:
-      case FaultKind::PowerGlitch: {
+    const std::string_view magnitude = rowOf(spec.kind).magnitude;
+    out << ' ' << magnitude << ' ';
+    if (magnitude == "count") {
+        out << spec.count;
+    } else if (magnitude == "cycles") {
+        out << spec.cycles;
+    } else if (magnitude == "seconds") {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.9g", spec.seconds);
-        out << " seconds " << buf;
-        break;
-      }
-      case FaultKind::DmaBurst:
-        out << " bytes " << spec.bytes;
-        break;
+        out << buf;
+    } else {
+        out << spec.bytes;
     }
     return out.str();
 }

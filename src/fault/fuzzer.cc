@@ -169,9 +169,8 @@ parseHeaderLine(const std::string &line, unsigned lineNo, TrialFile &file)
                                   what);
     };
     if (key == "seed") {
-        char *end = nullptr;
-        file.spec.seed = std::strtoull(value.c_str(), &end, 0);
-        if (end == nullptr || *end != '\0' || value.empty())
+        if (fleet::parseUnsigned(value, 0, UINT64_MAX, file.spec.seed) !=
+            fleet::NumberParse::Ok)
             throw error("malformed seed '" + value + "'");
         return true;
     }
@@ -249,10 +248,8 @@ generateTrial(const FuzzOptions &options, unsigned index)
             } else if (pick < 70) {
                 step.op = Op::Filebench;
                 step.bytes = (1 + rng.below(8)) * SIZE_QUANTUM;
-                const std::uint64_t w = rng.below(3);
-                step.workload = w == 0 ? os::FilebenchWorkload::SeqRead
-                                : w == 1 ? os::FilebenchWorkload::RandRead
-                                         : os::FilebenchWorkload::RandRW;
+                step.workload = static_cast<os::FilebenchWorkload>(
+                    rng.below(os::FILEBENCH_WORKLOAD_COUNT));
                 step.directIo = rng.chance(0.25);
             } else if (pick < 90) {
                 step = makeSleep(rng);

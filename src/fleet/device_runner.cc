@@ -157,9 +157,7 @@ class Runner
                     "snapshot spawn mode without a template snapshot "
                     "(see makeFleetTemplate)");
             // Reuse the worker's parked device when one is available
-            // (forkFrom undoes everything the previous device changed;
-            // construction-time constants such as the TrustZone fuse
-            // stay those of the index the stack was built for);
+            // (forkFrom undoes everything the previous device changed);
             // construct one only on the first run.
             if (pool_ != nullptr && pool_->device)
                 device_ = std::move(pool_->device);
@@ -168,9 +166,10 @@ class Runner
             // Fork the warmed image instead of re-booting. forkFrom
             // re-registers the crypto providers on this fresh target.
             device_->forkFrom(*options_.templateSnapshot);
-            // The fork inherited the template's RNG stream; re-seed so
-            // each device keeps its own deterministic randomness.
-            device_->soc().rng().reseed(seed_);
+            // The fork inherited the template's RNG stream, and a
+            // recycled target still holds the fuse of the index it was
+            // built for; re-seed both so each device is its own.
+            device_->soc().reseed(seed_);
         } else {
             construct();
             device_->sentry().registerCryptoProviders();

@@ -190,10 +190,8 @@ FleetReport::summary() const
     for (const FleetMetric &metric : metrics)
         out += strprintf("  %-36s %s\n", metric.name.c_str(),
                           metric.jsonValue().c_str());
-    out += strprintf("  host: %.3f s, %.1f devices/s, %llu steal(s)\n",
-                      hostSeconds,
-                      hostSeconds > 0 ? devices / hostSeconds : 0.0,
-                      static_cast<unsigned long long>(steals));
+    out += strprintf("  host: %.3f s, %.1f devices/s\n", hostSeconds,
+                      hostSeconds > 0 ? devices / hostSeconds : 0.0);
     return out;
 }
 
@@ -217,7 +215,6 @@ FleetReport::writeJson(const std::string &path) const
     for (const FleetMetric &metric : metrics)
         emit(metric.name, metric.jsonValue());
     emit("threads", std::to_string(threads));
-    emit("host_steals", std::to_string(steals));
     emit("host_devices_per_sec",
          strprintf("%.17g", hostSeconds > 0 ? devices / hostSeconds : 0.0));
     std::fprintf(f, "\n  }\n}\n");
@@ -268,19 +265,18 @@ runFleet(const Scenario &scenario, const FleetOptions &options)
     std::vector<DeviceResult> results(
         effective.retainResults ? effective.devices : 0);
 
-    const std::uint64_t steals = fanOut(
-        plan.shardCount, effective.threads,
-        [&](unsigned shard, DevicePool &pool) {
-            ShardAccumulator &acc = accumulators[shard];
-            for (unsigned i = plan.begin(shard); i < plan.end(shard);
-                 ++i) {
-                DeviceResult result =
-                    runDevice(scenario, effective, i, &pool);
-                acc.fold(result);
-                if (effective.retainResults)
-                    results[i] = std::move(result);
-            }
-        });
+    fanOut(plan.shardCount, effective.threads,
+           [&](unsigned shard, DevicePool &pool) {
+               ShardAccumulator &acc = accumulators[shard];
+               for (unsigned i = plan.begin(shard); i < plan.end(shard);
+                    ++i) {
+                   DeviceResult result =
+                       runDevice(scenario, effective, i, &pool);
+                   acc.fold(result);
+                   if (effective.retainResults)
+                       results[i] = std::move(result);
+               }
+           });
 
     // Canonical merge: shard-index order, independent of which worker
     // ran what when.
@@ -298,7 +294,6 @@ runFleet(const Scenario &scenario, const FleetOptions &options)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    report.steals = steals;
     report.allOk = total.failedDevices == 0;
     report.failedDevices = total.failedDevices;
     report.failures = std::move(total.failures);

@@ -6,16 +6,15 @@
  *
  * Concurrency model (see shard.hh): the dispatcher — runFleet's
  * calling thread — parses nothing and simulates nothing; it plans
- * device-index shards, seeds a work-stealing queue, and starts N
- * workers. Every device is a share-nothing hw::Soc + os::Kernel +
- * core::Sentry stack built and driven entirely on one worker thread
- * (see device_runner.hh); a worker claims whole shards (stealing half
- * a loaded victim's remaining span when it runs dry), folds each
+ * device-index shards and starts N workers. Every device is a
+ * share-nothing hw::Soc + os::Kernel + core::Sentry stack built and
+ * driven entirely on one worker thread (see device_runner.hh); a
+ * worker claims whole shards from one shared counter, folds each
  * finished device into the shard's ShardAccumulator, and recycles one
  * resident Device across all its snapshot-mode runs. The dispatcher
  * merges the per-shard accumulators in shard-index order after the
  * join, so fleet memory is O(shards), not O(devices), and metrics are
- * byte-identical for any thread count or steal schedule — the
+ * byte-identical for any thread count or claim order — the
  * determinism tests assert exactly that.
  *
  * Metric naming follows bench_util.hh: `sim_` prefixed values are
@@ -63,8 +62,8 @@ struct FleetReport
     unsigned shards = 0; //!< shard count the engine planned
     std::uint64_t seed = 0;
     double hostSeconds = 0.0;
-    /** Successful work steals (host scheduling artifact — never part
-     * of the drift-checked `sim_` metrics). */
+    /** Always 0: the workers claim shards from one counter and steal
+     * none. perfbench still reads it (`fleet.steals`). */
     std::uint64_t steals = 0;
 
     /** True when every device finished with all invariants green. */

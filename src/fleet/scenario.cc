@@ -57,15 +57,12 @@ parseCount(const std::vector<std::string> &tokens, unsigned line,
     if (tokens.size() != 2)
         throw ScenarioError(line, tokens[0] + " takes one count");
     const std::string &token = tokens[1];
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
-    // strtoull accepts a sign (negating the value); a count may not.
-    if (!std::isdigit(static_cast<unsigned char>(token[0])) ||
-        errno != 0 || *end != '\0')
+    std::uint64_t n = 0;
+    const NumberParse parsed = parseUnsigned(token, 10, max, n);
+    if (parsed == NumberParse::Malformed)
         throw ScenarioError(line,
                             "malformed " + what + " count '" + token + "'");
-    if (n < 1 || n > max)
+    if (parsed == NumberParse::OutOfRange || n < 1)
         throw ScenarioError(line, what + " count " + token +
                                       " out of range (1.." +
                                       std::to_string(max) + ")");
@@ -115,6 +112,25 @@ parsePlatform(std::string_view name)
     return static_cast<FleetPlatform>(it - PLATFORM_NAMES.begin());
 }
 
+NumberParse
+parseUnsigned(const std::string &token, int base, std::uint64_t max,
+              std::uint64_t &value)
+{
+    // strtoull skips blanks and accepts a sign (negating the value), so
+    // the token must start with a digit and end where the number does.
+    if (!std::isdigit(static_cast<unsigned char>(token[0])))
+        return NumberParse::Malformed;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(token.c_str(), &end, base);
+    if (*end != '\0')
+        return NumberParse::Malformed;
+    if (errno == ERANGE || n > max)
+        return NumberParse::OutOfRange;
+    value = n;
+    return NumberParse::Ok;
+}
+
 std::size_t
 parseBytes(const std::string &token)
 {
@@ -123,11 +139,8 @@ parseBytes(const std::string &token)
     if (number.empty() || number.find('.') != std::string::npos)
         throw std::invalid_argument("malformed size '" + token +
                                     "' (want e.g. 4MiB, 512KiB, 4096)");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(number.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0')
+    std::uint64_t value = 0;
+    if (parseUnsigned(number, 10, UINT64_MAX, value) != NumberParse::Ok)
         throw std::invalid_argument("malformed size '" + token + "'");
     std::size_t unit = 1;
     if (suffix == "B" || suffix.empty())
@@ -369,18 +382,20 @@ parseScenario(const std::string &text, const std::string &name)
             step.op = Op::Filebench;
             step.bytes = parseSize(tokens[1], lineNo);
             for (std::size_t i = 2; i < tokens.size(); ++i) {
-                if (tokens[i] == "seqread")
-                    step.workload = os::FilebenchWorkload::SeqRead;
-                else if (tokens[i] == "randread")
-                    step.workload = os::FilebenchWorkload::RandRead;
-                else if (tokens[i] == "randrw")
-                    step.workload = os::FilebenchWorkload::RandRW;
-                else if (tokens[i] == "direct")
+                const std::string &flag = tokens[i];
+                if (flag == "direct") {
                     step.directIo = true;
-                else
-                    throw ScenarioError(lineNo,
-                                        "unknown filebench flag '" +
-                                            tokens[i] + "'");
+                    continue;
+                }
+                unsigned w = 0;
+                while (w < os::FILEBENCH_WORKLOAD_COUNT &&
+                       flag != os::filebenchWorkloadName(
+                                   static_cast<os::FilebenchWorkload>(w)))
+                    ++w;
+                if (w == os::FILEBENCH_WORKLOAD_COUNT)
+                    throw ScenarioError(lineNo, "unknown filebench flag '" +
+                                                    flag + "'");
+                step.workload = static_cast<os::FilebenchWorkload>(w);
             }
         } else if (opcode == "attack") {
             if (argc < 1)
@@ -440,20 +455,6 @@ formatDuration(double seconds)
     return std::to_string(us) + "us";
 }
 
-const char *
-workloadName(os::FilebenchWorkload workload)
-{
-    switch (workload) {
-      case os::FilebenchWorkload::SeqRead:
-        return "seqread";
-      case os::FilebenchWorkload::RandRead:
-        return "randread";
-      case os::FilebenchWorkload::RandRW:
-        return "randrw";
-    }
-    return "?";
-}
-
 } // namespace
 
 std::string
@@ -491,7 +492,7 @@ formatStep(const Step &step)
         break;
       case Op::Filebench:
         out << "filebench " << step.bytes << ' '
-            << workloadName(step.workload);
+            << os::filebenchWorkloadName(step.workload);
         if (step.directIo)
             out << " direct";
         break;

@@ -286,6 +286,24 @@ std::string formatScenario(const Scenario &scenario);
  */
 std::vector<std::string> tokenize(const std::string &line);
 
+/** How parseUnsigned read a token. */
+enum class NumberParse
+{
+    Ok,
+    Malformed,  //!< no digit first, or text after the number
+    OutOfRange, //!< above the caller's maximum (or 64 bits)
+};
+
+/**
+ * Parse @p token as an unsigned integer in @p base (0: strtoull's C
+ * prefixes) into @p value, at most @p max. The first character is a
+ * digit, so no blank or sign, and the number is the whole token. The
+ * one number rule of the command line, the scenario and fault DSLs and
+ * reproducer headers; each caller words its own errors.
+ */
+NumberParse parseUnsigned(const std::string &token, int base,
+                          std::uint64_t max, std::uint64_t &value);
+
 /**
  * Parse a byte count ("4MiB", "512KiB", "4096"): an integer with an
  * optional B/KiB/MiB/GiB suffix.

@@ -1,6 +1,7 @@
 #include "fleet/shard.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <thread>
 #include <type_traits>
@@ -12,24 +13,9 @@ namespace
 {
 
 /** Default shard granularity when the caller does not pin a count:
- * enough shards that chunked stealing can rebalance skewed scenarios,
+ * enough shards that the workers' claims balance skewed scenarios,
  * few enough that per-shard accumulator memory stays negligible. */
 constexpr unsigned DEFAULT_SHARDS = 256;
-
-constexpr std::uint64_t pack(std::uint64_t begin, std::uint64_t end)
-{
-    return (begin << 32) | end;
-}
-
-constexpr std::uint32_t spanBegin(std::uint64_t span)
-{
-    return static_cast<std::uint32_t>(span >> 32);
-}
-
-constexpr std::uint32_t spanEnd(std::uint64_t span)
-{
-    return static_cast<std::uint32_t>(span);
-}
 
 } // namespace
 
@@ -53,107 +39,29 @@ planShards(unsigned devices, unsigned requestedShards)
     return plan;
 }
 
-WorkQueue::WorkQueue(unsigned shardCount, unsigned workers)
-    : ranges_(workers == 0 ? 1 : workers)
-{
-    // Contiguous spans, remainder spread over the first workers — the
-    // initial split is deterministic; only steals depend on timing.
-    const unsigned n = static_cast<unsigned>(ranges_.size());
-    const unsigned per = shardCount / n;
-    const unsigned extra = shardCount % n;
-    unsigned begin = 0;
-    for (unsigned w = 0; w < n; ++w) {
-        const unsigned len = per + (w < extra ? 1 : 0);
-        ranges_[w].span.store(pack(begin, begin + len),
-                              std::memory_order_relaxed);
-        begin += len;
-    }
-}
-
-bool
-WorkQueue::tryPop(Range &range, unsigned &shard)
-{
-    std::uint64_t span = range.span.load();
-    for (;;) {
-        const std::uint32_t b = spanBegin(span);
-        const std::uint32_t e = spanEnd(span);
-        if (b >= e)
-            return false;
-        if (range.span.compare_exchange_weak(span, pack(b + 1, e))) {
-            shard = b;
-            return true;
-        }
-    }
-}
-
-bool
-WorkQueue::next(unsigned worker, unsigned &shard)
-{
-    if (tryPop(ranges_[worker], shard))
-        return true;
-    for (;;) {
-        // Steal from the victim with the most remaining shards. A span
-        // holding a single shard is not stealable: its owner will run
-        // it, which is what guarantees every shard executes exactly
-        // once and the loop below terminates.
-        unsigned victim = 0;
-        std::uint64_t victimSpan = 0;
-        std::uint32_t victimRemaining = 1;
-        for (unsigned w = 0; w < ranges_.size(); ++w) {
-            if (w == worker)
-                continue;
-            const std::uint64_t span = ranges_[w].span.load();
-            const std::uint32_t b = spanBegin(span);
-            const std::uint32_t e = spanEnd(span);
-            if (e > b && e - b > victimRemaining) {
-                victim = w;
-                victimSpan = span;
-                victimRemaining = e - b;
-            }
-        }
-        if (victimRemaining < 2)
-            return false;
-        const std::uint32_t b = spanBegin(victimSpan);
-        const std::uint32_t e = spanEnd(victimSpan);
-        // Take the back half [mid, e); the victim keeps [b, mid). The
-        // CAS publishes the split atomically, so each shard index stays
-        // owned by exactly one span at all times.
-        const std::uint32_t mid = b + (e - b + 1) / 2;
-        if (!ranges_[victim].span.compare_exchange_strong(victimSpan,
-                                                          pack(b, mid)))
-            continue; // victim moved on — rescan
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        // Our own span is empty (nobody else refills it), so a plain
-        // store cannot race a concurrent pop or steal.
-        shard = mid;
-        ranges_[worker].span.store(pack(mid + 1, e));
-        return true;
-    }
-}
-
-std::uint64_t
+void
 fanOut(unsigned items, unsigned threads,
        const std::function<void(unsigned item, DevicePool &pool)> &work)
 {
     const unsigned workers = std::min(threads, items);
-    WorkQueue queue(items, workers);
-    const auto drain = [&](unsigned worker) {
+    // 64 bits, so the claims past the last item cannot wrap to item 0.
+    std::atomic<std::uint64_t> next{0};
+    const auto drain = [&] {
         DevicePool pool;
-        unsigned item = 0;
-        while (queue.next(worker, item))
-            work(item, pool);
+        std::uint64_t item = 0;
+        while ((item = next.fetch_add(1, std::memory_order_relaxed)) < items)
+            work(static_cast<unsigned>(item), pool);
     };
     if (workers <= 1) {
-        drain(0);
+        drain();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(drain, w);
+            pool.emplace_back(drain);
         for (std::thread &thread : pool)
             thread.join();
     }
-    return queue.steals();
 }
 
 namespace

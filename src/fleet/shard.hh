@@ -2,21 +2,18 @@
  * @file
  * Sharding primitives of the SentryFleet worker/dispatcher engine.
  *
- * The dispatcher (runFleet's main thread) splits the device index
+ * The dispatcher (runFleet's calling thread) splits the device index
  * space into shards — contiguous ranges whose boundaries are a pure
- * function of the device count (never the thread count) — and hands
- * each worker a contiguous span of shard indices. Workers pop shards
- * from the front of their own span; a worker that runs dry steals the
- * back *half* of the most-loaded victim's remaining span (chunked
- * stealing, never single indices), so skewed scenarios rebalance in
- * O(log shards) steals instead of contending on one global counter.
+ * function of the device count (never the thread count) — and fanOut
+ * starts the workers, each claiming the next unclaimed shard index from
+ * one shared atomic counter until none is left.
  *
  * Determinism by construction: each shard is executed start-to-finish
  * by exactly one worker (devices in index order), results fold into
  * that shard's ShardAccumulator, and the dispatcher merges the
  * accumulators in shard-index order once all workers join. The merge
  * tree therefore depends only on (devices, shard count) — identical
- * for any thread count and any steal schedule — and every merged
+ * for any thread count and any claim order — and every merged
  * quantity is either associative (integer sums, exact double sums, max,
  * xor) or computed from an order-independent retained set (MergeStat),
  * so `sim_*` metrics replay bit-identically.
@@ -26,7 +23,6 @@
 #define SENTRY_FLEET_SHARD_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -75,52 +71,14 @@ struct ShardPlan
 ShardPlan planShards(unsigned devices, unsigned requestedShards);
 
 /**
- * Work-stealing shard queue: one contiguous [begin,end) span of shard
- * indices per worker, packed into a single atomic word so both the
- * owner's front-pop and a thief's back-half split are lock-free CAS
- * updates. Safe for concurrent next() calls from all workers.
- */
-class WorkQueue
-{
-  public:
-    WorkQueue(unsigned shardCount, unsigned workers);
-
-    /**
-     * Claim the next shard for @p worker: pop the front of its own
-     * span, else steal the back half of the most-loaded victim and pop
-     * from that. @return false when no shard anywhere is claimable
-     * (spans with one remaining shard belong to their owner).
-     */
-    bool next(unsigned worker, unsigned &shard);
-
-    /** @return number of successful steals (host-side diagnostics). */
-    std::uint64_t steals() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    /** One worker's remaining span, packed begin<<32 | end. */
-    struct alignas(64) Range
-    {
-        std::atomic<std::uint64_t> span{0};
-    };
-
-    bool tryPop(Range &range, unsigned &shard);
-
-    std::vector<Range> ranges_;
-    std::atomic<std::uint64_t> steals_{0};
-};
-
-/**
  * Run @p work(item, pool) for every item in [0, @p items) on
- * min(@p threads, @p items) workers claiming items from one WorkQueue;
- * @p pool is the worker's own. One worker runs on the calling thread.
- * @return the queue's steal count
+ * min(@p threads, @p items) workers, each claiming the next item from
+ * one shared atomic counter; @p pool is the worker's own. A single
+ * worker runs on the calling thread; with more, each runs on its own
+ * thread and the calling thread waits for them all.
  */
-std::uint64_t fanOut(
-    unsigned items, unsigned threads,
-    const std::function<void(unsigned item, DevicePool &pool)> &work);
+void fanOut(unsigned items, unsigned threads,
+            const std::function<void(unsigned item, DevicePool &pool)> &work);
 
 /**
  * The samples a DEVICE_COUNTERS row aggregates. The row prints their

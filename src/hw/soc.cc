@@ -7,6 +7,14 @@
 namespace sentry::hw
 {
 
+namespace
+{
+
+/** Mixed into the device seed to provision the TrustZone fuse. */
+constexpr std::uint64_t FUSE_SALT = 0xf05e0000ULL;
+
+} // namespace
+
 MemorySystem::MemorySystem(SimClock &clock, Iram &iram, L2Cache &l2,
                            MemTiming timing)
     : clock_(clock), iram_(iram), l2_(l2), timing_(timing)
@@ -131,7 +139,7 @@ Soc::Soc(const PlatformConfig &config)
     : config_(config), clock_(config.cpuFreqHz), rng_(config.seed),
       energy_(config.energy, config.batteryJoules), dram_(config.dramSize),
       iram_(config.iramSize),
-      tz_(config.secureWorldAvailable, config.seed ^ 0xf05e0000ULL),
+      tz_(config.secureWorldAvailable, config.seed ^ FUSE_SALT),
       l2_(clock_, bus_, tz_, DRAM_BASE, config.dramSize, config.l2Size,
           config.l2Ways, config.timing.l2),
       dma_(clock_, bus_, iram_, tz_), cpu_(clock_), firmware_(config.boot),
@@ -226,6 +234,14 @@ Soc::forkFrom(const SocSnapshot &snap)
     if (accel_ != nullptr)
         accel_->restoreForkState(state.accel);
     memCrypto_->restoreForkState(state.memCrypto);
+}
+
+void
+Soc::reseed(std::uint64_t seed)
+{
+    config_.seed = seed;
+    rng_.reseed(seed);
+    tz_.provisionFuse(seed ^ FUSE_SALT);
 }
 
 void

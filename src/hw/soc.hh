@@ -217,6 +217,14 @@ class Soc
      */
     void forkFrom(const SocSnapshot &snap);
 
+    /**
+     * Re-derive everything the construction seed sets — the RNG
+     * stream, the TrustZone fuse and config().seed — from @p seed, as
+     * if this Soc had been built with it. A recycled fleet device calls
+     * it after its fork.
+     */
+    void reseed(std::uint64_t seed);
+
   private:
     // Declared first so it is destroyed last: devices hold raw pointers
     // to it, and subscribers detach through it in their destructors.

@@ -79,6 +79,14 @@ class TrustZone
     /** SMC back to the normal world. */
     void exitSecureWorld();
 
+    /** Provision the fuse anew from @p fuse_seed, as construction
+     * does (Soc::reseed). */
+    void
+    provisionFuse(std::uint64_t fuse_seed)
+    {
+        fuse_ = SecureFuse(fuse_seed);
+    }
+
     /**
      * Read the fuse secret.
      * @return true and fill @p out when in the secure world;
@@ -130,10 +138,9 @@ class TrustZone
 
     /**
      * The controller's simulated security state: a fork copies it
-     * whole. Outside it are the construction-time constants, the fuse
-     * secret and secure-world availability, derived from the device's
-     * own config. A fork keeps the target's: a recycled fleet device
-     * holds the fuse of the index its target was built for.
+     * whole. Outside it are the fuse secret and secure-world
+     * availability, derived from the device's own seed and platform: a
+     * fork keeps the target's, and Soc::reseed re-derives the fuse.
      */
     struct State
     {

@@ -31,6 +31,9 @@ enum class FilebenchWorkload
     RandRW, //!< 50/50 mix
 };
 
+/** Number of FilebenchWorkload enumerators. */
+constexpr unsigned FILEBENCH_WORKLOAD_COUNT = 3;
+
 /** @return workload name as used in the paper's figure. */
 const char *filebenchWorkloadName(FilebenchWorkload workload);
 

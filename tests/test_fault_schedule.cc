@@ -95,6 +95,16 @@ TEST(FaultSchedule, RejectsMalformedStatements)
     // Statements must start with `fault`.
     EXPECT_THROW(parseFaultSchedule("glitch lockdown after 1\n"),
                  FaultParseError);
+    // Numbers start with a digit: no sign.
+    EXPECT_THROW(parseFaultSchedule("fault dram_bit_flip after +3\n"),
+                 FaultParseError);
+    // A kind takes only its own magnitude: a bus delay has no count.
+    try {
+        parseFaultSchedule("fault bus_delay after 3 count 5\n");
+        FAIL() << "expected FaultParseError";
+    } catch (const FaultParseError &e) {
+        EXPECT_EQ(e.line(), 1u);
+    }
 
     // The error carries the offending line number.
     try {

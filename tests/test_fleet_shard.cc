@@ -1,8 +1,8 @@
 /**
  * @file
  * Worker/dispatcher engine coverage: MergeStat merge-order freedom and
- * reservoir accuracy, deterministic shard planning, WorkQueue
- * steal-half semantics (single-threaded unit + threaded hammer), the
+ * reservoir accuracy, deterministic shard planning, fanOut's claims
+ * (a threaded hammer, more threads than items, no items), the
  * DEVICE_COUNTERS table (merge-order freedom of every row, one row
  * moves only its own metrics, 64-bit totals), shard-count/thread-count
  * invariance of the fleet's sim_ metrics, and `--replay-device` digest
@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <random>
 #include <set>
@@ -254,69 +256,69 @@ TEST_F(FleetShard, PlanShardsIsDeviceCountPureAndCoversAllIndices)
     EXPECT_EQ(plan.end(plan.shardCount - 1), 5u);
 }
 
-TEST_F(FleetShard, WorkQueueStealsHalfOfTheLoadedVictim)
+TEST_F(FleetShard, FanOutHammerRunsEveryItemExactlyOnce)
 {
-    // Two workers, 8 shards: the constructor deals worker 0 [0,4) and
-    // worker 1 [4,8). Once worker 1 drains its own span, its next
-    // next() must steal the BACK HALF of worker 0's remainder in one
-    // CAS — not migrate a single index.
-    WorkQueue queue(8, 2);
-    unsigned shard = 0;
-    ASSERT_TRUE(queue.next(0, shard));
-    EXPECT_EQ(shard, 0u); // owner pops its own front; keeps [1,4)
-    for (unsigned expected = 4; expected < 8; ++expected) {
-        ASSERT_TRUE(queue.next(1, shard));
-        EXPECT_EQ(shard, expected); // worker 1 drains its own span
+    // Skewed load: the worker that runs item 0 yields after every item,
+    // so the others claim most of the work. Every item must run exactly
+    // once whatever the interleaving, and every call on a thread must
+    // get that thread's own pool.
+    constexpr unsigned ITEMS = 503; // prime — no even split
+    constexpr unsigned THREADS = 4;
+    struct Call
+    {
+        std::atomic<unsigned> runs{0};
+        std::thread::id thread;
+        const DevicePool *pool = nullptr;
+    };
+    std::vector<Call> calls(ITEMS);
+    std::atomic<const DevicePool *> slow{nullptr};
+    fanOut(ITEMS, THREADS, [&](unsigned item, DevicePool &pool) {
+        Call &call = calls[item];
+        call.runs.fetch_add(1);
+        call.thread = std::this_thread::get_id();
+        call.pool = &pool;
+        if (item == 0)
+            slow = &pool;
+        if (slow == &pool)
+            std::this_thread::yield();
+    });
+
+    std::map<std::thread::id, const DevicePool *> poolOf;
+    std::set<const DevicePool *> pools;
+    for (unsigned i = 0; i < ITEMS; ++i) {
+        ASSERT_EQ(calls[i].runs.load(), 1u) << "item " << i;
+        const auto mapped =
+            poolOf.emplace(calls[i].thread, calls[i].pool).first;
+        EXPECT_EQ(mapped->second, calls[i].pool)
+            << "item " << i << " got another pool than its thread's";
+        pools.insert(calls[i].pool);
     }
-    EXPECT_EQ(queue.steals(), 0u); // popping your own span never counts
-
-    // Worker 0 still holds [1,4): 3 shards. The thief splits at
-    // mid = 1 + ceil(3 / 2) = 3, taking [3,4) and popping shard 3.
-    ASSERT_TRUE(queue.next(1, shard));
-    EXPECT_EQ(shard, 3u);
-    EXPECT_EQ(queue.steals(), 1u);
-
-    // Worker 0 keeps the front half [1,3) and drains it in order.
-    ASSERT_TRUE(queue.next(0, shard));
-    EXPECT_EQ(shard, 1u);
-    ASSERT_TRUE(queue.next(0, shard));
-    EXPECT_EQ(shard, 2u);
-
-    // Every shard came out exactly once; both workers now run dry.
-    EXPECT_FALSE(queue.next(0, shard));
-    EXPECT_FALSE(queue.next(1, shard));
+    EXPECT_LE(poolOf.size(), THREADS);
+    EXPECT_EQ(pools.size(), poolOf.size()) << "two threads share a pool";
 }
 
-TEST_F(FleetShard, WorkQueueHammerClaimsEveryShardExactlyOnce)
+TEST_F(FleetShard, FanOutRunsFewItemsAndNone)
 {
-    // Skewed load: worker 0 owns most of the work but drains slowly;
-    // the others must rebalance by stealing. Every shard must be
-    // claimed exactly once regardless of interleaving.
-    constexpr unsigned SHARDS = 503; // prime — uneven spans
-    constexpr unsigned WORKERS = 4;
-    WorkQueue queue(SHARDS, WORKERS);
-    std::vector<std::vector<unsigned>> claimed(WORKERS);
-    std::vector<std::thread> pool;
-    for (unsigned w = 0; w < WORKERS; ++w) {
-        pool.emplace_back([&, w] {
-            unsigned shard = 0;
-            while (queue.next(w, shard)) {
-                claimed[w].push_back(shard);
-                if (w == 0) // the slow worker everyone steals from
-                    std::this_thread::yield();
-            }
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
+    // More threads than items: each item still runs exactly once.
+    std::vector<std::atomic<unsigned>> runs(3);
+    fanOut(3, 16, [&](unsigned item, DevicePool &) {
+        runs[item].fetch_add(1);
+    });
+    for (unsigned i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1u) << "item " << i;
 
-    std::vector<unsigned> all;
-    for (const auto &c : claimed)
-        all.insert(all.end(), c.begin(), c.end());
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(all.size(), SHARDS);
-    for (unsigned s = 0; s < SHARDS; ++s)
-        EXPECT_EQ(all[s], s);
+    // One item needs one worker, which runs on the calling thread.
+    std::thread::id ranOn;
+    fanOut(1, 16, [&](unsigned, DevicePool &) {
+        ranOn = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ranOn, std::this_thread::get_id());
+
+    // Nothing to claim: no call at all, whatever the thread count.
+    for (unsigned threads : {1u, 4u})
+        fanOut(0, threads, [](unsigned, DevicePool &) {
+            ADD_FAILURE() << "fanOut ran an item of none";
+        });
 }
 
 TEST_F(FleetShard, ShardAccumulatorMergeIsOrderIndependent)

@@ -251,8 +251,17 @@ TEST(Fuzzer, ParseTrialFileRejectsMalformedInput)
     // The seed line is mandatory.
     EXPECT_THROW(parseTrialFile("[scenario]\nlock\n"),
                  std::runtime_error);
-    // Seeds must be numbers.
+    // Seeds must be numbers: a digit first (no sign), within 64 bits.
     EXPECT_THROW(parseTrialFile("seed banana\n"), std::runtime_error);
+    for (const std::string seed : {"-1", "+42", "99999999999999999999999"}) {
+        try {
+            parseTrialFile("seed " + seed + "\n[scenario]\nlock\n");
+            ADD_FAILURE() << "seed " << seed << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "line 1: malformed seed '" + seed + "'");
+        }
+    }
     // The verdict must be ok or fail.
     EXPECT_THROW(parseTrialFile("seed 0x1\nexpect maybe\n"),
                  std::runtime_error);

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -122,6 +124,19 @@ spawnAndTouch(Device &device, std::size_t heap_bytes)
     kernel.touchRange(process, heap.base, heap.size / 2);
 }
 
+/** @return @p device's fuse secret, read from the secure world, or
+ * nullopt on a platform without one. */
+std::optional<std::array<std::uint8_t, 32>>
+fuseOf(Device &device)
+{
+    hw::TrustZone &tz = device.soc().trustzone();
+    const hw::SecureWorldGuard secure(tz);
+    std::array<std::uint8_t, 32> fuse{};
+    if (!tz.readFuse(fuse))
+        return std::nullopt;
+    return fuse;
+}
+
 /**
  * The delta-restore twin. @p target has run since its last fork, so
  * its L2, memories and component states hold changes the next fork
@@ -130,8 +145,11 @@ spawnAndTouch(Device &device, std::size_t heap_bytes)
  * fresh device has the target's platform but another seed, as a
  * replay of another fleet index does, so state a fork fails to copy
  * keeps each device's own construction-time value. The two must match
- * right after the fork, again after both run a fleet-scale device's
- * work, and again after both lock (page crypto with the forked keys).
+ * right after the fork. Both are then reseeded to the fresh device's
+ * seed, as the fleet runner reseeds a recycled device to the index it
+ * runs, so their fuses must match too, and they must match again after
+ * both run a fleet-scale device's work, and again after both lock
+ * (page crypto with the forked keys).
  */
 void
 expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap,
@@ -144,6 +162,9 @@ expectRecycledForkMatchesFresh(Device &target, const DeviceSnapshot &snap,
     fresh.forkFrom(snap);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
         << "right after the fork";
+    target.soc().reseed(freshConfig.seed);
+    fresh.soc().reseed(freshConfig.seed);
+    EXPECT_EQ(fuseOf(target), fuseOf(fresh)) << "after the reseed";
     spawnAndTouch(target, 16 * KiB);
     spawnAndTouch(fresh, 16 * KiB);
     EXPECT_TRUE(test::captureFork(target) == test::captureFork(fresh))
